@@ -68,14 +68,18 @@ module Mont : sig
   type ctx
 
   val ctx : t -> ctx
-  (** Precompute the constants for one modulus.
-      @raise Invalid_argument unless the modulus is odd and [> 1]. *)
+  (** Precompute the constants for one modulus.  The multiplication
+      kernel sums each output column in one native [int], which bounds
+      the modulus to at most 512 limbs (13312 bits).
+      @raise Invalid_argument unless the modulus is odd and [> 1], or
+      if it is wider than 512 limbs. *)
 
   val modulus : ctx -> t
 
   val mod_pow : ctx -> t -> t -> t
   (** [mod_pow c b e] is [b^e mod (modulus c)] by sliding-window
-      exponentiation in the Montgomery domain. *)
+      exponentiation in the Montgomery domain.  Any [b] is accepted
+      (it is reduced first); the steps allocate nothing. *)
 
   val mod_pow_int : ctx -> t -> int -> t
   (** Same with a small machine-int exponent (RSA's e = 65537), with no
@@ -108,6 +112,7 @@ val to_bytes_be : t -> string
 (** Minimal big-endian byte string; [to_bytes_be zero = "\000"]. *)
 
 val of_bytes_be : string -> t
+(** Big-endian; leading zero bytes are ignored and [""] is [zero]. *)
 
 val random_bits : rand:(int -> int) -> int -> t
 (** [random_bits ~rand n] draws a uniform natural below [2^n]; [rand k]

@@ -65,16 +65,19 @@ let mont_ctx_of (m : Nat.t) : Nat.Mont.ctx =
 
 (* Sign/verify wall-clock histograms (crypto.*_seconds in the shared
    registry): per-operation cost is what Section 6 attributes the
-   SeNDlog time overhead to, so the runtime profiles it directly. *)
-let sign_hist = lazy (Obs.Metrics.histogram Obs.Metrics.default "crypto.sign_seconds")
-let verify_hist = lazy (Obs.Metrics.histogram Obs.Metrics.default "crypto.verify_seconds")
-let keygen_hist = lazy (Obs.Metrics.histogram Obs.Metrics.default "crypto.keygen_seconds")
+   SeNDlog time overhead to, so the runtime profiles it directly.  The
+   handles are created at module initialization, on the main domain:
+   created lazily, two worker domains could force the same handle at
+   once, which OCaml 5 rejects with [CamlinternalLazy.Undefined]. *)
+let sign_hist = Obs.Metrics.histogram Obs.Metrics.default "crypto.sign_seconds"
+let verify_hist = Obs.Metrics.histogram Obs.Metrics.default "crypto.verify_seconds"
+let keygen_hist = Obs.Metrics.histogram Obs.Metrics.default "crypto.keygen_seconds"
 
 (* [generate rng ~bits] generates an RSA keypair with a [bits]-wide
    modulus.  Deterministic given the generator state. *)
 let generate (rng : Rng.t) ~(bits : int) : keypair =
   if bits < 64 then invalid_arg "Rsa.generate: modulus too small";
-  Obs.Metrics.timed (Lazy.force keygen_hist) @@ fun () ->
+  Obs.Metrics.timed keygen_hist @@ fun () ->
   let half = bits / 2 in
   let rec go () =
     let p = Prime.generate rng ~bits:half in
@@ -136,7 +139,7 @@ let crt_power (c : crt) (m : Nat.t) : Nat.t =
    the 32 bytes here. *)
 let sign_digest ?fastpath (priv : private_key) (digest : string) : string =
   let fastpath = Option.value fastpath ~default:!fastpath_default in
-  Obs.Metrics.timed (Lazy.force sign_hist) @@ fun () ->
+  Obs.Metrics.timed sign_hist @@ fun () ->
   let m = encode_digest priv.pub digest in
   let s =
     match (fastpath, priv.crt) with
@@ -155,7 +158,7 @@ let sign ?fastpath (priv : private_key) (message : string) : string =
 let verify_digest ?fastpath (pub : public_key) ~(signature : string)
     (digest : string) : bool =
   let fastpath = Option.value fastpath ~default:!fastpath_default in
-  Obs.Metrics.timed (Lazy.force verify_hist) @@ fun () ->
+  Obs.Metrics.timed verify_hist @@ fun () ->
   String.length signature = signature_size pub
   && begin
        let s = Nat.of_bytes_be signature in

@@ -68,13 +68,13 @@ type t = {
   mutable indexing : bool; (* when off, [probe] falls back to a scan *)
 }
 
-(* Shared-registry instrumentation of the index machinery.  The
-   handles survive [Obs.Metrics.reset] (reset zeroes series in place),
-   so forcing them once is safe across benchmark phases. *)
-let c_probes = lazy (Obs.Metrics.counter Obs.Metrics.default "db.index_probes")
-let c_hits = lazy (Obs.Metrics.counter Obs.Metrics.default "db.index_hits")
-let c_builds = lazy (Obs.Metrics.counter Obs.Metrics.default "db.index_builds")
-let c_scans = lazy (Obs.Metrics.counter Obs.Metrics.default "db.full_scans")
+(* Shared-registry instrumentation of the index machinery, created at
+   module initialization so worker domains only ever read the handles.
+   They survive [Obs.Metrics.reset] (reset zeroes series in place). *)
+let c_probes = Obs.Metrics.counter Obs.Metrics.default "db.index_probes"
+let c_hits = Obs.Metrics.counter Obs.Metrics.default "db.index_hits"
+let c_builds = Obs.Metrics.counter Obs.Metrics.default "db.index_builds"
+let c_scans = Obs.Metrics.counter Obs.Metrics.default "db.full_scans"
 
 let create ?(indexing = true) () =
   { rels = Hashtbl.create 32;
@@ -134,7 +134,7 @@ let index_for (store : rel_store) (cols : int list) : Tuple.t list ref Key_tbl.t
   match Hashtbl.find_opt store.indexes cols with
   | Some idx -> idx
   | None ->
-    Obs.Metrics.inc (Lazy.force c_builds);
+    Obs.Metrics.inc c_builds;
     let idx = Key_tbl.create (max 16 (Tuple.Table.length store.tuples)) in
     Tuple.Table.iter (fun t _ -> index_add idx cols t) store.tuples;
     Hashtbl.replace store.indexes cols idx;
@@ -320,14 +320,14 @@ let probe (db : t) (name : string) ~(cols : int list) ~(key : Value.t list) :
   | None -> []
   | Some store ->
     if (not db.indexing) || cols = [] then begin
-      Obs.Metrics.inc (Lazy.force c_scans);
+      Obs.Metrics.inc c_scans;
       Tuple.Table.fold (fun t _ acc -> t :: acc) store.tuples []
     end
     else begin
-      Obs.Metrics.inc (Lazy.force c_probes);
+      Obs.Metrics.inc c_probes;
       match Key_tbl.find_opt (index_for store cols) (key_ids key) with
       | Some bucket ->
-        Obs.Metrics.inc (Lazy.force c_hits);
+        Obs.Metrics.inc c_hits;
         !bucket
       | None -> []
     end

@@ -4,7 +4,7 @@
    Metric handles are cheap mutable cells; the registry maps
    (name, labels) to the handle so independent call sites share one
    series.  [reset] zeroes every series *in place*, so handles cached
-   by instrumented code (e.g. the lazy histograms in Crypto.Rsa) stay
+   by instrumented code (e.g. the histograms in Crypto.Rsa) stay
    attached across runs — `psn run` and the sweep harness reset the
    default registry between measured phases.
 

@@ -36,11 +36,9 @@ let mode_to_string = function
    in test_sendlog.ml and asserted by the bench crypto ablation, which
    runs the provenance-shipping configuration for exactly this
    reason). *)
-let c_cache_hits =
-  lazy (Obs.Metrics.counter Obs.Metrics.default "crypto.sign_cache_hits")
+let c_cache_hits = Obs.Metrics.counter Obs.Metrics.default "crypto.sign_cache_hits"
 
-let c_cache_misses =
-  lazy (Obs.Metrics.counter Obs.Metrics.default "crypto.sign_cache_misses")
+let c_cache_misses = Obs.Metrics.counter Obs.Metrics.default "crypto.sign_cache_misses"
 
 let sign_cache_max = 8192 (* per-principal bound; reset on overflow *)
 
@@ -66,10 +64,10 @@ let rsa_sign_cached_slice ~(fastpath : bool) (sender : Principal.t)
     Mutex.unlock sign_cache_mu;
     match cached with
     | Some s ->
-      Obs.Metrics.inc (Lazy.force c_cache_hits);
+      Obs.Metrics.inc c_cache_hits;
       s
     | None ->
-      Obs.Metrics.inc (Lazy.force c_cache_misses);
+      Obs.Metrics.inc c_cache_misses;
       let s = Crypto.Rsa.sign_digest ~fastpath sender.keypair.private_ digest in
       Mutex.lock sign_cache_mu;
       if Hashtbl.length sender.sig_cache >= sign_cache_max then
@@ -156,17 +154,15 @@ let verify ?fastpath (mode : mode) (directory : Principal.directory)
    asynchronous slabs, so batch k's crypto overlaps batch k-1's
    fixpoint instead of serializing in the receive path. *)
 
-let c_verify_batches =
-  lazy (Obs.Metrics.counter Obs.Metrics.default "crypto.verify_batches")
+let c_verify_batches = Obs.Metrics.counter Obs.Metrics.default "crypto.verify_batches"
 
-let c_verify_batch_size =
-  lazy (Obs.Metrics.counter Obs.Metrics.default "crypto.verify_batch_size")
+let c_verify_batch_size = Obs.Metrics.counter Obs.Metrics.default "crypto.verify_batch_size"
 
 let verify_batch ?(fastpath = true) (mode : mode) (directory : Principal.directory)
     (items : (Net.Wire.auth * Net.Arena.slice) array) : verdict array =
   if Array.length items > 0 then begin
-    Obs.Metrics.inc (Lazy.force c_verify_batches);
-    Obs.Metrics.inc ~by:(Array.length items) (Lazy.force c_verify_batch_size)
+    Obs.Metrics.inc c_verify_batches;
+    Obs.Metrics.inc ~by:(Array.length items) c_verify_batch_size
   end;
   Array.map (fun (auth, bytes) -> verify_slice ~fastpath mode directory auth bytes) items
 

@@ -133,6 +133,48 @@ let test_mont_known_values () =
     (Nat.mod_pow (Nat.of_int 7) (Nat.of_int 130) (Nat.of_int 4096))
     (Nat.mod_pow_fast (Nat.of_int 7) (Nat.of_int 130) (Nat.of_int 4096))
 
+let test_mont_limb_bound () =
+  (* 512 limbs is the widest modulus whose Montgomery columns fit a
+     native int; the all-ones modulus and a base just below it fill
+     every limb, which drives the column sums to their bound. *)
+  let all_ones k = Nat.sub (Nat.shift_left Nat.one (26 * k)) Nat.one in
+  let m = all_ones 512 in
+  let c = Nat.Mont.ctx m in
+  let b = Nat.sub m Nat.two in
+  check_nat "mod_pow at 512 limbs" (Nat.mod_pow b (Nat.of_int 31) m)
+    (Nat.Mont.mod_pow c b (Nat.of_int 31));
+  check_nat "mod_pow_int at 512 limbs" (Nat.mod_pow b (Nat.of_int 65537) m)
+    (Nat.Mont.mod_pow_int c b 65537);
+  List.iter
+    (fun m ->
+      Alcotest.check_raises "wider than 512 limbs"
+        (Invalid_argument "Nat.Mont.ctx: modulus wider than 512 limbs")
+        (fun () -> ignore (Nat.Mont.ctx m)))
+    [ Nat.add (Nat.shift_left Nat.one (26 * 512)) Nat.one; all_ones 600 ]
+
+let test_mont_no_alloc_per_step () =
+  (* Exponents of equal width (same window and table) but 2 vs ~40
+     windows, and machine-int exponents of 2 vs 62 bits: the steps
+     allocate nothing, so each pair allocates the same.  The base is
+     just below the modulus so that every result is full width and
+     the final [normalize] copies none of them. *)
+  let m = Nat.add (Nat.shift_left Nat.one 383) (Nat.of_int 187) in
+  let c = Nat.Mont.ctx m and b = Nat.sub m (Nat.of_int 123_456_789) in
+  let words f =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. w0
+  in
+  let sparse = Nat.add (Nat.shift_left Nat.one 200) Nat.one in
+  let dense = Nat.sub (Nat.shift_left Nat.one 201) Nat.one in
+  ignore (words (fun () -> Nat.Mont.mod_pow c b sparse));
+  Alcotest.(check (float 0.)) "mod_pow"
+    (words (fun () -> Nat.Mont.mod_pow c b sparse))
+    (words (fun () -> Nat.Mont.mod_pow c b dense));
+  Alcotest.(check (float 0.)) "mod_pow_int"
+    (words (fun () -> Nat.Mont.mod_pow_int c b 3))
+    (words (fun () -> Nat.Mont.mod_pow_int c b max_int))
+
 (* --- Bigint ----------------------------------------------------------- *)
 
 let bigint = Alcotest.testable Bigint.pp Bigint.equal
@@ -284,6 +326,123 @@ let prop_mont_int_exponent =
         (Nat.Mont.mod_pow_int (Nat.Mont.ctx m) b e)
         (Nat.mod_pow b (Nat.of_int e) m))
 
+(* Moduli of 1..40 limbs, built limb by limb so the generator reaches
+   the widths RSA uses (15 limbs at 384 bits) and beyond.  A quarter are
+   all-ones (every limb 2^26 - 1), which drives the kernel's column
+   sums toward their bound. *)
+let limb_max = (1 lsl 26) - 1
+
+let of_limbs (limbs : int list) : Nat.t =
+  (* most significant limb first *)
+  List.fold_left
+    (fun acc l -> Nat.add (Nat.shift_left acc 26) (Nat.of_int l))
+    Nat.zero limbs
+
+let wide_modulus_gen : Nat.t QCheck.Gen.t =
+  QCheck.Gen.(
+    int_range 1 40 >>= fun k ->
+    frequency
+      [ (1, return (of_limbs (List.init k (fun _ -> limb_max))));
+        ( 3,
+          map
+            (fun limbs ->
+              (* nonzero top limb, odd low limb, and > 1 *)
+              let limbs = List.mapi (fun i l -> if i = 0 then max l 1 else l) limbs in
+              let m = Nat.add (Nat.shift_left (Nat.shift_right (of_limbs limbs) 1) 1) Nat.one in
+              if Nat.equal m Nat.one then Nat.of_int 3 else m)
+            (list_repeat k (int_bound limb_max)) ) ])
+
+(* Bases relative to the modulus: 0, 1, m - 1, m, m + 1 and random
+   values up to two limbs wider than m (so mostly >= m). *)
+let base_gen (m : Nat.t) : Nat.t QCheck.Gen.t =
+  QCheck.Gen.(
+    oneof
+      [ return Nat.zero;
+        return Nat.one;
+        return (Nat.sub m Nat.one);
+        return m;
+        return (Nat.add m Nat.one);
+        map of_limbs (list_size (int_range 1 (Nat.num_limbs m + 2)) (int_bound limb_max)) ])
+
+(* Exponents 0, 1, all-ones of 1..300 bits, and random up to 32 limbs
+   (832 bits, so every window width 2..5 is exercised). *)
+let exponent_gen : Nat.t QCheck.Gen.t =
+  QCheck.Gen.(
+    oneof
+      [ return Nat.zero;
+        return Nat.one;
+        map (fun w -> Nat.sub (Nat.shift_left Nat.one w) Nat.one) (int_range 1 300);
+        map of_limbs (list_size (int_range 1 32) (int_bound limb_max)) ])
+
+let print_case (b, e, m) =
+  Printf.sprintf "b=%s e=%s m=%s" (Nat.to_hex b) (Nat.to_hex e) (Nat.to_hex m)
+
+let prop_mont_wide_moduli =
+  QCheck.Test.make ~name:"Montgomery mod_pow = naive on 1-40 limb moduli" ~count:150
+    (QCheck.make ~print:print_case
+       QCheck.Gen.(
+         wide_modulus_gen >>= fun m ->
+         map2 (fun b e -> (b, e, m)) (base_gen m) exponent_gen))
+    (fun (b, e, m) -> Nat.equal (Nat.Mont.mod_pow (Nat.Mont.ctx m) b e) (Nat.mod_pow b e m))
+
+let prop_mont_int_wide_moduli =
+  QCheck.Test.make ~name:"Montgomery int exponent = naive on 1-40 limb moduli" ~count:150
+    (QCheck.make
+       ~print:(fun (b, e, m) -> print_case (b, Nat.of_int e, m))
+       QCheck.Gen.(
+         wide_modulus_gen >>= fun m ->
+         map2
+           (fun b e -> (b, e, m))
+           (base_gen m)
+           (oneof
+              [ return 0;
+                return 1;
+                return 65537;
+                return max_int;
+                map (fun w -> (1 lsl w) - 1) (int_range 1 61);
+                int_bound 1_000_000 ])))
+    (fun (b, e, m) ->
+      Nat.equal (Nat.Mont.mod_pow_int (Nat.Mont.ctx m) b e) (Nat.mod_pow b (Nat.of_int e) m))
+
+(* The quadratic byte codecs the linear ones replaced, kept as the
+   oracle: shift-and-add per input byte, one [testbit] per output bit.
+   A round trip alone cannot catch a bug both directions share. *)
+let legacy_of_bytes_be (s : string) : Nat.t =
+  let acc = ref Nat.zero in
+  String.iter (fun c -> acc := Nat.add (Nat.shift_left !acc 8) (Nat.of_int (Char.code c))) s;
+  !acc
+
+let legacy_to_bytes_be (a : Nat.t) : string =
+  if Nat.is_zero a then "\000"
+  else begin
+    let nbytes = (Nat.bits a + 7) / 8 in
+    String.init nbytes (fun i ->
+        let byte_idx = nbytes - 1 - i in
+        let b = ref 0 in
+        for j = 7 downto 0 do
+          b := (!b lsl 1) lor if Nat.testbit a ((byte_idx * 8) + j) then 1 else 0
+        done;
+        Char.chr !b)
+  end
+
+(* Empty strings, and 1..80 bytes behind 0..3 leading zero bytes. *)
+let byte_string_gen : string QCheck.arbitrary =
+  QCheck.make ~print:(fun s -> Printf.sprintf "%S" s)
+    QCheck.Gen.(
+      frequency
+        [ (1, return "");
+          ( 9,
+            map2
+              (fun zeros body -> String.make zeros '\000' ^ body)
+              (int_bound 3)
+              (string_size ~gen:char (int_range 1 80)) ) ])
+
+let prop_bytes_match_legacy =
+  QCheck.Test.make ~name:"byte codecs = quadratic oracle" ~count:500 byte_string_gen
+    (fun s ->
+      let a = Nat.of_bytes_be s in
+      Nat.equal a (legacy_of_bytes_be s) && Nat.to_bytes_be a = legacy_to_bytes_be a)
+
 let prop_compare_total_order =
   QCheck.Test.make ~name:"compare antisymmetric" ~count:200
     QCheck.(pair big_nat_gen big_nat_gen)
@@ -306,6 +465,8 @@ let suite : unit Alcotest.test_case list =
     Alcotest.test_case "pow" `Quick test_pow;
     Alcotest.test_case "montgomery rejects bad moduli" `Quick test_mont_rejects_bad_modulus;
     Alcotest.test_case "montgomery known values" `Quick test_mont_known_values;
+    Alcotest.test_case "montgomery 512-limb bound" `Quick test_mont_limb_bound;
+    Alcotest.test_case "montgomery steps allocate nothing" `Quick test_mont_no_alloc_per_step;
     Alcotest.test_case "bigint signs" `Quick test_bigint_signs;
     Alcotest.test_case "bigint truncated divmod" `Quick test_bigint_divmod_truncated;
     Alcotest.test_case "bigint egcd" `Quick test_bigint_egcd;
@@ -324,4 +485,7 @@ let suite : unit Alcotest.test_case list =
         prop_mont_matches_naive;
         prop_mod_pow_fast_matches_naive;
         prop_mont_int_exponent;
+        prop_mont_wide_moduli;
+        prop_mont_int_wide_moduli;
+        prop_bytes_match_legacy;
         prop_compare_total_order ]
