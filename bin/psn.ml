@@ -139,24 +139,8 @@ let run_cmd =
   let jobs =
     Arg.(value & opt int 1
          & info [ "jobs" ] ~docv:"N"
-             ~doc:"Worker domains for the batch engine (1 = sequential event loop)")
-  in
-  let verify_batch =
-    (* [--verify-batch] (the default) and [--no-verify-batch] as an
-       explicit vflag pair, so scripts can state either choice. *)
-    Arg.(value
-         & vflag true
-             [ ( true,
-                 info [ "verify-batch" ]
-                   ~doc:"Pipelined batch signature verification (the default): \
-                         fan dispatched frontiers' signatures across the \
-                         worker domains in slabs, overlapping the next \
-                         batch's fixpoint work" );
-               ( false,
-                 info [ "no-verify-batch" ]
-                   ~doc:"Disable pipelined batch signature verification: verify \
-                         each incoming message inline at acceptance (results \
-                         are byte-identical either way)" ) ])
+             ~doc:"Worker domains that evaluate each timestamp's per-node groups \
+                   (1 = the calling domain alone)")
   in
   let shards =
     Arg.(value & opt int 1
@@ -240,8 +224,8 @@ let run_cmd =
                    per flow key; 1 = record every flow)")
   in
   let run file nodes seed cfg rsa_bits no_indexes no_fastpath loss dup reorder jitter
-      crashes fault_seed reliable retries ack_timeout max_backoff jobs verify_batch
-      shards prov_granularity flap_rate churn advance with_links show metrics_out
+      crashes fault_seed reliable retries ack_timeout max_backoff jobs shards
+      prov_granularity flap_rate churn advance with_links show metrics_out
       metrics_format trace_out chrome_out events_out prov_log prov_sample =
     let program = Ndlog.Parser.parse_program_exn (read_file file) in
     let rng = Crypto.Rng.create ~seed in
@@ -285,7 +269,6 @@ let run_cmd =
         in
         let c = Core.Config.with_prov_log c prov_log in
         let c = Core.Config.with_prov_sample c prov_sample in
-        let c = Core.Config.with_verify_batch c verify_batch in
         Core.Config.with_jobs c jobs
       with Invalid_argument e ->
         Printf.eprintf "%s\n" e;
@@ -389,7 +372,7 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Execute a program over a simulated network")
     Term.(const run $ file $ nodes $ seed $ cfg $ rsa_bits $ no_indexes $ no_fastpath
           $ loss $ dup $ reorder $ jitter $ crashes $ fault_seed $ reliable $ retries
-          $ ack_timeout $ max_backoff $ jobs $ verify_batch $ shards
+          $ ack_timeout $ max_backoff $ jobs $ shards
           $ prov_granularity $ flap_rate
           $ churn $ advance $ with_links
           $ show $ metrics_out $ metrics_format $ trace_out $ chrome_out $ events_out

@@ -77,16 +77,11 @@ type t = {
          retransmission gaps grow past a minute and dominate simulated
          convergence time *)
   jobs : int;
-      (* worker domains for the parallel batch engine; 1 = the
-         sequential event loop *)
-  verify_batch : bool;
-      (* pipelined batch signature verification: receivers' RSA checks
-         are fanned across the domain pool as the messages are
-         dispatched, so crypto latency overlaps the next batch's
-         fixpoint.  Only effective with a pool (jobs > 1 or
-         shards > 1) and RSA auth; off forces the scalar per-message
-         verify in the receive path (bench ablation; fixpoint and
-         provenance are byte-identical either way) *)
+      (* worker domains that evaluate a timestamp's per-node groups;
+         1 = evaluate them on the calling domain.  With worker domains
+         (here or from shards > 1) and RSA auth, receivers' signature
+         checks are also fanned across the pool as messages are
+         dispatched, overlapping the next batch's fixpoint *)
   flap_rate : float;
       (* link-flap rate for churn runs: mean flaps per second per
          directed link of the Poisson flap process (0 = no flaps).
@@ -97,10 +92,10 @@ type t = {
          (or a workload's join/leave phase) runs before the network is
          left to re-converge (0 = no churn phase) *)
   shards : int;
-      (* event-simulator shards for the conservative parallel engine:
-         1 = the single sequential priority queue, 0 = one shard per
-         AS domain, K >= 2 = partition nodes across K shards by
-         AS (domain i mod K) *)
+      (* event queues for the conservative parallel engine: 1 = one
+         queue drained as a single window, 0 = one shard per AS
+         domain, K >= 2 = partition nodes across K shards by AS
+         (domain i mod K) *)
   prov_log : string option;
       (* directory of the persisted offline provenance log (Section
          4.2); None = no on-disk write-through *)
@@ -129,7 +124,6 @@ let default =
     ack_timeout = 0.25;
     max_backoff = 2.0;
     jobs = 1;
-    verify_batch = true;
     flap_rate = 0.0;
     churn = 0.0;
     shards = 1;
@@ -236,8 +230,6 @@ let with_jobs (c : t) (jobs : int) : t =
   if jobs < 1 then invalid_arg "Config.with_jobs: need at least 1 job";
   { c with jobs }
 
-let with_verify_batch (c : t) (verify_batch : bool) : t = { c with verify_batch }
-
 let with_flap_rate (c : t) (flap_rate : float) : t =
   if flap_rate < 0.0 then invalid_arg "Config.with_flap_rate: negative rate";
   { c with flap_rate }
@@ -302,7 +294,6 @@ let of_args ?(base = default) (args : string list) : (t * string list, string) r
             ack_timeout = cfg.ack_timeout;
             max_backoff = cfg.max_backoff;
             jobs = cfg.jobs;
-            verify_batch = cfg.verify_batch;
             flap_rate = cfg.flap_rate;
             churn = cfg.churn;
             shards = cfg.shards;
@@ -357,8 +348,6 @@ let of_args ?(base = default) (args : string list) : (t * string list, string) r
       int_arg "--jobs" v (fun n ->
           try go (with_jobs cfg n) leftover rest
           with Invalid_argument e -> Error e)
-    | "--verify-batch" :: rest -> go (with_verify_batch cfg true) leftover rest
-    | "--no-verify-batch" :: rest -> go (with_verify_batch cfg false) leftover rest
     | "--flap-rate" :: v :: rest ->
       float_arg "--flap-rate" v (fun r ->
           try go (with_flap_rate cfg r) leftover rest

@@ -215,7 +215,6 @@ let compare_bench ~(baseline : Obs.Json.t) ~(current : Obs.Json.t) : string list
       [ "shards_ablation"; "sharded_wall_seconds" ];
       [ "verify_ablation"; "ndlog_wall_seconds" ];
       [ "verify_ablation"; "batched_wall_seconds" ];
-      [ "verify_ablation"; "inline_wall_seconds" ];
       [ "forensics_ablation"; "base_wall_seconds" ];
       [ "forensics_ablation"; "provlog_wall_seconds" ];
       [ "forensics_ablation"; "offline_query"; "p99_seconds" ] ];

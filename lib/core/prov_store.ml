@@ -191,51 +191,55 @@ let remove_derivation (t : t) (head : Tuple.t) ~(rule : string)
     end
 
 (* Recompute local-derivation alternatives from the *current*
-   provenance of their body tuples.  Incremental deletion can prune an
-   alternative out of a body tuple's entry; derivations recorded
-   earlier hold a frozen copy of the body's old expression inside
-   their combined Times, so those copies go stale (e.g. a bestPath
-   still carrying a min-witness through a retracted link).  One sweep
-   recomputes every [Alt_deriv] expression via [expr_of]; callers
-   iterate sweeps to a fixpoint, propagating the repair up the
-   derivation DAG.  Bodies whose provenance reads [Zero] (unsampled or
-   capture-disabled) keep their recorded expression.  Returns [true]
-   when any expression changed. *)
+   provenance of their body tuples.  Derivations recorded earlier hold
+   a frozen copy of each body's expression inside their combined
+   Times, so those copies go stale when a body's provenance changes:
+   incremental deletion can prune an alternative out of a body tuple's
+   entry (e.g. a bestPath still carrying a min-witness through a
+   retracted link), and a body can gain an alternative after its
+   dependents were derived (e.g. a bestPathCost reached by a second
+   equal-cost path after its bestPath was derived).  Bodies whose
+   provenance reads [Zero] (unsampled or capture-disabled) keep their
+   recorded expression.  Returns [true] when any expression changed. *)
+let refresh_entry (e : entry) ~(expr_of : Tuple.t -> Provenance.Prov_expr.t) : bool =
+  let changed = ref false in
+  let alts' =
+    List.map
+      (fun a ->
+        match a.a_kind with
+        | Alt_base | Alt_recv _ -> a
+        | Alt_deriv r ->
+          let exprs = List.map (fun (b, _, _) -> expr_of b) r.dr_body in
+          if
+            List.exists
+              (Provenance.Prov_expr.equal Provenance.Prov_expr.zero)
+              exprs
+          then a
+          else
+            let combined = Provenance.Prov_expr.times_list exprs in
+            if Provenance.Prov_expr.equal combined a.a_expr then a
+            else begin
+              changed := true;
+              { a with a_expr = combined }
+            end)
+      e.e_alts
+  in
+  if !changed then begin
+    e.e_alts <- alts';
+    rebuild e
+  end;
+  !changed
+
+(* One sweep over every entry; callers iterate sweeps to a fixpoint,
+   propagating the repair up the derivation DAG. *)
 let refresh_derivations (t : t) ~(expr_of : Tuple.t -> Provenance.Prov_expr.t) :
     bool =
-  let changed = ref false in
-  let work = Tuple.Table.fold (fun tu e acc -> (tu, e) :: acc) t.entries [] in
-  List.iter
-    (fun ((_ : Tuple.t), e) ->
-      let entry_changed = ref false in
-      let alts' =
-        List.map
-          (fun a ->
-            match a.a_kind with
-            | Alt_base | Alt_recv _ -> a
-            | Alt_deriv r ->
-              let exprs = List.map (fun (b, _, _) -> expr_of b) r.dr_body in
-              if
-                List.exists
-                  (Provenance.Prov_expr.equal Provenance.Prov_expr.zero)
-                  exprs
-              then a
-              else
-                let combined = Provenance.Prov_expr.times_list exprs in
-                if Provenance.Prov_expr.equal combined a.a_expr then a
-                else begin
-                  entry_changed := true;
-                  { a with a_expr = combined }
-                end)
-          e.e_alts
-      in
-      if !entry_changed then begin
-        e.e_alts <- alts';
-        rebuild e;
-        changed := true
-      end)
-    work;
-  !changed
+  let work = Tuple.Table.fold (fun _ e acc -> e :: acc) t.entries [] in
+  List.fold_left (fun changed e -> refresh_entry e ~expr_of || changed) false work
+
+let refresh_tuple (t : t) (tuple : Tuple.t) ~(expr_of : Tuple.t -> Provenance.Prov_expr.t) :
+    bool =
+  match find t tuple with Some e -> refresh_entry e ~expr_of | None -> false
 
 (* Forget everything a sender contributed to this tuple's provenance
    (the sender retracted it). *)

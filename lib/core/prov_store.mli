@@ -84,9 +84,13 @@ val remove_derivation :
 val refresh_derivations : t -> expr_of:(Tuple.t -> Provenance.Prov_expr.t) -> bool
 (** Recompute local-derivation alternatives from the {e current}
     provenance of their body tuples (derivations hold frozen copies
-    that go stale when a body loses an alternative).  Bodies reading
-    Zero keep their recorded expression.  Returns [true] when
+    that go stale when a body loses or gains an alternative).  Bodies
+    reading Zero keep their recorded expression.  Returns [true] when
     anything changed; callers sweep to a fixpoint. *)
+
+val refresh_tuple : t -> Tuple.t -> expr_of:(Tuple.t -> Provenance.Prov_expr.t) -> bool
+(** {!refresh_derivations} for one tuple's entry; [false] for an
+    unknown tuple. *)
 
 val remove_received : t -> Tuple.t -> from:string -> unit
 (** Forget everything a sender contributed (the sender retracted). *)

@@ -45,13 +45,12 @@ type answer =
     }
 
 let c_prefilter_hits =
-  lazy (Obs.Metrics.counter Obs.Metrics.default "forensics.bloom_prefilter_hits")
+  Obs.Metrics.counter Obs.Metrics.default "forensics.bloom_prefilter_hits"
 
 let c_prefilter_misses =
-  lazy (Obs.Metrics.counter Obs.Metrics.default "forensics.bloom_prefilter_misses")
+  Obs.Metrics.counter Obs.Metrics.default "forensics.bloom_prefilter_misses"
 
-let c_walks =
-  lazy (Obs.Metrics.counter Obs.Metrics.default "forensics.sampled_query_walks")
+let c_walks = Obs.Metrics.counter Obs.Metrics.default "forensics.sampled_query_walks"
 
 let ident_matches (target : target) (ident : string) : bool =
   match target with
@@ -135,9 +134,9 @@ let run_sampled (log : Store.Prov_log.t) ~(rng : Crypto.Rng.t) ~(walks : int)
   Hashtbl.iter
     (fun (_, ident) time ->
       match Store.Prov_log.digest_nodes log ~time ident with
-      | [] -> Obs.Metrics.inc (Lazy.force c_prefilter_misses)
+      | [] -> Obs.Metrics.inc c_prefilter_misses
       | nodes ->
-        Obs.Metrics.inc ~by:(List.length nodes) (Lazy.force c_prefilter_hits);
+        Obs.Metrics.inc ~by:(List.length nodes) c_prefilter_hits;
         List.iter (fun n -> Hashtbl.replace prefilter n ()) nodes)
     probes;
   let prefilter_nodes =
@@ -146,7 +145,7 @@ let run_sampled (log : Store.Prov_log.t) ~(rng : Crypto.Rng.t) ~(walks : int)
   let suspects =
     if flows = [] then []
     else begin
-      Obs.Metrics.inc ~by:walks (Lazy.force c_walks);
+      Obs.Metrics.inc ~by:walks c_walks;
       let mw_flows =
         List.map
           (fun (f : Store.Prov_log.flow) ->

@@ -70,19 +70,20 @@ type outgoing = {
 }
 
 (* Per-handler execution context: cost-model charges and prepared
-   sends accumulated while a node's handler runs.  One per handler
-   invocation (and per worker task in batch mode), so handlers on
-   different domains never share it. *)
+   sends accumulated while a node's handler runs.  One per node group
+   (and per soft-state eviction), so handlers on different domains
+   never share it. *)
 type exec_ctx = {
   mutable xc_charge : float;
   mutable xc_out : outgoing list; (* reversed *)
 }
 
 (* One committed signed message whose verification is scheduled ahead
-   of delivery (pipelined batch verification, [Config.verify_batch]):
-   enough to re-encode the canonical signed bytes at flush time.  The
-   receiver finds the precomputed verdict keyed by the message's
-   channel identity. *)
+   of delivery (pipelined batch verification, on whenever the runtime
+   has worker domains and verifies RSA signatures): enough to
+   re-encode the canonical signed bytes at flush time.  The receiver
+   finds the precomputed verdict keyed by the message's channel
+   identity. *)
 type pending_verify = {
   pv_src : string;
   pv_dst : string;
@@ -106,19 +107,17 @@ type outbox_entry = {
   ox_action : unit -> unit;
 }
 
-(* One shard of the conservative parallel event engine: its own
-   priority queue and clock, plus the per-shard batching state the
-   window drain uses (the [jobs > 1] batch engine's coalescing, local
-   to this shard's worker).  With [Config.shards = 1] there is exactly
-   one shard and the engine degenerates to the classic loops. *)
+(* One shard of the event engine: its own priority queue and clock,
+   plus the state its window drain uses — the inbox that coalesces a
+   timestamp's deliveries per node, and the cross-shard outbox.  With
+   [Config.shards = 1] there is exactly one shard, drained as a single
+   window. *)
 type shard = {
   sh_id : int;
   sh_sim : Net.Event_sim.t;
-  mutable sh_batching : bool;
-      (* true while this shard's timestamp batch is being drained:
-         accepted deliveries collect into [sh_inbox] instead of
-         executing their handler inline *)
-  mutable sh_inbox : (node * work_item) list; (* reversed arrival order *)
+  mutable sh_inbox : (node * work_item) list;
+      (* the current timestamp's accepted deliveries, fact installs and
+         fact retractions, in reversed arrival order *)
   mutable sh_outbox : outbox_entry list; (* reversed production order *)
   mutable sh_order : int; (* monotone outbox tiebreak counter *)
   mutable sh_verify : pending_verify list;
@@ -160,7 +159,7 @@ type t = {
       (* worker domains when [cfg.jobs > 1] or the engine is sharded *)
   verify_pipelined : bool;
       (* dispatch-time batch verification is on: pool present, RSA
-         auth, signatures verified, and [cfg.verify_batch] *)
+         auth, and signatures verified *)
   vq_mu : Mutex.t; (* guards [vq_futures] *)
   vq_futures :
     ( string * string * int * bool,
@@ -211,17 +210,15 @@ let nodes (t : t) : node list =
 (* --- shard context ---------------------------------------------------- *)
 
 (* Which shard the calling domain is currently draining: set around
-   each window drain, -1 elsewhere (the orchestrator between barriers,
-   and every domain of an unsharded runtime). *)
+   each window drain, -1 elsewhere (the orchestrator between drains,
+   and pool workers evaluating a single shard's node groups). *)
 let cur_shard_key : int Domain.DLS.key = Domain.DLS.new_key (fun () -> -1)
 
 let shard_of (t : t) (addr : string) : int =
-  if Array.length t.shards = 1 then 0
-  else Option.value (Hashtbl.find_opt t.shard_ids addr) ~default:0
+  Option.value (Hashtbl.find_opt t.shard_ids addr) ~default:0
 
-(* The shard whose batching state applies to the calling context: the
-   one being drained on this domain, or shard 0 (the only shard, and
-   the one the [jobs > 1] batch engine uses) outside any drain. *)
+(* The shard whose inbox applies to the calling context: the one being
+   drained on this domain, or shard 0 outside any drain. *)
 let shard_ctx (t : t) : shard =
   let i = Domain.DLS.get cur_shard_key in
   if i >= 0 && i < Array.length t.shards then t.shards.(i) else t.shards.(0)
@@ -231,82 +228,48 @@ let shard_ctx (t : t) : shard =
    orchestrator's view — every shard has drained at least to the last
    barrier). *)
 let now (t : t) : float =
-  if Array.length t.shards = 1 then Net.Event_sim.now t.shards.(0).sh_sim
-  else begin
-    let i = Domain.DLS.get cur_shard_key in
-    if i >= 0 && i < Array.length t.shards then Net.Event_sim.now t.shards.(i).sh_sim
-    else
-      Array.fold_left
-        (fun acc sh -> Float.max acc (Net.Event_sim.now sh.sh_sim))
-        0.0 t.shards
-  end
+  let i = Domain.DLS.get cur_shard_key in
+  if i >= 0 && i < Array.length t.shards then Net.Event_sim.now t.shards.(i).sh_sim
+  else
+    Array.fold_left
+      (fun acc sh -> Float.max acc (Net.Event_sim.now sh.sh_sim))
+      0.0 t.shards
 
-(* Schedule [action] on the shard owning [addr], [delay] simulated
-   seconds from the caller's current virtual time.  Same-shard (and
-   unsharded) schedules go straight onto the queue; cross-shard
-   schedules from inside a window buffer in the producing shard's
-   outbox until the next barrier (conservative synchronization: the
-   target shard may already have drained past the caller's clock, but
-   never past [caller now + lookahead], and every cross-shard delay is
-   at least the lookahead); cross-shard schedules from the
-   orchestrator (installs, evictions) go on the target queue directly,
-   clamped forward to its clock. *)
-let sched_to (t : t) (addr : string) ~(delay : float) (action : unit -> unit) : unit =
-  if delay < 0.0 then invalid_arg "Runtime.sched_to: negative delay";
-  if Array.length t.shards = 1 then
-    Net.Event_sim.schedule t.shards.(0).sh_sim ~delay action
-  else begin
-    let target = shard_of t addr in
-    let cur = Domain.DLS.get cur_shard_key in
-    if cur = target then Net.Event_sim.schedule t.shards.(target).sh_sim ~delay action
-    else if cur < 0 then begin
-      let tsim = t.shards.(target).sh_sim in
-      Net.Event_sim.schedule_at tsim
-        ~time:(Float.max (Net.Event_sim.now tsim) (now t +. delay))
-        action
-    end
-    else begin
-      let src = t.shards.(cur) in
-      src.sh_order <- src.sh_order + 1;
-      src.sh_outbox <-
-        { ox_time = Net.Event_sim.now src.sh_sim +. delay;
-          ox_src = cur;
-          ox_order = src.sh_order;
-          ox_target = target;
-          ox_action = action }
-        :: src.sh_outbox
-    end
-  end
-
-(* Absolute-time variant, for events whose deadline was computed
-   against the caller's own clock (retransmission parks, flap
-   schedules, busy-queue waits). *)
+(* Schedule [action] on the shard owning [addr] at absolute virtual
+   time [time].  Same-shard schedules go straight onto the queue;
+   cross-shard schedules from inside a window buffer in the producing
+   shard's outbox until the next barrier (conservative
+   synchronization: the target shard may already have drained past
+   the caller's clock, but never past [caller now + lookahead], and
+   every cross-shard delay is at least the lookahead); schedules from
+   the orchestrator (installs, evictions, flap schedules) go on the
+   target queue directly, clamped forward to its clock. *)
 let sched_at_to (t : t) (addr : string) ~(time : float) (action : unit -> unit) : unit
     =
-  if Array.length t.shards = 1 then
-    Net.Event_sim.schedule_at t.shards.(0).sh_sim ~time action
-  else begin
-    let target = shard_of t addr in
-    let cur = Domain.DLS.get cur_shard_key in
-    if cur = target then Net.Event_sim.schedule_at t.shards.(target).sh_sim ~time action
-    else if cur < 0 then begin
-      let tsim = t.shards.(target).sh_sim in
-      Net.Event_sim.schedule_at tsim
-        ~time:(Float.max (Net.Event_sim.now tsim) time)
-        action
-    end
-    else begin
-      let src = t.shards.(cur) in
-      src.sh_order <- src.sh_order + 1;
-      src.sh_outbox <-
-        { ox_time = time;
-          ox_src = cur;
-          ox_order = src.sh_order;
-          ox_target = target;
-          ox_action = action }
-        :: src.sh_outbox
-    end
+  let target = shard_of t addr in
+  let cur = Domain.DLS.get cur_shard_key in
+  if cur = target then Net.Event_sim.schedule_at t.shards.(target).sh_sim ~time action
+  else if cur < 0 then begin
+    let tsim = t.shards.(target).sh_sim in
+    Net.Event_sim.schedule_at tsim ~time:(Float.max (Net.Event_sim.now tsim) time) action
   end
+  else begin
+    let src = t.shards.(cur) in
+    src.sh_order <- src.sh_order + 1;
+    src.sh_outbox <-
+      { ox_time = time;
+        ox_src = cur;
+        ox_order = src.sh_order;
+        ox_target = target;
+        ox_action = action }
+      :: src.sh_outbox
+  end
+
+(* Relative variant: [delay] simulated seconds from the caller's
+   current virtual time. *)
+let sched_to (t : t) (addr : string) ~(delay : float) (action : unit -> unit) : unit =
+  if delay < 0.0 then invalid_arg "Runtime.sched_to: negative delay";
+  sched_at_to t addr ~time:(now t +. delay) action
 
 (* --- creation -------------------------------------------------------- *)
 
@@ -428,7 +391,7 @@ let create ?(directory : Sendlog.Principal.directory option) ~(rng : Crypto.Rng.
   | None -> ());
   (* Shard layout: partition nodes by AS.  [shards = 0] means one
      shard per distinct AS; [shards = K] folds ASes onto K shards by
-     [as mod K]; [shards = 1] is the classic single-queue engine. *)
+     [as mod K]; [shards = 1] is a single queue. *)
   let distinct_as =
     let seen_as = Hashtbl.create 16 in
     List.iter
@@ -467,7 +430,6 @@ let create ?(directory : Sendlog.Principal.directory option) ~(rng : Crypto.Rng.
     Array.init shard_count (fun i ->
         { sh_id = i;
           sh_sim = Net.Event_sim.create ();
-          sh_batching = false;
           sh_inbox = [];
           sh_outbox = [];
           sh_order = 0;
@@ -480,6 +442,9 @@ let create ?(directory : Sendlog.Principal.directory option) ~(rng : Crypto.Rng.
       max cfg.Config.jobs
         (min shard_count (max 2 (Domain.recommended_domain_count ())))
     else cfg.Config.jobs
+  in
+  let pool =
+    if pool_jobs > 1 then Some (Par.Pool.create ~jobs:pool_jobs) else None
   in
   let t =
     { cfg;
@@ -496,13 +461,9 @@ let create ?(directory : Sendlog.Principal.directory option) ~(rng : Crypto.Rng.
       prov_mu = Mutex.create ();
       prov_log;
       log_mu = Mutex.create ();
-      pool =
-        (if cfg.jobs > 1 || shard_count > 1 then
-           Some (Par.Pool.create ~jobs:pool_jobs)
-         else None);
+      pool;
       verify_pipelined =
-        (cfg.jobs > 1 || shard_count > 1)
-        && cfg.Config.verify_batch && cfg.Config.verify_signatures
+        Option.is_some pool && cfg.Config.verify_signatures
         && cfg.Config.auth = Sendlog.Auth.Auth_rsa;
       vq_mu = Mutex.create ();
       vq_futures = Hashtbl.create 256;
@@ -590,6 +551,27 @@ let origin_of (t : t) (n : node) (tuple : Tuple.t) : Prov_store.origin =
   | sender :: _ -> Prov_store.O_remote sender
   | [] -> Prov_store.O_local
 
+(* A tuple that gains a derivation alternative after its dependents
+   were derived leaves them holding a frozen copy of its old
+   expression: refresh them, and theirs in turn, along [n]'s local
+   support edges.  Without this, recorded provenance depends on
+   whether an equal-cost alternative arrives before or after its
+   dependents are derived. *)
+let refresh_dependents (n : node) (tuple : Tuple.t) : unit =
+  let visited : unit Tuple.Table.t = Tuple.Table.create 8 in
+  let expr_of b = Prov_store.expr_of n.n_prov b in
+  let rec go tup =
+    List.iter
+      (fun (e : Support.entry) ->
+        let h = e.Support.sp_head in
+        if e.Support.sp_dest = None && not (Tuple.Table.mem visited h) then begin
+          Tuple.Table.replace visited h ();
+          if Prov_store.refresh_tuple n.n_prov h ~expr_of then go h
+        end)
+      (Support.dependents_of n.n_support tup)
+  in
+  go tuple
+
 (* Record one derivation in [n]'s provenance store and return the
    expression shipped alongside the head tuple (local mode). *)
 let capture_derivation (t : t) (n : node) (deriv : Eval.derivation) :
@@ -631,7 +613,10 @@ let capture_derivation (t : t) (n : node) (deriv : Eval.derivation) :
         dr_signature = signature;
         dr_signer = signer }
     in
-    ignore (Prov_store.record_derivation n.n_prov deriv.d_head ~record ~combined);
+    if
+      Prov_store.record_derivation n.n_prov deriv.d_head ~record ~combined
+      && t.cfg.maintenance = Config.Proactive
+    then refresh_dependents n deriv.d_head;
     combined
   end
 
@@ -1318,27 +1303,23 @@ let commit_handler (t : t) (n : node) ~(incoming_msgs : int) ~(incoming_bytes : 
         dispatch t r msg ~delay:(depart +. o.o_latency) ~latency:o.o_latency)
     outgoing
 
-(* Execute [work] as node [n]'s CPU: measure its real duration, then
-   commit (the messages the work produced depart only when the node
-   finishes processing, as they would on a real host). *)
-let with_processing (t : t) (n : node) ~(incoming_bytes : int)
-    ?(trace_parent : (int * int) option) (work : exec_ctx -> unit) : unit =
+(* Execute [work] as node [n]'s CPU outside any drain (soft-state
+   eviction in [advance]): measure its real duration, then commit (the
+   messages the work produced depart only when the node finishes
+   processing, as they would on a real host). *)
+let with_processing (t : t) (n : node) (work : exec_ctx -> unit) : unit =
   let xc = { xc_charge = 0.0; xc_out = [] } in
   let t0 = Unix.gettimeofday () in
   work xc;
   let compute = Unix.gettimeofday () -. t0 in
-  commit_handler t n
-    ~incoming_msgs:(if incoming_bytes > 0 then 1 else 0)
-    ~incoming_bytes ~compute ?trace_parent xc
+  commit_handler t n ~incoming_msgs:0 ~incoming_bytes:0 ~compute xc
 
-(* Handle a delivered message: verify, record provenance, insert, and
-   continue the fixpoint. *)
 (* Authenticate an incoming data message and record its shipped
    provenance, returning the frontier item for the receiver's local
    fixpoint.  Raises [Exit] on a forged message (the verification work
    is still charged to the node).  Touches only per-node or
-   mutex-guarded state, so the batch engine calls it from worker
-   domains. *)
+   mutex-guarded state, so pool workers call it while evaluating node
+   groups. *)
 let accept_message (t : t) (receiver : node) (msg : Net.Wire.message) :
     Eval.frontier_item =
   let tuple = msg.Net.Wire.msg_tuple in
@@ -1399,6 +1380,12 @@ let accept_message (t : t) (receiver : node) (msg : Net.Wire.message) :
   end;
   { Eval.f_tuple = tuple; f_asserter = asserter }
 
+(* Hand one unit of node work to the draining shard's inbox; the
+   drain evaluates each node's share of the timestamp as one group. *)
+let join_inbox (t : t) (n : node) (item : work_item) : unit =
+  let sh = shard_ctx t in
+  sh.sh_inbox <- (n, item) :: sh.sh_inbox
+
 let rec handle_message (t : t) (receiver : node) (msg : Net.Wire.message) : unit =
   let now = now t in
   (* Fail-stop: a crashed node neither consumes ACKs nor processes
@@ -1441,32 +1428,21 @@ and arm_wake (t : t) (receiver : node) : unit =
     sched_at_to t receiver.n_addr ~time:at (fun () -> wake t receiver)
   end
 
-(* The wake event: if the node is busy again, re-arm; otherwise drain
-   the receive queue in arrival order.  Under the batch engines the
-   whole queue joins the current timestamp's combined computation; the
-   one-event engine processes the head (which advances [n_free_at])
-   and re-arms for the rest. *)
+(* The wake event: if the node is busy again, re-arm; otherwise the
+   whole receive queue, in arrival order, joins the current
+   timestamp's combined computation for the node. *)
 and wake (t : t) (receiver : node) : unit =
   receiver.n_wake_at <- -1.0;
   if receiver.n_free_at > now t +. 1e-9 then arm_wake t receiver
-  else begin
-    let sh = shard_ctx t in
-    if sh.sh_batching then
-      while not (Queue.is_empty receiver.n_parked) do
-        deliver_now t receiver (Queue.pop receiver.n_parked)
-      done
-    else begin
-      (match Queue.take_opt receiver.n_parked with
-      | Some msg -> deliver_now t receiver msg
-      | None -> ());
-      if not (Queue.is_empty receiver.n_parked) then arm_wake t receiver
-    end
-  end
+  else
+    while not (Queue.is_empty receiver.n_parked) do
+      deliver_now t receiver (Queue.pop receiver.n_parked)
+    done
 
 (* Accept a data or retract message on an idle CPU: acknowledge and
-   dedup (reliable mode), then hand it to the batch inbox or process
-   it inline.  [now] is re-read here — a parked message is charged the
-   wake time, not its arrival time. *)
+   dedup (reliable mode), then hand it to the shard inbox.  [now] is
+   re-read here — a parked message is charged the wake time, not its
+   arrival time. *)
 and deliver_now (t : t) (receiver : node) (msg : Net.Wire.message) : unit =
   let now = now t in
   if Net.Fault.is_down t.cfg.Config.fault ~now receiver.n_addr then
@@ -1500,22 +1476,7 @@ and deliver_now (t : t) (receiver : node) (msg : Net.Wire.message) : unit =
       Obs.Events.emit t.obs_events ~at:now
         (Obs.Events.E_msg_received
            { node = receiver.n_addr; src = msg.Net.Wire.msg_src; bytes = Net.Wire.size msg });
-      let sh = shard_ctx t in
-      if sh.sh_batching then
-        (* Batch engine: defer verification + fixpoint to the
-           grouped per-node computation for this timestamp. *)
-        sh.sh_inbox <- (receiver, W_msg msg) :: sh.sh_inbox
-      else
-        with_processing t receiver ~incoming_bytes:(Net.Wire.size msg)
-          ?trace_parent:msg.Net.Wire.msg_trace (fun xc ->
-            match msg.Net.Wire.msg_kind with
-            | Net.Wire.K_retract -> handle_retract t xc receiver msg
-            | _ ->
-              (* [Exit] aborts processing of a forged message; the
-                 work done so far (verification) is still charged to
-                 the node. *)
-              (try process t xc receiver [ accept_message t receiver msg ]
-               with Exit -> ()))
+      join_inbox t receiver (W_msg msg)
     end
   end
 
@@ -1552,15 +1513,7 @@ let () = deliver := handle_message
 (* Install a base fact at a node (scheduled immediately). *)
 let install_fact (t : t) ~(at : string) (tuple : Tuple.t) : unit =
   let n = node t at in
-  sched_to t at ~delay:0.0 (fun () ->
-      let sh = shard_ctx t in
-      if sh.sh_batching then sh.sh_inbox <- (n, W_fact tuple) :: sh.sh_inbox
-      else
-        with_processing t n ~incoming_bytes:0 (fun xc ->
-            if prov_enabled t && sampled t tuple then
-              Prov_store.record_base n.n_prov tuple ~key:(base_key t n);
-            Tuple.Table.replace n.n_base tuple ();
-            process t xc n [ { Eval.f_tuple = tuple; f_asserter = None } ]))
+  sched_to t at ~delay:0.0 (fun () -> join_inbox t n (W_fact tuple))
 
 (* Install program facts at the location given by their location
    specifier (or first address argument). *)
@@ -1588,13 +1541,7 @@ let install_links ?(with_cost = true) (t : t) : unit =
    deletion pass over everything derived from it. *)
 let retract_fact (t : t) ~(at : string) (tuple : Tuple.t) : unit =
   let n = node t at in
-  sched_to t at ~delay:0.0 (fun () ->
-      let sh = shard_ctx t in
-      if sh.sh_batching then sh.sh_inbox <- (n, W_retract tuple) :: sh.sh_inbox
-      else
-        with_processing t n ~incoming_bytes:0 (fun xc ->
-            Tuple.Table.remove n.n_base tuple;
-            retract_local t xc n ~lost:[ tuple ]))
+  sched_to t at ~delay:0.0 (fun () -> join_inbox t n (W_retract tuple))
 
 (* --- link churn -------------------------------------------------------- *)
 
@@ -1662,7 +1609,7 @@ let schedule_flaps (t : t) ~(rate : float) ?(mean_downtime = 0.5)
     flaps;
   flaps
 
-(* --- batch engine (jobs > 1) ------------------------------------------ *)
+(* --- the event loop ---------------------------------------------------- *)
 
 (* Drain a shard's deferred inbox into per-node work lists, in
    first-arrival order both across nodes and within each node's list.
@@ -1686,7 +1633,7 @@ let group_inbox (sh : shard) : (node * work_item list) list =
 
 (* Evaluate one node's share of a timestamp batch: authenticate every
    queued message, then run a single combined semi-naive fixpoint over
-   the whole frontier.  Runs on a pool worker; only per-node and
+   the whole frontier.  May run on a pool worker; only per-node and
    mutex-guarded state is touched, and nothing is committed here. *)
 let node_compute (t : t) ((n, items) : node * work_item list) :
     node * exec_ctx * float * int * int * (int * int) option =
@@ -1790,49 +1737,6 @@ let flush_verify (t : t) (sh : shard) : unit =
               (futures.(j / verify_chunk), j mod verify_chunk))
           entries)
 
-(* One batch step: pop all events sharing the next timestamp, let them
-   park their dataflow work in the inbox (ACKs, timers and fault
-   verdicts still execute inline — they are cheap and order-
-   sensitive), evaluate the per-node groups on the pool, and commit
-   results in canonical group order. *)
-let run_batched (t : t) (pool : Par.Pool.t) ~(until : float) : int =
-  let sh = t.shards.(0) in
-  let count = ref 0 in
-  let continue = ref true in
-  while !continue do
-    match Net.Event_sim.peek_time sh.sh_sim with
-    | None -> continue := false
-    | Some ts when ts > until -> continue := false
-    | Some _ ->
-      let actions = Net.Event_sim.next_batch sh.sh_sim in
-      count := !count + List.length actions;
-      sh.sh_batching <- true;
-      List.iter (fun act -> act ()) actions;
-      sh.sh_batching <- false;
-      let groups = group_inbox sh in
-      if groups <> [] then begin
-        Obs.Metrics.inc t.c_batches;
-        List.iter
-          (fun (_, items) ->
-            let len = List.length items in
-            Obs.Metrics.inc ~by:len t.c_batch_items;
-            Obs.Metrics.set_max t.g_group_max (float_of_int len))
-          groups;
-        let results = Par.Pool.parallel_map pool (node_compute t) (Array.of_list groups) in
-        Array.iter
-          (fun (n, xc, compute, nmsgs, bytes, tparent) ->
-            commit_handler t n ~incoming_msgs:nmsgs ~incoming_bytes:bytes ~compute
-              ?trace_parent:tparent xc)
-          results
-      end;
-      (* The commits above dispatched the next frontier; start its
-         verification now so it overlaps that frontier's fixpoint. *)
-      flush_verify t sh
-  done;
-  !count
-
-(* --- sharded engine (Config.shards <> 1) ------------------------------ *)
-
 (* Flush every shard's cross-shard outbox onto the target queues.
    Orchestrator-only (between windows).  Entries are sorted by
    (timestamp, producing shard, per-shard order) before scheduling, so
@@ -1866,12 +1770,17 @@ let flush_outboxes (t : t) : unit =
     entries
 
 (* Drain one shard through the window ending at [limit] (exclusive, or
-   inclusive for the degenerate zero-lookahead window), coalescing
-   each timestamp's deliveries into combined per-node fixpoints
-   exactly like [run_batched] — but sequentially on the calling worker
-   domain ([Par.Pool] is not reentrant), with cross-shard products
-   parked in the outbox. *)
-let drain_shard (t : t) (sh : shard) ~(limit : float) ~(inclusive : bool) : int =
+   inclusive for the final window and the degenerate zero-lookahead
+   one).  Each step pops every event sharing the next timestamp and
+   runs them: deliveries, fact installs and fact retractions park
+   their dataflow work in the shard inbox (ACKs, timers and fault
+   verdicts still execute inline — they are cheap and order-
+   sensitive).  The parked work is then evaluated as one combined
+   fixpoint per node — on [pool] when given, else on the calling
+   domain — and committed in canonical group order; cross-shard
+   products wait in the outbox. *)
+let drain_shard (t : t) (sh : shard) ~(pool : Par.Pool.t option) ~(limit : float)
+    ~(inclusive : bool) : int =
   let in_window ts = if inclusive then ts <= limit else ts < limit in
   let count = ref 0 in
   let continue = ref true in
@@ -1882,44 +1791,60 @@ let drain_shard (t : t) (sh : shard) ~(limit : float) ~(inclusive : bool) : int 
     | Some _ ->
       let actions = Net.Event_sim.next_batch sh.sh_sim in
       count := !count + List.length actions;
-      sh.sh_batching <- true;
       List.iter (fun act -> act ()) actions;
-      sh.sh_batching <- false;
-      let groups = group_inbox sh in
-      if groups <> [] then begin
+      let groups = Array.of_list (group_inbox sh) in
+      if Array.length groups > 0 then begin
         Obs.Metrics.inc t.c_batches;
-        List.iter
-          (fun (n, items) ->
+        Array.iter
+          (fun (_, items) ->
             let len = List.length items in
             Obs.Metrics.inc ~by:len t.c_batch_items;
-            Obs.Metrics.set_max t.g_group_max (float_of_int len);
-            let n, xc, compute, nmsgs, bytes, tparent = node_compute t (n, items) in
+            Obs.Metrics.set_max t.g_group_max (float_of_int len))
+          groups;
+        let results =
+          match pool with
+          | Some pool -> Par.Pool.parallel_map pool (node_compute t) groups
+          | None -> Array.map (node_compute t) groups
+        in
+        Array.iter
+          (fun (n, xc, compute, nmsgs, bytes, tparent) ->
             commit_handler t n ~incoming_msgs:nmsgs ~incoming_bytes:bytes ~compute
               ?trace_parent:tparent xc)
-          groups
+          results
       end;
-      (* Workers are shard-pinned for the window, so the slabs mostly
-         run between barriers (idle workers drain them); an awaited
-         slab that has not started is stolen and run inline. *)
+      (* The commits above dispatched the next frontier; start its
+         verification now so it overlaps that frontier's fixpoint.  A
+         shard-pinned worker's slabs mostly run between barriers (idle
+         workers drain them); an awaited slab that has not started is
+         stolen and run inline. *)
       flush_verify t sh
   done;
   !count
 
-(* Conservative parallel loop: find the global minimum timestamp, open
-   a window of one lookahead, drain every shard through it on the pool
-   (each worker pinned to its shard via [cur_shard_key]), then
-   exchange the buffered cross-shard events at the barrier.  Safety:
-   every cross-shard interaction is delayed by at least the lookahead
-   (delivery latency, ACK latency, retransmit latency are all >= the
-   minimum cross-shard link latency), so nothing produced inside a
-   window can land inside it.  Progress: the shard owning the minimum
-   executes at least one event per round; with zero lookahead the
-   window degenerates to exactly that timestamp, and replies are
-   strictly later (handler durations are positive), so rounds always
-   advance. *)
-let run_sharded (t : t) (pool : Par.Pool.t) ~(until : float) : int =
+(* The runtime's one event loop, behind both [run] and [advance]: find
+   the global minimum timestamp, open a window of one lookahead, drain
+   every shard through it (each drain pinned to its shard via
+   [cur_shard_key]), then exchange the buffered cross-shard events at
+   the barrier.  A single shard has infinite lookahead, so the whole
+   horizon is one window drained on the calling domain, its node
+   groups evaluated on the pool when there is one.  Several shards are
+   drained on the pool, each evaluating its groups sequentially
+   ([Par.Pool] is not reentrant).  Safety: every cross-shard
+   interaction is delayed by at least the lookahead (delivery latency,
+   ACK latency, retransmit latency are all >= the minimum cross-shard
+   link latency), so nothing produced inside a window can land inside
+   it.  Progress: the shard owning the minimum executes at least one
+   event per round; with zero lookahead the window degenerates to
+   exactly that timestamp, and replies are strictly later (handler
+   durations are positive), so rounds always advance. *)
+let drive (t : t) ~(until : float) : int =
   let k = Array.length t.shards in
-  let indices = Array.init k Fun.id in
+  let drain ~pool ~limit ~inclusive i =
+    Domain.DLS.set cur_shard_key i;
+    Fun.protect
+      ~finally:(fun () -> Domain.DLS.set cur_shard_key (-1))
+      (fun () -> drain_shard t t.shards.(i) ~pool ~limit ~inclusive)
+  in
   let count = ref 0 in
   let continue = ref true in
   while !continue do
@@ -1942,17 +1867,15 @@ let run_sharded (t : t) (pool : Par.Pool.t) ~(until : float) : int =
         else if t.lookahead > 0.0 then (until, true)
         else (ts, true)
       in
-      let counts =
-        Par.Pool.parallel_map pool
-          (fun i ->
-            let sh = t.shards.(i) in
-            Domain.DLS.set cur_shard_key i;
-            Fun.protect
-              ~finally:(fun () -> Domain.DLS.set cur_shard_key (-1))
-              (fun () -> drain_shard t sh ~limit ~inclusive))
-          indices
+      let drained =
+        if k = 1 then drain ~pool:t.pool ~limit ~inclusive 0
+        else
+          Array.fold_left ( + ) 0
+            (Par.Pool.parallel_map (Option.get t.pool)
+               (drain ~pool:None ~limit ~inclusive)
+               (Array.init k Fun.id))
       in
-      count := Array.fold_left ( + ) !count counts
+      count := !count + drained
   done;
   (* Deliver any events parked at the horizon so a later [run] resumes
      from a consistent queue. *)
@@ -1967,23 +1890,12 @@ type run_result = {
 
 (* Run to distributed fixpoint (event-queue quiescence).  Under
    tracing, the whole run is one root span on the virtual clock, so
-   its [dur] is the query-completion time and the per-message
-   "handle" spans nest beneath it.  With [Config.jobs > 1] the batch
-   engine executes timestamp groups on the domain pool; with the
-   default [jobs = 1] the classic one-event-at-a-time loop runs. *)
+   its [dur] is the query-completion time and the per-node-group
+   "handle" spans nest beneath it. *)
 let run ?(until = Float.infinity) (t : t) : run_result =
   let go () =
     let t0 = Unix.gettimeofday () in
-    let events =
-      if Array.length t.shards > 1 then
-        match t.pool with
-        | Some pool -> run_sharded t pool ~until
-        | None -> assert false (* create always pools a sharded engine *)
-      else
-        match t.pool with
-        | Some pool -> run_batched t pool ~until
-        | None -> Net.Event_sim.run ~until t.shards.(0).sh_sim
-    in
+    let events = drive t ~until in
     let wall = Unix.gettimeofday () -. t0 in
     { wall_seconds = wall; sim_seconds = now t; events }
   in
@@ -2035,12 +1947,7 @@ let advance (t : t) ~(seconds : float) : unit =
   Array.iter
     (fun sh -> Net.Event_sim.schedule_at sh.sh_sim ~time:horizon (fun () -> ()))
     t.shards;
-  (if Array.length t.shards > 1 then
-     ignore (run_sharded t (Option.get t.pool) ~until:horizon)
-   else
-     match t.pool with
-     | Some pool -> ignore (run_batched t pool ~until:horizon)
-     | None -> ignore (Net.Event_sim.run ~until:horizon t.shards.(0).sh_sim));
+  ignore (drive t ~until:horizon);
   let now = now t in
   List.iter
     (fun n ->
@@ -2057,8 +1964,7 @@ let advance (t : t) ~(seconds : float) : unit =
             Tuple.Table.remove n.n_recv_from tuple;
             Prov_store.retire n.n_prov tuple ~now)
           evicted;
-        with_processing t n ~incoming_bytes:0 (fun xc ->
-            retract_local t xc n ~lost:evicted)
+        with_processing t n (fun xc -> retract_local t xc n ~lost:evicted)
       end)
     (nodes t)
 

@@ -130,13 +130,15 @@ type run_result = {
 
 val run : ?until:float -> t -> run_result
 (** Run to distributed fixpoint (event-queue quiescence) or until the
-    virtual-time horizon.  With [Config.jobs > 1] the domain-parallel
-    batch engine pops all events sharing the next timestamp, groups
-    deferred dataflow work per destination node, evaluates each
-    node's combined fixpoint on the pool, and commits observable
-    effects (sequence numbers, stats, dispatch) in canonical
-    first-arrival order; with the default [jobs = 1] the classic
-    one-event-at-a-time loop runs. *)
+    virtual-time horizon.  The one event loop pops all events sharing
+    the next timestamp, groups deferred dataflow work (deliveries,
+    fact installs and retractions) per destination node, evaluates
+    each node's combined fixpoint — on the [Config.jobs] worker
+    domains when [jobs > 1], else on the calling domain — and commits
+    observable effects (sequence numbers, stats, dispatch) in
+    canonical first-arrival order.  With [Config.shards <> 1] each
+    shard is drained this way through conservative lookahead
+    windows. *)
 
 val shutdown : t -> unit
 (** Join the worker domains of the [jobs > 1] pool (no-op otherwise)

@@ -26,8 +26,7 @@ type result = {
          the derivation chain was fail-stopped when queried *)
 }
 
-let c_partial =
-  lazy (Obs.Metrics.counter Obs.Metrics.default "traceback.partial_results")
+let c_partial = Obs.Metrics.counter Obs.Metrics.default "traceback.partial_results"
 
 (* Approximate wire cost of one remote provenance query: a request
    naming the tuple plus a response carrying the remote subtree
@@ -143,7 +142,7 @@ let query (t : Runtime.t) ~(at : string) (tuple : Tuple.t) : result =
     end
   in
   let tree = walk at tuple 0 in
-  if !partial then Obs.Metrics.inc (Lazy.force c_partial);
+  if !partial then Obs.Metrics.inc c_partial;
   { tree; expr = Provenance.Derivation.to_expr tree; cost; partial = !partial }
 
 (* --- offline backend (this PR's tentpole) ------------------------------ *)
@@ -283,7 +282,7 @@ let offline_query (log : Store.Prov_log.t)
       Provenance.Derivation.Unreachable { tuple = ident; location = at }
     | Some r -> walk at r.Store.Prov_log.r_tuple 0
   in
-  if !partial then Obs.Metrics.inc (Lazy.force c_partial);
+  if !partial then Obs.Metrics.inc c_partial;
   { tree; expr = Provenance.Derivation.to_expr tree; cost; partial = !partial }
 
 (* Nodes holding a record for [ident], newest occurrence last —

@@ -139,15 +139,15 @@ let schedule_at (t : t) ~(time : float) (action : unit -> unit) : unit =
 let pending (t : t) : int = Pq.length t.queue
 
 (* Timestamp of the earliest queued event, without executing it.  The
-   batch engine peeks to decide whether the next batch lies within the
-   horizon. *)
+   runtime's window drain peeks to decide whether the next batch lies
+   within the window. *)
 let peek_time (t : t) : float option =
   if Pq.length t.queue = 0 then None else Some t.queue.Pq.heap.(0).ev_time
 
 (* Pop every event sharing the minimal timestamp, in scheduling-seq
    order (the heap pops them in exactly that order), advance the clock
-   to it, and return their actions unexecuted.  This is the batch
-   engine's unit of work: all same-timestamp events are causally
+   to it, and return their actions unexecuted.  This is the runtime
+   drain's unit of work: all same-timestamp events are causally
    independent — an event can only schedule strictly later work once
    executed — so the caller may group and reorder their *evaluation*
    freely as long as observable effects are committed in the returned
@@ -174,38 +174,6 @@ let next_batch (t : t) : (unit -> unit) list =
     actions
 
 let queue_capacity (t : t) : int = Pq.capacity t.queue
-
-(* Drain every event strictly below [limit] (at or below with
-   [inclusive]), including events those events schedule inside the
-   window.  This is the sharded engine's unit of work: one shard
-   drains its own queue up to the conservative safe-advance limit
-   while the other shards do the same, and events at or beyond the
-   limit wait for the next barrier.  Unlike [run ~until] the clock is
-   left where the last executed event put it, never advanced to
-   [limit], so a later cross-shard delivery stamped inside [now,
-   limit) can still be scheduled. *)
-let run_window ?(inclusive = false) ~(limit : float) (t : t) : int =
-  let in_window time = if inclusive then time <= limit else time < limit in
-  let count = ref 0 in
-  let continue = ref true in
-  while !continue do
-    match Pq.pop t.queue with
-    | None -> continue := false
-    | Some e ->
-      if not (in_window e.ev_time) then begin
-        Pq.push t.queue e;
-        continue := false
-      end
-      else begin
-        t.now <- max t.now e.ev_time;
-        t.processed <- t.processed + 1;
-        e.ev_action ();
-        incr count
-      end
-  done;
-  Obs.Metrics.inc ~by:!count t.c_processed;
-  Obs.Metrics.set t.g_capacity (float_of_int (Pq.capacity t.queue));
-  !count
 
 let events_processed (t : t) : int = t.processed
 

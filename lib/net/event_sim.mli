@@ -42,22 +42,13 @@ val next_batch : t -> (unit -> unit) list
     clock to it, and return their actions {e unexecuted}, in
     scheduling-sequence order.  Same-timestamp events are causally
     independent (an event only schedules strictly later work once
-    executed), so the parallel batch engine may evaluate them
+    executed), so the runtime's drain may evaluate them
     concurrently, provided observable effects are committed in the
     returned order.  Counts the popped events as processed. *)
 
 val queue_capacity : t -> int
 (** Current heap array capacity (the queue shrinks after bursts; the
     memory tests observe this). *)
-
-val run_window : ?inclusive:bool -> limit:float -> t -> int
-(** Execute every queued event with timestamp strictly below [limit]
-    ([<= limit] with [inclusive]), including events scheduled {e
-    inside} the window by those executions; events at or beyond the
-    limit stay queued.  The clock is left at the last executed event's
-    time (never advanced to [limit]), so the sharded engine can still
-    schedule cross-shard deliveries stamped inside the window.
-    Returns the number of events processed by this call. *)
 
 val events_processed : t -> int
 (** Total events executed since {!create}. *)

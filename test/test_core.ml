@@ -1163,9 +1163,9 @@ let test_replaced_incumbent_retired_offline () =
   Alcotest.(check bool) "replaced incumbents retired offline" true
     (storage.st_offline_records > 0)
 
-(* Link churn under the batch engine: a sequential and a --jobs 4 run
-   over the same flap schedule must agree tuple-for-tuple and
-   byte-for-byte on provenance, with both matching from-scratch. *)
+(* Link churn with and without the domain pool: a --jobs 1 and a
+   --jobs 4 run over the same flap schedule must agree tuple-for-tuple
+   and byte-for-byte on provenance, with both matching from-scratch. *)
 let test_seq_vs_par_churn_identical () =
   let run jobs =
     let cfg =

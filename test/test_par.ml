@@ -1,8 +1,9 @@
-(* Tests for the domain-parallel batch engine (lib/par) and the
-   hash-consed value/tuple interners: pool semantics, interning laws,
-   and the seq-vs-par equivalence property on the distributed
-   Best-Path fixpoint (identical fixpoints, provenance, and message
-   counts across seeds, including a lossy/reliable run). *)
+(* Tests for the domain pool (lib/par), the runtime's coalescing event
+   loop and the hash-consed value/tuple interners: pool semantics,
+   interning laws, timestamp coalescing at jobs = 1, and the
+   seq-vs-par equivalence property on the distributed Best-Path
+   fixpoint (identical fixpoints, provenance, and message counts
+   across seeds, including a lossy/reliable run). *)
 
 open Engine
 
@@ -183,8 +184,8 @@ let test_tuple_interning_laws () =
 
 (* Fingerprint of a finished Best-Path run: the sorted bestPathCost and
    bestPath fixpoints, the provenance of every bestPathCost tuple, and
-   the total wire message count.  The batch engine must reproduce all
-   four exactly. *)
+   the total wire message count.  A pooled run must reproduce the
+   first three exactly, and the count within the policy below. *)
 type fingerprint = {
   fp_cost : string list;
   fp_best : string list;
@@ -225,15 +226,14 @@ let run_once ~cfg ~topo ~directory ~seed =
   fp
 
 (* Message-count policy.  The distributed fixpoint and its provenance
-   are always identical between modes.  Wire message counts are
-   identical whenever the virtual schedule gives the batch engine only
-   singleton groups (then it degenerates to the sequential path);
-   [`Exact] asserts that.  When several same-timestamp deliveries to
-   one node coalesce into a single combined fixpoint, transient
-   best-path improvements can be suppressed (or, with shipped
-   provenance, regrouped into differently-keyed blocks), so counts
-   legitimately drift by a few messages; [`Envelope] bounds the drift
-   instead. *)
+   are always identical between modes.  Both modes run the same
+   coalescing loop, so the same virtual schedule yields the same
+   messages; counts drift only through the virtual clock, which adds
+   each handler's measured CPU time and so can move a delivery into a
+   different batch, where coalescing suppresses (or, with shipped
+   provenance, regroups) a different set of transient best-path
+   improvements.  [`Exact] asserts equal counts where the schedule
+   leaves no room for that; [`Envelope] bounds the drift instead. *)
 let check_seq_par_equal ~name ?(msgs = `Exact) ~cfg ~seed ~n () =
   let topo = Net.Topology.random (Crypto.Rng.create ~seed) ~n () in
   let directory =
@@ -266,9 +266,9 @@ let test_seq_par_sendlog_prov () =
   check_seq_par_equal ~name:"sendlogprov seed 604" ~msgs:`Envelope
     ~cfg:Core.Config.sendlog_prov ~seed:604 ~n:6 ()
 
-(* Retransmission backoff staggers deliveries, so the batch schedule
-   degenerates to singleton groups and the message count must match
-   the sequential run exactly. *)
+(* Retransmission backoff staggers deliveries, so the measured clock
+   has no batch to regroup and the message count must match
+   exactly. *)
 let test_seq_par_lossy_reliable () =
   let cfg =
     Core.Config.with_fault_seed
@@ -276,6 +276,34 @@ let test_seq_par_lossy_reliable () =
       71
   in
   check_seq_par_equal ~name:"lossy reliable seed 705" ~msgs:`Exact ~cfg ~seed:705 ~n:6 ()
+
+(* The one event loop coalesces at every [jobs]: a jobs = 1,
+   shards = 1 run still pops whole timestamps and evaluates a node's
+   same-timestamp work (here, its link-fact installs at t = 0) as one
+   group.  The registry is global, so the batch count is a delta and
+   the group-size high-water mark is cleared first. *)
+let test_jobs1_coalesces () =
+  let reg = Obs.Metrics.default in
+  let batches = Obs.Metrics.counter reg "par.batches" in
+  let group_max = Obs.Metrics.gauge reg "par.group_items_max" in
+  let before = Obs.Metrics.value batches in
+  Obs.Metrics.set group_max 0.0;
+  let seed = 511 in
+  let topo = Net.Topology.random (Crypto.Rng.create ~seed) ~n:7 () in
+  let cfg =
+    Core.Config.with_shards
+      (Core.Config.with_jobs { Core.Config.ndlog with Core.Config.rsa_bits } 1)
+      1
+  in
+  let directory =
+    Sendlog.Principal.directory_for (Crypto.Rng.create ~seed:(seed + 1)) ~rsa_bits
+      topo.nodes
+  in
+  ignore (run_once ~cfg ~topo ~directory ~seed:(seed + 2));
+  Alcotest.(check bool) "timestamp batches counted" true
+    (Obs.Metrics.value batches - before > 0);
+  Alcotest.(check bool) "a node group held several items" true
+    (Obs.Metrics.gauge_value group_max > 1.0)
 
 let suite : unit Alcotest.test_case list =
   [ Alcotest.test_case "pool map order + chunking" `Quick test_pool_map;
@@ -289,4 +317,5 @@ let suite : unit Alcotest.test_case list =
     Alcotest.test_case "tuple interning laws" `Quick test_tuple_interning_laws;
     Alcotest.test_case "seq = par: ndlog seeds" `Quick test_seq_par_ndlog;
     Alcotest.test_case "seq = par: provenance shipping" `Quick test_seq_par_sendlog_prov;
-    Alcotest.test_case "seq = par: lossy + reliable" `Quick test_seq_par_lossy_reliable ]
+    Alcotest.test_case "seq = par: lossy + reliable" `Quick test_seq_par_lossy_reliable;
+    Alcotest.test_case "jobs = 1 coalesces" `Quick test_jobs1_coalesces ]

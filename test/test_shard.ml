@@ -4,9 +4,8 @@
    and the bestPath set must equal the sequential (K=1) run's, because
    cross-shard deliveries are exchanged at conservative lookahead
    barriers in a deterministic (timestamp, source shard, send order)
-   merge.  Also covers the windowed-drain primitive the shards are
-   built on, the zero-lookahead degenerate case, and the AS-level
-   provenance granularity cut. *)
+   merge.  Also covers the zero-lookahead degenerate case and the
+   AS-level provenance granularity cut. *)
 
 let rsa_bits = 384
 
@@ -157,28 +156,6 @@ let test_zero_lookahead () =
     (fixpoint_lines (run 1))
     (fixpoint_lines sharded)
 
-(* --- windowed drain ------------------------------------------------------ *)
-
-let test_run_window () =
-  let sim = Net.Event_sim.create () in
-  let fired = ref [] in
-  List.iter
-    (fun d -> Net.Event_sim.schedule sim ~delay:d (fun () -> fired := d :: !fired))
-    [ 1.0; 2.0; 3.0 ];
-  let n1 = Net.Event_sim.run_window ~limit:2.0 sim in
-  Alcotest.(check int) "exclusive window stops before the limit" 1 n1;
-  Alcotest.(check (list (float 1e-9))) "only t=1 fired" [ 1.0 ] !fired;
-  let n2 = Net.Event_sim.run_window ~inclusive:true ~limit:2.0 sim in
-  Alcotest.(check int) "inclusive window takes the boundary event" 1 n2;
-  Alcotest.(check (float 1e-9)) "clock at last executed event" 2.0
-    (Net.Event_sim.now sim);
-  (* events scheduled inside the window by window events also run *)
-  Net.Event_sim.schedule_at sim ~time:2.5 (fun () ->
-      Net.Event_sim.schedule_at sim ~time:2.6 (fun () -> fired := 2.6 :: !fired));
-  let n3 = Net.Event_sim.run_window ~limit:2.75 sim in
-  Alcotest.(check int) "cascade inside the window drains" 2 n3;
-  Alcotest.(check int) "t=3 still queued" 1 (Net.Event_sim.pending sim)
-
 (* --- AS-level provenance granularity ------------------------------------- *)
 
 let test_domain_summary () =
@@ -233,7 +210,6 @@ let suite =
     Alcotest.test_case "byte-identity under faults and crash" `Quick
       test_identity_under_faults_and_crash;
     Alcotest.test_case "zero lookahead degenerates safely" `Quick test_zero_lookahead;
-    Alcotest.test_case "run_window drains a time window" `Quick test_run_window;
     Alcotest.test_case "domain summary collapses expressions" `Quick test_domain_summary;
     Alcotest.test_case "AS granularity end to end" `Quick
       test_as_granularity_end_to_end ]
