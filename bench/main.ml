@@ -1468,10 +1468,12 @@ let ablation_sampling (o : options) =
   let directory =
     Core.Bestpath_workload.shared_directory ~rsa_bits:o.rsa_bits topo.Net.Topology.nodes
   in
-  Printf.printf "%-12s %18s %16s\n" "sample rate" "wire prov (B)" "expr bytes";
+  Printf.printf "%-12s %18s %16s\n" "1-in-K" "wire prov (B)" "expr bytes";
   List.iter
-    (fun rate ->
-      let cfg = { Core.Config.sendlog_prov with rsa_bits = o.rsa_bits; sample_rate = rate } in
+    (fun k ->
+      let cfg =
+        Core.Config.with_prov_sample { Core.Config.sendlog_prov with rsa_bits = o.rsa_bits } k
+      in
       let t =
         Core.Runtime.create ~directory ~rng:(Crypto.Rng.create ~seed:1) ~cfg ~topo
           ~program:(Ndlog.Programs.best_path ()) ()
@@ -1480,9 +1482,9 @@ let ablation_sampling (o : options) =
       ignore (Core.Runtime.run t);
       let stats = Core.Runtime.stats t in
       let storage = Core.Runtime.total_storage t in
-      Printf.printf "%-12g %18d %16d\n" rate stats.bytes_provenance
+      Printf.printf "%-12d %18d %16d\n" k stats.bytes_provenance
         storage.st_online_expr_bytes)
-    [ 1.0; 0.5; 0.1; 0.01 ];
+    [ 1; 2; 10; 100 ];
   (* ForNet-style digests: storage per packet vs full record *)
   Printf.printf "\nForNet Bloom digests (10000 packets through 5 routers):\n";
   Printf.printf "%-12s %14s %14s %12s\n" "fp target" "digest (B)" "exact (B)" "observed fp";

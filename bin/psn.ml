@@ -220,8 +220,9 @@ let run_cmd =
   let prov_sample =
     Arg.(value & opt int 1
          & info [ "prov-sample" ] ~docv:"K"
-             ~doc:"Sample 1-in-K flows into the provenance log (deterministic \
-                   per flow key; 1 = record every flow)")
+             ~doc:"Sample 1-in-K: capture provenance for 1 in K tuple \
+                   identities and record 1 in K flows into the provenance log \
+                   (deterministic per key; 1 = capture and record everything)")
   in
   let run file nodes seed cfg rsa_bits no_indexes no_fastpath loss dup reorder jitter
       crashes fault_seed reliable retries ack_timeout max_backoff jobs shards

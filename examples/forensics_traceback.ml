@@ -2,7 +2,7 @@
 
    Three historical-analysis tools on one attack scenario:
    1. offline provenance - the expired soft state whose provenance was
-      retired to the per-node offline stores;
+      retired to the persisted provenance log, read back from disk;
    2. ForNet-style Bloom digests - compact per-epoch summaries of
       forwarded traffic, queried to locate a packet's path;
    3. IP-traceback-style sampling and random moonwalks - probabilistic
@@ -10,13 +10,26 @@
 
    Run with: dune exec examples/forensics_traceback.exe *)
 
+(* Remove a directory tree (the example's temporary log). *)
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+
 let () =
   print_endline "== Forensics: offline provenance, digests, sampling ==\n";
 
   (* --- 1. offline provenance of expired routes --------------------- *)
   let topo = Net.Topology.line ~n:5 () in
+  let log_dir = Filename.temp_dir "psn-forensics-" "" in
+  at_exit (fun () -> rm_rf log_dir);
   let cfg =
-    { Core.Config.sendlog_prov with rsa_bits = 384; offline_store = true }
+    Core.Config.with_prov_log
+      { Core.Config.sendlog_prov with rsa_bits = 384 }
+      (Some log_dir)
   in
   let program =
     Ndlog.Parser.parse_program_exn
@@ -39,17 +52,26 @@ p4 bestPath(@S, D, P, C) :- bestPathCost(@S, D, C), path(@S, D, P, C).
   let live_before = List.length (Core.Runtime.query_all t "path") in
   Core.Runtime.advance t ~seconds:10.0;
   let live_after = List.length (Core.Runtime.query_all t "path") in
-  let offline = Core.Forensics.offline_search t ~rel:"path" in
+  (* Closing the runtime closes its log; a fresh handle recovers the
+     retired records from disk, as a later forensic session would. *)
+  Core.Runtime.shutdown t;
+  let log = Store.Prov_log.open_log ~dir:log_dir () in
+  let offline =
+    List.concat_map
+      (fun ident -> Store.Prov_log.lookup log ~ident)
+      (Store.Prov_log.idents_of_relation log "path")
+  in
   Printf.printf
-    "path tuples: %d live before expiry, %d after; %d provenance records in offline stores\n"
+    "path tuples: %d live before expiry, %d after; %d provenance records in the offline log\n"
     live_before live_after (List.length offline);
   (match offline with
-  | (node, r) :: _ ->
-    Printf.printf "  e.g. at %s: %s expired at t=%.1f, provenance %s\n" node
-      (Engine.Tuple.to_string r.off_tuple)
-      r.off_expired_at
-      (Provenance.Prov_expr.to_annotation r.off_expr)
+  | r :: _ ->
+    Printf.printf "  e.g. at %s: %s expired at t=%.1f, provenance %s\n" r.r_node
+      (Engine.Tuple.to_string r.r_tuple)
+      r.r_at
+      (Provenance.Prov_expr.to_annotation r.r_expr)
   | [] -> ());
+  Store.Prov_log.close log;
 
   (* --- 2. ForNet Bloom digests ------------------------------------- *)
   print_endline "\nForNet-style Bloom digests:";

@@ -7,7 +7,7 @@
      SeNDLogProv  = { auth = Auth_rsa;   prov = Prov_local;
                       repr = Repr_condensed }
    The remaining knobs cover Sections 4 and 5 (distributed provenance,
-   offline stores, proactive vs reactive maintenance, sampling,
+   the offline log, proactive vs reactive maintenance, sampling,
    AS granularity). *)
 
 type prov_mode =
@@ -53,8 +53,6 @@ type t = {
   repr : prov_repr;
   maintenance : maintenance;
   granularity : granularity;
-  offline_store : bool; (* keep provenance of expired tuples (Section 4.2) *)
-  sample_rate : float; (* fraction of tuples whose provenance is recorded *)
   sign_provenance : bool; (* per-node signatures on provenance (Section 4.3) *)
   rsa_bits : int;
   verify_signatures : bool;
@@ -100,8 +98,11 @@ type t = {
       (* directory of the persisted offline provenance log (Section
          4.2); None = no on-disk write-through *)
   prov_sample_k : int;
-      (* 1/K packet sampling for the offline log's flow records and
-         Bloom digests (Section 5.2); 1 = record every shipment *)
+      (* 1-in-K sampling (Section 5.2), decided by a hash so every
+         node agrees: provenance is captured for 1 in K tuple
+         identities, and the offline log records 1 in K shipments as
+         flow records and Bloom digests; 1 = capture and record
+         everything *)
 }
 
 let default =
@@ -110,8 +111,6 @@ let default =
     repr = Repr_condensed;
     maintenance = Proactive;
     granularity = Node_level;
-    offline_store = false;
-    sample_rate = 1.0;
     sign_provenance = false;
     rsa_bits = 384;
     verify_signatures = true;

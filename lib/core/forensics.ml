@@ -1,5 +1,5 @@
-(* Forensics (Sections 3 and 5): offline provenance, ForNet-style
-   Bloom digests, IP-traceback-style sampling, and random moonwalks.
+(* Forensics (Sections 3 and 5): ForNet-style Bloom digests,
+   IP-traceback-style sampling, and random moonwalks.
 
    These are the storage/accuracy trade-offs the paper surveys for
    historical traffic: instead of full per-packet provenance, nodes
@@ -132,37 +132,3 @@ let random_moonwalk (rng : Crypto.Rng.t) ~(flows : flow list) ~(walks : int)
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) origins []
     |> List.sort (fun (_, a) (_, b) -> Stdlib.compare b a)
   end
-
-(* Moonwalk over the *persisted* flow log: the 1/K-sampled 'F' frames
-   written by the runtime are exactly the edge set the walk needs, so
-   sampled traceback works from disk after the run (and process) that
-   recorded them is gone.  [ident] restricts the walk to the flows of
-   one tuple identity. *)
-let moonwalk_log (rng : Crypto.Rng.t) (log : Store.Prov_log.t)
-    ?(ident : string option) ~(walks : int) ~(max_hops : int) () :
-    (string * int) list =
-  let flows =
-    List.filter_map
-      (fun (f : Store.Prov_log.flow) ->
-        match ident with
-        | Some id when not (String.equal id f.Store.Prov_log.fl_ident) -> None
-        | _ ->
-          Some { fl_src = f.Store.Prov_log.fl_src; fl_dst = f.fl_dst; fl_time = f.fl_time })
-      (Store.Prov_log.flows log)
-  in
-  random_moonwalk rng ~flows ~walks ~max_hops
-
-(* --- offline provenance queries --------------------------------------- *)
-
-(* Search the offline stores of every node for records mentioning a
-   relation (forensics over expired state, Section 4.2). *)
-let offline_search (t : Runtime.t) ~(rel : string) :
-    (string * Prov_store.offline_record) list =
-  List.concat_map
-    (fun (n : Runtime.node) ->
-      List.filter_map
-        (fun (r : Prov_store.offline_record) ->
-          if String.equal r.off_tuple.Engine.Tuple.rel rel then Some (n.n_addr, r)
-          else None)
-        (Prov_store.offline_records n.n_prov))
-    (Runtime.nodes t)

@@ -52,23 +52,3 @@ val random_moonwalk :
   Crypto.Rng.t -> flows:flow list -> walks:int -> max_hops:int -> (string * int) list
 (** Repeated backward random walks over the flow graph concentrate at
     the attack origin; returns (origin, hits), most-hit first. *)
-
-val moonwalk_log :
-  Crypto.Rng.t ->
-  Store.Prov_log.t ->
-  ?ident:string ->
-  walks:int ->
-  max_hops:int ->
-  unit ->
-  (string * int) list
-(** Moonwalk over the {e persisted} flow log: the 1/K-sampled 'F'
-    frames are the edge set, so sampled traceback works from disk
-    after the recording process is gone.  [ident] restricts the walk
-    to one tuple identity's flows. *)
-
-(** {1 Offline provenance queries} *)
-
-val offline_search :
-  Runtime.t -> rel:string -> (string * Prov_store.offline_record) list
-(** Search every node's in-memory offline store for records of a
-    relation (forensics over expired state, Section 4.2). *)

@@ -7,7 +7,13 @@
    pointers to the previous hop, reconstructed on demand by
    [Traceback].
    *Offline*: when a tuple expires or is replaced, its provenance
-   moves to an append-only log (Section 4.2), optionally aged out.
+   leaves the live table for the append-only log (Section 4.2),
+   through the retire sink the runtime installs when a log is
+   configured.
+
+   Derivations are stored as the log's own [Store.Prov_log.deriv]
+   records, so a live entry and a log record describe a derivation
+   with one type.
 
    Re-derivations of the same tuple combine with [Plus]; duplicate
    derivations (the same rule over the same body tuples, which
@@ -24,25 +30,10 @@
 
 open Engine
 
-(* Where a body tuple used in a derivation lives: locally, or at the
-   sending node (for tuples that arrived over the network). *)
-type origin =
-  | O_local
-  | O_remote of string (* address of the node it came from *)
-
-type deriv_record = {
-  dr_rule : string;
-  dr_body : (Tuple.t * origin * string option) list;
-      (* tuple, where it lives, asserting principal if any *)
-  dr_at : float; (* creation timestamp (soft-state annotation, §4) *)
-  dr_signature : string option; (* authenticated provenance node (§4.3) *)
-  dr_signer : string option;
-}
-
 (* One Plus alternative of a tuple's provenance. *)
 type alt_kind =
   | Alt_base (* locally asserted base fact *)
-  | Alt_deriv of deriv_record (* local rule firing *)
+  | Alt_deriv of Store.Prov_log.deriv (* local rule firing *)
   | Alt_recv of string (* provenance shipped by this sender *)
 
 type alt = {
@@ -60,29 +51,22 @@ type entry = {
 type offline_record = {
   off_tuple : Tuple.t;
   off_expr : Provenance.Prov_expr.t;
-  off_derivs : deriv_record list;
+  off_derivs : Store.Prov_log.deriv list;
   off_received_from : string list;
   off_expired_at : float;
 }
 
 type t = {
   entries : entry Tuple.Table.t;
-  mutable offline : offline_record list;
-  mutable offline_bytes : int;
-  offline_enabled : bool;
   mutable on_retire : (offline_record -> unit) option;
       (* write-through sink to the persisted log (Store.Prov_log);
-         fires on every retirement, independent of the in-memory
-         offline list *)
+         fires on every retirement *)
 }
 
-let create ~offline_enabled () =
-  { entries = Tuple.Table.create 256; offline = []; offline_bytes = 0; offline_enabled;
-    on_retire = None }
+let create () = { entries = Tuple.Table.create 256; on_retire = None }
 
 (* Install the on-disk write-through: every retired tuple's record is
-   handed to [sink] in addition to (not instead of) the in-memory
-   offline list when that is enabled. *)
+   handed to [sink]. *)
 let set_retire_sink (t : t) (sink : (offline_record -> unit) option) : unit =
   t.on_retire <- sink
 
@@ -101,12 +85,12 @@ let entry (t : t) (tuple : Tuple.t) : entry =
 let expr_of (t : t) (tuple : Tuple.t) : Provenance.Prov_expr.t =
   match find t tuple with Some e -> e.e_expr | None -> Provenance.Prov_expr.zero
 
-let alt_derivs (alts : alt list) : deriv_record list =
+let alt_derivs (alts : alt list) : Store.Prov_log.deriv list =
   List.filter_map
     (fun a -> match a.a_kind with Alt_deriv r -> Some r | Alt_base | Alt_recv _ -> None)
     alts
 
-let derivs_of (t : t) (tuple : Tuple.t) : deriv_record list =
+let derivs_of (t : t) (tuple : Tuple.t) : Store.Prov_log.deriv list =
   match find t tuple with Some e -> alt_derivs e.e_alts | None -> []
 
 (* Plus-combine the alternatives in arrival order, matching the
@@ -145,11 +129,13 @@ let deriv_key ~(rule : string) (body : (Tuple.t * string option) list) : string 
 (* Record a local derivation; [combined] is the (already computed)
    Times-expression over the body provenance.  Returns [true] when the
    derivation was new. *)
-let record_derivation (t : t) (head : Tuple.t) ~(record : deriv_record)
+let record_derivation (t : t) (head : Tuple.t) ~(record : Store.Prov_log.deriv)
     ~(combined : Provenance.Prov_expr.t) : bool =
   let key =
-    deriv_key ~rule:record.dr_rule
-      (List.map (fun (b, _, says) -> (b, says)) record.dr_body)
+    deriv_key ~rule:record.d_rule
+      (List.map
+         (fun (b : Store.Prov_log.body_item) -> (b.b_tuple, b.b_says))
+         record.d_body)
   in
   let e = entry t head in
   if List.exists (fun a -> String.equal a.a_key key) e.e_alts then false
@@ -209,7 +195,9 @@ let refresh_entry (e : entry) ~(expr_of : Tuple.t -> Provenance.Prov_expr.t) : b
         match a.a_kind with
         | Alt_base | Alt_recv _ -> a
         | Alt_deriv r ->
-          let exprs = List.map (fun (b, _, _) -> expr_of b) r.dr_body in
+          let exprs =
+            List.map (fun (b : Store.Prov_log.body_item) -> expr_of b.b_tuple) r.d_body
+          in
           if
             List.exists
               (Provenance.Prov_expr.equal Provenance.Prov_expr.zero)
@@ -265,6 +253,10 @@ let remove_received (t : t) (tuple : Tuple.t) ~(from : string) : unit =
       drop_if_empty t tuple e
     end
 
+let offline_of (tuple : Tuple.t) (e : entry) ~(now : float) : offline_record =
+  { off_tuple = tuple; off_expr = e.e_expr; off_derivs = alt_derivs e.e_alts;
+    off_received_from = e.e_received_from; off_expired_at = now }
+
 (* Move a tuple's provenance to the offline log (expiry / replacement;
    Section 4.2). *)
 let retire (t : t) (tuple : Tuple.t) ~(now : float) : unit =
@@ -272,63 +264,20 @@ let retire (t : t) (tuple : Tuple.t) ~(now : float) : unit =
   | None -> ()
   | Some e ->
     Tuple.Table.remove t.entries tuple;
-    if t.offline_enabled || t.on_retire <> None then begin
-      let record =
-        { off_tuple = tuple; off_expr = e.e_expr; off_derivs = alt_derivs e.e_alts;
-          off_received_from = e.e_received_from; off_expired_at = now }
-      in
-      (match t.on_retire with Some sink -> sink record | None -> ());
-      if t.offline_enabled then begin
-        t.offline <- record :: t.offline;
-        t.offline_bytes <-
-          t.offline_bytes + Tuple.wire_size tuple
-          + Provenance.Prov_expr.wire_size e.e_expr
-      end
-    end
-
-(* Age out offline provenance older than [max_age] (Section 5:
-   "offline provenance for forensics can be aged out over time to
-   reduce storage, unless explicitly marked to persist"). *)
-let age_offline (t : t) ~(now : float) ~(max_age : float)
-    ?(persist : Tuple.t -> bool = fun _ -> false) () : int =
-  let keep, drop =
-    List.partition
-      (fun r -> now -. r.off_expired_at <= max_age || persist r.off_tuple)
-      t.offline
-  in
-  t.offline <- keep;
-  List.iter
-    (fun r ->
-      t.offline_bytes <-
-        t.offline_bytes - Tuple.wire_size r.off_tuple
-        - Provenance.Prov_expr.wire_size r.off_expr)
-    drop;
-  List.length drop
-
-let offline_records (t : t) : offline_record list = t.offline
+    Option.iter (fun sink -> sink (offline_of tuple e ~now)) t.on_retire
 
 (* Snapshot the live entries as offline-shaped records (checkpoint
    time as the timestamp); the runtime persists these as 'L' frames so
    offline traceback covers still-live tuples across a restart. *)
 let live_records (t : t) ~(now : float) : offline_record list =
-  Tuple.Table.fold
-    (fun tuple e acc ->
-      { off_tuple = tuple; off_expr = e.e_expr; off_derivs = alt_derivs e.e_alts;
-        off_received_from = e.e_received_from; off_expired_at = now }
-      :: acc)
-    t.entries []
+  Tuple.Table.fold (fun tuple e acc -> offline_of tuple e ~now :: acc) t.entries []
 
-let offline_lookup (t : t) (tuple : Tuple.t) : offline_record option =
-  List.find_opt (fun r -> Tuple.equal r.off_tuple tuple) t.offline
-
-(* Storage accounting for the ablations: bytes of online expressions,
-   derivation pointers, and the offline log. *)
+(* Storage accounting for the ablations: bytes of online expressions
+   and derivation pointers. *)
 type storage = {
   st_online_entries : int;
   st_online_expr_bytes : int;
   st_online_pointer_bytes : int;
-  st_offline_records : int;
-  st_offline_bytes : int;
 }
 
 let storage (t : t) : storage =
@@ -343,10 +292,14 @@ let storage (t : t) : storage =
               (fun acc r ->
                 acc
                 + List.fold_left
-                    (fun acc (b, o, _) ->
-                      acc + Tuple.wire_size b
-                      + match o with O_local -> 1 | O_remote a -> 1 + String.length a)
-                    0 r.dr_body)
+                    (fun acc (b : Store.Prov_log.body_item) ->
+                      let where =
+                        match b.b_origin with
+                        | Store.Prov_log.Local -> 1
+                        | Store.Prov_log.Remote a -> 1 + String.length a
+                      in
+                      acc + Tuple.wire_size b.b_tuple + where)
+                    0 r.Store.Prov_log.d_body)
               0 (alt_derivs e.e_alts)
         in
         (eb, pb))
@@ -354,6 +307,4 @@ let storage (t : t) : storage =
   in
   { st_online_entries = entries;
     st_online_expr_bytes = expr_bytes;
-    st_online_pointer_bytes = ptr_bytes;
-    st_offline_records = List.length t.offline;
-    st_offline_bytes = t.offline_bytes }
+    st_online_pointer_bytes = ptr_bytes }

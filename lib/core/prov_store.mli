@@ -4,9 +4,13 @@
     expression.  {e Distributed/online}: each live tuple maps to
     derivation records — (rule, body tuples, where each body tuple
     lives) — reconstructed on demand by {!Traceback}.  {e Offline}:
-    when a tuple expires or is replaced its provenance moves to the
-    in-memory offline list and, when a retire sink is installed, is
-    written through to the persisted log ([Store.Prov_log]).
+    when a tuple expires or is replaced its provenance leaves the live
+    table and, when a retire sink is installed, is written through to
+    the persisted log ([Store.Prov_log]), the only offline store.
+
+    Derivations are held as the log's own [Store.Prov_log.deriv]
+    records, so the live store and the log hand traceback one record
+    type and retirement converts nothing.
 
     Storage is per-alternative: each Plus branch (base assertion,
     local derivation, shipped provenance) keeps its own expression, so
@@ -16,45 +20,30 @@
 
 open Engine
 
-(** Where a body tuple used in a derivation lives. *)
-type origin =
-  | O_local
-  | O_remote of string  (** address of the node it came from *)
-
-type deriv_record = {
-  dr_rule : string;
-  dr_body : (Tuple.t * origin * string option) list;
-      (** tuple, where it lives, asserting principal if any *)
-  dr_at : float;  (** creation timestamp (soft-state annotation, §4) *)
-  dr_signature : string option;  (** authenticated provenance (§4.3) *)
-  dr_signer : string option;
-}
-
 (** A retired (or checkpointed) tuple's provenance, as handed to the
-    offline list and the retire sink. *)
+    retire sink. *)
 type offline_record = {
   off_tuple : Tuple.t;
   off_expr : Provenance.Prov_expr.t;
-  off_derivs : deriv_record list;
+  off_derivs : Store.Prov_log.deriv list;
   off_received_from : string list;
   off_expired_at : float;
 }
 
 type t
 
-val create : offline_enabled:bool -> unit -> t
+val create : unit -> t
 
 val set_retire_sink : t -> (offline_record -> unit) option -> unit
 (** Install (or clear) the write-through sink fired on every
-    {!retire}, independent of the in-memory offline list.  The sink
-    runs on whichever domain retires the tuple, so it must be
-    thread-safe (the persisted log is). *)
+    {!retire}.  The sink runs on whichever domain retires the tuple,
+    so it must be thread-safe (the persisted log is). *)
 
 (** {1 Recording} *)
 
 val record_base : t -> Tuple.t -> key:string -> unit
 val record_derivation :
-  t -> Tuple.t -> record:deriv_record -> combined:Provenance.Prov_expr.t -> bool
+  t -> Tuple.t -> record:Store.Prov_log.deriv -> combined:Provenance.Prov_expr.t -> bool
 (** Record a local derivation; [combined] is the Times-expression
     over the body provenance.  Returns [true] when new (duplicates
     are deduplicated by rule + body identities). *)
@@ -68,7 +57,7 @@ val record_received :
 val expr_of : t -> Tuple.t -> Provenance.Prov_expr.t
 (** Zero for unknown tuples. *)
 
-val derivs_of : t -> Tuple.t -> deriv_record list
+val derivs_of : t -> Tuple.t -> Store.Prov_log.deriv list
 (** Local derivation alternatives, newest first. *)
 
 val received_from : t -> Tuple.t -> string list
@@ -98,17 +87,8 @@ val remove_received : t -> Tuple.t -> from:string -> unit
 (** {1 Offline provenance (Section 4.2)} *)
 
 val retire : t -> Tuple.t -> now:float -> unit
-(** Move a tuple's provenance out of the live table: appended to the
-    in-memory offline list when offline capture is enabled, and handed
-    to the retire sink when one is installed. *)
-
-val age_offline :
-  t -> now:float -> max_age:float -> ?persist:(Tuple.t -> bool) -> unit -> int
-(** Drop offline records older than [max_age] unless [persist] marks
-    them; returns the number dropped. *)
-
-val offline_records : t -> offline_record list
-val offline_lookup : t -> Tuple.t -> offline_record option
+(** Move a tuple's provenance out of the live table, handing it to
+    the retire sink when one is installed. *)
 
 val live_records : t -> now:float -> offline_record list
 (** Snapshot the live entries as offline-shaped records ([now] as the
@@ -121,8 +101,6 @@ type storage = {
   st_online_entries : int;
   st_online_expr_bytes : int;
   st_online_pointer_bytes : int;
-  st_offline_records : int;
-  st_offline_bytes : int;
 }
 
 val storage : t -> storage

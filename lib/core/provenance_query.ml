@@ -1,4 +1,4 @@
-(* Unified provenance-query entry point (this PR's API redesign).
+(* Unified provenance-query entry point.
 
    Every way of asking "where did this tuple come from" — the live
    distributed traceback of Section 4.1, the offline walk over the

@@ -279,7 +279,8 @@ let sched_to (t : t) (addr : string) ~(delay : float) (action : unit -> unit) : 
 let as_domain_of (topo : Net.Topology.t) (addr : string) : string =
   Printf.sprintf "as%d" (Net.Topology.as_of topo addr)
 
-(* Shape a live store's offline record for the on-disk log. *)
+(* Shape a live store's offline record for the on-disk log: the
+   store already holds the log's derivation records. *)
 let log_record_of_offline ~(node : string) ~(domain : string) ~(live : bool)
     (r : Prov_store.offline_record) : Store.Prov_log.record =
   { Store.Prov_log.r_node = node;
@@ -289,24 +290,7 @@ let log_record_of_offline ~(node : string) ~(domain : string) ~(live : bool)
     r_tuple = r.Prov_store.off_tuple;
     r_expr = r.Prov_store.off_expr;
     r_received_from = r.Prov_store.off_received_from;
-    r_derivs =
-      List.map
-        (fun (d : Prov_store.deriv_record) ->
-          { Store.Prov_log.d_rule = d.Prov_store.dr_rule;
-            d_at = d.Prov_store.dr_at;
-            d_signer = d.Prov_store.dr_signer;
-            d_signature = d.Prov_store.dr_signature;
-            d_body =
-              List.map
-                (fun (b, o, says) ->
-                  { Store.Prov_log.b_tuple = b;
-                    b_origin =
-                      (match o with
-                      | Prov_store.O_local -> Store.Prov_log.Local
-                      | Prov_store.O_remote a -> Store.Prov_log.Remote a);
-                    b_says = says })
-                d.Prov_store.dr_body })
-        r.Prov_store.off_derivs }
+    r_derivs = r.Prov_store.off_derivs }
 
 let create ?(directory : Sendlog.Principal.directory option) ~(rng : Crypto.Rng.t)
     ~(cfg : Config.t) ~(topo : Net.Topology.t) ~(program : Ndlog.Ast.program) () : t =
@@ -335,7 +319,7 @@ let create ?(directory : Sendlog.Principal.directory option) ~(rng : Crypto.Rng.
         { n_addr = addr;
           n_principal = principal;
           n_db = db;
-          n_prov = Prov_store.create ~offline_enabled:cfg.offline_store ();
+          n_prov = Prov_store.create ();
           n_support = Support.create ();
           n_base = Tuple.Table.create 64;
           n_recv_from = Tuple.Table.create 64;
@@ -512,16 +496,14 @@ let create ?(directory : Sendlog.Principal.directory option) ~(rng : Crypto.Rng.
 
 (* --- provenance capture ---------------------------------------------- *)
 
-(* Is this tuple's provenance recorded at all?  Deterministic sampling
-   on the tuple identity implements Section 5's sampling optimisation
-   without extra RNG state. *)
+(* Is this tuple's provenance recorded at all?  The log's 1-in-K
+   hash on the tuple identity implements Section 5's sampling
+   optimisation without extra RNG state; the same knob thins the
+   log's flow records.  [K <= 1] is tested first so unsampled runs
+   never take the interning mutex. *)
 let sampled (t : t) (tuple : Tuple.t) : bool =
-  t.cfg.sample_rate >= 1.0
-  || begin
-       let h = Crypto.Sha256.digest (Tuple.interned_identity tuple) in
-       let v = (Char.code h.[0] lsl 16) lor (Char.code h.[1] lsl 8) lor Char.code h.[2] in
-       float_of_int v /. float_of_int 0xFFFFFF < t.cfg.sample_rate
-     end
+  t.cfg.prov_sample_k <= 1
+  || Store.Prov_log.sampled ~k:t.cfg.prov_sample_k (Tuple.interned_identity tuple)
 
 let prov_enabled (t : t) =
   match t.cfg.prov with
@@ -545,11 +527,10 @@ let body_expr (t : t) (n : node) (tuple : Tuple.t) : Provenance.Prov_expr.t =
     Prov_store.expr_of n.n_prov tuple
   end
 
-let origin_of (t : t) (n : node) (tuple : Tuple.t) : Prov_store.origin =
-  ignore t;
+let origin_of (n : node) (tuple : Tuple.t) : Store.Prov_log.origin =
   match Prov_store.received_from n.n_prov tuple with
-  | sender :: _ -> Prov_store.O_remote sender
-  | [] -> Prov_store.O_local
+  | sender :: _ -> Store.Prov_log.Remote sender
+  | [] -> Store.Prov_log.Local
 
 (* A tuple that gains a derivation alternative after its dependents
    were derived leaves them holding a frozen copy of its old
@@ -601,17 +582,17 @@ let capture_derivation (t : t) (n : node) (deriv : Eval.derivation) :
       else (None, None)
     in
     let record =
-      { Prov_store.dr_rule = deriv.d_rule;
-        dr_body =
+      { Store.Prov_log.d_rule = deriv.d_rule;
+        d_body =
           List.map
             (fun (b, asserter) ->
-              ( b,
-                origin_of t n b,
-                Option.map Value.to_addr asserter ))
+              { Store.Prov_log.b_tuple = b;
+                b_origin = origin_of n b;
+                b_says = Option.map Value.to_addr asserter })
             deriv.d_body;
-        dr_at = now t;
-        dr_signature = signature;
-        dr_signer = signer }
+        d_at = now t;
+        d_signature = signature;
+        d_signer = signer }
     in
     if
       Prov_store.record_derivation n.n_prov deriv.d_head ~record ~combined
@@ -885,8 +866,8 @@ let on_derive_for (t : t) (n : node) : Eval.derivation -> unit =
   ignore (capture_derivation t n deriv)
 
 (* A replace policy displaced [old]: its provenance is historical state
-   now, so it moves to the offline store rather than lingering online
-   as if [old] were still live. *)
+   now, so it retires to the offline log (when one is configured)
+   rather than lingering online as if [old] were still live. *)
 let on_replace_for (t : t) (n : node) : Tuple.t -> unit =
  fun old -> Prov_store.retire n.n_prov old ~now:(now t)
 
@@ -955,7 +936,7 @@ let send_retract (t : t) (xc : exec_ctx) (sender : node) ~(dest : string)
 
 (* Incrementally delete [lost] (and everything whose support dies with
    it) from [n]'s database: the runtime face of [Eval.retract].  After
-   the pass, dead tuples' provenance is retired to the offline store,
+   the pass, dead tuples' provenance is retired to the offline log,
    invalidated alternatives are pruned from surviving entries, peers
    that received now-dead tuples get retraction notices (prepared
    before any re-assertions, so the wire order is retract-then-assert),
@@ -1936,7 +1917,7 @@ let shutdown (t : t) : unit =
    event scheduled beyond the horizon fast-forwarded the clock past it
    and expired every TTL on the spot; events beyond the horizon now
    stay queued.)  Expired soft state is then evicted in deterministic
-   node order, its provenance retired to the offline store, and
+   node order, its provenance retired to the offline log, and
    everything derived from it incrementally retracted.  Retraction
    fallout addressed to other nodes is queued and delivered by the
    next [run] or [advance]. *)
@@ -2057,12 +2038,6 @@ let total_storage (t : t) : Prov_store.storage =
       let s = Prov_store.storage n.n_prov in
       { Prov_store.st_online_entries = acc.Prov_store.st_online_entries + s.st_online_entries;
         st_online_expr_bytes = acc.st_online_expr_bytes + s.st_online_expr_bytes;
-        st_online_pointer_bytes = acc.st_online_pointer_bytes + s.st_online_pointer_bytes;
-        st_offline_records = acc.st_offline_records + s.st_offline_records;
-        st_offline_bytes = acc.st_offline_bytes + s.st_offline_bytes })
-    { Prov_store.st_online_entries = 0;
-      st_online_expr_bytes = 0;
-      st_online_pointer_bytes = 0;
-      st_offline_records = 0;
-      st_offline_bytes = 0 }
+        st_online_pointer_bytes = acc.st_online_pointer_bytes + s.st_online_pointer_bytes })
+    { Prov_store.st_online_entries = 0; st_online_expr_bytes = 0; st_online_pointer_bytes = 0 }
     (nodes t)

@@ -162,8 +162,9 @@ val advance : t -> seconds:float -> unit
 (** Advance simulated time by exactly [seconds] (events scheduled
     beyond the horizon stay queued), then evict expired soft state in
     deterministic node order: each expired tuple's provenance is
-    retired to the offline store and everything derived from it is
-    incrementally retracted, with re-derivable tuples reinstated.
+    retired to the offline log (when one is configured) and
+    everything derived from it is incrementally retracted, with
+    re-derivable tuples reinstated.
     Retraction fallout addressed to other nodes is delivered by the
     next {!run} or [advance]. *)
 

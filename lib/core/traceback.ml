@@ -1,4 +1,5 @@
-(* Distributed provenance queries (Section 4.1).
+(* Distributed provenance queries (Section 4.1) and their offline
+   counterpart over the persisted provenance log (Section 4.2).
 
    With *distributed* provenance each node only stores derivation
    pointers ("it is derived from link(@a,b) which is available
@@ -7,7 +8,14 @@
    recursively querying the nodes along the chain - the paper's IP
    traceback analogy.  The query itself costs messages and bytes,
    which is the other side of the local-vs-distributed trade-off
-   (ablation A in DESIGN.md). *)
+   (ablation A in DESIGN.md).
+
+   Online versus offline is a storage choice, not a query choice: the
+   walk is written once, over a record source that answers for a
+   (node, tuple) with the tuple's derivations and senders, a domain
+   cut, or nothing.  [query] reads the live stores and [offline_query]
+   the log, so for a tuple that is still live the two trees agree by
+   construction. *)
 
 open Engine
 
@@ -23,7 +31,8 @@ type result = {
   cost : cost;
   partial : bool;
       (* true when the tree contains [Unreachable] stubs: some node on
-         the derivation chain was fail-stopped when queried *)
+         the derivation chain was fail-stopped when queried (live), or
+         the log held no record for it (offline) *)
 }
 
 let c_partial = Obs.Metrics.counter Obs.Metrics.default "traceback.partial_results"
@@ -38,134 +47,126 @@ let response_bytes (e : Provenance.Prov_expr.t) : int =
 
 let max_depth = 64
 
-(* Reconstruct the derivation tree of [tuple] as stored at [addr],
-   following remote pointers across nodes.  [visited] breaks cycles
-   (a tuple rederived through itself across nodes). *)
-let query (t : Runtime.t) ~(at : string) (tuple : Tuple.t) : result =
+(* What a record source knows about a tuple held at a node. *)
+type source =
+  | Cut of string
+      (* the walk left the querying node's AS (Section 5.3): a single
+         leaf names the origin domain, matching what [Runtime.send]
+         shipped *)
+  | Missing
+      (* nothing can answer for it — a fail-stopped node, or no log
+         record — so its subtree becomes an explicit [Unreachable]
+         stub instead of hanging the traceback or raising *)
+  | Found of Store.Prov_log.deriv list * string list
+      (* local derivation alternatives and the senders behind the
+         tuple, both newest first *)
+
+let finish (cost : cost) (partial : bool) (tree : Provenance.Derivation.t) : result =
+  if partial then Obs.Metrics.inc c_partial;
+  { tree; expr = Provenance.Derivation.to_expr tree; cost; partial }
+
+(* Reconstruct the derivation tree of [root] as held at [at],
+   following remote pointers across nodes.  [lookup addr tuple ident]
+   is the record source: the live stores or the persisted log.
+   [visited] breaks cycles (a tuple rederived through itself across
+   nodes). *)
+let walk ~(lookup : string -> Tuple.t -> string -> source) ~(at : string)
+    (root : Tuple.t) : result =
   let cost = { remote_queries = 0; query_bytes = 0; nodes_visited = 1 } in
   let visited = Hashtbl.create 64 in
   let partial = ref false in
-  (* AS-level granularity (Section 5.3): the querying node sees full
-     node-level detail inside its own domain, but a walk that crosses
-     into another AS stops at the boundary with a single leaf naming
-     the origin domain — matching what [Runtime.send] shipped. *)
-  let topo = Runtime.topology t in
-  let home_as = Net.Topology.as_of topo at in
-  let domain_cut addr =
-    match (Runtime.config t).Config.granularity with
-    | Config.Node_level -> None
-    | Config.As_level ->
-      let a = Net.Topology.as_of topo addr in
-      if a = home_as then None else Some (Printf.sprintf "as%d" a)
-  in
-  let rec walk (addr : string) (tuple : Tuple.t) (depth : int) : Provenance.Derivation.t =
-    let key = addr ^ "|" ^ Tuple.interned_identity tuple in
+  let rec step (addr : string) (tuple : Tuple.t) (depth : int) : Provenance.Derivation.t =
     let ident = Tuple.interned_identity tuple in
-    match domain_cut addr with
-    | Some dom ->
+    match lookup addr tuple ident with
+    | Cut dom ->
       Provenance.Derivation.Leaf
         { tuple = ident; ann = Provenance.Derivation.annot ~says:dom dom }
-    | None ->
-    (* Graceful degradation: a crashed node can't answer a provenance
-       query, so its subtree becomes an explicit [Unreachable] stub
-       instead of hanging the traceback or raising. *)
-    if Runtime.is_node_down t addr then begin
+    | Missing ->
       partial := true;
       Provenance.Derivation.Unreachable { tuple = ident; location = addr }
-    end
-    else
-    let node = Runtime.node t addr in
-    if depth > max_depth || Hashtbl.mem visited key then
-      Provenance.Derivation.Leaf
-        { tuple = ident; ann = Provenance.Derivation.annot addr }
-    else begin
-      Hashtbl.add visited key ();
-      let derivs = Prov_store.derivs_of node.Runtime.n_prov tuple in
-      let received = Prov_store.received_from node.Runtime.n_prov tuple in
-      let local_alternatives =
-        List.map
-          (fun (r : Prov_store.deriv_record) ->
-            let children =
-              List.map
-                (fun (b, origin, says) ->
-                  match origin with
-                  | Prov_store.O_local -> walk addr b (depth + 1)
-                  | Prov_store.O_remote sender ->
-                    cost.remote_queries <- cost.remote_queries + 1;
-                    cost.nodes_visited <- cost.nodes_visited + 1;
-                    cost.query_bytes <- cost.query_bytes + request_bytes b;
-                    let sub = walk sender b (depth + 1) in
-                    cost.query_bytes <-
-                      cost.query_bytes
-                      + response_bytes (Provenance.Derivation.to_expr_by_tuple sub);
-                    (match says with
-                    | Some _ -> sub
-                    | None -> sub))
-                r.dr_body
-            in
-            Provenance.Derivation.Rule
-              { rule = r.dr_rule;
-                tuple = ident;
-                ann =
-                  Provenance.Derivation.annot ~created:r.dr_at
-                    ?says:
-                      (match r.dr_signer with
-                      | Some s -> Some s
-                      | None -> Some addr)
-                    ?signature:r.dr_signature addr;
-                children })
-          derivs
-      in
-      (* Tuples that (also) arrived over the network are traced at
-         their senders, yielding the remote alternatives of the
-         union. *)
-      let remote_alternatives =
-        List.map
-            (fun sender ->
-              cost.remote_queries <- cost.remote_queries + 1;
-              cost.nodes_visited <- cost.nodes_visited + 1;
-              cost.query_bytes <- cost.query_bytes + request_bytes tuple;
-              let sub = walk sender tuple (depth + 1) in
-              cost.query_bytes <-
-                cost.query_bytes
-                + response_bytes (Provenance.Derivation.to_expr_by_tuple sub);
-              sub)
-            received
-      in
-      match local_alternatives @ remote_alternatives with
-      | [] ->
-        (* A base tuple: leaf asserted by its home node. *)
+    | Found (derivs, senders) ->
+      let key = addr ^ "|" ^ ident in
+      if depth > max_depth || Hashtbl.mem visited key then
         Provenance.Derivation.Leaf
-          { tuple = ident; ann = Provenance.Derivation.annot ~says:addr addr }
-      | [ one ] -> one
-      | alternatives -> Provenance.Derivation.Union { tuple = ident; alternatives }
-    end
+          { tuple = ident; ann = Provenance.Derivation.annot addr }
+      else begin
+        Hashtbl.add visited key ();
+        let local_alternatives =
+          List.map
+            (fun (d : Store.Prov_log.deriv) ->
+              let children =
+                List.map
+                  (fun (b : Store.Prov_log.body_item) ->
+                    match b.b_origin with
+                    | Store.Prov_log.Local -> step addr b.b_tuple (depth + 1)
+                    | Store.Prov_log.Remote sender -> remote sender b.b_tuple depth)
+                  d.d_body
+              in
+              Provenance.Derivation.Rule
+                { rule = d.d_rule;
+                  tuple = ident;
+                  ann =
+                    Provenance.Derivation.annot ~created:d.d_at
+                      ~says:(Option.value d.d_signer ~default:addr)
+                      ?signature:d.d_signature addr;
+                  children })
+            derivs
+        in
+        (* Tuples that (also) arrived over the network are traced at
+           their senders, yielding the remote alternatives of the
+           union. *)
+        let remote_alternatives =
+          List.map (fun sender -> remote sender tuple depth) senders
+        in
+        match local_alternatives @ remote_alternatives with
+        | [] ->
+          (* A base tuple: leaf asserted by its home node. *)
+          Provenance.Derivation.Leaf
+            { tuple = ident; ann = Provenance.Derivation.annot ~says:addr addr }
+        | [ one ] -> one
+        | alternatives -> Provenance.Derivation.Union { tuple = ident; alternatives }
+      end
+  (* One remote provenance query: ask [sender] for [tuple]'s subtree. *)
+  and remote (sender : string) (tuple : Tuple.t) (depth : int) : Provenance.Derivation.t =
+    cost.remote_queries <- cost.remote_queries + 1;
+    cost.nodes_visited <- cost.nodes_visited + 1;
+    cost.query_bytes <- cost.query_bytes + request_bytes tuple;
+    let sub = step sender tuple (depth + 1) in
+    cost.query_bytes <-
+      cost.query_bytes + response_bytes (Provenance.Derivation.to_expr_by_tuple sub);
+    sub
   in
-  let tree = walk at tuple 0 in
-  if !partial then Obs.Metrics.inc c_partial;
-  { tree; expr = Provenance.Derivation.to_expr tree; cost; partial = !partial }
+  let tree = step at root 0 in
+  finish cost !partial tree
 
-(* --- offline backend (this PR's tentpole) ------------------------------ *)
+(* The live record source: the running nodes' [Prov_store]s.  Honors
+   the runtime's configured granularity: the querying node sees full
+   node-level detail inside its own domain only. *)
+let query (t : Runtime.t) ~(at : string) (tuple : Tuple.t) : result =
+  let topo = Runtime.topology t in
+  let home_as = Net.Topology.as_of topo at in
+  let lookup addr tuple _ident =
+    match (Runtime.config t).Config.granularity with
+    | Config.As_level when Net.Topology.as_of topo addr <> home_as ->
+      Cut (Printf.sprintf "as%d" (Net.Topology.as_of topo addr))
+    | Config.Node_level | Config.As_level ->
+      if Runtime.is_node_down t addr then Missing
+      else
+        let store = (Runtime.node t addr).Runtime.n_prov in
+        Found (Prov_store.derivs_of store tuple, Prov_store.received_from store tuple)
+  in
+  walk ~lookup ~at tuple
 
-(* The same recursive walk, but over the persisted provenance log
-   instead of live [Prov_store]s: record selection replaces node
-   lookup, a missing record plays the role of a crashed node
-   (Unreachable stub + partial), and the AS-granularity cut compares
-   the *stored* domain keys instead of consulting a topology.  The
-   tree-construction cases are kept textually parallel to [query]
-   above on purpose — for a tuple that is still live, the offline
-   tree's [Prov_expr.canonical_string] must be byte-identical to the
-   online one. *)
-
+(* The offline record source: the persisted provenance log.  Record
+   selection replaces node lookup — the latest record for (node,
+   ident), optionally bounded to the log prefix stamped at or before
+   [before] ("the log as of time T") — and a missing record plays the
+   role of a crashed node.  The AS cut compares the *stored* domain
+   keys against the root record's instead of consulting a topology. *)
 let offline_query (log : Store.Prov_log.t)
     ?(granularity = Config.Node_level) ?(before : float option)
     ~(at : string) ~(ident : string) () : result =
-  let cost = { remote_queries = 0; query_bytes = 0; nodes_visited = 1 } in
-  let visited = Hashtbl.create 64 in
-  let partial = ref false in
-  (* Per-query cache of index lookups: the walk revisits identities
-     (visited-set checks happen after record selection, as the live
-     walk consults the node before its visited check). *)
+  (* Per-query cache of index lookups: the walk revisits identities. *)
   let cache : (string, Store.Prov_log.record list) Hashtbl.t = Hashtbl.create 64 in
   let records_of ident =
     match Hashtbl.find_opt cache ident with
@@ -175,115 +176,33 @@ let offline_query (log : Store.Prov_log.t)
       Hashtbl.add cache ident rs;
       rs
   in
-  (* Latest record for (addr, ident), optionally bounded to the log
-     prefix stamped at or before [before] — querying "the log as of
-     time T".  [lookup] returns oldest first, so the last survivor
-     wins. *)
+  (* [lookup] returns oldest first, so the last survivor wins. *)
   let record_for addr ident : Store.Prov_log.record option =
     List.fold_left
       (fun acc (r : Store.Prov_log.record) ->
         if
-          String.equal r.Store.Prov_log.r_node addr
-          && (match before with None -> true | Some t -> r.Store.Prov_log.r_at <= t)
+          String.equal r.r_node addr
+          && (match before with None -> true | Some t -> r.r_at <= t)
         then Some r
         else acc)
       None (records_of ident)
   in
-  (* AS-level granularity offline: the querying node's domain is the
-     domain stored with the root record, and the cut fires when a walk
-     reaches a record persisted under a different domain key. *)
-  let home_domain =
-    match record_for at ident with
-    | Some r -> r.Store.Prov_log.r_domain
-    | None -> ""
-  in
-  let domain_cut dom =
-    match granularity with
-    | Config.Node_level -> None
-    | Config.As_level -> if String.equal dom home_domain then None else Some dom
-  in
-  let rec walk (addr : string) (tuple : Tuple.t) (depth : int) : Provenance.Derivation.t =
-    let ident = Tuple.interned_identity tuple in
-    let key = addr ^ "|" ^ ident in
-    match record_for addr ident with
-    | None ->
-      (* No record for this tuple at this node: the log can't answer,
-         the offline analogue of a crashed node. *)
-      partial := true;
-      Provenance.Derivation.Unreachable { tuple = ident; location = addr }
-    | Some r ->
-      (match domain_cut r.Store.Prov_log.r_domain with
-      | Some dom ->
-        Provenance.Derivation.Leaf
-          { tuple = ident; ann = Provenance.Derivation.annot ~says:dom dom }
-      | None ->
-        if depth > max_depth || Hashtbl.mem visited key then
-          Provenance.Derivation.Leaf
-            { tuple = ident; ann = Provenance.Derivation.annot addr }
-        else begin
-          Hashtbl.add visited key ();
-          let local_alternatives =
-            List.map
-              (fun (d : Store.Prov_log.deriv) ->
-                let children =
-                  List.map
-                    (fun (b : Store.Prov_log.body_item) ->
-                      match b.Store.Prov_log.b_origin with
-                      | Store.Prov_log.Local -> walk addr b.b_tuple (depth + 1)
-                      | Store.Prov_log.Remote sender ->
-                        cost.remote_queries <- cost.remote_queries + 1;
-                        cost.nodes_visited <- cost.nodes_visited + 1;
-                        cost.query_bytes <- cost.query_bytes + request_bytes b.b_tuple;
-                        let sub = walk sender b.b_tuple (depth + 1) in
-                        cost.query_bytes <-
-                          cost.query_bytes
-                          + response_bytes (Provenance.Derivation.to_expr_by_tuple sub);
-                        sub)
-                    d.Store.Prov_log.d_body
-                in
-                Provenance.Derivation.Rule
-                  { rule = d.d_rule;
-                    tuple = ident;
-                    ann =
-                      Provenance.Derivation.annot ~created:d.d_at
-                        ?says:
-                          (match d.d_signer with
-                          | Some s -> Some s
-                          | None -> Some addr)
-                        ?signature:d.d_signature addr;
-                    children })
-              r.Store.Prov_log.r_derivs
-          in
-          let remote_alternatives =
-            List.map
-              (fun sender ->
-                cost.remote_queries <- cost.remote_queries + 1;
-                cost.nodes_visited <- cost.nodes_visited + 1;
-                cost.query_bytes <- cost.query_bytes + request_bytes tuple;
-                let sub = walk sender tuple (depth + 1) in
-                cost.query_bytes <-
-                  cost.query_bytes
-                  + response_bytes (Provenance.Derivation.to_expr_by_tuple sub);
-                sub)
-              r.Store.Prov_log.r_received_from
-          in
-          match local_alternatives @ remote_alternatives with
-          | [] ->
-            Provenance.Derivation.Leaf
-              { tuple = ident; ann = Provenance.Derivation.annot ~says:addr addr }
-          | [ one ] -> one
-          | alternatives -> Provenance.Derivation.Union { tuple = ident; alternatives }
-        end)
-  in
-  let tree =
-    match record_for at ident with
-    | None ->
-      partial := true;
-      Provenance.Derivation.Unreachable { tuple = ident; location = at }
-    | Some r -> walk at r.Store.Prov_log.r_tuple 0
-  in
-  if !partial then Obs.Metrics.inc c_partial;
-  { tree; expr = Provenance.Derivation.to_expr tree; cost; partial = !partial }
+  match record_for at ident with
+  | None ->
+    finish
+      { remote_queries = 0; query_bytes = 0; nodes_visited = 1 }
+      true
+      (Provenance.Derivation.Unreachable { tuple = ident; location = at })
+  | Some root ->
+    let lookup addr _tuple ident =
+      match record_for addr ident with
+      | None -> Missing
+      | Some r ->
+        if granularity = Config.As_level && not (String.equal r.r_domain root.r_domain)
+        then Cut r.r_domain
+        else Found (r.r_derivs, r.r_received_from)
+    in
+    walk ~lookup ~at root.r_tuple
 
 (* Nodes holding a record for [ident], newest occurrence last —
    offline queries that don't name a node root at each of these. *)

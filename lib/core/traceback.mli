@@ -43,9 +43,12 @@ val offline_query :
 (** The same walk over the persisted provenance log: record selection
     replaces node lookup (latest record for each (node, identity),
     bounded to log records stamped at or before [before] when given),
-    and a missing record plays the role of a crashed node.  For a
-    tuple that is still live, the resulting tree's
-    [Prov_expr.canonical_string] is byte-identical to {!query}'s. *)
+    and a missing record plays the role of a crashed node.  Under
+    [As_level], the walk stops where a record's stored domain differs
+    from the root record's.  For a tuple that is still live, the
+    resulting tree's [Prov_expr.canonical_string] is byte-identical
+    to {!query}'s: both run one walk, over different record
+    sources. *)
 
 val offline_nodes : Store.Prov_log.t -> ident:string -> string list
 (** Nodes holding a log record for the identity, oldest occurrence

@@ -28,9 +28,9 @@ type body_item = {
   b_says : string option;
 }
 
-(** One derivation alternative, mirroring [Core.Prov_store]'s
-    derivation records so the offline traceback walk can reproduce
-    the live walk exactly. *)
+(** One derivation alternative.  [Core.Prov_store] holds live
+    derivations as this same record, so one traceback walk reads the
+    live stores and the log alike. *)
 type deriv = {
   d_rule : string;
   d_at : float;

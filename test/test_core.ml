@@ -248,30 +248,41 @@ let test_distributed_mode_stores_pointers_only () =
   Alcotest.(check (list string)) "origins" [ "a"; "b" ]
     (List.sort compare (Provenance.Prov_expr.bases r.expr))
 
+(* Retirement writes through to the runtime's provenance log, the
+   only offline store; [sync_prov_log] is never called, so every
+   record counted here is a retirement. *)
+let check_retired_to_log t ~rel =
+  match Core.Runtime.prov_log t with
+  | None -> Alcotest.fail "runtime has no prov log"
+  | Some log ->
+    Alcotest.(check bool) "offline records kept" true (Store.Prov_log.record_count log > 0);
+    Alcotest.(check bool) "searchable" true (Store.Prov_log.idents_of_relation log rel <> [])
+
 let test_offline_store_after_expiry () =
-  let topo = Net.Topology.paper_example () in
-  let program =
-    Ndlog.Parser.parse_program_exn
-      ("#ttl reachable 5.\n#ttl link 5.\n" ^ Ndlog.Programs.reachable_src)
-  in
-  let cfg = { Core.Config.sendlog_prov with rsa_bits; offline_store = true } in
-  let t = Core.Runtime.create ~rng:(Crypto.Rng.create ~seed:43) ~cfg ~topo ~program () in
-  List.iter
-    (fun (l : Net.Topology.link) ->
-      Core.Runtime.install_fact t ~at:l.l_src
-        (Tuple.make "link" [ Value.V_str l.l_src; Value.V_str l.l_dst ]))
-    topo.links;
-  ignore (Core.Runtime.run t);
-  Alcotest.(check bool) "live before expiry" true
-    (Core.Runtime.query_all t "reachable" <> []);
-  Core.Runtime.advance t ~seconds:10.0;
-  Alcotest.(check (list (pair string string))) "expired" []
-    (List.map (fun (a, tu) -> (a, Tuple.to_string tu)) (Core.Runtime.query_all t "reachable"));
-  (* offline provenance survives *)
-  let storage = Core.Runtime.total_storage t in
-  Alcotest.(check bool) "offline records kept" true (storage.st_offline_records > 0);
-  let found = Core.Forensics.offline_search t ~rel:"reachable" in
-  Alcotest.(check bool) "searchable" true (found <> [])
+  Test_store.with_temp_dir (fun dir ->
+      let topo = Net.Topology.paper_example () in
+      let program =
+        Ndlog.Parser.parse_program_exn
+          ("#ttl reachable 5.\n#ttl link 5.\n" ^ Ndlog.Programs.reachable_src)
+      in
+      let cfg =
+        Core.Config.with_prov_log { Core.Config.sendlog_prov with rsa_bits } (Some dir)
+      in
+      let t = Core.Runtime.create ~rng:(Crypto.Rng.create ~seed:43) ~cfg ~topo ~program () in
+      List.iter
+        (fun (l : Net.Topology.link) ->
+          Core.Runtime.install_fact t ~at:l.l_src
+            (Tuple.make "link" [ Value.V_str l.l_src; Value.V_str l.l_dst ]))
+        topo.links;
+      ignore (Core.Runtime.run t);
+      Alcotest.(check bool) "live before expiry" true
+        (Core.Runtime.query_all t "reachable" <> []);
+      Core.Runtime.advance t ~seconds:10.0;
+      Alcotest.(check (list (pair string string))) "expired" []
+        (List.map (fun (a, tu) -> (a, Tuple.to_string tu)) (Core.Runtime.query_all t "reachable"));
+      (* offline provenance survives *)
+      check_retired_to_log t ~rel:"reachable";
+      Core.Runtime.shutdown t)
 
 let test_reactive_ships_nothing () =
   let t =
@@ -285,12 +296,12 @@ let test_reactive_ships_nothing () =
     (Provenance.Prov_expr.bases r.expr <> [])
 
 let test_sampling_reduces_storage () =
-  let storage_at rate =
-    let t, _ = mk_runtime ~cfg:{ Core.Config.sendlog_prov with sample_rate = rate } ~n:10 () in
+  let storage_at k =
+    let t, _ = mk_runtime ~cfg:(Core.Config.with_prov_sample Core.Config.sendlog_prov k) ~n:10 () in
     run_links t;
     (Core.Runtime.total_storage t).st_online_expr_bytes
   in
-  let full = storage_at 1.0 and tenth = storage_at 0.1 in
+  let full = storage_at 1 and tenth = storage_at 10 in
   Alcotest.(check bool)
     (Printf.sprintf "10%% sampling smaller (%d vs %d)" tenth full)
     true
@@ -436,23 +447,6 @@ let test_forensics_moonwalk_finds_origin () =
   match Core.Forensics.random_moonwalk (Crypto.Rng.create ~seed:63) ~flows ~walks:100 ~max_hops:5 with
   | (top, _) :: _ -> Alcotest.(check string) "origin found" "origin" top
   | [] -> Alcotest.fail "no walks"
-
-let test_prov_store_aging () =
-  let store = Core.Prov_store.create ~offline_enabled:true () in
-  let tu = Tuple.make "p" [ Value.V_int 1 ] in
-  Core.Prov_store.record_base store tu ~key:"a";
-  Core.Prov_store.retire store tu ~now:10.0;
-  Alcotest.(check int) "one offline record" 1 (List.length (Core.Prov_store.offline_records store));
-  let dropped = Core.Prov_store.age_offline store ~now:100.0 ~max_age:50.0 () in
-  Alcotest.(check int) "aged out" 1 dropped;
-  (* persist flag protects marked tuples *)
-  let tu2 = Tuple.make "p" [ Value.V_int 2 ] in
-  Core.Prov_store.record_base store tu2 ~key:"b";
-  Core.Prov_store.retire store tu2 ~now:10.0;
-  let dropped2 =
-    Core.Prov_store.age_offline store ~now:100.0 ~max_age:50.0 ~persist:(fun _ -> true) ()
-  in
-  Alcotest.(check int) "persisted" 0 dropped2
 
 (* --- metrics ------------------------------------------------------------------- *)
 
@@ -937,7 +931,6 @@ let suite : unit Alcotest.test_case list =
     Alcotest.test_case "forensics bloom query" `Quick test_forensics_bloom_path_query;
     Alcotest.test_case "forensics sampling" `Quick test_forensics_sampling_recovers_path;
     Alcotest.test_case "forensics moonwalk" `Quick test_forensics_moonwalk_finds_origin;
-    Alcotest.test_case "prov store aging" `Quick test_prov_store_aging;
     Alcotest.test_case "metrics overheads" `Quick test_metrics_overheads;
     Alcotest.test_case "metrics shape checks" `Quick test_metrics_shape_checks;
     Alcotest.test_case "virtual clock monotone" `Quick test_virtual_clock_monotone_in_costs;
@@ -1147,21 +1140,20 @@ let test_ttl_expiry_matches_scratch () =
     (Core.Bestpath_workload.prov_snapshot t "reachable"
     = Core.Bestpath_workload.prov_snapshot t2 "reachable")
 
-(* Satellite: a keyed replacement ([Db.insert] returning [Replaced])
-   must retire the incumbent's provenance to the offline store — the
-   history of the displaced value is forensic state, not garbage. *)
+(* A keyed replacement ([Db.insert] returning [Replaced]) must retire
+   the incumbent's provenance to the offline log — the history of the
+   displaced value is forensic state, not garbage. *)
 let test_replaced_incumbent_retired_offline () =
-  let cfg =
-    { Core.Config.sendlog_prov with Core.Config.rsa_bits; offline_store = true }
-  in
-  let t, _ = mk_runtime ~cfg ~n:8 () in
-  run_links t;
-  (* Best-Path over a random topology replaces incumbents as better
-     costs arrive; no TTL ever fires, so every offline record here
-     comes from replacement (or the retraction passes it triggers). *)
-  let storage = Core.Runtime.total_storage t in
-  Alcotest.(check bool) "replaced incumbents retired offline" true
-    (storage.st_offline_records > 0)
+  Test_store.with_temp_dir (fun dir ->
+      let cfg = Core.Config.with_prov_log Core.Config.sendlog_prov (Some dir) in
+      let t, _ = mk_runtime ~cfg ~n:8 () in
+      run_links t;
+      (* Best-Path over a random topology replaces incumbents as better
+         costs arrive; no TTL ever fires, so every offline record here
+         comes from replacement (or the retraction passes it
+         triggers). *)
+      check_retired_to_log t ~rel:"bestPathCost";
+      Core.Runtime.shutdown t)
 
 (* Link churn with and without the domain pool: a --jobs 1 and a
    --jobs 4 run over the same flap schedule must agree tuple-for-tuple

@@ -1,7 +1,8 @@
 (* Tests for the persisted provenance log (lib/store) and the offline
    query path over it: crash-safe recovery (torn tail, crash injected
    mid-compaction), run -> restart -> offline traceback byte-identity
-   against live traceback, the 1/K flow-sampling bound, and the
+   against live traceback at node and domain granularity, the 1/K
+   flow-sampling bound, and the
    persisted Bloom-digest prefilter's false-positive rate. *)
 
 open Engine
@@ -141,47 +142,72 @@ let crash_compaction_case hook () =
 
 (* --- run -> restart -> offline traceback --------------------------- *)
 
-let mk_prov_runtime ~dir ?(sample = 1) () =
-  let topo = Net.Topology.random (Crypto.Rng.create ~seed:7) ~n:8 () in
+let mk_prov_runtime ~dir ?(sample = 1) ?(granularity = Core.Config.Node_level) ?(n = 8)
+    ?(seed = 7) () =
+  let topo = Net.Topology.random (Crypto.Rng.create ~seed) ~n () in
   let cfg = { Core.Config.sendlog_prov with rsa_bits } in
   let cfg = Core.Config.with_prov_log cfg (Some dir) in
   let cfg = Core.Config.with_prov_sample cfg sample in
+  let cfg = Core.Config.with_granularity cfg granularity in
   let t =
-    Core.Runtime.create ~rng:(Crypto.Rng.create ~seed:8) ~cfg ~topo
+    Core.Runtime.create ~rng:(Crypto.Rng.create ~seed:(seed + 1)) ~cfg ~topo
       ~program:(Ndlog.Programs.best_path ()) ()
   in
   Core.Runtime.install_links t;
   ignore (Core.Runtime.run t);
   t
 
-let test_offline_byte_identity () =
+(* Does the tree stop at an AS boundary somewhere?  The cut leaf is
+   located at, and asserted by, the origin domain ("as<i>"). *)
+let rec ends_in_domain (tree : Provenance.Derivation.t) : bool =
+  match tree with
+  | Provenance.Derivation.Leaf { ann; _ } ->
+    String.starts_with ~prefix:"as" ann.a_location && ann.a_says = Some ann.a_location
+  | Provenance.Derivation.Rule { children; _ } -> List.exists ends_in_domain children
+  | Provenance.Derivation.Union { alternatives; _ } -> List.exists ends_in_domain alternatives
+  | Provenance.Derivation.Unreachable _ -> false
+
+(* Live traceback against the offline walk over the same run's log,
+   before and after the log is reopened.  At domain granularity the
+   AS cut is the one step where the live stores and the log are
+   consulted in a different order; it needs two ASes, which
+   [Topology.random] creates from N = 20 on. *)
+let offline_byte_identity ~granularity ~n ~seed () =
   with_temp_dir (fun dir ->
-      let t = mk_prov_runtime ~dir () in
+      let t = mk_prov_runtime ~dir ~granularity ~n ~seed () in
       Core.Runtime.sync_prov_log t;
       let live =
         List.map
-          (fun (addr, tuple) ->
-            let r = Core.Traceback.query t ~at:addr tuple in
-            (addr, Tuple.identity tuple,
-             Provenance.Prov_expr.canonical_string r.Core.Traceback.expr))
+          (fun (addr, tuple) -> (addr, Tuple.identity tuple, Core.Traceback.query t ~at:addr tuple))
           (Core.Runtime.query_all t "bestPath")
       in
       Alcotest.(check bool) "live tuples to compare" true
         (List.length live > 10);
+      if granularity = Core.Config.As_level then
+        Alcotest.(check bool) "some live tree stops at a domain" true
+          (List.exists (fun (_, _, r) -> ends_in_domain r.Core.Traceback.tree) live);
       let check_against log =
         List.iter
-          (fun (addr, ident, want) ->
+          (fun (addr, ident, (want : Core.Traceback.result)) ->
             let r =
-              Core.Traceback.offline_query log ~at:addr ~ident ()
+              Core.Traceback.offline_query log ~granularity ~at:addr ~ident ()
             in
             Alcotest.(check bool)
               (Printf.sprintf "offline %s at %s complete" ident addr)
               false r.Core.Traceback.partial;
             Alcotest.(check string)
               (Printf.sprintf "offline %s at %s" ident addr)
-              want
+              (Provenance.Prov_expr.canonical_string want.expr)
               (Provenance.Prov_expr.canonical_string r.Core.Traceback.expr))
-          live
+          live;
+        (* the log as of time 0 has no record for the root itself *)
+        let addr, ident, _ = List.hd live in
+        let r = Core.Traceback.offline_query log ~granularity ~before:0.0 ~at:addr ~ident () in
+        Alcotest.(check bool) "log before t=0 is partial" true r.Core.Traceback.partial;
+        match r.Core.Traceback.tree with
+        | Provenance.Derivation.Unreachable { location; _ } ->
+          Alcotest.(check string) "unreachable root at the queried node" addr location
+        | _ -> Alcotest.fail "log before t=0 should leave the root unreachable"
       in
       (match Core.Runtime.prov_log t with
       | None -> Alcotest.fail "runtime has no prov log"
@@ -196,6 +222,10 @@ let test_offline_byte_identity () =
       Alcotest.(check bool) "restart sees digests" true
         (Store.Prov_log.digest_count log > 0);
       Store.Prov_log.close log)
+
+let test_offline_byte_identity () =
+  offline_byte_identity ~granularity:Core.Config.Node_level ~n:8 ~seed:7 ();
+  offline_byte_identity ~granularity:Core.Config.As_level ~n:20 ~seed:33 ()
 
 let test_provenance_query_backends () =
   with_temp_dir (fun dir ->
