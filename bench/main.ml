@@ -14,16 +14,11 @@
                                               normalized walls, speedups,
                                               fixpoint sizes); exits nonzero
                                               on regression
-     dune exec bench/main.exe -- --smoke      CI gate: tiny sweep + index
-                                              ablation + a small SeNDLog
-                                              (Auth_rsa) crypto ablation + a
-                                              lossy fault ablation; exits
-                                              nonzero when indexed joins stop
-                                              beating scans, when the crypto
-                                              fast path stops beating naive
-                                              exponentiation, when fast-path
-                                              signatures are not
-                                              byte-identical, when
+     dune exec bench/main.exe -- --smoke      CI gate: tiny sweep + a lossy
+                                              fault ablation, written to
+                                              BENCH_smoke.json so it never
+                                              overwrites the full record;
+                                              exits nonzero when
                                               reliable delivery under loss
                                               stops reaching the fault-free
                                               fixpoint (or takes longer than
@@ -34,18 +29,14 @@
                                               (shards=4) misses its 1.5x
                                               parallel speedup on a host
                                               with >= 4 domains or breaks
-                                              byte-identity, when the
-                                              signature cache records zero
-                                              hits, or when any engine changes
-                                              the fixpoint or recorded
-                                              provenance
+                                              byte-identity, or when any
+                                              engine changes the fixpoint or
+                                              recorded provenance
 
    Output sections:
      Figure 3  query completion time (s) per configuration
      Figure 4  bandwidth utilization (MB) per configuration
      Section 6 overhead summary (the paper's +53%/+36%/+41%/+54% text)
-     Index ablation  hash-indexed joins vs full-relation scans
-     Crypto ablation Montgomery/CRT + signature cache vs naive mod-pow
      Fault ablation  loss x {best-effort, reliable} delivery + mid-run crash
      Ablation A  local vs distributed provenance
      Ablation B  proactive vs reactive maintenance
@@ -84,10 +75,9 @@ let parse_args () =
       micro_only = false; skip_micro = false; smoke = false; n1000 = true;
       compare_file = None; base_cfg = Core.Config.default }
   in
-  (* Config-level flags (--rsa-bits, --no-indexes, --no-crypto-fastpath,
-     --loss/--dup/--crash/--reliable/...) go through the same
-     [Core.Config.of_args] parser psn uses; whatever it doesn't
-     recognize is handled here. *)
+  (* Config-level flags (--rsa-bits, --loss/--dup/--crash/--reliable/...)
+     go through the same [Core.Config.of_args] parser psn uses; whatever
+     it doesn't recognize is handled here. *)
   let leftover =
     match Core.Config.of_args (List.tl (Array.to_list Sys.argv)) with
     | Ok (cfg, leftover) ->
@@ -207,12 +197,13 @@ let calibration_ops_per_sec () : float =
 let calibration = lazy (calibration_ops_per_sec ())
 
 (* Machine-readable companion to the human tables: the sweep points,
-   the index- and crypto-ablation comparisons, and the figure phase's
-   metrics snapshot, for tracking the perf trajectory across PRs.
-   Returns the document so main can hand it to the [--compare] gate. *)
+   the ablation records, and the figure phase's metrics snapshot, for
+   tracking the perf trajectory across changes.  A smoke run writes
+   BENCH_smoke.json, so it cannot overwrite the committed full record
+   in BENCH_results.json.  Returns the document so main can hand it to
+   the [--compare] gate. *)
 let write_results_json (o : options) (points : Core.Bestpath_workload.point list)
-    ~(figure_metrics : Obs.Json.t) ~(index_ablation : Obs.Json.t)
-    ~(crypto_ablation : Obs.Json.t) ~(fault_ablation : Obs.Json.t)
+    ~(figure_metrics : Obs.Json.t) ~(fault_ablation : Obs.Json.t)
     ~(jobs_ablation : Obs.Json.t) ~(shards_ablation : Obs.Json.t)
     ~(verify_ablation : Obs.Json.t) ~(churn_ablation : Obs.Json.t)
     ~(forensics_ablation : Obs.Json.t) ~(sweep_n1000 : Obs.Json.t) : Obs.Json.t =
@@ -224,8 +215,6 @@ let write_results_json (o : options) (points : Core.Bestpath_workload.point list
         ("rsa_bits", Obs.Json.Int o.rsa_bits);
         ("calibration_ops_per_sec", Obs.Json.Float (Lazy.force calibration));
         ("points", Obs.Json.List (List.map Core.Bestpath_workload.point_to_json points));
-        ("index_ablation", index_ablation);
-        ("crypto_ablation", crypto_ablation);
         ("fault_ablation", fault_ablation);
         ("jobs_ablation", jobs_ablation);
         ("shards_ablation", shards_ablation);
@@ -235,16 +224,17 @@ let write_results_json (o : options) (points : Core.Bestpath_workload.point list
         ("sweep_n1000", sweep_n1000);
         ("metrics", figure_metrics) ]
   in
-  let oc = open_out "BENCH_results.json" in
+  let file = if o.smoke then "BENCH_smoke.json" else "BENCH_results.json" in
+  let oc = open_out file in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
       output_string oc (Obs.Json.to_string doc);
       output_char oc '\n');
   Printf.printf
-    "\nwrote BENCH_results.json (%d points + index/crypto/fault/jobs/shards/verify/\
-     churn/forensics ablations + metrics snapshot)\n"
-    (List.length points);
+    "\nwrote %s (%d points + fault/jobs/shards/verify/churn/forensics ablations + \
+     metrics snapshot)\n"
+    file (List.length points);
   doc
 
 (* The [--compare BASELINE.json] regression gate: diff the fresh
@@ -269,218 +259,6 @@ let run_compare (baseline_path : string) (current : Obs.Json.t) : unit =
     Printf.eprintf "\nCOMPARE FAILURE vs %s:\n" baseline_path;
     List.iter (fun i -> Printf.eprintf "  - %s\n" i) issues;
     exit 1
-
-(* --- Index ablation: hash-indexed joins vs full-relation scans ----------- *)
-
-(* The tentpole comparison: the same Best-Path run with the per-store
-   secondary indexes enabled vs disabled (pure O(|R|*|S|) scans, the
-   pre-index evaluator).  NDLog configuration so join work — not
-   crypto — dominates the measured CPU.  Returns the JSON record for
-   BENCH_results.json and the speedup (scan wall / indexed wall). *)
-let index_ablation (o : options) : Obs.Json.t * float =
-  hr "Index ablation: hash-indexed joins vs full-relation scans";
-  (* Large enough that join work dominates the (join-independent)
-     message and retraction-notice overhead the incremental
-     maintenance layer adds; at N=80 the index speedup drowned in
-     delivery costs. *)
-  let n = 100 in
-  Printf.printf
-    "workload: Best-Path over one random topology, N=%d, NDLog config\n\
-     (wall seconds are real evaluator CPU; the virtual clock is unaffected\n\
-     by indexing, so completion time is not the metric here)\n\n"
-    n;
-  let topo = Net.Topology.random (Crypto.Rng.create ~seed:2026) ~n () in
-  let directory =
-    Core.Bestpath_workload.shared_directory ~rsa_bits:o.rsa_bits topo.Net.Topology.nodes
-  in
-  let measure use_indexes =
-    phase_reset ();
-    let cfg = { Core.Config.ndlog with rsa_bits = o.rsa_bits; use_indexes } in
-    let t =
-      Core.Runtime.create ~directory ~rng:(Crypto.Rng.create ~seed:1) ~cfg ~topo
-        ~program:(Ndlog.Programs.best_path ()) ()
-    in
-    Core.Runtime.install_links t;
-    let r = Core.Runtime.run t in
-    let best = List.length (Core.Runtime.query_all t "bestPath") in
-    let c name = Obs.Metrics.value (Obs.Metrics.counter Obs.Metrics.default name) in
-    ( r.wall_seconds,
-      best,
-      c "db.index_probes",
-      c "db.index_hits",
-      c "db.index_builds",
-      c "db.full_scans" )
-  in
-  let scan_wall, scan_best, _, _, _, scan_scans = measure false in
-  let idx_wall, idx_best, probes, hits, builds, idx_scans = measure true in
-  let speedup = if idx_wall > 0.0 then scan_wall /. idx_wall else 0.0 in
-  Printf.printf "%-10s %14s %14s %14s %14s\n" "joins" "wall (s)" "best paths"
-    "index probes" "full scans";
-  Printf.printf "%-10s %14.3f %14d %14s %14d\n" "scan" scan_wall scan_best "-" scan_scans;
-  Printf.printf "%-10s %14.3f %14d %14d %14d\n" "indexed" idx_wall idx_best probes
-    idx_scans;
-  Printf.printf "\nspeedup (scan/indexed): %.2fx  index hit rate: %.1f%%  builds: %d\n"
-    speedup
-    (if probes > 0 then 100.0 *. float_of_int hits /. float_of_int probes else 0.0)
-    builds;
-  if scan_best <> idx_best then begin
-    (* The fixpoint must be identical under both join strategies;
-       intermediate derivation counts may differ (candidate order
-       changes the races replace policies resolve), but the final
-       relation contents may not. *)
-    Printf.eprintf "FAILURE: fixpoints differ (%d bestPath tuples scan vs %d indexed)\n"
-      scan_best idx_best;
-    exit 1
-  end;
-  ( Obs.Json.Obj
-      [ ("workload", Obs.Json.Str "best-path, one topology, NDLog config");
-        ("n", Obs.Json.Int n);
-        ("scan_wall_seconds", Obs.Json.Float scan_wall);
-        ("indexed_wall_seconds", Obs.Json.Float idx_wall);
-        ("speedup", Obs.Json.Float speedup);
-        ("best_paths", Obs.Json.Int scan_best);
-        ("index_probes", Obs.Json.Int probes);
-        ("index_hits", Obs.Json.Int hits);
-        ("index_builds", Obs.Json.Int builds);
-        ("full_scans_indexed_run", Obs.Json.Int idx_scans) ],
-    speedup )
-
-(* --- Crypto ablation: Montgomery/CRT + signature cache vs naive --------- *)
-
-(* The same SeNDLogProv (Auth_rsa + shipped provenance) Best-Path run
-   with the crypto fast path enabled vs disabled.  Disabled means naive
-   full-width square-and-multiply per signature and no sender-side
-   cache — the pre-fastpath crypto layer.  Signatures are
-   deterministic, so both paths must produce byte-identical bytes; that
-   is asserted directly on a message corpus signed both ways, and the
-   fixpoint must be identical.  (Wire and message counts may differ
-   slightly: measured crypto CPU feeds the virtual clock, so faster
-   signing changes event interleaving and with it which intermediate
-   tuples ship before being superseded.)
-
-   The measured scenario is convergence plus one link-flap cycle
-   (down, re-converge, up, re-converge): Best-Path alone never
-   re-derives an identical remote head, so steady-state convergence
-   signs every payload exactly once, but the reinstall re-derives and
-   re-ships tuples whose bytes the sender already signed — the
-   signature cache (which, unlike the sent cache, survives
-   retraction) must resolve those as digest hits.  The fastpath leg
-   asserts hits > 0 to pin the sign-before-sent-cache layering.
-   Exits nonzero on any mismatch so the smoke gate catches crypto
-   regressions. *)
-let crypto_ablation (o : options) : Obs.Json.t * float =
-  hr "Crypto ablation: Montgomery/CRT + signature cache vs naive mod-pow";
-  let n = if o.smoke then 12 else 40 in
-  Printf.printf
-    "workload: Best-Path + one link-flap cycle over one random topology, N=%d,\n\
-     SeNDLogProv config (Auth_rsa, %d-bit keys, shipped provenance).  Wall seconds\n\
-     are real CPU, dominated by per-tuple signing; signatures and the fixpoint must\n\
-     be identical under both paths, and the flap's re-shipments must hit the\n\
-     sender-side signature cache.\n\n"
-    n o.rsa_bits;
-  let topo = Net.Topology.random (Crypto.Rng.create ~seed:2027) ~n () in
-  let directory =
-    Core.Bestpath_workload.shared_directory ~rsa_bits:o.rsa_bits topo.Net.Topology.nodes
-  in
-  (* Direct byte-identity check: a corpus signed by both paths. *)
-  let signer = Sendlog.Principal.find_exn directory (List.hd topo.Net.Topology.nodes) in
-  let mismatches = ref 0 in
-  for i = 0 to 31 do
-    let msg = Printf.sprintf "crypto-ablation corpus message %d" i in
-    let fast = Crypto.Rsa.sign ~fastpath:true signer.keypair.private_ msg in
-    let naive = Crypto.Rsa.sign ~fastpath:false signer.keypair.private_ msg in
-    if not (String.equal fast naive) then incr mismatches;
-    if not (Crypto.Rsa.verify ~fastpath:true signer.keypair.public ~signature:fast msg)
-    then incr mismatches;
-    if not (Crypto.Rsa.verify ~fastpath:false signer.keypair.public ~signature:fast msg)
-    then incr mismatches
-  done;
-  if !mismatches > 0 then begin
-    Printf.eprintf
-      "FAILURE: CRT/Montgomery signatures diverge from naive exponentiation \
-       (%d mismatches over 32 messages)\n"
-      !mismatches;
-    exit 1
-  end;
-  Printf.printf "signature byte-identity: ok (32-message corpus, both paths, cross-verified)\n\n";
-  let measure use_crypto_fastpath =
-    phase_reset ();
-    let cfg =
-      { Core.Config.sendlog_prov with rsa_bits = o.rsa_bits; use_crypto_fastpath }
-    in
-    let t =
-      Core.Runtime.create ~directory ~rng:(Crypto.Rng.create ~seed:1) ~cfg ~topo
-        ~program:(Ndlog.Programs.best_path ()) ()
-    in
-    Core.Runtime.install_links t;
-    let r = Core.Runtime.run t in
-    (* One full flap cycle on the first physical link: the reinstall
-       re-derives routes that flowed over it and re-ships payloads the
-       sender already signed (the sign cache's hit source; see the
-       header comment).  Both legs run the identical scenario. *)
-    let flap = List.hd topo.Net.Topology.links in
-    Core.Runtime.link_down t ~src:flap.Net.Topology.l_src ~dst:flap.Net.Topology.l_dst;
-    let r_down = Core.Runtime.run t in
-    Core.Runtime.link_up t ~src:flap.Net.Topology.l_src ~dst:flap.Net.Topology.l_dst;
-    let r_up = Core.Runtime.run t in
-    let wall = r.wall_seconds +. r_down.wall_seconds +. r_up.wall_seconds in
-    let best = List.length (Core.Runtime.query_all t "bestPath") in
-    let stats = Core.Runtime.stats t in
-    let c name = Obs.Metrics.value (Obs.Metrics.counter Obs.Metrics.default name) in
-    ( wall,
-      best,
-      stats.Net.Stats.signatures_generated,
-      stats.Net.Stats.bytes_total,
-      c "crypto.sign_cache_hits",
-      c "crypto.sign_cache_misses" )
-  in
-  let naive_wall, naive_best, naive_sigs, naive_bytes, _, _ = measure false in
-  let fast_wall, fast_best, fast_sigs, fast_bytes, hits, misses = measure true in
-  let speedup = if fast_wall > 0.0 then naive_wall /. fast_wall else 0.0 in
-  Printf.printf "%-10s %14s %14s %14s %14s\n" "crypto" "wall (s)" "best paths"
-    "signatures" "wire bytes";
-  Printf.printf "%-10s %14.3f %14d %14d %14d\n" "naive" naive_wall naive_best naive_sigs
-    naive_bytes;
-  Printf.printf "%-10s %14.3f %14d %14d %14d\n" "fastpath" fast_wall fast_best fast_sigs
-    fast_bytes;
-  Printf.printf
-    "\nspeedup (naive/fastpath): %.2fx  sign cache: %d hits / %d misses (%.1f%% hit rate)\n"
-    speedup hits misses
-    (if hits + misses > 0 then 100.0 *. float_of_int hits /. float_of_int (hits + misses)
-     else 0.0);
-  if naive_best <> fast_best then begin
-    (* The fixpoint must be identical under both crypto paths; message
-       and byte counts may differ (timing changes interleaving), but
-       the final relation contents may not. *)
-    Printf.eprintf "FAILURE: fast path changed the fixpoint (%d bestPath tuples vs %d)\n"
-      naive_best fast_best;
-    exit 1
-  end;
-  if hits = 0 then begin
-    (* Signing happens before the sent-cache dedup, so re-derivations of
-       already-shipped tuples must hit the sender-side signature cache.
-       Zero hits means the cache was silently bypassed — the layering
-       regression this gate exists to catch. *)
-    Printf.eprintf
-      "FAILURE: the signature cache recorded zero hits (%d misses) - is signing \
-       still layered before the sent-cache dedup?\n"
-      misses;
-    exit 1
-  end;
-  ( Obs.Json.Obj
-      [ ("workload", Obs.Json.Str "best-path, one topology, SeNDLogProv config");
-        ("n", Obs.Json.Int n);
-        ("rsa_bits", Obs.Json.Int o.rsa_bits);
-        ("naive_wall_seconds", Obs.Json.Float naive_wall);
-        ("fastpath_wall_seconds", Obs.Json.Float fast_wall);
-        ("speedup", Obs.Json.Float speedup);
-        ("signatures_naive", Obs.Json.Int naive_sigs);
-        ("signatures_fastpath", Obs.Json.Int fast_sigs);
-        ("sign_cache_hits", Obs.Json.Int hits);
-        ("sign_cache_misses", Obs.Json.Int misses);
-        ("signatures_byte_identical", Obs.Json.Bool true);
-        ("best_paths", Obs.Json.Int fast_best) ],
-    speedup )
 
 (* --- Fault ablation: loss x {best-effort, reliable} delivery ------------- *)
 
@@ -1590,17 +1368,11 @@ let micro (o : options) =
   let tests =
     [ Test.make ~name:"sha256 (256B)" (Staged.stage (fun () -> Crypto.Sha256.digest msg));
       Test.make
-        ~name:(Printf.sprintf "rsa-%d sign (fast)" o.rsa_bits)
-        (Staged.stage (fun () -> Crypto.Rsa.sign ~fastpath:true kp.private_ msg));
+        ~name:(Printf.sprintf "rsa-%d sign" o.rsa_bits)
+        (Staged.stage (fun () -> Crypto.Rsa.sign kp.private_ msg));
       Test.make
-        ~name:(Printf.sprintf "rsa-%d sign (naive)" o.rsa_bits)
-        (Staged.stage (fun () -> Crypto.Rsa.sign ~fastpath:false kp.private_ msg));
-      Test.make
-        ~name:(Printf.sprintf "rsa-%d verify (fast)" o.rsa_bits)
-        (Staged.stage (fun () -> Crypto.Rsa.verify ~fastpath:true kp.public ~signature msg));
-      Test.make
-        ~name:(Printf.sprintf "rsa-%d verify (naive)" o.rsa_bits)
-        (Staged.stage (fun () -> Crypto.Rsa.verify ~fastpath:false kp.public ~signature msg));
+        ~name:(Printf.sprintf "rsa-%d verify" o.rsa_bits)
+        (Staged.stage (fun () -> Crypto.Rsa.verify kp.public ~signature msg));
       Test.make ~name:"hmac-sha256" (Staged.stage (fun () -> Crypto.Hmac.sha256 ~key:"k" msg));
       Test.make ~name:"bdd condense (12 keys)"
         (Staged.stage (fun () -> Provenance.Condense.condense ctx deep_expr));
@@ -1643,8 +1415,6 @@ let () =
   if o.micro_only then micro o
   else begin
     let points, figure_metrics = figures o in
-    let abl_json, speedup = index_ablation o in
-    let crypto_json, crypto_speedup = crypto_ablation o in
     let fault_json, reliable_ok, reliable_max_sim = fault_ablation o in
     let jobs_json, jobs_speedup, _jobs_ok = jobs_ablation o in
     let shards_json, shards_speedup, _shards_ok = shards_ablation o in
@@ -1655,8 +1425,7 @@ let () =
     in
     let n1000_json = if o.n1000 then sweep_n1000 o else Obs.Json.Null in
     let results_doc =
-      write_results_json o points ~figure_metrics ~index_ablation:abl_json
-        ~crypto_ablation:crypto_json ~fault_ablation:fault_json
+      write_results_json o points ~figure_metrics ~fault_ablation:fault_json
         ~jobs_ablation:jobs_json ~shards_ablation:shards_json
         ~verify_ablation:verify_json ~churn_ablation:churn_json
         ~forensics_ablation:forensics_json ~sweep_n1000:n1000_json
@@ -1674,20 +1443,6 @@ let () =
       ablation_granularity o;
       phase_metrics "ablation D";
       if not o.skip_micro then micro o
-    end;
-    if o.smoke && speedup < 1.1 then begin
-      Printf.eprintf
-        "SMOKE FAILURE: indexed joins are no longer beating full scans \
-         (speedup %.2fx < 1.10x)\n"
-        speedup;
-      exit 1
-    end;
-    if o.smoke && crypto_speedup < 1.5 then begin
-      Printf.eprintf
-        "SMOKE FAILURE: the crypto fast path is no longer beating naive \
-         exponentiation (speedup %.2fx < 1.50x)\n"
-        crypto_speedup;
-      exit 1
     end;
     if o.smoke && not reliable_ok then begin
       Printf.eprintf

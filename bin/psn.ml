@@ -85,14 +85,6 @@ let run_cmd =
          & info [ "config" ] ~doc:"ndlog | sendlog | sendlogprov")
   in
   let rsa_bits = Arg.(value & opt int 384 & info [ "rsa-bits" ] ~doc:"RSA modulus size") in
-  let no_indexes =
-    Arg.(value & flag & info [ "no-indexes" ] ~doc:"Disable secondary hash indexes (ablation)")
-  in
-  let no_fastpath =
-    Arg.(value & flag
-         & info [ "no-crypto-fastpath" ]
-             ~doc:"Disable CRT/Montgomery RSA and the signature cache (ablation)")
-  in
   let loss =
     Arg.(value & opt float 0.0
          & info [ "loss" ] ~docv:"P" ~doc:"Per-message drop probability on every link")
@@ -224,7 +216,7 @@ let run_cmd =
                    identities and record 1 in K flows into the provenance log \
                    (deterministic per key; 1 = capture and record everything)")
   in
-  let run file nodes seed cfg rsa_bits no_indexes no_fastpath loss dup reorder jitter
+  let run file nodes seed cfg rsa_bits loss dup reorder jitter
       crashes fault_seed reliable retries ack_timeout max_backoff jobs shards
       prov_granularity flap_rate churn advance with_links show metrics_out
       metrics_format trace_out chrome_out events_out prov_log prov_sample =
@@ -236,8 +228,6 @@ let run_cmd =
     let cfg =
       try
         let c = Core.Config.with_rsa_bits cfg rsa_bits in
-        let c = Core.Config.with_indexes c (not no_indexes) in
-        let c = Core.Config.with_crypto_fastpath c (not no_fastpath) in
         let c = Core.Config.with_loss c loss in
         let c = Core.Config.with_dup c dup in
         let c = Core.Config.with_reorder c reorder in
@@ -371,7 +361,7 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Execute a program over a simulated network")
-    Term.(const run $ file $ nodes $ seed $ cfg $ rsa_bits $ no_indexes $ no_fastpath
+    Term.(const run $ file $ nodes $ seed $ cfg $ rsa_bits
           $ loss $ dup $ reorder $ jitter $ crashes $ fault_seed $ reliable $ retries
           $ ack_timeout $ max_backoff $ jobs $ shards
           $ prov_granularity $ flap_rate

@@ -546,13 +546,6 @@ module Mont = struct
     end
 end
 
-(* Montgomery-backed [mod_pow] for odd moduli > 1, falling back to the
-   naive ladder otherwise (the RSA hot path always has an odd modulus). *)
-let mod_pow_fast (b : t) (e : t) (m : t) : t =
-  if (not (is_zero m)) && (not (is_even m)) && not (equal m one) then
-    Mont.mod_pow (Mont.ctx m) b e
-  else mod_pow b e m
-
 let pow (b : t) (e : int) : t =
   if e < 0 then invalid_arg "Nat.pow";
   let rec go acc b e =

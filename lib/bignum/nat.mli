@@ -55,11 +55,6 @@ val mod_pow : t -> t -> t -> t
 
 val gcd : t -> t -> t
 
-val mod_pow_fast : t -> t -> t -> t
-(** [mod_pow_fast b e m] equals {!mod_pow} but runs through {!Mont}
-    when [m] is odd and [> 1] (precomputed per-modulus constants, no
-    per-step division); even moduli fall back to the naive ladder. *)
-
 (** Montgomery modular arithmetic for a fixed odd modulus: the
     per-modulus constants ([-m^-1] mod base, [R^2] mod m) are computed
     once, after which modular exponentiation needs no division at

@@ -4,20 +4,17 @@
    The three configurations of Section 6 are:
      NDLog        = { auth = Auth_none;  prov = Prov_off }
      SeNDLog      = { auth = Auth_rsa;   prov = Prov_off }
-     SeNDLogProv  = { auth = Auth_rsa;   prov = Prov_local;
-                      repr = Repr_condensed }
-   The remaining knobs cover Sections 4 and 5 (distributed provenance,
-   the offline log, proactive vs reactive maintenance, sampling,
-   AS granularity). *)
+     SeNDLogProv  = { auth = Auth_rsa;   prov = Prov_local }
+   Every run verifies each received assertion, joins through the
+   per-store hash indexes, signs by CRT/Montgomery exponentiation and
+   ships provenance BDD-condensed (Section 4.4).  The remaining knobs
+   cover Sections 4 and 5 (distributed provenance, the offline log,
+   proactive vs reactive maintenance, sampling, AS granularity). *)
 
 type prov_mode =
   | Prov_off
   | Prov_local (* ship provenance with each tuple (Section 4.1) *)
   | Prov_distributed (* store per-hop pointers; traceback on demand *)
-
-type prov_repr =
-  | Repr_raw (* full provenance expression on the wire *)
-  | Repr_condensed (* BDD-condensed (Section 4.4) *)
 
 type maintenance =
   | Proactive (* eagerly maintain and propagate provenance *)
@@ -50,19 +47,10 @@ let default_cost_model =
 type t = {
   auth : Sendlog.Auth.mode;
   prov : prov_mode;
-  repr : prov_repr;
   maintenance : maintenance;
   granularity : granularity;
   sign_provenance : bool; (* per-node signatures on provenance (Section 4.3) *)
   rsa_bits : int;
-  verify_signatures : bool;
-  use_indexes : bool;
-      (* secondary hash indexes on the per-node stores; off forces the
-         evaluator onto full-relation scans (bench ablation) *)
-  use_crypto_fastpath : bool;
-      (* CRT/Montgomery RSA plus the sender-side signature cache; off
-         forces naive full-width modular exponentiation per tuple
-         (bench ablation; signatures are byte-identical either way) *)
   cost_model : cost_model;
   fault : Net.Fault.model; (* how the simulated network misbehaves *)
   reliable : bool; (* per-channel seq/ACK/retransmit delivery layer *)
@@ -108,14 +96,10 @@ type t = {
 let default =
   { auth = Sendlog.Auth.Auth_none;
     prov = Prov_off;
-    repr = Repr_condensed;
     maintenance = Proactive;
     granularity = Node_level;
     sign_provenance = false;
     rsa_bits = 384;
-    verify_signatures = true;
-    use_indexes = true;
-    use_crypto_fastpath = true;
     cost_model = default_cost_model;
     fault = Net.Fault.ideal;
     reliable = false;
@@ -134,11 +118,7 @@ let ndlog = default
 
 let sendlog = { default with auth = Sendlog.Auth.Auth_rsa }
 
-let sendlog_prov =
-  { default with
-    auth = Sendlog.Auth.Auth_rsa;
-    prov = Prov_local;
-    repr = Repr_condensed }
+let sendlog_prov = { default with auth = Sendlog.Auth.Auth_rsa; prov = Prov_local }
 
 let name (c : t) : string =
   match (c.auth, c.prov) with
@@ -168,11 +148,6 @@ let of_name (s : string) : (t, string) result =
 let with_rsa_bits (c : t) (rsa_bits : int) : t =
   if rsa_bits < 128 then invalid_arg "Config.with_rsa_bits: need >= 128 bits";
   { c with rsa_bits }
-
-let with_indexes (c : t) (use_indexes : bool) : t = { c with use_indexes }
-
-let with_crypto_fastpath (c : t) (use_crypto_fastpath : bool) : t =
-  { c with use_crypto_fastpath }
 
 let with_fault (c : t) (fault : Net.Fault.model) : t = { c with fault }
 
@@ -261,8 +236,8 @@ let granularity_of_string (s : string) : (granularity, string) result =
 
 (* Argv-style construction: consume the flags this module understands
    and hand everything else back to the caller's own parser.  Both
-   binaries route their command line through here so ablation and
-   fault toggles stay uniform. *)
+   binaries route their command line through here so fault and engine
+   knobs stay uniform. *)
 let of_args ?(base = default) (args : string list) : (t * string list, string) result
     =
   let float_arg flag v k =
@@ -285,8 +260,6 @@ let of_args ?(base = default) (args : string list) : (t * string list, string) r
         go
           { preset with
             rsa_bits = cfg.rsa_bits;
-            use_indexes = cfg.use_indexes;
-            use_crypto_fastpath = cfg.use_crypto_fastpath;
             fault = cfg.fault;
             reliable = cfg.reliable;
             retry_limit = cfg.retry_limit;
@@ -305,9 +278,6 @@ let of_args ?(base = default) (args : string list) : (t * string list, string) r
       int_arg "--rsa-bits" v (fun b ->
           try go (with_rsa_bits cfg b) leftover rest
           with Invalid_argument e -> Error e)
-    | "--no-indexes" :: rest -> go (with_indexes cfg false) leftover rest
-    | "--no-crypto-fastpath" :: rest ->
-      go (with_crypto_fastpath cfg false) leftover rest
     | "--loss" :: v :: rest ->
       float_arg "--loss" v (fun p ->
           try go (with_loss cfg p) leftover rest

@@ -205,11 +205,7 @@ let compare_bench ~(baseline : Obs.Json.t) ~(current : Obs.Json.t) : string list
     | _ -> ()
   in
   List.iter wall
-    [ [ "index_ablation"; "scan_wall_seconds" ];
-      [ "index_ablation"; "indexed_wall_seconds" ];
-      [ "crypto_ablation"; "naive_wall_seconds" ];
-      [ "crypto_ablation"; "fastpath_wall_seconds" ];
-      [ "jobs_ablation"; "seq_wall_seconds" ];
+    [ [ "jobs_ablation"; "seq_wall_seconds" ];
       [ "jobs_ablation"; "par_wall_seconds" ];
       [ "shards_ablation"; "seq_wall_seconds" ];
       [ "shards_ablation"; "sharded_wall_seconds" ];
@@ -219,14 +215,10 @@ let compare_bench ~(baseline : Obs.Json.t) ~(current : Obs.Json.t) : string list
       [ "forensics_ablation"; "provlog_wall_seconds" ];
       [ "forensics_ablation"; "offline_query"; "p99_seconds" ] ];
   List.iter speedup
-    [ [ "index_ablation"; "speedup" ];
-      [ "crypto_ablation"; "speedup" ];
-      [ "jobs_ablation"; "speedup" ];
+    [ [ "jobs_ablation"; "speedup" ];
       [ "shards_ablation"; "speedup" ] ];
   List.iter exact
-    [ [ "index_ablation"; "best_paths" ];
-      [ "crypto_ablation"; "best_paths" ];
-      [ "jobs_ablation"; "best_paths" ];
+    [ [ "jobs_ablation"; "best_paths" ];
       [ "shards_ablation"; "fixpoint_rows" ];
       [ "verify_ablation"; "best_paths" ];
       [ "fault_ablation"; "baseline_best_paths" ];

@@ -304,7 +304,7 @@ let create ?(directory : Sendlog.Principal.directory option) ~(rng : Crypto.Rng.
   let nodes = Hashtbl.create (List.length topo.Net.Topology.nodes) in
   List.iter
     (fun addr ->
-      let db = Db.create ~indexing:cfg.use_indexes () in
+      let db = Db.create () in
       Db.configure_from_program db compiled.c_program;
       let principal =
         match Sendlog.Principal.find directory addr with
@@ -446,9 +446,7 @@ let create ?(directory : Sendlog.Principal.directory option) ~(rng : Crypto.Rng.
       prov_log;
       log_mu = Mutex.create ();
       pool;
-      verify_pipelined =
-        Option.is_some pool && cfg.Config.verify_signatures
-        && cfg.Config.auth = Sendlog.Auth.Auth_rsa;
+      verify_pipelined = Option.is_some pool && cfg.Config.auth = Sendlog.Auth.Auth_rsa;
       vq_mu = Mutex.create ();
       vq_futures = Hashtbl.create 256;
       obs_events = Obs.Events.create ~capacity:8192 ();
@@ -575,8 +573,7 @@ let capture_derivation (t : t) (n : node) (deriv : Eval.derivation) :
     let signature, signer =
       if t.cfg.sign_provenance then begin
         Net.Stats.record_signature t.stats;
-        ( Sendlog.Auth.sign_provenance_node ~fastpath:t.cfg.use_crypto_fastpath
-            t.cfg.auth n.n_principal ~node_repr,
+        ( Sendlog.Auth.sign_provenance_node t.cfg.auth n.n_principal ~node_repr,
           Some n.n_addr )
       end
       else (None, None)
@@ -613,26 +610,17 @@ let locked (mu : Mutex.t) (f : unit -> 'a) : 'a =
     Mutex.unlock mu;
     raise e
 
-(* Wire block for a shipped provenance expression.  Condensed mode
-   ships the serialized BDD itself, as the paper's modified P2 does;
-   raw mode ships the expression tree.  The condense context (BDD
-   manager, memoized wire cache) is shared across nodes, so access is
-   serialized under [prov_mu]. *)
+(* Wire block for a shipped provenance expression: the serialized BDD
+   itself, as the paper's modified P2 ships it (Section 4.4).  The
+   condense context (BDD manager, memoized wire cache) is shared
+   across nodes, so access is serialized under [prov_mu]. *)
 let encode_prov (t : t) (e : Provenance.Prov_expr.t) : string =
-  match t.cfg.repr with
-  | Config.Repr_raw -> Provenance.Prov_expr.encode e
-  | Config.Repr_condensed ->
-    locked t.prov_mu (fun () -> Provenance.Condense.to_wire t.prov_ctx e)
+  locked t.prov_mu (fun () -> Provenance.Condense.to_wire t.prov_ctx e)
 
 let decode_prov (t : t) (block : string) : Provenance.Prov_expr.t =
-  match t.cfg.repr with
-  | Config.Repr_raw -> (
-    try Provenance.Prov_expr.decode block
-    with Provenance.Prov_expr.Decode_error _ -> Provenance.Prov_expr.zero)
-  | Config.Repr_condensed -> (
-    try locked t.prov_mu (fun () -> Provenance.Condense.of_wire t.prov_ctx block)
-    with Bdd.Deserialize_error _ | Provenance.Condense.Wire_error _ ->
-      Provenance.Prov_expr.zero)
+  try locked t.prov_mu (fun () -> Provenance.Condense.of_wire t.prov_ctx block)
+  with Bdd.Deserialize_error _ | Provenance.Condense.Wire_error _ ->
+    Provenance.Prov_expr.zero
 
 (* --- message plumbing ------------------------------------------------ *)
 
@@ -806,14 +794,12 @@ let send (t : t) (xc : exec_ctx) (sender : node) (emit : Eval.emit) : unit =
       v
   in
   let fresh = not (Hashtbl.mem variants cache_variant) in
-  (* Signing runs *before* the sent-cache verdict on the RSA fastpath:
+  (* Under RSA, signing runs *before* the sent-cache verdict:
      [Wire.signed_bytes] excludes the seq and the provenance block, so
      a re-derivation re-shipping the same (dest, tuple) — whatever its
      provenance variant — recurs byte-identically and resolves as a
-     digest-cache hit rather than never reaching the cache at all.
-     Without the fastpath the old layering stands (no speculative
-     exponentiation for a message the sent cache is about to drop). *)
-  if fresh || (t.cfg.auth = Sendlog.Auth.Auth_rsa && t.cfg.use_crypto_fastpath) then begin
+     digest-cache hit rather than never reaching the cache at all. *)
+  if fresh || t.cfg.auth = Sendlog.Auth.Auth_rsa then begin
     (* The signed bytes live in the domain's scratch arena only long
        enough to be digested (or MACed) by [make_auth_slice]; no
        string is ever materialized on this path. *)
@@ -821,10 +807,7 @@ let send (t : t) (xc : exec_ctx) (sender : node) (emit : Eval.emit) : unit =
       Net.Wire.signed_slice (Net.Arena.scratch ()) ~src:sender.n_addr
         ~dst:emit.e_dest tuple
     in
-    let auth =
-      Sendlog.Auth.make_auth_slice ~fastpath:t.cfg.use_crypto_fastpath t.cfg.auth
-        sender.n_principal bytes
-    in
+    let auth = Sendlog.Auth.make_auth_slice t.cfg.auth sender.n_principal bytes in
     if fresh then begin
       Hashtbl.add variants cache_variant ();
       (match t.cfg.auth with
@@ -916,10 +899,7 @@ let send_retract (t : t) (xc : exec_ctx) (sender : node) ~(dest : string)
     Net.Wire.retract_signed_slice (Net.Arena.scratch ()) ~src:sender.n_addr
       ~dst:dest tuple
   in
-  let auth =
-    Sendlog.Auth.make_auth_slice ~fastpath:t.cfg.use_crypto_fastpath t.cfg.auth
-      sender.n_principal bytes
-  in
+  let auth = Sendlog.Auth.make_auth_slice t.cfg.auth sender.n_principal bytes in
   (match t.cfg.auth with
   | Sendlog.Auth.Auth_rsa | Sendlog.Auth.Auth_hmac -> Net.Stats.record_signature t.stats
   | Sendlog.Auth.Auth_none | Sendlog.Auth.Auth_cleartext -> ());
@@ -1118,8 +1098,8 @@ let verdict_for (t : t) (msg : Net.Wire.message) ~(retract : bool)
   match precomputed with
   | Some (fut, slot) -> (Par.Pool.await fut).(slot)
   | None ->
-    Sendlog.Auth.verify_slice ~fastpath:t.cfg.use_crypto_fastpath t.cfg.auth
-      t.directory msg.Net.Wire.msg_auth (Lazy.force bytes)
+    Sendlog.Auth.verify_slice t.cfg.auth t.directory msg.Net.Wire.msg_auth
+      (Lazy.force bytes)
 
 (* Receiver side of a retraction notice: verify it (same outcomes as a
    data message), withdraw the sender from the tuple's external
@@ -1136,8 +1116,6 @@ let handle_retract (t : t) (xc : exec_ctx) (receiver : node)
          ~dst:msg.Net.Wire.msg_dst tuple)
   in
   let ok =
-    (not t.cfg.verify_signatures)
-    ||
     match verdict_for t msg ~retract:true bytes with
     | Sendlog.Auth.Verified _ ->
       (match t.cfg.auth with
@@ -1310,34 +1288,26 @@ let accept_message (t : t) (receiver : node) (msg : Net.Wire.message) :
          ~dst:msg.Net.Wire.msg_dst tuple)
   in
   let asserter =
-    if not t.cfg.verify_signatures then
-      match msg.Net.Wire.msg_auth with
-      | Net.Wire.A_none -> None
-      | Net.Wire.A_principal p
-      | Net.Wire.A_hmac { principal = p; _ }
-      | Net.Wire.A_signature { principal = p; _ } -> Some (Value.V_str p)
-    else begin
-      match verdict_for t msg ~retract:false bytes with
-      | Sendlog.Auth.Verified p ->
-        (match t.cfg.auth with
-        | Sendlog.Auth.Auth_rsa | Sendlog.Auth.Auth_hmac ->
-          Net.Stats.record_verification t.stats ~ok:true;
-          Obs.Events.emit t.obs_events ~at:(now t)
-            (Obs.Events.E_sig_verified { node = receiver.n_addr; ok = true })
-        | _ -> ());
-        Some (Value.V_str p)
-      | Sendlog.Auth.Unsigned -> None
-      | Sendlog.Auth.Forged _ ->
-        Net.Stats.record_verification t.stats ~ok:false;
-        Net.Stats.record_forged t.stats;
-        let at = now t in
-        Obs.Events.emit t.obs_events ~at
-          (Obs.Events.E_sig_verified { node = receiver.n_addr; ok = false });
-        Obs.Events.emit t.obs_events ~at
-          (Obs.Events.E_forged_dropped
-             { node = receiver.n_addr; src = msg.Net.Wire.msg_src });
-        raise Exit
-    end
+    match verdict_for t msg ~retract:false bytes with
+    | Sendlog.Auth.Verified p ->
+      (match t.cfg.auth with
+      | Sendlog.Auth.Auth_rsa | Sendlog.Auth.Auth_hmac ->
+        Net.Stats.record_verification t.stats ~ok:true;
+        Obs.Events.emit t.obs_events ~at:(now t)
+          (Obs.Events.E_sig_verified { node = receiver.n_addr; ok = true })
+      | _ -> ());
+      Some (Value.V_str p)
+    | Sendlog.Auth.Unsigned -> None
+    | Sendlog.Auth.Forged _ ->
+      Net.Stats.record_verification t.stats ~ok:false;
+      Net.Stats.record_forged t.stats;
+      let at = now t in
+      Obs.Events.emit t.obs_events ~at
+        (Obs.Events.E_sig_verified { node = receiver.n_addr; ok = false });
+      Obs.Events.emit t.obs_events ~at
+        (Obs.Events.E_forged_dropped
+           { node = receiver.n_addr; src = msg.Net.Wire.msg_src });
+      raise Exit
   in
   (* The sender now stands behind this tuple: external support that
      keeps it alive through retraction passes until the sender
@@ -1707,8 +1677,8 @@ let flush_verify (t : t) (sh : shard) : unit =
         entries
     in
     let futures =
-      Sendlog.Auth.verify_batch_fanout ~fastpath:t.cfg.use_crypto_fastpath
-        ~chunk:verify_chunk pool t.cfg.auth t.directory items
+      Sendlog.Auth.verify_batch_fanout ~chunk:verify_chunk pool t.cfg.auth t.directory
+        items
     in
     locked t.vq_mu (fun () ->
         Array.iteri

@@ -8,16 +8,11 @@
    verify, signature as wide as the modulus) matches real RSA, which is
    all the paper's evaluation depends on.
 
-   Two execution paths produce byte-identical signatures:
-   - the naive path: one full-width [Nat.mod_pow] (square-and-multiply
-     with a Knuth divmod reduction per step), kept as the ablation
-     baseline;
-   - the fast path (default): CRT signing — two half-width
-     Montgomery exponentiations mod p and q plus Garner recombination —
-     and small-exponent Montgomery verification (e = 65537 walked as a
-     machine int).  Toggled globally with [set_fastpath] or per call
-     with [?fastpath] (the runtime threads [Config.use_crypto_fastpath]
-     through). *)
+   Signing is CRT signing: two half-width Montgomery exponentiations
+   mod p and q plus Garner recombination.  Verification is a
+   small-exponent Montgomery exponentiation (e = 65537 walked as a
+   machine int).  Both produce the bytes a full-width [Nat.mod_pow]
+   would, which the tests use as the oracle. *)
 
 open Bignum
 
@@ -27,18 +22,11 @@ type public_key = { n : Nat.t; e : Nat.t; key_bits : int }
    p-1 / q-1 and the Garner coefficient q^-1 mod p. *)
 type crt = { p : Nat.t; q : Nat.t; d_p : Nat.t; d_q : Nat.t; q_inv : Nat.t }
 
-type private_key = { pub : public_key; d : Nat.t; crt : crt option }
+type private_key = { pub : public_key; d : Nat.t; crt : crt }
 
 type keypair = { public : public_key; private_ : private_key }
 
 let public_exponent = Nat.of_int 65537
-
-(* Default for calls that don't pass [?fastpath] explicitly. *)
-let fastpath_default = ref true
-
-let set_fastpath (b : bool) : unit = fastpath_default := b
-
-let fastpath_enabled () : bool = !fastpath_default
 
 (* Montgomery contexts per modulus: a public key arrives many times
    (every verified message), so the per-modulus precomputation (n',
@@ -90,21 +78,20 @@ let generate (rng : Rng.t) ~(bits : int) : keypair =
         Bigint.mod_inverse (Bigint.of_nat public_exponent) (Bigint.of_nat phi)
       with
       | None -> go () (* e not coprime with phi; extremely rare *)
-      | Some d ->
+      | Some d -> (
         let d = Bigint.to_nat_exn d in
-        let crt =
-          match Bigint.mod_inverse (Bigint.of_nat q) (Bigint.of_nat p) with
-          | None -> None (* p = q is excluded above, so unreachable *)
-          | Some q_inv ->
-            Some
-              { p;
-                q;
-                d_p = Nat.rem d (Nat.sub p Nat.one);
-                d_q = Nat.rem d (Nat.sub q Nat.one);
-                q_inv = Bigint.to_nat_exn q_inv }
-        in
-        let pub = { n; e = public_exponent; key_bits = bits } in
-        { public = pub; private_ = { pub; d; crt } }
+        match Bigint.mod_inverse (Bigint.of_nat q) (Bigint.of_nat p) with
+        | None -> go () (* distinct primes are coprime, so unreachable *)
+        | Some q_inv ->
+          let crt =
+            { p;
+              q;
+              d_p = Nat.rem d (Nat.sub p Nat.one);
+              d_q = Nat.rem d (Nat.sub q Nat.one);
+              q_inv = Bigint.to_nat_exn q_inv }
+          in
+          let pub = { n; e = public_exponent; key_bits = bits } in
+          { public = pub; private_ = { pub; d; crt } })
     end
   in
   go ()
@@ -137,27 +124,18 @@ let crt_power (c : crt) (m : Nat.t) : Nat.t =
    slice in place (no string materialization, and no double digest
    when the sender's sign cache is keyed by the same digest) and hands
    the 32 bytes here. *)
-let sign_digest ?fastpath (priv : private_key) (digest : string) : string =
-  let fastpath = Option.value fastpath ~default:!fastpath_default in
+let sign_digest (priv : private_key) (digest : string) : string =
   Obs.Metrics.timed sign_hist @@ fun () ->
-  let m = encode_digest priv.pub digest in
-  let s =
-    match (fastpath, priv.crt) with
-    | true, Some c -> crt_power c m
-    | true, None -> Nat.Mont.mod_pow (mont_ctx_of priv.pub.n) m priv.d
-    | false, _ -> Nat.mod_pow m priv.d priv.pub.n
-  in
+  let s = crt_power priv.crt (encode_digest priv.pub digest) in
   let raw = Nat.to_bytes_be s in
   (* Left-pad to the full modulus width so signatures have fixed size. *)
   let k = signature_size priv.pub in
   String.make (k - String.length raw) '\000' ^ raw
 
-let sign ?fastpath (priv : private_key) (message : string) : string =
-  sign_digest ?fastpath priv (Sha256.digest message)
+let sign (priv : private_key) (message : string) : string =
+  sign_digest priv (Sha256.digest message)
 
-let verify_digest ?fastpath (pub : public_key) ~(signature : string)
-    (digest : string) : bool =
-  let fastpath = Option.value fastpath ~default:!fastpath_default in
+let verify_digest (pub : public_key) ~(signature : string) (digest : string) : bool =
   Obs.Metrics.timed verify_hist @@ fun () ->
   String.length signature = signature_size pub
   && begin
@@ -165,18 +143,15 @@ let verify_digest ?fastpath (pub : public_key) ~(signature : string)
        Nat.compare s pub.n < 0
        &&
        let recovered =
-         if fastpath then
-           match Nat.to_int_opt pub.e with
-           | Some e -> Nat.Mont.mod_pow_int (mont_ctx_of pub.n) s e
-           | None -> Nat.Mont.mod_pow (mont_ctx_of pub.n) s pub.e
-         else Nat.mod_pow s pub.e pub.n
+         match Nat.to_int_opt pub.e with
+         | Some e -> Nat.Mont.mod_pow_int (mont_ctx_of pub.n) s e
+         | None -> Nat.Mont.mod_pow (mont_ctx_of pub.n) s pub.e
        in
        Nat.equal recovered (encode_digest pub digest)
      end
 
-let verify ?fastpath (pub : public_key) ~(signature : string) (message : string) :
-    bool =
-  verify_digest ?fastpath pub ~signature (Sha256.digest message)
+let verify (pub : public_key) ~(signature : string) (message : string) : bool =
+  verify_digest pub ~signature (Sha256.digest message)
 
 (* Serialized public key, also used for fingerprints in wire messages. *)
 let public_to_string (pub : public_key) : string =

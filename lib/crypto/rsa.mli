@@ -9,11 +9,10 @@
     sign/verify, signature as wide as the modulus) matches real RSA,
     which is what the paper's evaluation depends on.
 
-    Signing and verification each have two paths producing
-    byte-identical results: the naive full-width [Nat.mod_pow]
-    baseline, and the default fast path — CRT signing (two half-width
-    Montgomery exponentiations plus Garner recombination) and
-    small-exponent Montgomery verification. *)
+    Signing is CRT signing (two half-width Montgomery exponentiations
+    plus Garner recombination) and verification a small-exponent
+    Montgomery exponentiation; both give the bytes a full-width
+    [Nat.mod_pow] would, which the tests use as the oracle. *)
 
 type public_key = { n : Bignum.Nat.t; e : Bignum.Nat.t; key_bits : int }
 
@@ -25,19 +24,12 @@ type crt = {
   q_inv : Bignum.Nat.t; (** q^-1 mod p (Garner coefficient) *)
 }
 
-type private_key = { pub : public_key; d : Bignum.Nat.t; crt : crt option }
+type private_key = { pub : public_key; d : Bignum.Nat.t; crt : crt }
 
 type keypair = { public : public_key; private_ : private_key }
 
 val public_exponent : Bignum.Nat.t
 (** 65537. *)
-
-val set_fastpath : bool -> unit
-(** Default for calls that omit [?fastpath]; [true] initially.  The
-    runtime sets this from [Config.use_crypto_fastpath]; the bench
-    crypto ablation flips it to time the naive baseline. *)
-
-val fastpath_enabled : unit -> bool
 
 val generate : Rng.t -> bits:int -> keypair
 (** Deterministic given the generator state.  The private key retains
@@ -48,19 +40,17 @@ val generate : Rng.t -> bits:int -> keypair
 val signature_size : public_key -> int
 (** Signature width in bytes (the modulus width). *)
 
-val sign : ?fastpath:bool -> private_key -> string -> string
-(** Sign the SHA-256 digest of the message; fixed-width output.
-    [?fastpath] selects CRT/Montgomery vs the naive exponentiation
-    (identical bytes either way); defaults to {!set_fastpath}'s value. *)
+val sign : private_key -> string -> string
+(** Sign the SHA-256 digest of the message; fixed-width output. *)
 
-val sign_digest : ?fastpath:bool -> private_key -> string -> string
+val sign_digest : private_key -> string -> string
 (** Sign an already-computed 32-byte SHA-256 digest.  The wire hot
     path digests a message slice in place and keys the sender's sign
     cache by the same digest, so nothing is hashed twice. *)
 
-val verify : ?fastpath:bool -> public_key -> signature:string -> string -> bool
+val verify : public_key -> signature:string -> string -> bool
 
-val verify_digest : ?fastpath:bool -> public_key -> signature:string -> string -> bool
+val verify_digest : public_key -> signature:string -> string -> bool
 (** Verify against an already-computed 32-byte SHA-256 digest. *)
 
 val public_to_string : public_key -> string

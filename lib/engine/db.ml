@@ -65,7 +65,7 @@ type t = {
   no_refresh : (string, unit) Hashtbl.t;
       (* relations whose tuples keep their original expiry on
          re-derivation; default is to extend (see [set_refresh_on_rederive]) *)
-  mutable indexing : bool; (* when off, [probe] falls back to a scan *)
+  indexing : bool; (* when off, [probe] falls back to a scan *)
 }
 
 (* Shared-registry instrumentation of the index machinery, created at
@@ -81,8 +81,6 @@ let create ?(indexing = true) () =
     ttls = Hashtbl.create 8;
     no_refresh = Hashtbl.create 8;
     indexing }
-
-let set_indexing (db : t) (on : bool) : unit = db.indexing <- on
 
 let rel_store (db : t) (name : string) : rel_store =
   match Hashtbl.find_opt db.rels name with

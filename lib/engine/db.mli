@@ -40,10 +40,8 @@ type meta = {
 type t
 
 val create : ?indexing:bool -> unit -> t
-
-val set_indexing : t -> bool -> unit
-(** When off, {!probe} degrades to full-relation scans (the bench's
-    index ablation). *)
+(** [~indexing:false] makes {!probe} scan whole relations; tests use
+    such a store as the oracle for the indexed one. *)
 
 val set_policy : t -> string -> policy -> unit
 val policy : t -> string -> policy

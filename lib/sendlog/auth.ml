@@ -33,9 +33,7 @@ let mode_to_string = function
    The cache earns hits when the same tuple is re-shipped to the same
    destination under a *different* provenance block: the sent cache
    misses but the signed bytes recur (covered by the live-path fixture
-   in test_sendlog.ml and asserted by the bench crypto ablation, which
-   runs the provenance-shipping configuration for exactly this
-   reason). *)
+   in test_sendlog.ml). *)
 let c_cache_hits = Obs.Metrics.counter Obs.Metrics.default "crypto.sign_cache_hits"
 
 let c_cache_misses = Obs.Metrics.counter Obs.Metrics.default "crypto.sign_cache_misses"
@@ -54,40 +52,30 @@ let sign_cache_mu = Mutex.create ()
    hashed twice and the signed bytes are never materialized as a
    string.  Signatures are deterministic, so a hit is byte-identical
    to a cold signing. *)
-let rsa_sign_cached_slice ~(fastpath : bool) (sender : Principal.t)
-    (bytes : Net.Arena.slice) : string =
+let rsa_sign_cached_slice (sender : Principal.t) (bytes : Net.Arena.slice) : string =
   let digest = Net.Arena.with_bytes bytes Crypto.Sha256.digest_bytes in
-  if not fastpath then Crypto.Rsa.sign_digest ~fastpath sender.keypair.private_ digest
-  else begin
+  Mutex.lock sign_cache_mu;
+  let cached = Hashtbl.find_opt sender.sig_cache digest in
+  Mutex.unlock sign_cache_mu;
+  match cached with
+  | Some s ->
+    Obs.Metrics.inc c_cache_hits;
+    s
+  | None ->
+    Obs.Metrics.inc c_cache_misses;
+    let s = Crypto.Rsa.sign_digest sender.keypair.private_ digest in
     Mutex.lock sign_cache_mu;
-    let cached = Hashtbl.find_opt sender.sig_cache digest in
+    if Hashtbl.length sender.sig_cache >= sign_cache_max then
+      Hashtbl.reset sender.sig_cache;
+    Hashtbl.replace sender.sig_cache digest s;
     Mutex.unlock sign_cache_mu;
-    match cached with
-    | Some s ->
-      Obs.Metrics.inc c_cache_hits;
-      s
-    | None ->
-      Obs.Metrics.inc c_cache_misses;
-      let s = Crypto.Rsa.sign_digest ~fastpath sender.keypair.private_ digest in
-      Mutex.lock sign_cache_mu;
-      if Hashtbl.length sender.sig_cache >= sign_cache_max then
-        Hashtbl.reset sender.sig_cache;
-      Hashtbl.replace sender.sig_cache digest s;
-      Mutex.unlock sign_cache_mu;
-      s
-  end
+    s
 
-let rsa_sign_cached ~(fastpath : bool) (sender : Principal.t) (bytes : string) : string
-    =
-  rsa_sign_cached_slice ~fastpath sender (Net.Arena.of_string bytes)
-
-(* Sign (or just attribute) the slice on behalf of [principal].
-   [?fastpath] gates both the CRT/Montgomery exponentiation and the
-   signature cache (Config.use_crypto_fastpath).  The slice is only
-   read during the call (digested or MACed), never retained, so
-   callers may pass views into a scratch arena. *)
-let make_auth_slice ?(fastpath = true) (mode : mode) (sender : Principal.t)
-    (bytes : Net.Arena.slice) : Net.Wire.auth =
+(* Sign (or just attribute) the slice on behalf of [principal].  The
+   slice is only read during the call (digested or MACed), never
+   retained, so callers may pass views into a scratch arena. *)
+let make_auth_slice (mode : mode) (sender : Principal.t) (bytes : Net.Arena.slice) :
+    Net.Wire.auth =
   match mode with
   | Auth_none -> Net.Wire.A_none
   | Auth_cleartext -> Net.Wire.A_principal sender.name
@@ -99,11 +87,10 @@ let make_auth_slice ?(fastpath = true) (mode : mode) (sender : Principal.t)
   | Auth_rsa ->
     Net.Wire.A_signature
       { principal = sender.name;
-        signature = rsa_sign_cached_slice ~fastpath sender bytes }
+        signature = rsa_sign_cached_slice sender bytes }
 
-let make_auth ?fastpath (mode : mode) (sender : Principal.t) (bytes : string)
-    : Net.Wire.auth =
-  make_auth_slice ?fastpath mode sender (Net.Arena.of_string bytes)
+let make_auth (mode : mode) (sender : Principal.t) (bytes : string) : Net.Wire.auth =
+  make_auth_slice mode sender (Net.Arena.of_string bytes)
 
 type verdict =
   | Verified of string (* principal whose assertion checked out *)
@@ -115,8 +102,8 @@ type verdict =
    the benign mode); HMAC and RSA are cryptographically checked,
    straight out of the slice (the receive buffer) with no intermediate
    string. *)
-let verify_slice ?(fastpath = true) (mode : mode) (directory : Principal.directory)
-    (auth : Net.Wire.auth) (bytes : Net.Arena.slice) : verdict =
+let verify_slice (mode : mode) (directory : Principal.directory) (auth : Net.Wire.auth)
+    (bytes : Net.Arena.slice) : verdict =
   match (mode, auth) with
   | Auth_none, _ -> Unsigned
   | Auth_cleartext, Net.Wire.A_principal p -> Verified p
@@ -136,14 +123,14 @@ let verify_slice ?(fastpath = true) (mode : mode) (directory : Principal.directo
     | None -> Forged (Printf.sprintf "unknown principal %s" principal)
     | Some sender ->
       let digest = Net.Arena.with_bytes bytes Crypto.Sha256.digest_bytes in
-      if Crypto.Rsa.verify_digest ~fastpath (Principal.public_key sender) ~signature digest
+      if Crypto.Rsa.verify_digest (Principal.public_key sender) ~signature digest
       then Verified principal
       else Forged (Printf.sprintf "bad signature from %s" principal))
   | Auth_rsa, _ -> Forged "missing signature"
 
-let verify ?fastpath (mode : mode) (directory : Principal.directory)
-    (auth : Net.Wire.auth) (bytes : string) : verdict =
-  verify_slice ?fastpath mode directory auth (Net.Arena.of_string bytes)
+let verify (mode : mode) (directory : Principal.directory) (auth : Net.Wire.auth)
+    (bytes : string) : verdict =
+  verify_slice mode directory auth (Net.Arena.of_string bytes)
 
 (* --- batched verification --------------------------------------------- *)
 
@@ -158,21 +145,21 @@ let c_verify_batches = Obs.Metrics.counter Obs.Metrics.default "crypto.verify_ba
 
 let c_verify_batch_size = Obs.Metrics.counter Obs.Metrics.default "crypto.verify_batch_size"
 
-let verify_batch ?(fastpath = true) (mode : mode) (directory : Principal.directory)
+let verify_batch (mode : mode) (directory : Principal.directory)
     (items : (Net.Wire.auth * Net.Arena.slice) array) : verdict array =
   if Array.length items > 0 then begin
     Obs.Metrics.inc c_verify_batches;
     Obs.Metrics.inc ~by:(Array.length items) c_verify_batch_size
   end;
-  Array.map (fun (auth, bytes) -> verify_slice ~fastpath mode directory auth bytes) items
+  Array.map (fun (auth, bytes) -> verify_slice mode directory auth bytes) items
 
 (* Fan a batch across the pool in [chunk]-sized slabs, one async task
    each; item [j]'s verdict is slot [j mod chunk] of future
    [j / chunk].  Callers await lazily — a future not yet started when
    its verdict is demanded is stolen and run inline, so the fallback
    degenerates to exactly the scalar path. *)
-let verify_batch_fanout ?(fastpath = true) ?(chunk = 16) (pool : Par.Pool.t)
-    (mode : mode) (directory : Principal.directory)
+let verify_batch_fanout ?(chunk = 16) (pool : Par.Pool.t) (mode : mode)
+    (directory : Principal.directory)
     (items : (Net.Wire.auth * Net.Arena.slice) array) :
     verdict array Par.Pool.future array =
   if chunk < 1 then invalid_arg "Auth.verify_batch_fanout: chunk must be >= 1";
@@ -181,18 +168,18 @@ let verify_batch_fanout ?(fastpath = true) ?(chunk = 16) (pool : Par.Pool.t)
   Array.init nslabs (fun i ->
       let lo = i * chunk in
       let slab = Array.sub items lo (min chunk (n - lo)) in
-      Par.Pool.async pool (fun () -> verify_batch ~fastpath mode directory slab))
+      Par.Pool.async pool (fun () -> verify_batch mode directory slab))
 
 (* Sign an individual provenance node (authenticated provenance,
    Section 4.3: "individual nodes in the provenance tree need to have
    digital signatures to validate the authenticity of the computed
    provenance"). *)
-let sign_provenance_node ?(fastpath = true) (mode : mode) (sender : Principal.t)
-    ~(node_repr : string) : string option =
+let sign_provenance_node (mode : mode) (sender : Principal.t) ~(node_repr : string) :
+    string option =
   match mode with
   | Auth_none | Auth_cleartext -> None
   | Auth_hmac -> Some (Crypto.Hmac.sha256 ~key:sender.hmac_key node_repr)
-  | Auth_rsa -> Some (Crypto.Rsa.sign ~fastpath sender.keypair.private_ node_repr)
+  | Auth_rsa -> Some (Crypto.Rsa.sign sender.keypair.private_ node_repr)
 
 let verify_provenance_node (mode : mode) (directory : Principal.directory)
     ~(principal : string) ~(node_repr : string) ~(signature : string) : bool =

@@ -128,10 +128,7 @@ let test_mont_known_values () =
   check_nat "b=1" Nat.one (Nat.Mont.mod_pow c Nat.one (Nat.of_int 99));
   check_nat "int exponent"
     (Nat.mod_pow (Nat.of_int 3) (Nat.of_int 65537) p)
-    (Nat.Mont.mod_pow_int c (Nat.of_int 3) 65537);
-  check_nat "fast = naive (even modulus fallback)"
-    (Nat.mod_pow (Nat.of_int 7) (Nat.of_int 130) (Nat.of_int 4096))
-    (Nat.mod_pow_fast (Nat.of_int 7) (Nat.of_int 130) (Nat.of_int 4096))
+    (Nat.Mont.mod_pow_int c (Nat.of_int 3) 65537)
 
 let test_mont_limb_bound () =
   (* 512 limbs is the widest modulus whose Montgomery columns fit a
@@ -311,13 +308,6 @@ let prop_mont_matches_naive =
     (fun (b, e, m) ->
       Nat.equal (Nat.Mont.mod_pow (Nat.Mont.ctx m) b e) (Nat.mod_pow b e m))
 
-let prop_mod_pow_fast_matches_naive =
-  QCheck.Test.make ~name:"mod_pow_fast = mod_pow (any modulus)" ~count:150
-    QCheck.(triple big_nat_gen big_nat_gen big_nat_gen)
-    (fun (b, e, m) ->
-      QCheck.assume (not (Nat.is_zero m));
-      Nat.equal (Nat.mod_pow_fast b e m) (Nat.mod_pow b e m))
-
 let prop_mont_int_exponent =
   QCheck.Test.make ~name:"Montgomery int exponent = Nat exponent" ~count:150
     QCheck.(triple big_nat_gen (int_bound 200_000) odd_modulus_gen)
@@ -483,7 +473,6 @@ let suite : unit Alcotest.test_case list =
         prop_gcd_divides;
         prop_mod_pow_mul;
         prop_mont_matches_naive;
-        prop_mod_pow_fast_matches_naive;
         prop_mont_int_exponent;
         prop_mont_wide_moduli;
         prop_mont_int_wide_moduli;

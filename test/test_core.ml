@@ -194,6 +194,41 @@ let test_forged_messages_dropped_batched () =
     (Obs.Metrics.value (Obs.Metrics.counter Obs.Metrics.default "crypto.verify_batches") > 0);
   Core.Runtime.shutdown t
 
+let test_forged_retraction_dropped () =
+  (* n1 converges with its honest key, then signs with a rogue one and
+     loses a link: the retraction notices it sends for tuples it had
+     shipped must fail verification at the receivers, which keep the
+     tuples the forged notices name. *)
+  let topo = Net.Topology.line ~n:3 () in
+  let directory =
+    Sendlog.Principal.directory_for (Crypto.Rng.create ~seed:31) ~rsa_bits topo.nodes
+  in
+  let t =
+    Core.Runtime.create ~directory ~rng:(Crypto.Rng.create ~seed:32)
+      ~cfg:{ Core.Config.sendlog with rsa_bits } ~topo
+      ~program:(Ndlog.Programs.best_path ()) ()
+  in
+  run_links t;
+  let forged0 = Core.Runtime.dropped_forged t in
+  let failures0 = (Core.Runtime.stats t).verification_failures in
+  let retracts = ref [] in
+  Core.Runtime.set_message_tap t (fun _ msg ->
+      if msg.Net.Wire.msg_kind = Net.Wire.K_retract && msg.Net.Wire.msg_src = "n1" then
+        retracts := (msg.Net.Wire.msg_dst, msg.Net.Wire.msg_tuple) :: !retracts);
+  let rogue = Sendlog.Principal.create (Crypto.Rng.create ~seed:33) ~name:"n1" ~rsa_bits () in
+  Core.Runtime.replace_principal t ~at:"n1" rogue;
+  Core.Runtime.link_down t ~src:"n1" ~dst:"n2";
+  ignore (Core.Runtime.run t);
+  Alcotest.(check bool) "n1 sent retraction notices" true (!retracts <> []);
+  Alcotest.(check bool) "forged drops rose" true (Core.Runtime.dropped_forged t > forged0);
+  Alcotest.(check bool) "verification failures rose" true
+    ((Core.Runtime.stats t).verification_failures > failures0);
+  Alcotest.(check bool) "a tuple n1 tried to retract survives at its receiver" true
+    (List.exists
+       (fun (dst, tuple) ->
+         List.exists (Tuple.equal tuple) (Core.Runtime.query t ~at:dst tuple.Tuple.rel))
+       !retracts)
+
 (* --- provenance taxonomy ------------------------------------------------------ *)
 
 let paper_topology_runtime cfg =
@@ -871,9 +906,9 @@ let test_compare_bench_gate () =
   let doc ?(cal = 1000.0) ~wall ~speedup ~best () =
     Obs.Json.Obj
       [ ("calibration_ops_per_sec", Obs.Json.Float cal);
-        ( "index_ablation",
+        ( "jobs_ablation",
           Obs.Json.Obj
-            [ ("scan_wall_seconds", Obs.Json.Float wall);
+            [ ("seq_wall_seconds", Obs.Json.Float wall);
               ("speedup", Obs.Json.Float speedup);
               ("best_paths", Obs.Json.Int best) ] ) ]
   in
@@ -913,6 +948,8 @@ let suite : unit Alcotest.test_case list =
     Alcotest.test_case "says-program variant" `Quick test_sendlog_program_variant;
     Alcotest.test_case "three configs agree" `Quick test_three_configs_agree;
     Alcotest.test_case "forged messages dropped" `Quick test_forged_messages_dropped;
+    Alcotest.test_case "forged retraction notices dropped" `Quick
+      test_forged_retraction_dropped;
     Alcotest.test_case "forged messages dropped (batched verify)" `Quick
       test_forged_messages_dropped_batched;
     Alcotest.test_case "paper example provenance" `Quick test_paper_example_provenance;

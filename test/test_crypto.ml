@@ -193,51 +193,41 @@ let test_rsa_modulus_too_small () =
   Alcotest.check_raises "too small" (Invalid_argument "Rsa.generate: modulus too small")
     (fun () -> ignore (Rsa.generate (Rng.create ~seed:1) ~bits:32))
 
-(* --- CRT / Montgomery fast path ----------------------------------------------- *)
+(* --- CRT / Montgomery signing ------------------------------------------------- *)
 
 let nat = Alcotest.testable (fun fmt n -> Format.fprintf fmt "%s" (Bignum.Nat.to_string n))
     Bignum.Nat.equal
 
+(* The oracle for [Rsa.sign]: one full-width square-and-multiply
+   exponentiation of the padded digest, left-padded to the modulus
+   width. *)
+let naive_sign (priv : Rsa.private_key) (msg : string) : string =
+  let m = Rsa.encode_digest priv.pub (Sha256.digest msg) in
+  let raw = Bignum.Nat.to_bytes_be (Bignum.Nat.mod_pow m priv.d priv.pub.n) in
+  String.make (Rsa.signature_size priv.pub - String.length raw) '\000' ^ raw
+
 let test_rsa_crt_material () =
   let kp = Rsa.generate (Rng.create ~seed:21) ~bits:384 in
-  match kp.private_.crt with
-  | None -> Alcotest.fail "generate did not retain CRT material"
-  | Some c ->
-    let open Bignum in
-    Alcotest.check nat "p*q = n" kp.public.n (Nat.mul c.p c.q);
-    Alcotest.check nat "d_p = d mod p-1"
-      (Nat.rem kp.private_.d (Nat.sub c.p Nat.one)) c.d_p;
-    Alcotest.check nat "d_q = d mod q-1"
-      (Nat.rem kp.private_.d (Nat.sub c.q Nat.one)) c.d_q;
-    Alcotest.check nat "q_inv * q = 1 mod p" Nat.one (Nat.rem (Nat.mul c.q_inv c.q) c.p)
+  let c = kp.private_.crt in
+  let open Bignum in
+  Alcotest.check nat "p*q = n" kp.public.n (Nat.mul c.p c.q);
+  Alcotest.check nat "d_p = d mod p-1"
+    (Nat.rem kp.private_.d (Nat.sub c.p Nat.one)) c.d_p;
+  Alcotest.check nat "d_q = d mod q-1"
+    (Nat.rem kp.private_.d (Nat.sub c.q Nat.one)) c.d_q;
+  Alcotest.check nat "q_inv * q = 1 mod p" Nat.one (Nat.rem (Nat.mul c.q_inv c.q) c.p)
 
-let test_rsa_fastpath_byte_identity () =
-  (* The acceptance bar for the whole fast path: CRT/Montgomery signing
-     must be byte-identical to naive exponentiation, and each path's
-     signatures must verify under the other path. *)
+let test_rsa_sign_byte_identity () =
+  (* CRT/Montgomery signing must be byte-identical to naive
+     exponentiation, and the oracle's signatures must verify. *)
   let kp = Rsa.generate (Rng.create ~seed:22) ~bits:384 in
   List.iter
     (fun msg ->
-      let fast = Rsa.sign ~fastpath:true kp.private_ msg in
-      let naive = Rsa.sign ~fastpath:false kp.private_ msg in
-      Alcotest.(check string) "identical bytes" naive fast;
-      Alcotest.(check bool) "fast verifies naive sig" true
-        (Rsa.verify ~fastpath:true kp.public ~signature:naive msg);
-      Alcotest.(check bool) "naive verifies fast sig" true
-        (Rsa.verify ~fastpath:false kp.public ~signature:fast msg))
+      let naive = naive_sign kp.private_ msg in
+      Alcotest.(check string) "identical bytes" naive (Rsa.sign kp.private_ msg);
+      Alcotest.(check bool) "naive signature verifies" true
+        (Rsa.verify kp.public ~signature:naive msg))
     [ ""; "x"; "hello world"; String.make 1000 'z'; "\x00\x01\xff" ]
-
-let test_rsa_fastpath_global_default () =
-  let kp = Rsa.generate (Rng.create ~seed:23) ~bits:384 in
-  Alcotest.(check bool) "fastpath on initially" true (Rsa.fastpath_enabled ());
-  let s_default = Rsa.sign kp.private_ "msg" in
-  Rsa.set_fastpath false;
-  Fun.protect
-    ~finally:(fun () -> Rsa.set_fastpath true)
-    (fun () ->
-      Alcotest.(check bool) "toggle observed" false (Rsa.fastpath_enabled ());
-      Alcotest.(check string) "default path changes nothing" s_default
-        (Rsa.sign kp.private_ "msg"))
 
 (* --- properties --------------------------------------------------------------- *)
 
@@ -259,13 +249,11 @@ let prop_rsa_roundtrip =
       let kp = Lazy.force shared_kp in
       Rsa.verify kp.public ~signature:(Rsa.sign kp.private_ msg) msg)
 
-let prop_rsa_fastpath_matches_naive =
+let prop_rsa_sign_matches_naive =
   QCheck.Test.make ~name:"crt/montgomery signing = naive signing" ~count:20
     QCheck.small_string (fun msg ->
       let kp = Lazy.force shared_kp in
-      String.equal
-        (Rsa.sign ~fastpath:true kp.private_ msg)
-        (Rsa.sign ~fastpath:false kp.private_ msg))
+      String.equal (Rsa.sign kp.private_ msg) (naive_sign kp.private_ msg))
 
 let suite : unit Alcotest.test_case list =
   [ Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
@@ -288,8 +276,7 @@ let suite : unit Alcotest.test_case list =
     Alcotest.test_case "rsa key serialization" `Quick test_rsa_public_key_serialization;
     Alcotest.test_case "rsa modulus too small" `Quick test_rsa_modulus_too_small;
     Alcotest.test_case "rsa crt material" `Quick test_rsa_crt_material;
-    Alcotest.test_case "rsa fastpath byte identity" `Quick test_rsa_fastpath_byte_identity;
-    Alcotest.test_case "rsa fastpath global default" `Quick test_rsa_fastpath_global_default ]
+    Alcotest.test_case "rsa fastpath byte identity" `Quick test_rsa_sign_byte_identity ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_sha_distinct; prop_hmac_key_sensitivity; prop_rsa_roundtrip;
-        prop_rsa_fastpath_matches_naive ]
+        prop_rsa_sign_matches_naive ]

@@ -106,7 +106,7 @@ let cache_counter name = Obs.Metrics.value (Obs.Metrics.counter Obs.Metrics.defa
 let test_sign_cache_hit_identical () =
   (* Signing the same payload twice: one miss then one hit, and the
      cached signature is byte-identical both to the cold one and to a
-     naive (non-fastpath) signing. *)
+     naive full-width signing. *)
   Obs.Metrics.reset Obs.Metrics.default;
   let d = Sendlog.Principal.directory_for (rng ()) ~rsa_bits:384 [ "a" ] in
   let sender = Sendlog.Principal.find_exn d "a" in
@@ -123,7 +123,7 @@ let test_sign_cache_hit_identical () =
   Alcotest.(check int) "one hit" (hits0 + 1) (cache_counter "crypto.sign_cache_hits");
   Alcotest.(check string) "cache hit byte-identical to cold" cold cached;
   Alcotest.(check string) "identical to naive signing" cold
-    (Crypto.Rsa.sign ~fastpath:false sender.keypair.private_ bytes);
+    (Test_crypto.naive_sign sender.keypair.private_ bytes);
   (* clearing the cache forces a fresh signing, still identical *)
   Sendlog.Principal.clear_sign_caches d;
   let recomputed = sig_of (Sendlog.Auth.make_auth Sendlog.Auth.Auth_rsa sender bytes) in
@@ -131,22 +131,12 @@ let test_sign_cache_hit_identical () =
     (cache_counter "crypto.sign_cache_misses");
   Alcotest.(check string) "recomputed identical" cold recomputed
 
-let test_sign_cache_bypassed_without_fastpath () =
-  Obs.Metrics.reset Obs.Metrics.default;
-  let d = Sendlog.Principal.directory_for (rng ()) ~rsa_bits:384 [ "a" ] in
-  let sender = Sendlog.Principal.find_exn d "a" in
-  for _ = 1 to 3 do
-    ignore (Sendlog.Auth.make_auth ~fastpath:false Sendlog.Auth.Auth_rsa sender "b")
-  done;
-  Alcotest.(check int) "no hits" 0 (cache_counter "crypto.sign_cache_hits");
-  Alcotest.(check int) "no misses" 0 (cache_counter "crypto.sign_cache_misses")
-
 (* End-to-end characterization of the sender sign cache.  The signed
    payload is (src, dst, tuple) — no seq, no provenance block — so any
    re-derivation that re-ships the same tuple to the same destination
-   recurs byte-identically.  On the RSA fastpath the runtime signs
-   *before* consulting the sent cache, precisely so those re-ships
-   resolve as digest-cache hits instead of being deduped away upstream
+   recurs byte-identically.  Under RSA the runtime signs *before*
+   consulting the sent cache, precisely so those re-ships resolve as
+   digest-cache hits instead of being deduped away upstream
    (the pre-fix steady state read 0 hits on every workload).  This
    fixture drives the path explicitly: node n1 derives out(@n2, x)
    once from a local base (provenance <n1>) and once from a relayed
@@ -196,9 +186,8 @@ let test_sign_cache_live_path () =
 
 let test_sign_cache_alive_without_provenance () =
   (* Same scenario without shipped provenance: the sent cache will drop
-     the re-emission, but signing now runs first, so the re-derived
-     identical payload still registers as a cache hit (the steady state
-     the crypto ablation asserts on). *)
+     the re-emission, but signing runs first, so the re-derived
+     identical payload still registers as a cache hit. *)
   let cfg = { Core.Config.sendlog with rsa_bits = 384 } in
   let _, hits_after, st = run_sign_cache_fixture cfg in
   Alcotest.(check bool) "re-derivation hits the sign cache" true (hits_after > 0);
@@ -211,9 +200,9 @@ let verdict_str = function
   | Sendlog.Auth.Unsigned -> "unsigned"
   | Sendlog.Auth.Forged why -> "forged:" ^ why
 
-let signed_item ?(fastpath = true) sender payload =
+let signed_item sender payload =
   let slice = Net.Arena.of_string payload in
-  (Sendlog.Auth.make_auth_slice ~fastpath Sendlog.Auth.Auth_rsa sender slice, slice)
+  (Sendlog.Auth.make_auth_slice Sendlog.Auth.Auth_rsa sender slice, slice)
 
 let test_verify_batch_size_one () =
   Obs.Metrics.reset Obs.Metrics.default;
@@ -263,23 +252,6 @@ let test_verify_batch_unknown_principal () =
   in
   Alcotest.(check string) "unknown principal named" "forged:unknown principal mallory"
     (verdict_str verdicts.(0))
-
-let test_verify_batch_without_fastpath () =
-  (* the naive modular-exponentiation path must agree with the
-     fastpath verdict for both honest and tampered items *)
-  let d = Sendlog.Principal.directory_for (rng ()) ~rsa_bits:384 [ "a" ] in
-  let sender = Sendlog.Principal.find_exn d "a" in
-  let tampered =
-    let auth, _ = signed_item ~fastpath:false sender "t" in
-    (auth, Net.Arena.of_string "t'")
-  in
-  let verdicts =
-    Sendlog.Auth.verify_batch ~fastpath:false Sendlog.Auth.Auth_rsa d
-      [| signed_item ~fastpath:false sender "m0"; tampered |]
-  in
-  Alcotest.(check (list string)) "same verdicts without fastpath"
-    [ "verified:a"; "forged:bad signature from a" ]
-    (Array.to_list (Array.map verdict_str verdicts))
 
 let test_verify_batch_fanout_slots () =
   (* slab layout: item j's verdict is slot [j mod chunk] of future
@@ -364,8 +336,6 @@ let suite : unit Alcotest.test_case list =
     Alcotest.test_case "impersonation" `Quick test_auth_impersonation_detected;
     Alcotest.test_case "provenance node signatures" `Quick test_provenance_node_signing;
     Alcotest.test_case "sign cache hit identical" `Quick test_sign_cache_hit_identical;
-    Alcotest.test_case "sign cache off with naive path" `Quick
-      test_sign_cache_bypassed_without_fastpath;
     Alcotest.test_case "sign cache live path (prov re-shipment)" `Quick
       test_sign_cache_live_path;
     Alcotest.test_case "sign cache alive without provenance" `Quick
@@ -377,8 +347,6 @@ let suite : unit Alcotest.test_case list =
       test_verify_batch_pinpoints_forgery;
     Alcotest.test_case "verify batch: unknown principal" `Quick
       test_verify_batch_unknown_principal;
-    Alcotest.test_case "verify batch: fastpath off" `Quick
-      test_verify_batch_without_fastpath;
     Alcotest.test_case "verify batch: fanout slab slots" `Quick
       test_verify_batch_fanout_slots;
     Alcotest.test_case "compile localizes NDlog" `Quick test_compile_ndlog_localizes;
