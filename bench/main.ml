@@ -1234,8 +1234,9 @@ let ablation_proactive_vs_reactive (o : options) =
         storage.st_online_expr_bytes)
     [ ("proactive", Core.Config.Proactive); ("reactive", Core.Config.Reactive) ];
   Printf.printf
-    "\nexpected: reactive maintains pointers only (no wire or expression cost) and\n\
-     defers computation to query time; proactive pays during execution.\n"
+    "\nexpected: reactive maintains pointers only (no wire cost; expression bytes\n\
+     for base facts only) and defers computation to query time; proactive pays\n\
+     during execution.\n"
 
 (* --- Ablation C: sampling and Bloom digests -------------------------------- *)
 

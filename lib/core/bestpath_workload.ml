@@ -184,8 +184,8 @@ type churn_point = {
   c_reconverge_sim : float; (* virtual seconds from last flap to quiescence *)
   c_updates : int; (* tuples retracted + re-derived during churn *)
   c_updates_per_sec : float; (* updates / incremental wall *)
-  c_fixpoint_match : bool; (* post-churn fixpoint = from-scratch fixpoint *)
-  c_prov_match : bool; (* ... and so is every bestPath provenance *)
+  c_fixpoint_match : bool; (* post-churn Best-Path relations = from-scratch *)
+  c_prov_match : bool; (* ... and so is every tuple's provenance *)
 }
 
 (* The queried fixpoint, normalized for comparison: sorted
@@ -245,11 +245,13 @@ let run_churn ?(cfg = Config.sendlog_prov) ?(seed = 2008) ?(n = 10)
   in
   Runtime.install_links t2;
   let r2 = Runtime.run t2 in
-  let fixpoint_match = fixpoint_snapshot t "bestPath" = fixpoint_snapshot t2 "bestPath" in
+  let rels = [ "link"; "path"; "bestPathCost"; "bestPath" ] in
+  let same snapshot = List.for_all (fun rel -> snapshot t rel = snapshot t2 rel) rels in
+  let fixpoint_match = same fixpoint_snapshot in
   let prov_match =
     match cfg.Config.prov with
     | Config.Prov_off -> fixpoint_match
-    | _ -> prov_snapshot t "bestPath" = prov_snapshot t2 "bestPath"
+    | _ -> same prov_snapshot
   in
   let point =
     { c_config = Config.name cfg;

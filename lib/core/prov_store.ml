@@ -218,13 +218,6 @@ let refresh_entry (e : entry) ~(expr_of : Tuple.t -> Provenance.Prov_expr.t) : b
   end;
   !changed
 
-(* One sweep over every entry; callers iterate sweeps to a fixpoint,
-   propagating the repair up the derivation DAG. *)
-let refresh_derivations (t : t) ~(expr_of : Tuple.t -> Provenance.Prov_expr.t) :
-    bool =
-  let work = Tuple.Table.fold (fun _ e acc -> e :: acc) t.entries [] in
-  List.fold_left (fun changed e -> refresh_entry e ~expr_of || changed) false work
-
 let refresh_tuple (t : t) (tuple : Tuple.t) ~(expr_of : Tuple.t -> Provenance.Prov_expr.t) :
     bool =
   match find t tuple with Some e -> refresh_entry e ~expr_of | None -> false

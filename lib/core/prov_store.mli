@@ -70,16 +70,14 @@ val remove_derivation :
 (** Trim one invalidated derivation alternative and rebuild the
     cached expression from the survivors. *)
 
-val refresh_derivations : t -> expr_of:(Tuple.t -> Provenance.Prov_expr.t) -> bool
-(** Recompute local-derivation alternatives from the {e current}
-    provenance of their body tuples (derivations hold frozen copies
-    that go stale when a body loses or gains an alternative).  Bodies
-    reading Zero keep their recorded expression.  Returns [true] when
-    anything changed; callers sweep to a fixpoint. *)
-
 val refresh_tuple : t -> Tuple.t -> expr_of:(Tuple.t -> Provenance.Prov_expr.t) -> bool
-(** {!refresh_derivations} for one tuple's entry; [false] for an
-    unknown tuple. *)
+(** Recompute one tuple's local-derivation alternatives from the
+    {e current} provenance of their body tuples (derivations hold
+    frozen copies that go stale when a body loses or gains an
+    alternative).  Bodies reading Zero keep their recorded expression.
+    Returns [true] when the tuple's expression changed, [false] for an
+    unknown tuple; the runtime calls it once per head of a changed
+    tuple's support cone, in topological order. *)
 
 val remove_received : t -> Tuple.t -> from:string -> unit
 (** Forget everything a sender contributed (the sender retracted). *)

@@ -530,26 +530,41 @@ let origin_of (n : node) (tuple : Tuple.t) : Store.Prov_log.origin =
   | sender :: _ -> Store.Prov_log.Remote sender
   | [] -> Store.Prov_log.Local
 
-(* A tuple that gains a derivation alternative after its dependents
-   were derived leaves them holding a frozen copy of its old
-   expression: refresh them, and theirs in turn, along [n]'s local
-   support edges.  Without this, recorded provenance depends on
-   whether an equal-cost alternative arrives before or after its
-   dependents are derived. *)
-let refresh_dependents (n : node) (tuple : Tuple.t) : unit =
-  let visited : unit Tuple.Table.t = Tuple.Table.create 8 in
-  let expr_of b = Prov_store.expr_of n.n_prov b in
-  let rec go tup =
-    List.iter
-      (fun (e : Support.entry) ->
-        let h = e.Support.sp_head in
-        if e.Support.sp_dest = None && not (Tuple.Table.mem visited h) then begin
-          Tuple.Table.replace visited h ();
-          if Prov_store.refresh_tuple n.n_prov h ~expr_of then go h
-        end)
+(* The one provenance refresh.  A derivation alternative freezes its
+   bodies' expressions, so when [seeds] change (gained an alternative,
+   lost one, or died) heads in their support cone may hold stale
+   copies.  Walk the cone depth-first from the seeds' heads, shipped
+   heads included (the sender keeps their entries), then refresh each
+   head once in reverse post-order if one of its bodies changed.  On a
+   DAG that order is topological, so one pass reaches the fixpoint
+   whatever order alternatives arrived in; on a cycle the back edge is
+   not followed, so each tuple is refreshed once per lap. *)
+let refresh_dependents (n : node) (seeds : Tuple.t list) : unit =
+  let heads_of tup =
+    List.map (fun (e : Support.entry) -> e.Support.sp_head)
       (Support.dependents_of n.n_support tup)
   in
-  go tuple
+  (* reached head -> whether one of its bodies changed *)
+  let stale : bool Tuple.Table.t = Tuple.Table.create 16 in
+  let order = ref [] in
+  let rec visit tup =
+    if not (Tuple.Table.mem stale tup) then begin
+      Tuple.Table.replace stale tup false;
+      let heads = heads_of tup in
+      List.iter visit heads;
+      order := (tup, heads) :: !order
+    end
+  in
+  let mark = List.iter (fun h -> Tuple.Table.replace stale h true) in
+  List.iter (fun s -> List.iter visit (heads_of s)) seeds;
+  (* marked only now: [visit] reads any entry as visited *)
+  List.iter (fun s -> mark (heads_of s)) seeds;
+  let expr_of b = Prov_store.expr_of n.n_prov b in
+  List.iter
+    (fun (tup, heads) ->
+      if Tuple.Table.find stale tup && Prov_store.refresh_tuple n.n_prov tup ~expr_of then
+        mark heads)
+    !order
 
 (* Record one derivation in [n]'s provenance store and return the
    expression shipped alongside the head tuple (local mode). *)
@@ -594,7 +609,7 @@ let capture_derivation (t : t) (n : node) (deriv : Eval.derivation) :
     if
       Prov_store.record_derivation n.n_prov deriv.d_head ~record ~combined
       && t.cfg.maintenance = Config.Proactive
-    then refresh_dependents n deriv.d_head;
+    then refresh_dependents n [ deriv.d_head ];
     combined
   end
 
@@ -875,9 +890,6 @@ let external_support (t : t) (n : node) (tuple : Tuple.t) : Value.t option list 
   in
   base @ senders
 
-(* Forget every cached send of [tuple] to [dest] (any provenance
-   variant), so a later re-derivation reaches the peer again after a
-   retraction notice was sent. *)
 (* Forget every cached send of [tuple] to [dest]; true when at least
    one variant had actually been sent.  A retraction notice is only
    worth a message when the peer got the assertion in the first place
@@ -991,18 +1003,13 @@ let rec retract_pass (t : t) (xc : exec_ctx) (n : node) ~(lost : Tuple.t list)
              (fun (b, asserter) -> (b, Option.map Value.to_addr asserter))
              d.Eval.d_body))
     res.Eval.rr_invalidated;
-  (* Pruning an alternative from a body tuple's entry leaves frozen
-     copies of its old expression inside dependent derivations'
-     combined expressions; sweep until those are back in sync (the cap
-     bounds pathological cyclic programs). *)
-  if res.Eval.rr_deleted <> [] || res.Eval.rr_invalidated <> [] then begin
-    let expr_of b = Prov_store.expr_of n.n_prov b in
-    let rec refresh i =
-      if i < 8 && Prov_store.refresh_derivations n.n_prov ~expr_of then
-        refresh (i + 1)
-    in
-    refresh 0
-  end;
+  (* Dead tuples and pruned alternatives leave stale copies of their
+     old expressions in their dependents' derivations (proactive
+     capture only: reactive maintenance stores pointers). *)
+  if prov_enabled t && t.cfg.maintenance = Config.Proactive then
+    refresh_dependents n
+      (res.Eval.rr_deleted
+      @ List.map (fun (d : Eval.derivation) -> d.Eval.d_head) res.Eval.rr_invalidated);
   locked t.net_mu (fun () ->
       t.tuples_retracted <- t.tuples_retracted + List.length res.Eval.rr_deleted);
   if res.Eval.rr_deleted <> [] then

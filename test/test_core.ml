@@ -1292,6 +1292,119 @@ let churn_suite =
 
 let suite = suite @ churn_suite
 
+(* --- the provenance refresh ------------------------------------------------ *)
+
+(* A one-node SeNDLogProv runtime over [src]; each batch of facts is
+   installed and run to quiescence before the next. *)
+let one_node_runtime src batches =
+  let cfg = { Core.Config.sendlog_prov with Core.Config.rsa_bits } in
+  let t =
+    Core.Runtime.create ~rng:(Crypto.Rng.create ~seed:5) ~cfg
+      ~topo:(Net.Topology.line ~n:1 ()) ~program:(Ndlog.Parser.parse_program_exn src) ()
+  in
+  List.iter
+    (fun batch ->
+      List.iter (Core.Runtime.install_fact t ~at:"n0") batch;
+      ignore (Core.Runtime.run t))
+    batches;
+  t
+
+let canonical_prov t tu =
+  Provenance.Prov_expr.canonical_string (Core.Runtime.provenance_of t ~at:"n0" tu)
+
+(* Best-Path's p3/p4 diamond in miniature: [c] reads [a] directly and
+   through [b].  When [a] gains its second alternative after [c]
+   exists, the refresh must reach [b] before [c], or [c] keeps a stale
+   copy of [b] and its provenance depends on arrival order. *)
+let test_diamond_refresh_order_independent () =
+  let src =
+    "r1 a(@S,X) :- base1(@S,X).\n\
+     r2 a(@S,X) :- base2(@S,X).\n\
+     r3 b(@S,X) :- a(@S,X).\n\
+     r4 c(@S,X) :- a(@S,X), b(@S,X).\n"
+  in
+  let fact rel = Tuple.make rel [ Value.V_str "n0"; Value.V_int 1 ] in
+  let c_prov batches =
+    let t = one_node_runtime src batches in
+    match Core.Runtime.query t ~at:"n0" "c" with
+    | [ c ] -> canonical_prov t c
+    | cs -> Alcotest.failf "expected one c tuple, got %d" (List.length cs)
+  in
+  let together = c_prov [ [ fact "base1"; fact "base2" ] ] in
+  Alcotest.(check string) "base2 after c exists = both at once" together
+    (c_prov [ [ fact "base1" ]; [ fact "base2" ] ]);
+  Alcotest.(check string) "both alternatives in both factors" "(n0+n0)*(n0+n0)" together
+
+(* Transitive closure over an 8-edge ring: the support graph is
+   cyclic, so the refresh must terminate and refresh each tuple once
+   per lap.  Tuple counts and canonical provenance bytes are pinned. *)
+let test_cycle_refresh_one_lap () =
+  let src =
+    "t1 tc(@S,X,Y) :- e(@S,X,Y).\n\
+     t2 tc(@S,X,Z) :- tc(@S,X,Y), e(@S,Y,Z).\n"
+  in
+  let edge i = Tuple.make "e" [ Value.V_str "n0"; Value.V_int i; Value.V_int ((i + 1) mod 8) ] in
+  let t = one_node_runtime src [ List.init 8 edge ] in
+  let tc_size () =
+    let tcs = Core.Runtime.query t ~at:"n0" "tc" in
+    ( List.length tcs,
+      List.fold_left (fun acc tu -> acc + String.length (canonical_prov t tu)) 0 tcs )
+  in
+  Alcotest.(check (pair int int)) "converged: tuples, provenance bytes" (64, 2872)
+    (tc_size ());
+  Core.Runtime.retract_fact t ~at:"n0" (edge 0);
+  ignore (Core.Runtime.run t);
+  Alcotest.(check (pair int int)) "after retracting e(0,1)" (28, 224) (tc_size ())
+
+(* Reactive maintenance records derivation pointers only: no derived
+   tuple carries an expression, only the base link facts do. *)
+let test_reactive_stores_pointers_only () =
+  let cfg = { Core.Config.sendlog_prov with maintenance = Core.Config.Reactive } in
+  let t, _ = mk_runtime ~cfg ~n:8 () in
+  run_links t;
+  let has_expr (at, tu) =
+    not
+      (Provenance.Prov_expr.equal Provenance.Prov_expr.zero
+         (Core.Runtime.provenance_of t ~at tu))
+  in
+  List.iter
+    (fun rel ->
+      let tuples = Core.Runtime.query_all t rel in
+      Alcotest.(check bool) (rel ^ " derived") true (tuples <> []);
+      List.iter
+        (fun ((at, tu) as x) ->
+          if has_expr x then
+            Alcotest.failf "%s@%s carries an expression" (Tuple.to_string tu) at)
+        tuples)
+    [ "path"; "bestPathCost"; "bestPath" ];
+  Alcotest.(check bool) "link facts keep their base keys" true
+    (List.for_all has_expr (Core.Runtime.query_all t "link"))
+
+let refresh_suite =
+  [ Alcotest.test_case "diamond refresh is order-independent" `Quick
+      test_diamond_refresh_order_independent;
+    Alcotest.test_case "cyclic refresh: one lap" `Quick test_cycle_refresh_one_lap;
+    Alcotest.test_case "reactive stores pointers only" `Quick
+      test_reactive_stores_pointers_only ]
+
+(* Any flap schedule leaves every Best-Path relation, and its
+   provenance, equal to a from-scratch run: copies shipped with an
+   older expression need no re-shipping. *)
+let prop_flaps_match_scratch =
+  QCheck.Test.make ~name:"flap churn = scratch on every relation" ~count:8
+    QCheck.(triple (int_range 1 10_000) (int_range 1 10_000) (float_range 0.2 0.6))
+    (fun (seed, fault_seed, rate) ->
+      let cfg =
+        Core.Config.with_fault_seed
+          { Core.Config.sendlog_prov with Core.Config.rsa_bits }
+          fault_seed
+      in
+      let p = Core.Bestpath_workload.run_churn ~cfg ~seed ~n:8 ~rate ~horizon:3.0 () in
+      p.Core.Bestpath_workload.c_fixpoint_match && p.Core.Bestpath_workload.c_prov_match)
+
+let suite =
+  suite @ refresh_suite @ [ QCheck_alcotest.to_alcotest prop_flaps_match_scratch ]
+
 (* --- distributed reachability property -------------------------------------- *)
 
 (* Distributed evaluation over random topologies matches the
