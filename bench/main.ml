@@ -1,43 +1,27 @@
 (* Benchmark harness: regenerates every figure in the paper's
-   evaluation (Section 6) and the ablations described in DESIGN.md.
+   evaluation (Section 6) and the ablations EXPERIMENTS.md quotes.
 
      dune exec bench/main.exe                 full reproduction
-     dune exec bench/main.exe -- --quick      small sweep (N <= 40)
-     dune exec bench/main.exe -- --figures    figures only, no ablations
+     dune exec bench/main.exe -- --quick      small sweep (N <= 40), no N=1000 point
+     dune exec bench/main.exe -- --figures    skip ablations A-D and the micro-benchmarks
      dune exec bench/main.exe -- --micro      Bechamel micro-benchmarks only
+     dune exec bench/main.exe -- --no-micro   skip the micro-benchmarks
      dune exec bench/main.exe -- --ns 10,20   custom sweep sizes
      dune exec bench/main.exe -- --runs 3     runs averaged per size
      dune exec bench/main.exe -- --rsa-bits 512
-     dune exec bench/main.exe -- --compare BASELINE.json
-                                              diff the fresh results against a
-                                              committed baseline (calibration-
-                                              normalized walls, speedups,
-                                              fixpoint sizes); exits nonzero
-                                              on regression
-     dune exec bench/main.exe -- --smoke      CI gate: tiny sweep + a lossy
-                                              fault ablation, written to
-                                              BENCH_smoke.json so it never
-                                              overwrites the full record;
-                                              exits nonzero when
-                                              reliable delivery under loss
-                                              stops reaching the fault-free
-                                              fixpoint (or takes longer than
-                                              the capped-backoff convergence
-                                              bound), when the domain pool
-                                              (jobs=4) or the sharded
-                                              conservative simulator
-                                              (shards=4) misses its 1.5x
-                                              parallel speedup on a host
-                                              with >= 4 domains or breaks
-                                              byte-identity, or when any
-                                              engine changes the fixpoint or
-                                              recorded provenance
+
+   Every run writes BENCH_results.json to the working directory.  The
+   harness measures and reports; it does not judge timings (the
+   regression gate is benchmark/'s paired --compare, DESIGN.md section 9).
+   It exits nonzero only on a bad flag (2) or when the provenance-log
+   write-through changes the fixpoint (1).
 
    Output sections:
      Figure 3  query completion time (s) per configuration
      Figure 4  bandwidth utilization (MB) per configuration
      Section 6 overhead summary (the paper's +53%/+36%/+41%/+54% text)
-     Fault ablation  loss x {best-effort, reliable} delivery + mid-run crash
+     Forensics ablation  provenance-log write-through + offline traceback
+     Beyond the paper    N=1000 at AS granularity
      Ablation A  local vs distributed provenance
      Ablation B  proactive vs reactive maintenance
      Ablation C  sampling and Bloom digests
@@ -53,53 +37,27 @@ type options = {
   mutable figures_only : bool;
   mutable micro_only : bool;
   mutable skip_micro : bool;
-  mutable smoke : bool;
-  mutable n1000 : bool;
-      (* beyond-paper N=1000 throughput point (full runs only; --quick
-         and --smoke turn it off) *)
-  mutable compare_file : string option;
-      (* baseline BENCH_results.json to diff against; regressions exit
-         nonzero (see Core.Metrics.compare_bench) *)
-  mutable base_cfg : Core.Config.t;
-      (* ablation/fault toggles from the shared flag parser; every
-         phase derives its configurations from this base *)
+  mutable n1000 : bool; (* beyond-paper N=1000 point; --quick turns it off *)
 }
 
 let parse_args () =
   let o =
     (* runs = 3 so every sweep point carries a mean and a sample stddev
        (the paper averages 10 experimental runs; 3 keeps the full sweep
-       affordable while still bounding the noise).  --smoke and --runs
-       override. *)
-    { ns = default_ns; runs = 3; rsa_bits = 384; figures_only = false;
-      micro_only = false; skip_micro = false; smoke = false; n1000 = true;
-      compare_file = None; base_cfg = Core.Config.default }
+       affordable while still bounding the noise). *)
+    { ns = default_ns; runs = 3; rsa_bits = Core.Config.default.rsa_bits;
+      figures_only = false; micro_only = false; skip_micro = false; n1000 = true }
   in
-  (* Config-level flags (--rsa-bits, --loss/--dup/--crash/--reliable/...)
-     go through the same [Core.Config.of_args] parser psn uses; whatever
-     it doesn't recognize is handled here. *)
-  let leftover =
-    match Core.Config.of_args (List.tl (Array.to_list Sys.argv)) with
-    | Ok (cfg, leftover) ->
-      o.base_cfg <- cfg;
-      o.rsa_bits <- cfg.Core.Config.rsa_bits;
-      leftover
-    | Error e ->
-      Printf.eprintf "%s\n" e;
-      exit 2
+  let fail fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 2) fmt in
+  let int_arg flag v =
+    match int_of_string_opt v with
+    | Some i -> i
+    | None -> fail "%s: expected an integer, got %S" flag v
   in
   let rec go = function
     | [] -> ()
     | "--quick" :: rest ->
       o.ns <- [ 10; 20; 30; 40 ];
-      o.n1000 <- false;
-      go rest
-    | "--smoke" :: rest ->
-      o.smoke <- true;
-      o.ns <- [ 10 ];
-      o.runs <- 1;
-      o.figures_only <- true;
-      o.skip_micro <- true;
       o.n1000 <- false;
       go rest
     | "--figures" :: rest ->
@@ -112,19 +70,20 @@ let parse_args () =
       o.skip_micro <- true;
       go rest
     | "--ns" :: v :: rest ->
-      o.ns <- List.filter_map int_of_string_opt (String.split_on_char ',' v);
+      o.ns <- List.map (int_arg "--ns") (String.split_on_char ',' v);
       go rest
     | "--runs" :: v :: rest ->
-      o.runs <- int_of_string v;
+      o.runs <- int_arg "--runs" v;
       go rest
-    | "--compare" :: v :: rest ->
-      o.compare_file <- Some v;
+    | "--rsa-bits" :: v :: rest ->
+      (match Core.Config.with_rsa_bits Core.Config.default (int_arg "--rsa-bits" v) with
+      | cfg -> o.rsa_bits <- cfg.Core.Config.rsa_bits
+      | exception Invalid_argument e -> fail "--rsa-bits: %s" e);
       go rest
-    | arg :: _ ->
-      Printf.eprintf "unknown argument %s\n" arg;
-      exit 2
+    | [ ("--ns" | "--runs" | "--rsa-bits") as flag ] -> fail "%s: missing value" flag
+    | arg :: _ -> fail "unknown argument %s" arg
   in
-  go leftover;
+  go (List.tl (Array.to_list Sys.argv));
   o
 
 let hr title =
@@ -164,640 +123,31 @@ let phase_metrics (phase : string) : unit =
     (c "prov.condense_hits") (c "prov.condense_misses");
   phase_percentiles phase
 
-(* Fixed CPU-speed probe for cross-machine comparison: SHA-256 over a
-   256-byte message, spun for ~50ms after a short warmup.  Both sides
-   of a [--compare] carry this number, and Core.Metrics.compare_bench
-   scales wall seconds by the ratio so the regression gate tracks the
-   code, not the host. *)
-let calibration_ops_per_sec () : float =
-  let msg = String.make 256 'x' in
-  for _ = 1 to 2_000 do
-    ignore (Crypto.Sha256.digest msg)
-  done;
-  let window () =
-    let start = Unix.gettimeofday () in
-    let ops = ref 0 in
-    let elapsed = ref 0.0 in
-    while !elapsed < 0.05 do
-      for _ = 1 to 1_000 do
-        ignore (Crypto.Sha256.digest msg)
-      done;
-      ops := !ops + 1_000;
-      elapsed := Unix.gettimeofday () -. start
-    done;
-    float_of_int !ops /. !elapsed
-  in
-  (* Best of three windows: the max is the least-interrupted sample,
-     which is the machine's actual speed. *)
-  List.fold_left Float.max (window ()) [ window (); window () ]
-
-(* Computed once per process and shared by every consumer (the results
-   document and any future phase that wants to normalize wall time), so
-   the spin cost is paid once and all readings agree on one number. *)
-let calibration = lazy (calibration_ops_per_sec ())
-
 (* Machine-readable companion to the human tables: the sweep points,
-   the ablation records, and the figure phase's metrics snapshot, for
-   tracking the perf trajectory across changes.  A smoke run writes
-   BENCH_smoke.json, so it cannot overwrite the committed full record
-   in BENCH_results.json.  Returns the document so main can hand it to
-   the [--compare] gate. *)
+   the forensics and N=1000 records, and the figure phase's metrics
+   snapshot, for tracking the perf trajectory across changes. *)
 let write_results_json (o : options) (points : Core.Bestpath_workload.point list)
-    ~(figure_metrics : Obs.Json.t) ~(fault_ablation : Obs.Json.t)
-    ~(jobs_ablation : Obs.Json.t) ~(shards_ablation : Obs.Json.t)
-    ~(verify_ablation : Obs.Json.t) ~(churn_ablation : Obs.Json.t)
-    ~(forensics_ablation : Obs.Json.t) ~(sweep_n1000 : Obs.Json.t) : Obs.Json.t =
+    ~(figure_metrics : Obs.Json.t) ~(forensics_ablation : Obs.Json.t)
+    ~(sweep_n1000 : Obs.Json.t) : unit =
   let doc =
     Obs.Json.Obj
       [ ("workload", Obs.Json.Str "best-path sweep (Figures 3 & 4)");
         ("ns", Obs.Json.List (List.map (fun n -> Obs.Json.Int n) o.ns));
         ("runs", Obs.Json.Int o.runs);
         ("rsa_bits", Obs.Json.Int o.rsa_bits);
-        ("calibration_ops_per_sec", Obs.Json.Float (Lazy.force calibration));
         ("points", Obs.Json.List (List.map Core.Bestpath_workload.point_to_json points));
-        ("fault_ablation", fault_ablation);
-        ("jobs_ablation", jobs_ablation);
-        ("shards_ablation", shards_ablation);
-        ("verify_ablation", verify_ablation);
-        ("churn_ablation", churn_ablation);
         ("forensics_ablation", forensics_ablation);
         ("sweep_n1000", sweep_n1000);
         ("metrics", figure_metrics) ]
   in
-  let file = if o.smoke then "BENCH_smoke.json" else "BENCH_results.json" in
+  let file = "BENCH_results.json" in
   let oc = open_out file in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
       output_string oc (Obs.Json.to_string doc);
       output_char oc '\n');
-  Printf.printf
-    "\nwrote %s (%d points + fault/jobs/shards/verify/churn/forensics ablations + \
-     metrics snapshot)\n"
-    file (List.length points);
-  doc
-
-(* The [--compare BASELINE.json] regression gate: diff the fresh
-   results document against a committed baseline and fail loudly on
-   any regression beyond the thresholds in Core.Metrics.compare_bench. *)
-let run_compare (baseline_path : string) (current : Obs.Json.t) : unit =
-  let baseline =
-    let ic = open_in baseline_path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let baseline =
-    try Obs.Json.parse baseline
-    with Obs.Json.Parse_error e ->
-      Printf.eprintf "COMPARE FAILURE: cannot parse baseline %s: %s\n" baseline_path e;
-      exit 1
-  in
-  match Core.Metrics.compare_bench ~baseline ~current with
-  | [] -> Printf.printf "\ncompare vs %s: OK (no regressions)\n" baseline_path
-  | issues ->
-    Printf.eprintf "\nCOMPARE FAILURE vs %s:\n" baseline_path;
-    List.iter (fun i -> Printf.eprintf "  - %s\n" i) issues;
-    exit 1
-
-(* --- Fault ablation: loss x {best-effort, reliable} delivery ------------- *)
-
-(* The reliable-delivery comparison: the same Best-Path run over a
-   lossy, duplicating network with one mid-run fail-stop crash, with
-   the seq/ACK/retransmit layer off vs on.  The reliable runs must
-   reach exactly the fault-free fixpoint (the layer's whole point);
-   best-effort runs show what the losses cost.  Returns the JSON
-   record, whether every reliable cell converged, and the worst
-   reliable-cell completion time (the capped-backoff convergence bound
-   the smoke gate asserts: with the exponential backoff capped at
-   Config.max_backoff, even the loss=0.2 cell converges in simulated
-   seconds rather than the minute-plus an uncapped schedule burns). *)
-let fault_ablation (o : options) : Obs.Json.t * bool * float =
-  hr "Fault ablation: loss x {best-effort, reliable} delivery";
-  let n = if o.smoke then 8 else 16 in
-  let topo = Net.Topology.random (Crypto.Rng.create ~seed:2028) ~n () in
-  let directory =
-    Core.Bestpath_workload.shared_directory ~rsa_bits:o.rsa_bits topo.Net.Topology.nodes
-  in
-  (* Canonical fixpoint: every node's bestPathCost contents plus the
-     bestPath cardinality.  The witness path inside bestPath is *not*
-     compared: equal-cost ties resolve by arrival order (same caveat as
-     the index ablation), so the costs are the deterministic result. *)
-  let fixpoint t =
-    ( List.sort_uniq compare
-        (List.map
-           (fun (at, tu) -> at ^ "|" ^ Engine.Tuple.to_string tu)
-           (Core.Runtime.query_all t "bestPathCost")),
-      List.length (Core.Runtime.query_all t "bestPath") )
-  in
-  let measure cfg =
-    phase_reset ();
-    let t =
-      Core.Runtime.create ~directory ~rng:(Crypto.Rng.create ~seed:1) ~cfg ~topo
-        ~program:(Ndlog.Programs.best_path ()) ()
-    in
-    Core.Runtime.install_links t;
-    let r = Core.Runtime.run t in
-    (t, r)
-  in
-  let base_cfg = Core.Config.with_rsa_bits Core.Config.ndlog o.rsa_bits in
-  let t0, r0 = measure base_cfg in
-  let baseline = fixpoint t0 in
-  (* One node fails a quarter of the way through the fault-free run's
-     virtual duration and is back up at the halfway mark, so the crash
-     lands mid-fixpoint whatever the topology's timing. *)
-  let crash_at = max 0.01 (0.25 *. r0.sim_seconds) in
-  let crash =
-    { Net.Fault.cr_node = "n1"; cr_at = crash_at; cr_restart = Some (2.0 *. crash_at) }
-  in
-  Printf.printf
-    "workload: Best-Path, N=%d, NDLog config; dup=0.05, crash %s, fault seed 2028\n\
-     fault-free baseline: %d bestPath tuples, %.3fs virtual\n\n"
-    n
-    (Net.Fault.crash_to_string crash)
-    (snd baseline) r0.sim_seconds;
-  Printf.printf "%-6s %-12s %14s %10s %8s %8s %12s %8s %10s\n" "loss" "delivery"
-    "sim (s)" "messages" "drops" "dups" "retransmits" "acks" "fixpoint";
-  let rows = ref [] in
-  let reliable_ok = ref true in
-  let reliable_max_sim = ref 0.0 in
-  List.iter
-    (fun loss ->
-      List.iter
-        (fun reliable ->
-          let cfg =
-            Core.Config.with_reliable
-              (Core.Config.with_crash
-                 (Core.Config.with_fault_seed
-                    (Core.Config.with_dup (Core.Config.with_loss base_cfg loss) 0.05)
-                    2028)
-                 crash)
-              reliable
-          in
-          let t, r = measure cfg in
-          let matches = fixpoint t = baseline in
-          if reliable && not matches then reliable_ok := false;
-          if reliable then reliable_max_sim := Float.max !reliable_max_sim r.sim_seconds;
-          let st = Core.Runtime.stats t in
-          Printf.printf "%-6g %-12s %14.3f %10d %8d %8d %12d %8d %10s\n" loss
-            (if reliable then "reliable" else "best-effort")
-            r.sim_seconds st.Net.Stats.messages st.Net.Stats.drops st.Net.Stats.dups
-            st.Net.Stats.retransmits st.Net.Stats.acks
-            (if matches then "exact" else "DIVERGED");
-          rows :=
-            Obs.Json.Obj
-              [ ("loss", Obs.Json.Float loss);
-                ("dup", Obs.Json.Float 0.05);
-                ("crash", Obs.Json.Str (Net.Fault.crash_to_string crash));
-                ("reliable", Obs.Json.Bool reliable);
-                ("sim_seconds", Obs.Json.Float r.sim_seconds);
-                ("messages", Obs.Json.Int st.Net.Stats.messages);
-                ("drops", Obs.Json.Int st.Net.Stats.drops);
-                ("dups", Obs.Json.Int st.Net.Stats.dups);
-                ("retransmits", Obs.Json.Int st.Net.Stats.retransmits);
-                ("acks", Obs.Json.Int st.Net.Stats.acks);
-                ("retry_exhausted", Obs.Json.Int st.Net.Stats.retry_exhausted);
-                ("best_paths", Obs.Json.Int (snd (fixpoint t)));
-                ("fixpoint_matches_fault_free", Obs.Json.Bool matches) ]
-            :: !rows)
-        [ false; true ])
-    [ 0.1; 0.2 ];
-  Printf.printf
-    "\nexpected: every reliable row reads \"exact\" (retransmission spans the losses\n\
-     and the outage); best-effort rows may diverge, which is the layer's motivation.\n\
-     worst reliable completion: %.3fs simulated (backoff capped at %.1fs)\n"
-    !reliable_max_sim base_cfg.Core.Config.max_backoff;
-  ( Obs.Json.Obj
-      [ ("workload", Obs.Json.Str "best-path, one topology, NDLog config");
-        ("n", Obs.Json.Int n);
-        ("fault_seed", Obs.Json.Int 2028);
-        ("max_backoff_seconds", Obs.Json.Float base_cfg.Core.Config.max_backoff);
-        ("baseline_best_paths", Obs.Json.Int (snd baseline));
-        ("baseline_sim_seconds", Obs.Json.Float r0.sim_seconds);
-        ("reliable_max_sim_seconds", Obs.Json.Float !reliable_max_sim);
-        ("rows", Obs.Json.List (List.rev !rows)) ],
-    !reliable_ok,
-    !reliable_max_sim )
-
-(* --- Jobs ablation: node groups on the domain pool vs the calling domain -- *)
-
-(* The same Best-Path run with each timestamp's per-node groups
-   evaluated on a four-domain pool (jobs=4) vs on the calling domain
-   (jobs=1).  Both arms run the one coalescing event loop (timestamp
-   batches, per-node grouping, one combined semi-naive fixpoint per
-   node per batch), so the ratio measures pool parallelism alone.  The
-   distributed fixpoint must be byte-identical; a provenance-shipping
-   pair additionally asserts AC-canonical provenance identity.  Wire
-   message counts may differ by a few: the virtual clock adds measured
-   CPU time, so which deliveries share a node's batch varies between
-   runs (see test_par.ml for the envelope the drift stays inside).
-   Exits nonzero on any fixpoint or provenance mismatch. *)
-let jobs_ablation (o : options) : Obs.Json.t * float * bool =
-  hr "Jobs ablation: node groups on a domain pool (jobs=4) vs the calling domain";
-  let n = 80 in
-  Printf.printf
-    "workload: Best-Path over one random topology, N=%d, NDLog config\n\
-     (wall seconds are real evaluator CPU; both arms run the same coalescing\n\
-     event loop, so the ratio is the pool's parallel speedup alone - about 1x\n\
-     without parallel hardware)\n\n"
-    n;
-  let topo = Net.Topology.random (Crypto.Rng.create ~seed:2029) ~n () in
-  let directory =
-    Core.Bestpath_workload.shared_directory ~rsa_bits:o.rsa_bits topo.Net.Topology.nodes
-  in
-  let fixpoint t =
-    List.map
-      (fun (at, tu) -> at ^ "|" ^ Engine.Tuple.identity tu)
-      (Core.Runtime.query_all t "bestPathCost")
-    |> List.sort compare
-  in
-  let measure jobs =
-    phase_reset ();
-    let cfg =
-      Core.Config.with_jobs { Core.Config.ndlog with rsa_bits = o.rsa_bits } jobs
-    in
-    let t =
-      Core.Runtime.create ~directory ~rng:(Crypto.Rng.create ~seed:1) ~cfg ~topo
-        ~program:(Ndlog.Programs.best_path ()) ()
-    in
-    Core.Runtime.install_links t;
-    let r = Core.Runtime.run t in
-    let fp = fixpoint t in
-    let best = List.length (Core.Runtime.query_all t "bestPath") in
-    let st = Core.Runtime.stats t in
-    let c name = Obs.Metrics.value (Obs.Metrics.counter Obs.Metrics.default name) in
-    let batches = c "par.batches" and items = c "par.batch_items" in
-    Core.Runtime.shutdown t;
-    (r.Core.Runtime.wall_seconds, fp, best, st.Net.Stats.messages, batches, items)
-  in
-  (* Best-of-two walls: a single multi-second run on a shared machine
-     can swing +/-15%, enough to flip a ratio gate on its own. *)
-  let best2 f =
-    let w1, a, b, c, d, e = f () in
-    let w2, _, _, _, _, _ = f () in
-    (Float.min w1 w2, a, b, c, d, e)
-  in
-  let seq_wall, seq_fp, seq_best, seq_msgs, seq_batches, seq_items =
-    best2 (fun () -> measure 1)
-  in
-  let par_wall, par_fp, par_best, par_msgs, batches, items =
-    best2 (fun () -> measure 4)
-  in
-  let speedup = if par_wall > 0.0 then seq_wall /. par_wall else 0.0 in
-  let fixpoint_equal = seq_fp = par_fp && seq_best = par_best in
-  Printf.printf "%-10s %14s %14s %10s %10s %12s\n" "engine" "wall (s)" "best paths"
-    "messages" "batches" "batch items";
-  Printf.printf "%-10s %14.3f %14d %10d %10d %12d\n" "jobs=1" seq_wall seq_best seq_msgs
-    seq_batches seq_items;
-  Printf.printf "%-10s %14.3f %14d %10d %10d %12d\n" "jobs=4" par_wall par_best par_msgs
-    batches items;
-  Printf.printf "\nspeedup (jobs=1 / jobs=4): %.2fx  fixpoint: %s\n" speedup
-    (if fixpoint_equal then "byte-identical" else "DIVERGED");
-  if not fixpoint_equal then begin
-    Printf.eprintf
-      "FAILURE: the domain pool changed the distributed fixpoint \
-       (%d bestPath tuples seq vs %d par)\n"
-      seq_best par_best;
-    exit 1
-  end;
-  (* Provenance identity: a smaller SeNDLogProv pair (RSA + shipped
-     provenance), compared through the AC-canonical rendering so the
-     commutative regrouping the batch engine performs cannot hide a
-     real difference.  The pair is deliberately modest: recorded
-     provenance accumulates one Plus-alternative per arriving
-     derivation, and on large topologies a different coalescing can
-     suppress a transient message whose provenance block was the only
-     carrier of an alternative — the fixpoint tuples still match but
-     their annotations lose that alternative.  At this size no transient
-     carries a unique alternative, so the canonical forms must agree
-     exactly (verified stable across repeated runs). *)
-  let prov_n = 12 in
-  let prov_topo = Net.Topology.random (Crypto.Rng.create ~seed:2030) ~n:prov_n () in
-  let prov_directory =
-    Core.Bestpath_workload.shared_directory ~rsa_bits:o.rsa_bits
-      prov_topo.Net.Topology.nodes
-  in
-  let prov_run jobs =
-    phase_reset ();
-    let cfg =
-      Core.Config.with_jobs { Core.Config.sendlog_prov with rsa_bits = o.rsa_bits } jobs
-    in
-    let t =
-      Core.Runtime.create ~directory:prov_directory ~rng:(Crypto.Rng.create ~seed:1)
-        ~cfg ~topo:prov_topo ~program:(Ndlog.Programs.best_path ()) ()
-    in
-    Core.Runtime.install_links t;
-    ignore (Core.Runtime.run t);
-    let prov =
-      List.map
-        (fun (at, tu) ->
-          at ^ "|" ^ Engine.Tuple.identity tu ^ "|"
-          ^ Provenance.Prov_expr.canonical_string (Core.Runtime.provenance_of t ~at tu))
-        (Core.Runtime.query_all t "bestPathCost")
-      |> List.sort compare
-    in
-    Core.Runtime.shutdown t;
-    prov
-  in
-  let prov_equal = prov_run 1 = prov_run 4 in
-  Printf.printf "provenance (SeNDLogProv, N=%d): %s\n" prov_n
-    (if prov_equal then "canonical forms identical" else "DIVERGED");
-  if not prov_equal then begin
-    Printf.eprintf "FAILURE: the domain pool changed recorded provenance\n";
-    exit 1
-  end;
-  ( Obs.Json.Obj
-      [ ("workload", Obs.Json.Str "best-path, one topology, NDLog config");
-        ("n", Obs.Json.Int n);
-        ("seq_wall_seconds", Obs.Json.Float seq_wall);
-        ("par_wall_seconds", Obs.Json.Float par_wall);
-        ("jobs", Obs.Json.Int 4);
-        ("speedup", Obs.Json.Float speedup);
-        ("best_paths", Obs.Json.Int seq_best);
-        ("messages_seq", Obs.Json.Int seq_msgs);
-        ("messages_par", Obs.Json.Int par_msgs);
-        ("batches", Obs.Json.Int batches);
-        ("batch_items", Obs.Json.Int items);
-        ("fixpoint_identical", Obs.Json.Bool fixpoint_equal);
-        ("provenance_identical", Obs.Json.Bool prov_equal);
-        ("provenance_pair_n", Obs.Json.Int prov_n) ],
-    speedup,
-    fixpoint_equal && prov_equal )
-
-(* --- Shards ablation: conservative sharded simulator vs one queue ------- *)
-
-(* The sharded-simulator comparison: the same Best-Path run with the
-   event simulator split into 4 conservative shards (per-shard queues
-   and clocks, cross-shard deliveries exchanged at lookahead barriers
-   in (timestamp, source shard, send order) merge order) vs a single
-   queue.  Both arms run the same coalescing drain, so the ratio
-   measures shard parallelism alone.  The acceptance bar is
-   byte-identity of the full fixpoint — bestPath witnesses included,
-   not just the costs, because deterministic witness selection (#key
-   ... min) plus the FIFO receive queue make the result independent of
-   event interleaving.  A smaller SeNDLogProv pair additionally asserts
-   AC-canonical provenance identity across the barriers.  Exits
-   nonzero on any mismatch. *)
-let shards_ablation (o : options) : Obs.Json.t * float * bool =
-  hr "Shards ablation: conservative sharded simulator (shards=4) vs single queue";
-  let n = 80 in
-  Printf.printf
-    "workload: Best-Path over one random topology, N=%d, NDLog config\n\
-     (wall seconds are real evaluator CPU; both arms run the same coalescing\n\
-     event loop - one queue drained as a single window vs four drained in\n\
-     lookahead windows on the pool - so the ratio is the shards' parallel\n\
-     speedup alone)\n\n"
-    n;
-  let topo = Net.Topology.random (Crypto.Rng.create ~seed:2031) ~n () in
-  let directory =
-    Core.Bestpath_workload.shared_directory ~rsa_bits:o.rsa_bits topo.Net.Topology.nodes
-  in
-  (* Full-fixpoint snapshot: witnesses and costs, rendered as sorted
-     identity lines (see Bestpath_workload.fixpoint_snapshot). *)
-  let fixpoint t =
-    List.concat_map
-      (fun rel ->
-        List.map
-          (fun (at, ident) -> at ^ "|" ^ ident)
-          (Core.Bestpath_workload.fixpoint_snapshot t rel))
-      [ "bestPath"; "bestPathCost" ]
-  in
-  let measure shards =
-    phase_reset ();
-    let cfg =
-      Core.Config.with_shards { Core.Config.ndlog with rsa_bits = o.rsa_bits } shards
-    in
-    let t =
-      Core.Runtime.create ~directory ~rng:(Crypto.Rng.create ~seed:1) ~cfg ~topo
-        ~program:(Ndlog.Programs.best_path ()) ()
-    in
-    Core.Runtime.install_links t;
-    let r = Core.Runtime.run t in
-    let fp = fixpoint t in
-    let st = Core.Runtime.stats t in
-    let shard_count = Core.Runtime.shard_count t in
-    Core.Runtime.shutdown t;
-    (r.Core.Runtime.wall_seconds, fp, st.Net.Stats.messages, shard_count)
-  in
-  (* Best-of-two walls, same rationale as the jobs ablation. *)
-  let best2 f =
-    let w1, a, b, c = f () in
-    let w2, _, _, _ = f () in
-    (Float.min w1 w2, a, b, c)
-  in
-  let seq_wall, seq_fp, seq_msgs, _ = best2 (fun () -> measure 1) in
-  let shard_wall, shard_fp, shard_msgs, shard_count = best2 (fun () -> measure 4) in
-  let speedup = if shard_wall > 0.0 then seq_wall /. shard_wall else 0.0 in
-  let fixpoint_equal = seq_fp = shard_fp in
-  Printf.printf "%-10s %14s %14s %10s\n" "simulator" "wall (s)" "fixpoint rows" "messages";
-  Printf.printf "%-10s %14.3f %14d %10d\n" "shards=1" seq_wall (List.length seq_fp)
-    seq_msgs;
-  Printf.printf "%-10s %14.3f %14d %10d\n"
-    (Printf.sprintf "shards=%d" shard_count)
-    shard_wall (List.length shard_fp) shard_msgs;
-  Printf.printf "\nspeedup (shards=1 / shards=4): %.2fx  fixpoint: %s\n" speedup
-    (if fixpoint_equal then "byte-identical (witnesses included)" else "DIVERGED");
-  if not fixpoint_equal then begin
-    Printf.eprintf
-      "FAILURE: the sharded simulator changed the distributed fixpoint \
-       (%d rows seq vs %d sharded)\n"
-      (List.length seq_fp) (List.length shard_fp);
-    exit 1
-  end;
-  (* Provenance identity across shard barriers: a smaller SeNDLogProv
-     pair (RSA + shipped provenance) compared through the AC-canonical
-     rendering, same rationale as the jobs ablation's pair. *)
-  let prov_n = 12 in
-  let prov_topo = Net.Topology.random (Crypto.Rng.create ~seed:2030) ~n:prov_n () in
-  let prov_directory =
-    Core.Bestpath_workload.shared_directory ~rsa_bits:o.rsa_bits
-      prov_topo.Net.Topology.nodes
-  in
-  let prov_run shards =
-    phase_reset ();
-    let cfg =
-      Core.Config.with_shards
-        { Core.Config.sendlog_prov with rsa_bits = o.rsa_bits }
-        shards
-    in
-    let t =
-      Core.Runtime.create ~directory:prov_directory ~rng:(Crypto.Rng.create ~seed:1)
-        ~cfg ~topo:prov_topo ~program:(Ndlog.Programs.best_path ()) ()
-    in
-    Core.Runtime.install_links t;
-    ignore (Core.Runtime.run t);
-    let prov =
-      List.map
-        (fun ((at, ident), expr) -> at ^ "|" ^ ident ^ "|" ^ expr)
-        (Core.Bestpath_workload.prov_snapshot t "bestPath")
-    in
-    Core.Runtime.shutdown t;
-    prov
-  in
-  let prov_equal = prov_run 1 = prov_run 4 in
-  Printf.printf "provenance (SeNDLogProv, N=%d): %s\n" prov_n
-    (if prov_equal then "canonical forms identical" else "DIVERGED");
-  if not prov_equal then begin
-    Printf.eprintf "FAILURE: the sharded simulator changed recorded provenance\n";
-    exit 1
-  end;
-  ( Obs.Json.Obj
-      [ ("workload", Obs.Json.Str "best-path, one topology, NDLog config");
-        ("n", Obs.Json.Int n);
-        ("seq_wall_seconds", Obs.Json.Float seq_wall);
-        ("sharded_wall_seconds", Obs.Json.Float shard_wall);
-        ("shards", Obs.Json.Int shard_count);
-        ("speedup", Obs.Json.Float speedup);
-        ("fixpoint_rows", Obs.Json.Int (List.length seq_fp));
-        ("messages_seq", Obs.Json.Int seq_msgs);
-        ("messages_sharded", Obs.Json.Int shard_msgs);
-        ("fixpoint_identical", Obs.Json.Bool fixpoint_equal);
-        ("provenance_identical", Obs.Json.Bool prov_equal);
-        ("provenance_pair_n", Obs.Json.Int prov_n) ],
-    speedup,
-    fixpoint_equal && prov_equal )
-
-(* --- Verify ablation: pipelined batch verification vs NDLog ------------- *)
-
-(* The comparison for the zero-copy wire codec + batched signature
-   verification work: the paper measures SeNDLog (per-tuple RSA) at
-   roughly +53% completion time over NDLog at N=80.  With receiver-side
-   verification fanned into async slabs on the worker domains at
-   dispatch time — batch k's crypto overlapping batch k+1's fixpoint —
-   the authenticated run should stay within 1.2x of the
-   unauthenticated baseline on parallel hardware (the smoke gate only
-   enforces this with >= 4 recommended domains; the one-core ratio is
-   recorded alongside).  The distributed fixpoint must equal SeNDLog's
-   at jobs=1, which has no pool and so verifies every message inline
-   at acceptance; a smaller SeNDLogProv pair must also agree on
-   AC-canonical provenance.  Exits nonzero on any identity
-   mismatch. *)
-let verify_ablation (o : options) : Obs.Json.t * float * bool =
-  hr "Verify ablation: pipelined batch verification (SeNDLog) vs NDLog baseline";
-  let n = 80 in
-  let jobs = 4 in
-  Printf.printf
-    "workload: Best-Path over one random topology, N=%d, jobs=%d\n\
-     (NDLog = no crypto; SeNDLog = per-tuple %d-bit RSA, verification\n\
-     pipelined into async pool slabs at dispatch time)\n\n"
-    n jobs o.rsa_bits;
-  let topo = Net.Topology.random (Crypto.Rng.create ~seed:2031) ~n () in
-  let directory =
-    Core.Bestpath_workload.shared_directory ~rsa_bits:o.rsa_bits topo.Net.Topology.nodes
-  in
-  let fixpoint t =
-    List.map
-      (fun (at, tu) -> at ^ "|" ^ Engine.Tuple.identity tu)
-      (Core.Runtime.query_all t "bestPathCost")
-    |> List.sort compare
-  in
-  let measure ~jobs base =
-    phase_reset ();
-    let cfg = Core.Config.with_jobs { base with Core.Config.rsa_bits = o.rsa_bits } jobs in
-    let t =
-      Core.Runtime.create ~directory ~rng:(Crypto.Rng.create ~seed:1) ~cfg ~topo
-        ~program:(Ndlog.Programs.best_path ()) ()
-    in
-    Core.Runtime.install_links t;
-    let r = Core.Runtime.run t in
-    let fp = fixpoint t in
-    let best = List.length (Core.Runtime.query_all t "bestPath") in
-    let st = Core.Runtime.stats t in
-    let c name = Obs.Metrics.value (Obs.Metrics.counter Obs.Metrics.default name) in
-    let batches = c "crypto.verify_batches" and slab_items = c "crypto.verify_batch_size" in
-    Core.Runtime.shutdown t;
-    (r.Core.Runtime.wall_seconds, fp, best, st.Net.Stats.messages, batches, slab_items)
-  in
-  let best2 f =
-    let w1, a, b, c, d, e = f () in
-    let w2, _, _, _, _, _ = f () in
-    (Float.min w1 w2, a, b, c, d, e)
-  in
-  let nd_wall, _, nd_best, nd_msgs, _, _ =
-    best2 (fun () -> measure ~jobs Core.Config.ndlog)
-  in
-  let b_wall, b_fp, b_best, b_msgs, b_batches, b_items =
-    best2 (fun () -> measure ~jobs Core.Config.sendlog)
-  in
-  (* Inline reference, run once for identity only: no pool, so every
-     message is verified at acceptance. *)
-  let _, i_fp, i_best, _, _, _ = measure ~jobs:1 Core.Config.sendlog in
-  let batched_ratio = if nd_wall > 0.0 then b_wall /. nd_wall else 0.0 in
-  let fixpoint_equal = b_fp = i_fp && b_best = i_best in
-  Printf.printf "%-22s %14s %10s %12s %10s %12s\n" "configuration" "wall (s)"
-    "vs NDLog" "best paths" "messages" "slab items";
-  Printf.printf "%-22s %14.3f %10s %12d %10d %12s\n" "NDLog" nd_wall "1.00x" nd_best
-    nd_msgs "-";
-  Printf.printf "%-22s %14.3f %9.2fx %12d %10d %12d\n" "SeNDLog batched" b_wall
-    batched_ratio b_best b_msgs b_items;
-  Printf.printf
-    "\nverify slabs: %d batches, %d messages  fixpoint (jobs=%d pipelined vs jobs=1 \
-     inline): %s\n"
-    b_batches b_items jobs
-    (if fixpoint_equal then "byte-identical" else "DIVERGED");
-  if not fixpoint_equal then begin
-    Printf.eprintf
-      "FAILURE: pipelined verification changed the distributed fixpoint \
-       (%d bestPath tuples batched vs %d inline)\n"
-      b_best i_best;
-    exit 1
-  end;
-  (* Provenance identity: the same SeNDLogProv pair the jobs ablation
-     uses (RSA + shipped provenance, modest size so no transient
-     carries a unique alternative), compared through the AC-canonical
-     rendering, pipelined at jobs=4 vs inline at jobs=1. *)
-  let prov_n = 12 in
-  let prov_topo = Net.Topology.random (Crypto.Rng.create ~seed:2032) ~n:prov_n () in
-  let prov_directory =
-    Core.Bestpath_workload.shared_directory ~rsa_bits:o.rsa_bits
-      prov_topo.Net.Topology.nodes
-  in
-  let prov_run jobs =
-    phase_reset ();
-    let cfg =
-      Core.Config.with_jobs { Core.Config.sendlog_prov with rsa_bits = o.rsa_bits } jobs
-    in
-    let t =
-      Core.Runtime.create ~directory:prov_directory ~rng:(Crypto.Rng.create ~seed:1)
-        ~cfg ~topo:prov_topo ~program:(Ndlog.Programs.best_path ()) ()
-    in
-    Core.Runtime.install_links t;
-    ignore (Core.Runtime.run t);
-    let prov =
-      List.map
-        (fun (at, tu) ->
-          at ^ "|" ^ Engine.Tuple.identity tu ^ "|"
-          ^ Provenance.Prov_expr.canonical_string (Core.Runtime.provenance_of t ~at tu))
-        (Core.Runtime.query_all t "bestPathCost")
-      |> List.sort compare
-    in
-    Core.Runtime.shutdown t;
-    prov
-  in
-  let prov_equal = prov_run jobs = prov_run 1 in
-  Printf.printf "provenance (SeNDLogProv, N=%d): %s\n" prov_n
-    (if prov_equal then "canonical forms identical" else "DIVERGED");
-  if not prov_equal then begin
-    Printf.eprintf "FAILURE: pipelined verification changed recorded provenance\n";
-    exit 1
-  end;
-  ( Obs.Json.Obj
-      [ ("workload", Obs.Json.Str "best-path, one topology, NDLog vs SeNDLog");
-        ("n", Obs.Json.Int n);
-        ("jobs", Obs.Json.Int jobs);
-        ("rsa_bits", Obs.Json.Int o.rsa_bits);
-        ("ndlog_wall_seconds", Obs.Json.Float nd_wall);
-        ("batched_wall_seconds", Obs.Json.Float b_wall);
-        ("batched_ratio", Obs.Json.Float batched_ratio);
-        ("verify_batches", Obs.Json.Int b_batches);
-        ("verify_batch_items", Obs.Json.Int b_items);
-        ("domains_recommended", Obs.Json.Int (Domain.recommended_domain_count ()));
-        ("best_paths", Obs.Json.Int b_best);
-        ("fixpoint_identical", Obs.Json.Bool fixpoint_equal);
-        ("provenance_identical", Obs.Json.Bool prov_equal);
-        ("provenance_pair_n", Obs.Json.Int prov_n) ],
-    batched_ratio,
-    fixpoint_equal && prov_equal )
+  Printf.printf "\nwrote %s (%d sweep points)\n" file (List.length points)
 
 (* --- Beyond the paper: N=1000 at AS granularity -------------------------- *)
 
@@ -869,53 +219,6 @@ let sweep_n1000 (o : options) : Obs.Json.t =
       ("messages_per_sec", Obs.Json.Float msgs_per_sec);
       ("tuples_per_sec", Obs.Json.Float tuples_per_sec);
       ("megabytes", Obs.Json.Float (float_of_int st.Net.Stats.bytes_total /. 1e6)) ]
-
-(* --- Churn ablation: incremental maintenance vs full recomputation ------ *)
-
-(* Long-running Best-Path under a Poisson link-flap process: every flap
-   retracts or reinstalls a link fact, driving the DRed-style deletion
-   pass.  The incremental run re-converges in place; the scratch run
-   recomputes the post-churn (static) topology from nothing.  The gate
-   is correctness, not speed: the queried fixpoint and every bestPath
-   provenance must be byte-identical between the two. *)
-let churn_ablation (o : options) : Obs.Json.t * bool =
-  hr "Churn ablation: incremental (DRed) maintenance vs full recomputation";
-  phase_reset ();
-  let n = if o.smoke then 8 else 12 in
-  let rate = 0.4 in
-  let horizon = if o.smoke then 3.0 else 5.0 in
-  Printf.printf
-    "workload: long-running Best-Path under Poisson link flaps\n\
-     (N=%d, flap rate %.1f/s per link, churn window %.1f virtual seconds;\n\
-     re-convergence is measured from the last flap to quiescence)\n\n"
-    n rate horizon;
-  let cfgs =
-    [ { Core.Config.ndlog with rsa_bits = o.rsa_bits };
-      { Core.Config.sendlog_prov with rsa_bits = o.rsa_bits } ]
-  in
-  let points =
-    List.map (fun cfg -> Core.Bestpath_workload.run_churn ~cfg ~n ~rate ~horizon ()) cfgs
-  in
-  Printf.printf "%-12s %6s %12s %12s %14s %8s %10s %9s %5s\n" "config" "flaps"
-    "incr (s)" "scratch (s)" "reconv (sim s)" "updates" "upd/s" "fixpoint" "prov";
-  List.iter
-    (fun (p : Core.Bestpath_workload.churn_point) ->
-      Printf.printf "%-12s %6d %12.3f %12.3f %14.3f %8d %10.0f %9s %5s\n"
-        p.c_config p.c_flaps p.c_incremental_wall p.c_scratch_wall p.c_reconverge_sim
-        p.c_updates p.c_updates_per_sec
-        (if p.c_fixpoint_match then "match" else "DIVERGED")
-        (if p.c_prov_match then "match" else "DIVERGED"))
-    points;
-  let all_match =
-    List.for_all
-      (fun (p : Core.Bestpath_workload.churn_point) ->
-        p.c_fixpoint_match && p.c_prov_match)
-      points
-  in
-  Printf.printf "\npost-churn fixpoint vs from-scratch: %s\n"
-    (if all_match then "byte-identical (tuples and provenance)" else "DIVERGED");
-  (Obs.Json.List (List.map Core.Bestpath_workload.churn_point_to_json points), all_match)
-
 (* --- Forensics ablation: prov-log write-through + offline queries ------- *)
 
 let rm_rf dir =
@@ -933,11 +236,11 @@ let rm_rf dir =
    without the persisted provenance log (the retire write-through,
    1/K-sampled flows and Bloom digests all active), then offline
    traceback over the log a *fresh handle* recovers from disk — the
-   restart story.  The smoke gate asserts the write-through costs at
-   most 10% wall (with a small absolute slack for tiny runs) and that
-   the fixpoint is unchanged.  In full runs the offline-query latency
-   point moves to N=1000 at domain granularity, matching the sweep. *)
-let forensics_ablation (o : options) : Obs.Json.t * float * float * bool =
+   restart story.  The write-through must leave the fixpoint unchanged
+   (exit 1 otherwise); its wall overhead is reported, not judged.  In
+   full runs the offline-query latency point moves to N=1000 at domain
+   granularity, matching the sweep. *)
+let forensics_ablation (o : options) : Obs.Json.t =
   hr "Forensics ablation: provenance-log write-through + offline queries";
   let n = 80 in
   let log_dir =
@@ -1011,7 +314,7 @@ let forensics_ablation (o : options) : Obs.Json.t * float * float * bool =
   end;
   (* Offline-query latency, from a handle that recovered the log from
      disk.  Full runs take the N=1000 domain-granularity point (the
-     sweep's configuration); smoke reuses the N=80 log just written. *)
+     sweep's configuration); --quick reuses the N=80 log just written. *)
   let query_n, query_granularity, query_log_dir =
     if o.n1000 then begin
       let qn = 1000 in
@@ -1085,32 +388,29 @@ let forensics_ablation (o : options) : Obs.Json.t * float * float * bool =
     | Core.Config.As_level -> "domain"
     | Core.Config.Node_level -> "node")
     (List.length latencies) (p50 *. 1e3) (p99 *. 1e3);
-  ( Obs.Json.Obj
-      [ ("workload", Obs.Json.Str "best-path, one topology, SeNDLogProv config");
-        ("n", Obs.Json.Int n);
-        ("base_wall_seconds", Obs.Json.Float base_wall);
-        ("provlog_wall_seconds", Obs.Json.Float log_wall);
-        ("overhead_pct", Obs.Json.Float overhead_pct);
-        ("best_paths", Obs.Json.Int (List.length log_fp));
-        ("records", Obs.Json.Int records);
-        ("flows", Obs.Json.Int flows);
-        ("digests", Obs.Json.Int digests);
-        ("segments", Obs.Json.Int segments);
-        ("log_bytes", Obs.Json.Int log_bytes);
-        ("offline_query",
-         Obs.Json.Obj
-           [ ("n", Obs.Json.Int query_n);
-             ("granularity",
-              Obs.Json.Str
-                (match query_granularity with
-                | Core.Config.As_level -> "domain"
-                | Core.Config.Node_level -> "node"));
-             ("queries", Obs.Json.Int (List.length latencies));
-             ("p50_seconds", Obs.Json.Float p50);
-             ("p99_seconds", Obs.Json.Float p99) ]) ],
-    overhead_pct,
-    log_wall -. base_wall,
-    fixpoint_ok )
+  Obs.Json.Obj
+    [ ("workload", Obs.Json.Str "best-path, one topology, SeNDLogProv config");
+      ("n", Obs.Json.Int n);
+      ("base_wall_seconds", Obs.Json.Float base_wall);
+      ("provlog_wall_seconds", Obs.Json.Float log_wall);
+      ("overhead_pct", Obs.Json.Float overhead_pct);
+      ("best_paths", Obs.Json.Int (List.length log_fp));
+      ("records", Obs.Json.Int records);
+      ("flows", Obs.Json.Int flows);
+      ("digests", Obs.Json.Int digests);
+      ("segments", Obs.Json.Int segments);
+      ("log_bytes", Obs.Json.Int log_bytes);
+      ("offline_query",
+       Obs.Json.Obj
+         [ ("n", Obs.Json.Int query_n);
+           ("granularity",
+            Obs.Json.Str
+              (match query_granularity with
+              | Core.Config.As_level -> "domain"
+              | Core.Config.Node_level -> "node"));
+           ("queries", Obs.Json.Int (List.length latencies));
+           ("p50_seconds", Obs.Json.Float p50);
+           ("p99_seconds", Obs.Json.Float p99) ]) ]
 
 (* --- Figures 3 and 4 ---------------------------------------------------- *)
 
@@ -1416,24 +716,9 @@ let () =
   if o.micro_only then micro o
   else begin
     let points, figure_metrics = figures o in
-    let fault_json, reliable_ok, reliable_max_sim = fault_ablation o in
-    let jobs_json, jobs_speedup, _jobs_ok = jobs_ablation o in
-    let shards_json, shards_speedup, _shards_ok = shards_ablation o in
-    let verify_json, verify_ratio, _verify_ok = verify_ablation o in
-    let churn_json, churn_ok = churn_ablation o in
-    let forensics_json, forensics_overhead, forensics_delta, forensics_ok =
-      forensics_ablation o
-    in
-    let n1000_json = if o.n1000 then sweep_n1000 o else Obs.Json.Null in
-    let results_doc =
-      write_results_json o points ~figure_metrics ~fault_ablation:fault_json
-        ~jobs_ablation:jobs_json ~shards_ablation:shards_json
-        ~verify_ablation:verify_json ~churn_ablation:churn_json
-        ~forensics_ablation:forensics_json ~sweep_n1000:n1000_json
-    in
-    (match o.compare_file with
-    | Some path -> run_compare path results_doc
-    | None -> ());
+    let forensics_ablation = forensics_ablation o in
+    let sweep_n1000 = if o.n1000 then sweep_n1000 o else Obs.Json.Null in
+    write_results_json o points ~figure_metrics ~forensics_ablation ~sweep_n1000;
     if not o.figures_only then begin
       ablation_local_vs_distributed o;
       phase_metrics "ablation A";
@@ -1444,78 +729,6 @@ let () =
       ablation_granularity o;
       phase_metrics "ablation D";
       if not o.skip_micro then micro o
-    end;
-    if o.smoke && not reliable_ok then begin
-      Printf.eprintf
-        "SMOKE FAILURE: reliable delivery no longer converges to the \
-         fault-free fixpoint under loss\n";
-      exit 1
-    end;
-    (* Capped-backoff convergence bound: with max_backoff in force, the
-       worst reliable cell (loss=0.2 plus a mid-run crash) must finish
-       in simulated seconds, not the minute-plus an uncapped
-       exponential schedule burns idling between retransmissions. *)
-    let backoff_bound = 30.0 in
-    if o.smoke && reliable_max_sim > backoff_bound then begin
-      Printf.eprintf
-        "SMOKE FAILURE: reliable delivery under loss took %.1f simulated seconds \
-         (bound %.1f) - is the retransmission backoff cap still in force?\n"
-        reliable_max_sim backoff_bound;
-      exit 1
-    end;
-    (* Engine ratio gates (machine-adaptive, like the verify gate
-       below).  Both arms of each ablation run the same coalescing
-       event loop, so the ratio is pool or shard parallelism alone:
-       1.5x on hosts with >= 4 recommended domains, recorded ungated
-       below that.  On any host [--compare] still gates both arms'
-       walls (+15%) and the ratios (70% of baseline). *)
-    let parallel_host = Domain.recommended_domain_count () >= 4 in
-    if o.smoke && parallel_host && jobs_speedup < 1.5 then begin
-      Printf.eprintf
-        "SMOKE FAILURE: the domain pool is no longer speeding up node-group \
-         evaluation (speedup %.2fx < 1.50x at N=80, jobs=4)\n"
-        jobs_speedup;
-      exit 1
-    end;
-    if o.smoke && parallel_host && shards_speedup < 1.5 then begin
-      Printf.eprintf
-        "SMOKE FAILURE: the sharded conservative simulator is no longer beating \
-         the single event queue (speedup %.2fx < 1.50x at N=80, shards=4)\n"
-        shards_speedup;
-      exit 1
-    end;
-    (* Authenticated-overhead gate (machine-adaptive, like the engine
-       ratio gates): pipelined batch verification must hold SeNDLog
-       within 1.2x of the NDLog wall at N=80 — against the paper's
-       +53% — but only parallel hardware can overlap the crypto, so
-       on hosts with fewer than 4 recommended domains the ratio is
-       recorded without gating. *)
-    if o.smoke && parallel_host && verify_ratio > 1.2 then begin
-      Printf.eprintf
-        "SMOKE FAILURE: batched signature verification is no longer holding \
-         SeNDLog within 1.2x of NDLog (ratio %.2fx at N=80, jobs=4)\n"
-        verify_ratio;
-      exit 1
-    end;
-    if o.smoke && not churn_ok then begin
-      Printf.eprintf
-        "SMOKE FAILURE: incremental maintenance diverged from full \
-         recomputation after link churn (fixpoint or provenance mismatch)\n";
-      exit 1
-    end;
-    if o.smoke && not forensics_ok then begin
-      Printf.eprintf
-        "SMOKE FAILURE: the provenance-log write-through changed the fixpoint\n";
-      exit 1
-    end;
-    (* 10% wall budget for the retire write-through, with an absolute
-       slack so sub-second runs aren't gated on scheduler noise. *)
-    if o.smoke && forensics_overhead > 10.0 && forensics_delta > 0.15 then begin
-      Printf.eprintf
-        "SMOKE FAILURE: provenance-log write-through costs %.1f%% wall \
-         (+%.3fs; budget 10%% or 0.15s absolute)\n"
-        forensics_overhead forensics_delta;
-      exit 1
     end
   end;
   print_newline ();

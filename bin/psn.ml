@@ -223,8 +223,7 @@ let run_cmd =
     let program = Ndlog.Parser.parse_program_exn (read_file file) in
     let rng = Crypto.Rng.create ~seed in
     let topo = Net.Topology.random rng ~n:nodes () in
-    (* All knobs flow through the shared Config builders so psn and the
-       bench build identical configurations from identical spellings. *)
+    (* All knobs flow through the Config builders, which validate them. *)
     let cfg =
       try
         let c = Core.Config.with_rsa_bits cfg rsa_bits in

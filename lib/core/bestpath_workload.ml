@@ -166,24 +166,14 @@ let sweep ?(opts = default_opts) ?(ns = [ 10; 20; 30; 40; 50; 60; 70; 80; 90; 10
 
 (* --- churn: long-running Best-Path under link flaps ------------------- *)
 
-(* The churn ablation the incremental-maintenance work is gated on:
-   converge Best-Path, subject the network to a Poisson link-flap
+(* Converge Best-Path, subject the network to a Poisson link-flap
    process (every flap retracts or reinstalls a link fact, driving the
-   DRed-style deletion pass), let it re-converge, and compare both the
-   cost and the result against full recomputation — a from-scratch run
-   over the same (post-churn, i.e. static) topology. *)
+   DRed-style deletion pass), let it re-converge, and compare the
+   result against full recomputation — a from-scratch run over the
+   same (post-churn, i.e. static) topology. *)
 
 type churn_point = {
-  c_config : string;
-  c_n : int;
-  c_flap_rate : float;
-  c_horizon : float; (* churn window, virtual seconds *)
   c_flaps : int; (* link transitions played *)
-  c_incremental_wall : float; (* churn + re-convergence, wall seconds *)
-  c_scratch_wall : float; (* full recomputation, wall seconds *)
-  c_reconverge_sim : float; (* virtual seconds from last flap to quiescence *)
-  c_updates : int; (* tuples retracted + re-derived during churn *)
-  c_updates_per_sec : float; (* updates / incremental wall *)
   c_fixpoint_match : bool; (* post-churn Best-Path relations = from-scratch *)
   c_prov_match : bool; (* ... and so is every tuple's provenance *)
 }
@@ -225,26 +215,14 @@ let run_churn ?(cfg = Config.sendlog_prov) ?(seed = 2008) ?(n = 10)
   in
   Runtime.install_links t;
   ignore (Runtime.run t);
-  Runtime.enable_derivation_log t;
-  let derivs_before = List.length (Runtime.derivation_log t) in
-  let retracted_before = Runtime.tuples_retracted t in
-  let churn_start = Runtime.now t in
   let flaps = Runtime.schedule_flaps t ~rate ~horizon () in
-  let r1 = Runtime.run t in
-  let last_flap =
-    List.fold_left (fun acc (f : Net.Fault.flap) -> max acc f.Net.Fault.fl_at) 0.0 flaps
-  in
-  let reconverge_sim = r1.Runtime.sim_seconds -. (churn_start +. last_flap) in
-  let updates =
-    List.length (Runtime.derivation_log t) - derivs_before
-    + (Runtime.tuples_retracted t - retracted_before)
-  in
+  ignore (Runtime.run t);
   (* Full recomputation on the post-churn (= static) topology. *)
   let t2 =
     Runtime.create ~directory ~rng:(Crypto.Rng.create ~seed) ~cfg ~topo ~program ()
   in
   Runtime.install_links t2;
-  let r2 = Runtime.run t2 in
+  ignore (Runtime.run t2);
   let rels = [ "link"; "path"; "bestPathCost"; "bestPath" ] in
   let same snapshot = List.for_all (fun rel -> snapshot t rel = snapshot t2 rel) rels in
   let fixpoint_match = same fixpoint_snapshot in
@@ -253,41 +231,9 @@ let run_churn ?(cfg = Config.sendlog_prov) ?(seed = 2008) ?(n = 10)
     | Config.Prov_off -> fixpoint_match
     | _ -> same prov_snapshot
   in
-  let point =
-    { c_config = Config.name cfg;
-      c_n = n;
-      c_flap_rate = rate;
-      c_horizon = horizon;
-      c_flaps = List.length flaps;
-      c_incremental_wall = r1.Runtime.wall_seconds;
-      c_scratch_wall = r2.Runtime.wall_seconds;
-      c_reconverge_sim = reconverge_sim;
-      c_updates = updates;
-      c_updates_per_sec =
-        (if r1.Runtime.wall_seconds > 0.0 then
-           float_of_int updates /. r1.Runtime.wall_seconds
-         else 0.0);
-      c_fixpoint_match = fixpoint_match;
-      c_prov_match = prov_match }
-  in
   Runtime.shutdown t;
   Runtime.shutdown t2;
-  point
-
-let churn_point_to_json (p : churn_point) : Obs.Json.t =
-  Obs.Json.Obj
-    [ ("config", Obs.Json.Str p.c_config);
-      ("n", Obs.Json.Int p.c_n);
-      ("flap_rate", Obs.Json.Float p.c_flap_rate);
-      ("horizon", Obs.Json.Float p.c_horizon);
-      ("flaps", Obs.Json.Int p.c_flaps);
-      ("incremental_wall_seconds", Obs.Json.Float p.c_incremental_wall);
-      ("scratch_wall_seconds", Obs.Json.Float p.c_scratch_wall);
-      ("reconverge_sim_seconds", Obs.Json.Float p.c_reconverge_sim);
-      ("updates", Obs.Json.Int p.c_updates);
-      ("updates_per_sec", Obs.Json.Float p.c_updates_per_sec);
-      ("fixpoint_match", Obs.Json.Bool p.c_fixpoint_match);
-      ("prov_match", Obs.Json.Bool p.c_prov_match) ]
+  { c_flaps = List.length flaps; c_fixpoint_match = fixpoint_match; c_prov_match = prov_match }
 
 let point_to_json (p : point) : Obs.Json.t =
   Obs.Json.Obj

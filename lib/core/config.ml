@@ -134,16 +134,8 @@ let name (c : t) : string =
       | Prov_distributed -> "distributed")
 
 (* --- builders ---------------------------------------------------------
-   Shared construction API so [bin/psn.ml] and [bench/main.ml] build
-   identical configurations from identical flag spellings instead of
-   maintaining two divergent hand-rolled parsers. *)
-
-let of_name (s : string) : (t, string) result =
-  match String.lowercase_ascii s with
-  | "ndlog" -> Ok ndlog
-  | "sendlog" -> Ok sendlog
-  | "sendlogprov" | "sendlog_prov" | "sendlog-prov" -> Ok sendlog_prov
-  | _ -> Error (Printf.sprintf "unknown config %S (ndlog|sendlog|sendlogprov)" s)
+   Validated setters; [bin/psn.ml] builds its configuration from its
+   flags through these. *)
 
 let with_rsa_bits (c : t) (rsa_bits : int) : t =
   if rsa_bits < 128 then invalid_arg "Config.with_rsa_bits: need >= 128 bits";
@@ -233,119 +225,3 @@ let granularity_of_string (s : string) : (granularity, string) result =
   | "node" -> Ok Node_level
   | "domain" | "as" -> Ok As_level
   | _ -> Error (Printf.sprintf "unknown provenance granularity %S (node|domain)" s)
-
-(* Argv-style construction: consume the flags this module understands
-   and hand everything else back to the caller's own parser.  Both
-   binaries route their command line through here so fault and engine
-   knobs stay uniform. *)
-let of_args ?(base = default) (args : string list) : (t * string list, string) result
-    =
-  let float_arg flag v k =
-    match float_of_string_opt v with
-    | Some f -> k f
-    | None -> Error (Printf.sprintf "%s: expected a number, got %S" flag v)
-  in
-  let int_arg flag v k =
-    match int_of_string_opt v with
-    | Some i -> k i
-    | None -> Error (Printf.sprintf "%s: expected an integer, got %S" flag v)
-  in
-  let rec go cfg leftover = function
-    | [] -> Ok (cfg, List.rev leftover)
-    | "--config" :: v :: rest -> (
-      match of_name v with
-      (* Preserve knobs already accumulated on [cfg] that the preset
-         doesn't speak to. *)
-      | Ok preset ->
-        go
-          { preset with
-            rsa_bits = cfg.rsa_bits;
-            fault = cfg.fault;
-            reliable = cfg.reliable;
-            retry_limit = cfg.retry_limit;
-            ack_timeout = cfg.ack_timeout;
-            max_backoff = cfg.max_backoff;
-            jobs = cfg.jobs;
-            flap_rate = cfg.flap_rate;
-            churn = cfg.churn;
-            shards = cfg.shards;
-            granularity = cfg.granularity;
-            prov_log = cfg.prov_log;
-            prov_sample_k = cfg.prov_sample_k }
-          leftover rest
-      | Error e -> Error e)
-    | "--rsa-bits" :: v :: rest ->
-      int_arg "--rsa-bits" v (fun b ->
-          try go (with_rsa_bits cfg b) leftover rest
-          with Invalid_argument e -> Error e)
-    | "--loss" :: v :: rest ->
-      float_arg "--loss" v (fun p ->
-          try go (with_loss cfg p) leftover rest
-          with Invalid_argument e -> Error e)
-    | "--dup" :: v :: rest ->
-      float_arg "--dup" v (fun p ->
-          try go (with_dup cfg p) leftover rest
-          with Invalid_argument e -> Error e)
-    | "--reorder" :: v :: rest ->
-      float_arg "--reorder" v (fun p ->
-          try go (with_reorder cfg p) leftover rest
-          with Invalid_argument e -> Error e)
-    | "--jitter" :: v :: rest ->
-      float_arg "--jitter" v (fun j ->
-          try go (with_jitter cfg j) leftover rest
-          with Invalid_argument e -> Error e)
-    | "--crash" :: v :: rest -> (
-      match Net.Fault.crash_of_string v with
-      | Ok crash -> go (with_crash cfg crash) leftover rest
-      | Error e -> Error e)
-    | "--fault-seed" :: v :: rest ->
-      int_arg "--fault-seed" v (fun s -> go (with_fault_seed cfg s) leftover rest)
-    | "--reliable" :: rest -> go (with_reliable cfg true) leftover rest
-    | "--retries" :: v :: rest ->
-      int_arg "--retries" v (fun n ->
-          try go (with_retry cfg ~limit:n ~ack_timeout:cfg.ack_timeout ()) leftover rest
-          with Invalid_argument e -> Error e)
-    | "--ack-timeout" :: v :: rest ->
-      float_arg "--ack-timeout" v (fun s ->
-          try go (with_retry cfg ~limit:cfg.retry_limit ~ack_timeout:s ()) leftover rest
-          with Invalid_argument e -> Error e)
-    | "--max-backoff" :: v :: rest ->
-      float_arg "--max-backoff" v (fun s ->
-          try go (with_max_backoff cfg s) leftover rest
-          with Invalid_argument e -> Error e)
-    | "--jobs" :: v :: rest ->
-      int_arg "--jobs" v (fun n ->
-          try go (with_jobs cfg n) leftover rest
-          with Invalid_argument e -> Error e)
-    | "--flap-rate" :: v :: rest ->
-      float_arg "--flap-rate" v (fun r ->
-          try go (with_flap_rate cfg r) leftover rest
-          with Invalid_argument e -> Error e)
-    | "--churn" :: v :: rest ->
-      float_arg "--churn" v (fun h ->
-          try go (with_churn cfg h) leftover rest
-          with Invalid_argument e -> Error e)
-    | "--shards" :: v :: rest ->
-      int_arg "--shards" v (fun k ->
-          try go (with_shards cfg k) leftover rest
-          with Invalid_argument e -> Error e)
-    | "--prov-granularity" :: v :: rest -> (
-      match granularity_of_string v with
-      | Ok g -> go (with_granularity cfg g) leftover rest
-      | Error e -> Error e)
-    | "--prov-log" :: v :: rest -> (
-      try go (with_prov_log cfg (Some v)) leftover rest
-      with Invalid_argument e -> Error e)
-    | "--prov-sample" :: v :: rest ->
-      int_arg "--prov-sample" v (fun k ->
-          try go (with_prov_sample cfg k) leftover rest
-          with Invalid_argument e -> Error e)
-    | (("--config" | "--rsa-bits" | "--loss" | "--dup" | "--reorder" | "--jitter"
-       | "--crash" | "--fault-seed" | "--retries" | "--ack-timeout" | "--max-backoff"
-       | "--jobs" | "--flap-rate" | "--churn" | "--shards" | "--prov-granularity"
-       | "--prov-log" | "--prov-sample")
-        as flag)
-      :: [] -> Error (Printf.sprintf "%s: missing value" flag)
-    | other :: rest -> go cfg (other :: leftover) rest
-  in
-  go base [] args

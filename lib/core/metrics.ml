@@ -116,116 +116,6 @@ let ordering_holds (points : Bestpath_workload.point list)
       | _ -> true)
     (ns_of points)
 
-(* --- bench regression gate --------------------------------------------
-
-   [compare_bench ~baseline ~current] diffs two BENCH_results.json
-   documents and returns human-readable regression messages (empty =
-   pass).  It is pure over parsed JSON so tests can feed synthetic
-   documents; the bench harness turns a non-empty result into a
-   non-zero exit.
-
-   Wall-clock comparisons are normalized by each document's
-   [calibration_ops_per_sec] (a fixed SHA-256 spin measured at run
-   time): a slower machine reports a lower calibration, and its wall
-   times are scaled down by the ratio before comparison, so the gate
-   flags *relative* slowdowns of the code, not of the hardware.
-
-   Thresholds:
-   - wall seconds ([*_wall_seconds], normalized): beyond +15% plus a
-     0.25s absolute slack is a regression (the slack keeps sub-second
-     smoke walls from flaking on shared-machine noise; a real >=20%
-     regression on a multi-second wall still clears both).  Values
-     under 10ms in the baseline are skipped entirely.
-   - speedups ([speedup]): below 70% of the baseline ratio fails.
-   - fixpoint sizes ([best_paths]): must match exactly.
-   - simulated completion ([reliable_max_sim_seconds]): > +25% fails
-     (virtual time is latency-dominated, but measured compute feeds
-     the cost model, so a little slack is needed). *)
-
-let json_num (j : Obs.Json.t) : float option =
-  match j with
-  | Obs.Json.Int i -> Some (float_of_int i)
-  | Obs.Json.Float f -> Some f
-  | _ -> None
-
-let bench_value (doc : Obs.Json.t) (path : string list) : float option =
-  let rec go doc = function
-    | [] -> json_num doc
-    | k :: rest -> Option.bind (Obs.Json.member k doc) (fun d -> go d rest)
-  in
-  go doc path
-
-let compare_bench ~(baseline : Obs.Json.t) ~(current : Obs.Json.t) : string list =
-  let issues = ref [] in
-  let flag fmt = Printf.ksprintf (fun s -> issues := s :: !issues) fmt in
-  let path_str path = String.concat "." path in
-  (* Wall normalization factor: scale current wall seconds by
-     base_cal / cur_cal... inverted: a machine half as fast has
-     cur_cal = base_cal/2 and wall times twice the baseline's, so
-     multiply current wall by (cur_cal /. base_cal) to land in
-     baseline units. *)
-  let cal doc = bench_value doc [ "calibration_ops_per_sec" ] in
-  let norm =
-    match (cal baseline, cal current) with
-    | Some b, Some c when b > 0.0 && c > 0.0 -> c /. b
-    | _ -> 1.0
-  in
-  let wall path =
-    match (bench_value baseline path, bench_value current path) with
-    | Some b, Some c when b >= 0.01 ->
-      let c' = c *. norm in
-      if c' > (b *. 1.15) +. 0.25 then
-        flag "%s regressed: %.3fs -> %.3fs normalized (+%.0f%%, limit +15%% + 0.25s)"
-          (path_str path) b c'
-          (100.0 *. ((c' /. b) -. 1.0))
-    | _ -> ()
-  in
-  let speedup path =
-    match (bench_value baseline path, bench_value current path) with
-    | Some b, Some c when b > 0.0 ->
-      if c < 0.7 *. b then
-        flag "%s collapsed: %.2fx -> %.2fx (limit 70%% of baseline)" (path_str path) b c
-    | _ -> ()
-  in
-  let exact path =
-    match (bench_value baseline path, bench_value current path) with
-    | Some b, Some c when b <> c ->
-      flag "%s changed: %g -> %g (fixpoint sizes must match the baseline)"
-        (path_str path) b c
-    | Some _, Some _ -> ()
-    | Some _, None -> flag "%s missing from current results" (path_str path)
-    | None, _ -> ()
-  in
-  let sim path =
-    match (bench_value baseline path, bench_value current path) with
-    | Some b, Some c when b > 0.0 && c > b *. 1.25 ->
-      flag "%s regressed: %.3fs -> %.3fs simulated (+%.0f%%, limit +25%%)"
-        (path_str path) b c
-        (100.0 *. ((c /. b) -. 1.0))
-    | _ -> ()
-  in
-  List.iter wall
-    [ [ "jobs_ablation"; "seq_wall_seconds" ];
-      [ "jobs_ablation"; "par_wall_seconds" ];
-      [ "shards_ablation"; "seq_wall_seconds" ];
-      [ "shards_ablation"; "sharded_wall_seconds" ];
-      [ "verify_ablation"; "ndlog_wall_seconds" ];
-      [ "verify_ablation"; "batched_wall_seconds" ];
-      [ "forensics_ablation"; "base_wall_seconds" ];
-      [ "forensics_ablation"; "provlog_wall_seconds" ];
-      [ "forensics_ablation"; "offline_query"; "p99_seconds" ] ];
-  List.iter speedup
-    [ [ "jobs_ablation"; "speedup" ];
-      [ "shards_ablation"; "speedup" ] ];
-  List.iter exact
-    [ [ "jobs_ablation"; "best_paths" ];
-      [ "shards_ablation"; "fixpoint_rows" ];
-      [ "verify_ablation"; "best_paths" ];
-      [ "fault_ablation"; "baseline_best_paths" ];
-      [ "forensics_ablation"; "best_paths" ] ];
-  sim [ "fault_ablation"; "reliable_max_sim_seconds" ];
-  List.rev !issues
-
 let overhead_decreases (points : Bestpath_workload.point list) ~(base : string)
     ~(variant : string) ~(metric : Bestpath_workload.point -> float) : bool =
   let ns = ns_of points in

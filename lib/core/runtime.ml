@@ -154,7 +154,6 @@ type t = {
          every node's retire path, plus 1/K-sampled flows and Bloom
          digests); internally mutex-guarded, so worker domains append
          directly *)
-  log_mu : Mutex.t; (* guards [derivation_log] appends *)
   pool : Par.Pool.t option;
       (* worker domains when [cfg.jobs > 1] or the engine is sharded *)
   verify_pipelined : bool;
@@ -191,10 +190,7 @@ type t = {
          ([link_down]/[link_up]) can reconstruct the same tuples *)
   mutable tuples_retracted : int;
       (* monotone count of tuples deleted by retraction passes, across
-         all nodes (the churn ablation's update-rate numerator,
-         together with the derivation count) *)
-  mutable log_derivations : bool;
-  mutable derivation_log : Eval.derivation list;
+         all nodes *)
   mutable on_message : (float -> Net.Wire.message -> unit) option;
       (* audit tap: sees every wire message (Accountability) *)
 }
@@ -444,7 +440,6 @@ let create ?(directory : Sendlog.Principal.directory option) ~(rng : Crypto.Rng.
       prov_ctx = Provenance.Condense.create_ctx ();
       prov_mu = Mutex.create ();
       prov_log;
-      log_mu = Mutex.create ();
       pool;
       verify_pipelined = Option.is_some pool && cfg.Config.auth = Sendlog.Auth.Auth_rsa;
       vq_mu = Mutex.create ();
@@ -466,8 +461,6 @@ let create ?(directory : Sendlog.Principal.directory option) ~(rng : Crypto.Rng.
       seen = Hashtbl.create 256;
       links_with_cost = true;
       tuples_retracted = 0;
-      log_derivations = false;
-      derivation_log = [];
       on_message = None }
   in
   Obs.Metrics.set t.g_crashed 0.0;
@@ -689,8 +682,8 @@ let rec reliable_send (t : t) (receiver : node) (msg : Net.Wire.message)
   let key = (msg.Net.Wire.msg_src, msg.Net.Wire.msg_dst, msg.Net.Wire.msg_seq) in
   (* Exponential backoff, capped: without the cap a run at 20% loss
      spends most of its simulated time inside minute-long retransmit
-     gaps (the convergence-time grid in BENCH_results.json is recorded
-     with the cap). *)
+     gaps (the core test "backoff cap bounds completion under faults"
+     measures the difference). *)
   let timeout =
     Float.min t.cfg.Config.max_backoff
       (t.cfg.Config.ack_timeout *. (2.0 ** float_of_int attempt))
@@ -849,11 +842,9 @@ let self_principal_of (t : t) (n : node) : Value.t option =
 
 (* Derivation callback shared by the forward fixpoint and the
    retraction pass's re-derivations, so a replayed derivation leaves
-   the same log entries, events and provenance as the original. *)
+   the same events and provenance as the original. *)
 let on_derive_for (t : t) (n : node) : Eval.derivation -> unit =
  fun deriv ->
-  if t.log_derivations then
-    locked t.log_mu (fun () -> t.derivation_log <- deriv :: t.derivation_log);
   let at = now t in
   Obs.Events.emit t.obs_events ~at
     (Obs.Events.E_rule_fired
@@ -2001,12 +1992,8 @@ let enable_tracing (t : t) : Obs.Trace.t =
   t.tracer <- Some tr;
   tr
 
-let enable_derivation_log (t : t) : unit = t.log_derivations <- true
-
 let set_message_tap (t : t) (tap : float -> Net.Wire.message -> unit) : unit =
   t.on_message <- Some tap
-
-let derivation_log (t : t) : Eval.derivation list = List.rev t.derivation_log
 
 (* Total provenance storage across nodes, for the ablations. *)
 let total_storage (t : t) : Prov_store.storage =

@@ -227,9 +227,6 @@ val enable_tracing : t -> Obs.Trace.t
 (** Attach a tracer whose primary clock is the simulator's virtual
     clock (wall-clock durations are recorded alongside). *)
 
-val enable_derivation_log : t -> unit
-val derivation_log : t -> Eval.derivation list
-
 val set_message_tap : t -> (float -> Net.Wire.message -> unit) -> unit
 (** Audit tap: sees every outgoing wire message (Accountability). *)
 

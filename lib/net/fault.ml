@@ -225,7 +225,7 @@ let flap_schedule (m : model) ~(links : (string * string) list) ~(rate : float)
 (* --- crash-spec syntax ------------------------------------------------ *)
 
 (* "node@at" (down forever) or "node@at+duration" (restarts at
-   at+duration); used by the psn CLI and the bench flag parser. *)
+   at+duration); used by the psn CLI's --crash flag. *)
 let crash_of_string (s : string) : (crash, string) result =
   match String.index_opt s '@' with
   | None -> Error (Printf.sprintf "crash spec %S: expected NODE@TIME[+DURATION]" s)

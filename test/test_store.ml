@@ -336,6 +336,43 @@ let test_sampled_runtime_flow_counts () =
     (f64 <= f8 && f8 <= f1);
   Alcotest.(check bool) "K=8 thins the flow log" true (f8 < f1)
 
+(* The write-through only observes the run: SeNDLogProv Best-Path with
+   and without a provenance log, on the same seeds, reaches the same
+   fixpoint on every Best-Path relation and the same bestPathCost
+   provenance. *)
+let test_write_through_identity () =
+  let run prov_log =
+    let topo = Net.Topology.random (Crypto.Rng.create ~seed:7) ~n:8 () in
+    let cfg = Core.Config.with_prov_log { Core.Config.sendlog_prov with rsa_bits } prov_log in
+    let t =
+      Core.Runtime.create ~rng:(Crypto.Rng.create ~seed:8) ~cfg ~topo
+        ~program:(Ndlog.Programs.best_path ()) ()
+    in
+    Core.Runtime.install_links t;
+    ignore (Core.Runtime.run t);
+    Core.Runtime.sync_prov_log t;
+    let records = Option.map Store.Prov_log.record_count (Core.Runtime.prov_log t) in
+    let fixpoint =
+      List.map
+        (Core.Bestpath_workload.fixpoint_snapshot t)
+        [ "link"; "path"; "bestPathCost"; "bestPath" ]
+    in
+    let prov = Core.Bestpath_workload.prov_snapshot t "bestPathCost" in
+    Core.Runtime.shutdown t;
+    (fixpoint, prov, records)
+  in
+  with_temp_dir (fun dir ->
+      let fixpoint, prov, _ = run None in
+      let logged_fixpoint, logged_prov, records = run (Some dir) in
+      Alcotest.(check bool) "the log was written" true
+        (match records with Some r -> r > 0 | None -> false);
+      Alcotest.(check bool) "fixpoint to compare" true
+        (List.for_all (fun rel -> rel <> []) fixpoint);
+      Alcotest.(check (list (list (pair string string)))) "same fixpoint" fixpoint
+        logged_fixpoint;
+      Alcotest.(check (list (pair (pair string string) string)))
+        "same bestPathCost provenance" prov logged_prov)
+
 (* --- persisted Bloom digests --------------------------------------- *)
 
 let test_digest_fp_rate () =
@@ -392,6 +429,8 @@ let suite =
       test_sampling_rate_bound;
     Alcotest.test_case "sampled runtime flow counts" `Slow
       test_sampled_runtime_flow_counts;
+    Alcotest.test_case "prov-log write-through leaves the fixpoint" `Quick
+      test_write_through_identity;
     Alcotest.test_case "persisted bloom digest FP rate" `Quick
       test_digest_fp_rate;
   ]
