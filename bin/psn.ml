@@ -223,7 +223,17 @@ let run_cmd =
     let program = Ndlog.Parser.parse_program_exn (read_file file) in
     let rng = Crypto.Rng.create ~seed in
     let topo = Net.Topology.random rng ~n:nodes () in
-    (* All knobs flow through the Config builders, which validate them. *)
+    (* Config knobs flow through the Config builders, which validate
+       them.  The churn phase's flap rate and horizon go straight to
+       [Runtime.schedule_flaps], so they are checked here. *)
+    if flap_rate < 0.0 then begin
+      Printf.eprintf "--flap-rate: negative rate\n";
+      exit 1
+    end;
+    if churn < 0.0 then begin
+      Printf.eprintf "--churn: negative horizon\n";
+      exit 1
+    end;
     let cfg =
       try
         let c = Core.Config.with_rsa_bits cfg rsa_bits in
@@ -247,8 +257,6 @@ let run_cmd =
         let c = Core.Config.with_reliable c reliable in
         let c = Core.Config.with_retry c ~limit:retries ~ack_timeout () in
         let c = Core.Config.with_max_backoff c max_backoff in
-        let c = Core.Config.with_flap_rate c flap_rate in
-        let c = Core.Config.with_churn c churn in
         let c = Core.Config.with_shards c shards in
         let c =
           match Core.Config.granularity_of_string prov_granularity with
@@ -292,18 +300,14 @@ let run_cmd =
            Printf.sprintf "reliable (retries=%d, ack-timeout=%.3fs)"
              cfg.Core.Config.retry_limit cfg.Core.Config.ack_timeout
          else "best-effort");
-    if cfg.Core.Config.churn > 0.0 && cfg.Core.Config.flap_rate > 0.0 then begin
-      let flaps =
-        Core.Runtime.schedule_flaps t ~rate:cfg.Core.Config.flap_rate
-          ~horizon:cfg.Core.Config.churn ()
-      in
+    if churn > 0.0 && flap_rate > 0.0 then begin
+      let flaps = Core.Runtime.schedule_flaps t ~rate:flap_rate ~horizon:churn () in
       let rc = Core.Runtime.run t in
       Printf.fprintf human
         "churn: %d link flaps over %.1fs (rate %.2f/s per link, fault seed %d); \
          re-converged at %.3fs (virtual), %d tuples retracted\n"
-        (List.length flaps) cfg.Core.Config.churn cfg.Core.Config.flap_rate
-        cfg.Core.Config.fault.Net.Fault.seed rc.sim_seconds
-        (Core.Runtime.tuples_retracted t)
+        (List.length flaps) churn flap_rate cfg.Core.Config.fault.Net.Fault.seed
+        rc.sim_seconds (Core.Runtime.tuples_retracted t)
     end;
     if advance > 0.0 then begin
       let before = Core.Runtime.tuples_retracted t in

@@ -64,19 +64,9 @@ type t = {
          convergence time *)
   jobs : int;
       (* worker domains that evaluate a timestamp's per-node groups;
-         1 = evaluate them on the calling domain.  With worker domains
-         (here or from shards > 1) and RSA auth, receivers' signature
-         checks are also fanned across the pool as messages are
-         dispatched, overlapping the next batch's fixpoint *)
-  flap_rate : float;
-      (* link-flap rate for churn runs: mean flaps per second per
-         directed link of the Poisson flap process (0 = no flaps).
-         Flap histories derive from [fault.seed], so a churn run is
-         reproducible with --fault-seed *)
-  churn : float;
-      (* churn horizon in virtual seconds: how long the flap process
-         (or a workload's join/leave phase) runs before the network is
-         left to re-converge (0 = no churn phase) *)
+         1 = evaluate them on the calling domain.  Each group verifies
+         the signatures of the messages it accepts, on whichever domain
+         evaluates it *)
   shards : int;
       (* event queues for the conservative parallel engine: 1 = one
          queue drained as a single window, 0 = one shard per AS
@@ -107,8 +97,6 @@ let default =
     ack_timeout = 0.25;
     max_backoff = 2.0;
     jobs = 1;
-    flap_rate = 0.0;
-    churn = 0.0;
     shards = 1;
     prov_log = None;
     prov_sample_k = 1 }
@@ -195,14 +183,6 @@ let with_max_backoff (c : t) (max_backoff : float) : t =
 let with_jobs (c : t) (jobs : int) : t =
   if jobs < 1 then invalid_arg "Config.with_jobs: need at least 1 job";
   { c with jobs }
-
-let with_flap_rate (c : t) (flap_rate : float) : t =
-  if flap_rate < 0.0 then invalid_arg "Config.with_flap_rate: negative rate";
-  { c with flap_rate }
-
-let with_churn (c : t) (churn : float) : t =
-  if churn < 0.0 then invalid_arg "Config.with_churn: negative horizon";
-  { c with churn }
 
 let with_shards (c : t) (shards : int) : t =
   if shards < 0 then invalid_arg "Config.with_shards: need >= 0 (0 = per domain)";

@@ -34,7 +34,6 @@ type node = {
       (* dedup of identical sends, keyed dest+tuple identity with the
          provenance variant one level down, so a retraction notice can
          drop every variant of one (dest, tuple) in O(1) *)
-  mutable n_msgs_received : int;
   mutable n_free_at : float; (* virtual time until which this node's CPU is busy *)
   n_parked : Net.Wire.message Queue.t;
       (* receive queue: messages that arrived while the CPU was busy,
@@ -78,21 +77,6 @@ type exec_ctx = {
   mutable xc_out : outgoing list; (* reversed *)
 }
 
-(* One committed signed message whose verification is scheduled ahead
-   of delivery (pipelined batch verification, on whenever the runtime
-   has worker domains and verifies RSA signatures): enough to
-   re-encode the canonical signed bytes at flush time.  The receiver
-   finds the precomputed verdict keyed by the message's channel
-   identity. *)
-type pending_verify = {
-  pv_src : string;
-  pv_dst : string;
-  pv_seq : int;
-  pv_retract : bool;
-  pv_tuple : Tuple.t;
-  pv_auth : Net.Wire.auth;
-}
-
 (* One cross-shard schedule buffered during a conservative window.
    Shards may not touch each other's queues mid-window, so a delivery
    addressed to another shard parks here and is flushed at the next
@@ -120,10 +104,6 @@ type shard = {
          fact retractions, in reversed arrival order *)
   mutable sh_outbox : outbox_entry list; (* reversed production order *)
   mutable sh_order : int; (* monotone outbox tiebreak counter *)
-  mutable sh_verify : pending_verify list;
-      (* signed messages committed since the last verify flush
-         (reversed); flushed into async pool slabs at batch/window
-         boundaries so their crypto overlaps the next fixpoint *)
 }
 
 type t = {
@@ -156,17 +136,6 @@ type t = {
          directly *)
   pool : Par.Pool.t option;
       (* worker domains when [cfg.jobs > 1] or the engine is sharded *)
-  verify_pipelined : bool;
-      (* dispatch-time batch verification is on: pool present, RSA
-         auth, and signatures verified *)
-  vq_mu : Mutex.t; (* guards [vq_futures] *)
-  vq_futures :
-    ( string * string * int * bool,
-      Sendlog.Auth.verdict array Par.Pool.future * int )
-    Hashtbl.t;
-      (* precomputed verdict per in-flight signed message, keyed
-         (src, dst, seq, is_retract): the slab future and the
-         message's slot within it *)
   obs_events : Obs.Events.log; (* bounded structured event log *)
   mutable tracer : Obs.Trace.t option; (* span tree, when tracing is on *)
   h_handler : Obs.Metrics.histogram; (* modeled per-handler duration *)
@@ -320,7 +289,6 @@ let create ?(directory : Sendlog.Principal.directory option) ~(rng : Crypto.Rng.
           n_base = Tuple.Table.create 64;
           n_recv_from = Tuple.Table.create 64;
           n_sent_cache = Hashtbl.create 256;
-          n_msgs_received = 0;
           n_free_at = 0.0;
           n_parked = Queue.create ();
           n_wake_at = -1.0 })
@@ -339,8 +307,6 @@ let create ?(directory : Sendlog.Principal.directory option) ~(rng : Crypto.Rng.
   ignore (Obs.Metrics.histogram reg "crypto.verify_seconds");
   ignore (Obs.Metrics.counter reg "crypto.sign_cache_hits");
   ignore (Obs.Metrics.counter reg "crypto.sign_cache_misses");
-  ignore (Obs.Metrics.counter reg "crypto.verify_batches");
-  ignore (Obs.Metrics.counter reg "crypto.verify_batch_size");
   ignore (Obs.Metrics.counter reg "traceback.partial_results");
   ignore (Obs.Metrics.counter reg "forensics.records_written");
   ignore (Obs.Metrics.counter reg "forensics.segments_compacted");
@@ -412,8 +378,7 @@ let create ?(directory : Sendlog.Principal.directory option) ~(rng : Crypto.Rng.
           sh_sim = Net.Event_sim.create ();
           sh_inbox = [];
           sh_outbox = [];
-          sh_order = 0;
-          sh_verify = [] })
+          sh_order = 0 })
   in
   (* The sharded engine needs worker domains even when [jobs = 1];
      shards beyond the hardware parallelism just queue. *)
@@ -441,9 +406,6 @@ let create ?(directory : Sendlog.Principal.directory option) ~(rng : Crypto.Rng.
       prov_mu = Mutex.create ();
       prov_log;
       pool;
-      verify_pipelined = Option.is_some pool && cfg.Config.auth = Sendlog.Auth.Auth_rsa;
-      vq_mu = Mutex.create ();
-      vq_futures = Hashtbl.create 256;
       obs_events = Obs.Events.create ~capacity:8192 ();
       tracer = None;
       h_handler = Obs.Metrics.histogram reg "runtime.handler_seconds";
@@ -842,17 +804,9 @@ let self_principal_of (t : t) (n : node) : Value.t option =
 
 (* Derivation callback shared by the forward fixpoint and the
    retraction pass's re-derivations, so a replayed derivation leaves
-   the same events and provenance as the original. *)
+   the same provenance as the original. *)
 let on_derive_for (t : t) (n : node) : Eval.derivation -> unit =
- fun deriv ->
-  let at = now t in
-  Obs.Events.emit t.obs_events ~at
-    (Obs.Events.E_rule_fired
-       { node = n.n_addr; rule = deriv.Eval.d_rule; derivations = 1 });
-  Obs.Events.emit t.obs_events ~at
-    (Obs.Events.E_tuple_derived
-       { node = n.n_addr; rel = deriv.Eval.d_head.Tuple.rel; rule = deriv.Eval.d_rule });
-  ignore (capture_derivation t n deriv)
+ fun deriv -> ignore (capture_derivation t n deriv)
 
 (* A replace policy displaced [old]: its provenance is historical state
    now, so it retires to the offline log (when one is configured)
@@ -1071,33 +1025,30 @@ let process (t : t) (xc : exec_ctx) (n : node) (pending : Eval.frontier_item lis
   List.iter (send t xc n) emits;
   drain_displaced t xc n displaced
 
-(* Verdict for an incoming authenticated message: consume the
-   pipelined verdict if one was precomputed at dispatch (awaiting a
-   slab that no worker has started yet *steals* it and runs it inline,
-   so the fallback degenerates to exactly the scalar kernel), else
-   verify inline straight out of the scratch-encoded signed bytes.
-   Either way the per-message accounting stays with the caller. *)
-let verdict_for (t : t) (msg : Net.Wire.message) ~(retract : bool)
-    (bytes : Net.Arena.slice Lazy.t) : Sendlog.Auth.verdict =
-  let precomputed =
-    if not t.verify_pipelined then None
-    else
-      locked t.vq_mu (fun () ->
-          let key =
-            (msg.Net.Wire.msg_src, msg.Net.Wire.msg_dst, msg.Net.Wire.msg_seq,
-             retract)
-          in
-          match Hashtbl.find_opt t.vq_futures key with
-          | Some entry ->
-            Hashtbl.remove t.vq_futures key;
-            Some entry
-          | None -> None)
+(* Check an incoming message's authentication over its signed bytes,
+   in the handler that accepts the message (so the node is charged for
+   the check), and account for the verdict: a checked signature or MAC
+   counts as verified; a forged one counts as a failed verification
+   and a dropped message, and leaves an [E_forged_dropped] event. *)
+let verify_and_account (t : t) (receiver : node) (msg : Net.Wire.message)
+    (bytes : Net.Arena.slice) : Sendlog.Auth.verdict =
+  let verdict =
+    Sendlog.Auth.verify_slice t.cfg.auth t.directory msg.Net.Wire.msg_auth bytes
   in
-  match precomputed with
-  | Some (fut, slot) -> (Par.Pool.await fut).(slot)
-  | None ->
-    Sendlog.Auth.verify_slice t.cfg.auth t.directory msg.Net.Wire.msg_auth
-      (Lazy.force bytes)
+  (match verdict with
+  | Sendlog.Auth.Verified _ -> (
+    match t.cfg.auth with
+    | Sendlog.Auth.Auth_rsa | Sendlog.Auth.Auth_hmac ->
+      Net.Stats.record_verification t.stats ~ok:true
+    | Sendlog.Auth.Auth_none | Sendlog.Auth.Auth_cleartext -> ())
+  | Sendlog.Auth.Unsigned -> ()
+  | Sendlog.Auth.Forged _ ->
+    Net.Stats.record_verification t.stats ~ok:false;
+    Net.Stats.record_forged t.stats;
+    Obs.Events.emit t.obs_events ~at:(now t)
+      (Obs.Events.E_forged_dropped
+         { node = receiver.n_addr; src = msg.Net.Wire.msg_src }));
+  verdict
 
 (* Receiver side of a retraction notice: verify it (same outcomes as a
    data message), withdraw the sender from the tuple's external
@@ -1109,33 +1060,12 @@ let handle_retract (t : t) (xc : exec_ctx) (receiver : node)
   let tuple = msg.Net.Wire.msg_tuple in
   let src = msg.Net.Wire.msg_src in
   let bytes =
-    lazy
-      (Net.Wire.retract_signed_slice (Net.Arena.scratch ()) ~src
-         ~dst:msg.Net.Wire.msg_dst tuple)
+    Net.Wire.retract_signed_slice (Net.Arena.scratch ()) ~src ~dst:msg.Net.Wire.msg_dst
+      tuple
   in
-  let ok =
-    match verdict_for t msg ~retract:true bytes with
-    | Sendlog.Auth.Verified _ ->
-      (match t.cfg.auth with
-      | Sendlog.Auth.Auth_rsa | Sendlog.Auth.Auth_hmac ->
-        Net.Stats.record_verification t.stats ~ok:true;
-        Obs.Events.emit t.obs_events ~at:(now t)
-          (Obs.Events.E_sig_verified { node = receiver.n_addr; ok = true })
-      | _ -> ());
-      true
-    | Sendlog.Auth.Unsigned -> true
-    | Sendlog.Auth.Forged _ ->
-      Net.Stats.record_verification t.stats ~ok:false;
-      Net.Stats.record_forged t.stats;
-      let at = now t in
-      Obs.Events.emit t.obs_events ~at
-        (Obs.Events.E_sig_verified { node = receiver.n_addr; ok = false });
-      Obs.Events.emit t.obs_events ~at
-        (Obs.Events.E_forged_dropped
-           { node = receiver.n_addr; src });
-      false
-  in
-  if ok then begin
+  match verify_and_account t receiver msg bytes with
+  | Sendlog.Auth.Forged _ -> ()
+  | Sendlog.Auth.Verified _ | Sendlog.Auth.Unsigned ->
     (match Tuple.Table.find_opt receiver.n_recv_from tuple with
     | Some srcs ->
       srcs := List.filter (fun s -> not (String.equal s src)) !srcs;
@@ -1144,7 +1074,6 @@ let handle_retract (t : t) (xc : exec_ctx) (receiver : node)
     if prov_enabled t then
       Prov_store.remove_received receiver.n_prov tuple ~from:src;
     if Db.mem receiver.n_db tuple then retract_local t xc receiver ~lost:[ tuple ]
-  end
 
 (* Commit a finished handler: from its measured compute time and
    accumulated charges derive the modeled duration, advance the node's
@@ -1210,9 +1139,6 @@ let commit_handler (t : t) (n : node) ~(incoming_msgs : int) ~(incoming_bytes : 
           msg_trace = trace_ctx }
       in
       Net.Stats.record_message t.stats msg;
-      Obs.Events.emit t.obs_events ~at:now
-        (Obs.Events.E_msg_sent
-           { src = n.n_addr; dst = o.o_dest; bytes = Net.Wire.size msg });
       (* Offline-log capture during ordinary runs (Section 5.2): every
          released data shipment is a flow edge; a deterministic 1-in-K
          hash of the flow key decides whether to record it, and the
@@ -1228,36 +1154,12 @@ let commit_handler (t : t) (n : node) ~(incoming_msgs : int) ~(incoming_bytes : 
           Obs.Metrics.inc t.c_flows
         end
       | _ -> ());
-      (match o.o_prov with
-      | Some block ->
-        Obs.Events.emit t.obs_events ~at:now
-          (Obs.Events.E_prov_condensed
-             { node = n.n_addr; bytes = String.length block })
-      | None -> ());
       (match t.on_message with
       | Some tap -> tap now msg
       | None -> ());
       match o.o_receiver with
       | None -> () (* destination outside the simulation: counted, dropped *)
-      | Some r ->
-        (* Pipelined verification: park the signed message for the next
-           verify flush, so a pool slab computes its verdict while this
-           shard is still busy with the following fixpoints.  The
-           verdict is deterministic in the message, so precomputing it
-           commutes with everything between here and acceptance. *)
-        (match o.o_auth with
-        | Net.Wire.A_signature _ when t.verify_pipelined ->
-          let sh = shard_ctx t in
-          sh.sh_verify <-
-            { pv_src = n.n_addr;
-              pv_dst = o.o_dest;
-              pv_seq = msg.Net.Wire.msg_seq;
-              pv_retract = (o.o_kind = Net.Wire.K_retract);
-              pv_tuple = o.o_tuple;
-              pv_auth = o.o_auth }
-            :: sh.sh_verify
-        | _ -> ());
-        dispatch t r msg ~delay:(depart +. o.o_latency) ~latency:o.o_latency)
+      | Some r -> dispatch t r msg ~delay:(depart +. o.o_latency) ~latency:o.o_latency)
     outgoing
 
 (* Execute [work] as node [n]'s CPU outside any drain (soft-state
@@ -1281,31 +1183,14 @@ let accept_message (t : t) (receiver : node) (msg : Net.Wire.message) :
     Eval.frontier_item =
   let tuple = msg.Net.Wire.msg_tuple in
   let bytes =
-    lazy
-      (Net.Wire.signed_slice (Net.Arena.scratch ()) ~src:msg.Net.Wire.msg_src
-         ~dst:msg.Net.Wire.msg_dst tuple)
+    Net.Wire.signed_slice (Net.Arena.scratch ()) ~src:msg.Net.Wire.msg_src
+      ~dst:msg.Net.Wire.msg_dst tuple
   in
   let asserter =
-    match verdict_for t msg ~retract:false bytes with
-    | Sendlog.Auth.Verified p ->
-      (match t.cfg.auth with
-      | Sendlog.Auth.Auth_rsa | Sendlog.Auth.Auth_hmac ->
-        Net.Stats.record_verification t.stats ~ok:true;
-        Obs.Events.emit t.obs_events ~at:(now t)
-          (Obs.Events.E_sig_verified { node = receiver.n_addr; ok = true })
-      | _ -> ());
-      Some (Value.V_str p)
+    match verify_and_account t receiver msg bytes with
+    | Sendlog.Auth.Verified p -> Some (Value.V_str p)
     | Sendlog.Auth.Unsigned -> None
-    | Sendlog.Auth.Forged _ ->
-      Net.Stats.record_verification t.stats ~ok:false;
-      Net.Stats.record_forged t.stats;
-      let at = now t in
-      Obs.Events.emit t.obs_events ~at
-        (Obs.Events.E_sig_verified { node = receiver.n_addr; ok = false });
-      Obs.Events.emit t.obs_events ~at
-        (Obs.Events.E_forged_dropped
-           { node = receiver.n_addr; src = msg.Net.Wire.msg_src });
-      raise Exit
+    | Sendlog.Auth.Forged _ -> raise Exit
   in
   (* The sender now stands behind this tuple: external support that
      keeps it alive through retraction passes until the sender
@@ -1420,11 +1305,7 @@ and deliver_now (t : t) (receiver : node) (msg : Net.Wire.message) : unit =
          end
     in
     if fresh then begin
-      receiver.n_msgs_received <- receiver.n_msgs_received + 1;
       Net.Stats.record_received t.stats msg;
-      Obs.Events.emit t.obs_events ~at:now
-        (Obs.Events.E_msg_received
-           { node = receiver.n_addr; src = msg.Net.Wire.msg_src; bytes = Net.Wire.size msg });
       join_inbox t receiver (W_msg msg)
     end
   end
@@ -1634,58 +1515,6 @@ let node_compute (t : t) ((n, items) : node * work_item list) :
   let compute = Unix.gettimeofday () -. t0 in
   (n, xc, compute, !nmsgs, !bytes, !tparent)
 
-(* Slab width for fanned-out verification: small enough that a
-   frontier fills several slabs (overlap), large enough that slab
-   bookkeeping is noise next to an RSA exponentiation. *)
-let verify_chunk = 16
-
-(* Launch the verification of every message committed since the last
-   flush as asynchronous slabs on the pool: batch k's crypto runs on
-   worker domains while the orchestrator executes batch k+1's events
-   and fixpoints, and the verdicts are consumed by [verdict_for] at
-   acceptance.  The signed bytes are re-encoded into one exact-sized
-   per-flush arena (no growth, so every slice stays valid) whose
-   buffer the slab closures retain until awaited. *)
-let flush_verify (t : t) (sh : shard) : unit =
-  match (t.pool, sh.sh_verify) with
-  | None, _ | _, [] -> ()
-  | Some pool, buffered ->
-    sh.sh_verify <- [];
-    let entries = Array.of_list (List.rev buffered) in
-    let bytes_needed =
-      Array.fold_left
-        (fun acc pv ->
-          acc
-          + (if pv.pv_retract then 8 else 0)
-          + 4 + String.length pv.pv_src + 4 + String.length pv.pv_dst
-          + Net.Wire.tuple_wire_size pv.pv_tuple)
-        0 entries
-    in
-    let a = Net.Arena.create ~capacity:(max 1 bytes_needed) () in
-    let items =
-      Array.map
-        (fun pv ->
-          let slice =
-            if pv.pv_retract then
-              Net.Wire.retract_signed_slice a ~src:pv.pv_src ~dst:pv.pv_dst
-                pv.pv_tuple
-            else Net.Wire.signed_slice a ~src:pv.pv_src ~dst:pv.pv_dst pv.pv_tuple
-          in
-          (pv.pv_auth, slice))
-        entries
-    in
-    let futures =
-      Sendlog.Auth.verify_batch_fanout ~chunk:verify_chunk pool t.cfg.auth t.directory
-        items
-    in
-    locked t.vq_mu (fun () ->
-        Array.iteri
-          (fun j pv ->
-            Hashtbl.replace t.vq_futures
-              (pv.pv_src, pv.pv_dst, pv.pv_seq, pv.pv_retract)
-              (futures.(j / verify_chunk), j mod verify_chunk))
-          entries)
-
 (* Flush every shard's cross-shard outbox onto the target queues.
    Orchestrator-only (between windows).  Entries are sorted by
    (timestamp, producing shard, per-shard order) before scheduling, so
@@ -1760,13 +1589,7 @@ let drain_shard (t : t) (sh : shard) ~(pool : Par.Pool.t option) ~(limit : float
             commit_handler t n ~incoming_msgs:nmsgs ~incoming_bytes:bytes ~compute
               ?trace_parent:tparent xc)
           results
-      end;
-      (* The commits above dispatched the next frontier; start its
-         verification now so it overlaps that frontier's fixpoint.  A
-         shard-pinned worker's slabs mostly run between barriers (idle
-         workers drain them); an awaited slab that has not started is
-         stolen and run inline. *)
-      flush_verify t sh
+      end
   done;
   !count
 

@@ -42,7 +42,6 @@ type node = {
       (** dedup of identical sends, keyed dest+tuple identity with the
           provenance variant one level down, so a retraction notice
           can drop every variant of one (dest, tuple) in O(1) *)
-  mutable n_msgs_received : int;
   mutable n_free_at : float;
       (** virtual time until which this node's CPU is busy *)
   n_parked : Net.Wire.message Queue.t;

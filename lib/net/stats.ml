@@ -6,12 +6,11 @@
    header / payload / authentication / provenance bytes so ablations
    can attribute the overheads.
 
-   Both directions are tracked per node: sent (who generates traffic)
-   and received (who bears the processing cost), plus dropped forged
-   messages, so the accountability configurations report the same
-   numbers everywhere.  Every record_* call also feeds the shared
-   [Obs.Metrics] registry (wire.* series), which is what
-   `psn run --metrics` snapshots. *)
+   Both directions are tracked for the whole network: sent and
+   received messages and bytes, plus signature work and dropped forged
+   messages.  Every record_* call also feeds the shared [Obs.Metrics]
+   registry (wire.* series), which is what `psn run --metrics`
+   snapshots. *)
 
 type t = {
   mutable messages : int;
@@ -32,10 +31,6 @@ type t = {
   mutable retransmits : int; (* data messages re-sent by the reliable layer *)
   mutable acks : int; (* acknowledgements sent *)
   mutable retry_exhausted : int; (* sends abandoned after the retry cap *)
-  per_node_sent : (string, int) Hashtbl.t; (* bytes sent per node *)
-  per_node_msgs : (string, int) Hashtbl.t;
-  per_node_recv : (string, int) Hashtbl.t; (* bytes received per node *)
-  per_node_msgs_recv : (string, int) Hashtbl.t;
   c_messages : Obs.Metrics.counter;
   c_bytes : Obs.Metrics.counter;
   c_bytes_auth : Obs.Metrics.counter;
@@ -76,10 +71,6 @@ let create () =
     retransmits = 0;
     acks = 0;
     retry_exhausted = 0;
-    per_node_sent = Hashtbl.create 64;
-    per_node_msgs = Hashtbl.create 64;
-    per_node_recv = Hashtbl.create 64;
-    per_node_msgs_recv = Hashtbl.create 64;
     c_messages = Obs.Metrics.counter reg "wire.messages";
     c_bytes = Obs.Metrics.counter reg "wire.bytes_total";
     c_bytes_auth = Obs.Metrics.counter reg "wire.bytes_auth";
@@ -95,9 +86,6 @@ let create () =
     c_acks = Obs.Metrics.counter reg "net.acks";
     c_retry_exhausted = Obs.Metrics.counter reg "net.retry_exhausted" }
 
-let bump tbl key n =
-  Hashtbl.replace tbl key (Option.value (Hashtbl.find_opt tbl key) ~default:0 + n)
-
 let record_message (t : t) (m : Wire.message) : unit =
   let sb = Wire.size_breakdown m in
   let total = Wire.total sb in
@@ -108,8 +96,6 @@ let record_message (t : t) (m : Wire.message) : unit =
   t.bytes_auth <- t.bytes_auth + sb.sb_auth;
   t.bytes_provenance <- t.bytes_provenance + sb.sb_provenance;
   t.bytes_total <- t.bytes_total + total;
-  bump t.per_node_sent m.msg_src total;
-  bump t.per_node_msgs m.msg_src 1;
   Mutex.unlock t.mu;
   Obs.Metrics.inc t.c_messages;
   Obs.Metrics.inc ~by:total t.c_bytes;
@@ -122,8 +108,6 @@ let record_received (t : t) (m : Wire.message) : unit =
   Mutex.lock t.mu;
   t.messages_received <- t.messages_received + 1;
   t.bytes_received <- t.bytes_received + total;
-  bump t.per_node_recv m.msg_dst total;
-  bump t.per_node_msgs_recv m.msg_dst 1;
   Mutex.unlock t.mu;
   Obs.Metrics.inc t.c_received
 
@@ -177,18 +161,6 @@ let record_retry_exhausted (t : t) =
   Mutex.unlock t.mu;
   Obs.Metrics.inc t.c_retry_exhausted
 
-let bytes_sent_by (t : t) (node : string) : int =
-  Option.value (Hashtbl.find_opt t.per_node_sent node) ~default:0
-
-let bytes_received_by (t : t) (node : string) : int =
-  Option.value (Hashtbl.find_opt t.per_node_recv node) ~default:0
-
-let msgs_sent_by (t : t) (node : string) : int =
-  Option.value (Hashtbl.find_opt t.per_node_msgs node) ~default:0
-
-let msgs_received_by (t : t) (node : string) : int =
-  Option.value (Hashtbl.find_opt t.per_node_msgs_recv node) ~default:0
-
 let megabytes (t : t) : float = float_of_int t.bytes_total /. (1024.0 *. 1024.0)
 
 let to_string (t : t) : string =
@@ -203,45 +175,3 @@ let to_string (t : t) : string =
   else
     Printf.sprintf " drops=%d dups=%d retransmits=%d acks=%d retry_exhausted=%d"
       t.drops t.dups t.retransmits t.acks t.retry_exhausted
-
-let per_node_json (sent_b : (string, int) Hashtbl.t) (sent_m : (string, int) Hashtbl.t)
-    (recv_b : (string, int) Hashtbl.t) (recv_m : (string, int) Hashtbl.t) : Obs.Json.t =
-  let nodes =
-    List.sort_uniq compare
-      (Hashtbl.fold (fun k _ acc -> k :: acc) sent_b
-         (Hashtbl.fold (fun k _ acc -> k :: acc) recv_b []))
-  in
-  let get tbl k = Option.value (Hashtbl.find_opt tbl k) ~default:0 in
-  Obs.Json.List
-    (List.map
-       (fun node ->
-         Obs.Json.Obj
-           [ ("node", Obs.Json.Str node);
-             ("bytes_sent", Obs.Json.Int (get sent_b node));
-             ("msgs_sent", Obs.Json.Int (get sent_m node));
-             ("bytes_received", Obs.Json.Int (get recv_b node));
-             ("msgs_received", Obs.Json.Int (get recv_m node)) ])
-       nodes)
-
-let to_json (t : t) : Obs.Json.t =
-  Obs.Json.Obj
-    [ ("messages", Obs.Json.Int t.messages);
-      ("bytes_total", Obs.Json.Int t.bytes_total);
-      ("bytes_header", Obs.Json.Int t.bytes_header);
-      ("bytes_payload", Obs.Json.Int t.bytes_payload);
-      ("bytes_auth", Obs.Json.Int t.bytes_auth);
-      ("bytes_provenance", Obs.Json.Int t.bytes_provenance);
-      ("messages_received", Obs.Json.Int t.messages_received);
-      ("bytes_received", Obs.Json.Int t.bytes_received);
-      ("signatures_generated", Obs.Json.Int t.signatures_generated);
-      ("signatures_verified", Obs.Json.Int t.signatures_verified);
-      ("verification_failures", Obs.Json.Int t.verification_failures);
-      ("dropped_forged", Obs.Json.Int t.dropped_forged);
-      ("drops", Obs.Json.Int t.drops);
-      ("dups", Obs.Json.Int t.dups);
-      ("retransmits", Obs.Json.Int t.retransmits);
-      ("acks", Obs.Json.Int t.acks);
-      ("retry_exhausted", Obs.Json.Int t.retry_exhausted);
-      ("per_node",
-       per_node_json t.per_node_sent t.per_node_msgs t.per_node_recv
-         t.per_node_msgs_recv) ]

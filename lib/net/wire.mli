@@ -51,9 +51,6 @@ val write_tuple : Arena.t -> Engine.Tuple.t -> unit
 (** Append a tuple's encoding to an arena (same bytes as
     {!encode_tuple}). *)
 
-val tuple_wire_size : Engine.Tuple.t -> int
-(** [String.length (encode_tuple t)], computed without encoding. *)
-
 exception Decode_error of string
 
 val decode_tuple : string -> Engine.Tuple.t

@@ -1,5 +1,9 @@
 (* Structured event log: a bounded ring buffer of typed runtime
-   events, serialized as JSON lines.
+   events, serialized as JSON lines.  It holds what counters cannot
+   say: which node dropped a forged message from which sender, and the
+   [E_custom] kinds the runtime emits ([retracted], [retry_exhausted],
+   [link_down], [link_up]).  Routine traffic is counted in
+   [Obs.Metrics] instead, so it cannot evict these entries.
 
    The buffer is fixed-capacity; once full the oldest entries are
    overwritten and counted in [dropped_count], so instrumentation can
@@ -8,13 +12,7 @@
    sequence number (monotone even across overwrites). *)
 
 type event =
-  | E_rule_fired of { node : string; rule : string; derivations : int }
-  | E_tuple_derived of { node : string; rel : string; rule : string }
-  | E_msg_sent of { src : string; dst : string; bytes : int }
-  | E_msg_received of { node : string; src : string; bytes : int }
-  | E_sig_verified of { node : string; ok : bool }
   | E_forged_dropped of { node : string; src : string }
-  | E_prov_condensed of { node : string; bytes : int }
   | E_custom of { kind : string; attrs : (string * string) list }
 
 type entry = {
@@ -76,31 +74,13 @@ let to_list (log : log) : entry list =
 
 let kind_of (e : event) : string =
   match e with
-  | E_rule_fired _ -> "rule_fired"
-  | E_tuple_derived _ -> "tuple_derived"
-  | E_msg_sent _ -> "msg_sent"
-  | E_msg_received _ -> "msg_received"
-  | E_sig_verified _ -> "sig_verified"
   | E_forged_dropped _ -> "forged_dropped"
-  | E_prov_condensed _ -> "prov_condensed"
   | E_custom { kind; _ } -> kind
 
 let event_fields (e : event) : (string * Json.t) list =
   match e with
-  | E_rule_fired { node; rule; derivations } ->
-    [ ("node", Json.Str node); ("rule", Json.Str rule);
-      ("derivations", Json.Int derivations) ]
-  | E_tuple_derived { node; rel; rule } ->
-    [ ("node", Json.Str node); ("rel", Json.Str rel); ("rule", Json.Str rule) ]
-  | E_msg_sent { src; dst; bytes } ->
-    [ ("src", Json.Str src); ("dst", Json.Str dst); ("bytes", Json.Int bytes) ]
-  | E_msg_received { node; src; bytes } ->
-    [ ("node", Json.Str node); ("src", Json.Str src); ("bytes", Json.Int bytes) ]
-  | E_sig_verified { node; ok } -> [ ("node", Json.Str node); ("ok", Json.Bool ok) ]
   | E_forged_dropped { node; src } ->
     [ ("node", Json.Str node); ("src", Json.Str src) ]
-  | E_prov_condensed { node; bytes } ->
-    [ ("node", Json.Str node); ("bytes", Json.Int bytes) ]
   | E_custom { attrs; _ } -> List.map (fun (k, v) -> (k, Json.Str v)) attrs
 
 let entry_to_json (e : entry) : Json.t =

@@ -101,83 +101,6 @@ let parallel_map (pool : t) (f : 'a -> 'b) (xs : 'a array) : 'b array =
     Array.map (function Some r -> r | None -> assert false) results
   end
 
-(* --- single-task futures ---------------------------------------------- *)
-
-(* A future is a one-shot task that either a worker domain or the
-   awaiting domain runs — whichever gets to it first.  The pending
-   thunk sits both in the pool queue and in the future's own state;
-   the state transition under [f_mu] is the claim, so exactly one
-   domain executes it.  [await] on a still-pending future steals the
-   thunk and runs it inline, which makes [await] deadlock-free from
-   any domain (including pool workers: a stolen task never blocks on
-   another future's runner — task bodies themselves must not await). *)
-
-type 'a fstate =
-  | F_pending of (unit -> 'a)
-  | F_running
-  | F_done of ('a, exn) result
-
-type 'a future = {
-  f_mu : Mutex.t;
-  f_cv : Condition.t; (* signalled on completion *)
-  mutable f_state : 'a fstate;
-}
-
-let finish (fut : 'a future) (r : ('a, exn) result) : unit =
-  Mutex.lock fut.f_mu;
-  fut.f_state <- F_done r;
-  Condition.broadcast fut.f_cv;
-  Mutex.unlock fut.f_mu
-
-(* Claim the thunk if still pending; used by both the worker path and
-   the stealing awaiter. *)
-let claim (fut : 'a future) : (unit -> 'a) option =
-  Mutex.lock fut.f_mu;
-  match fut.f_state with
-  | F_pending f ->
-    fut.f_state <- F_running;
-    Mutex.unlock fut.f_mu;
-    Some f
-  | F_running | F_done _ ->
-    Mutex.unlock fut.f_mu;
-    None
-
-let run_claimed (fut : 'a future) (f : unit -> 'a) : ('a, exn) result =
-  let r = try Ok (f ()) with e -> Error e in
-  finish fut r;
-  r
-
-let async (pool : t) (f : unit -> 'a) : 'a future =
-  let fut = { f_mu = Mutex.create (); f_cv = Condition.create (); f_state = F_pending f } in
-  (* With no worker domains the queue never drains on its own; leave
-     the thunk pending for [await] to steal (lazy, but identical
-     results). *)
-  if pool.jobs > 1 then
-    submit pool (fun () ->
-        match claim fut with
-        | Some f -> ignore (run_claimed fut f)
-        | None -> () (* stolen by the awaiter *));
-  fut
-
-let await (fut : 'a future) : 'a =
-  let result =
-    match claim fut with
-    | Some f -> run_claimed fut f
-    | None ->
-      Mutex.lock fut.f_mu;
-      let rec wait () =
-        match fut.f_state with
-        | F_done r -> r
-        | F_pending _ | F_running ->
-          Condition.wait fut.f_cv fut.f_mu;
-          wait ()
-      in
-      let r = wait () in
-      Mutex.unlock fut.f_mu;
-      r
-  in
-  match result with Ok v -> v | Error e -> raise e
-
 let shutdown (pool : t) : unit =
   Mutex.lock pool.mu;
   pool.stopping <- true;

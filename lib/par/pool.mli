@@ -32,25 +32,6 @@ val parallel_map : t -> ('a -> 'b) -> 'a array -> 'b array
     exception raised by [f] is re-raised in the caller after all
     chunks have settled. *)
 
-type 'a future
-(** A one-shot task submitted with {!async}. *)
-
-val async : t -> (unit -> 'a) -> 'a future
-(** Enqueue a task for the worker domains and return its future.  The
-    task must not call {!await} or {!parallel_map} itself.  On a pool
-    with no workers ([jobs = 1]) the task stays pending until
-    {!await} runs it inline. *)
-
-val await : 'a future -> 'a
-(** The task's result, re-raising its exception.  If no worker has
-    started the task yet, the awaiting domain *steals* it and runs it
-    inline — so [await] never blocks on an idle pool and is safe to
-    call from a worker (e.g. from inside a [parallel_map] chunk): the
-    only wait happens when another domain is already mid-run.
-    Awaiting the same future from several domains is allowed; each
-    gets the same result. *)
-
 val shutdown : t -> unit
 (** Join the worker domains.  Idempotent; the pool must not be used
-    afterwards.  Pending futures are drained (run) before the workers
-    exit. *)
+    afterwards. *)

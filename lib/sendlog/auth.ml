@@ -134,17 +134,14 @@ let verify (mode : mode) (directory : Principal.directory) (auth : Net.Wire.auth
 
 (* --- batched verification --------------------------------------------- *)
 
-(* Receiver-side batch verification (the paper's cost center: SeNDLog
-   pays one verify per shipped tuple).  A batch is the frontier's
-   (auth, signed-bytes slice) pairs; the kernel below checks them
-   sequentially and is what the runtime fans across the domain pool in
-   asynchronous slabs, so batch k's crypto overlaps batch k-1's
-   fixpoint instead of serializing in the receive path. *)
-
 let c_verify_batches = Obs.Metrics.counter Obs.Metrics.default "crypto.verify_batches"
 
 let c_verify_batch_size = Obs.Metrics.counter Obs.Metrics.default "crypto.verify_batch_size"
 
+(* Verify (auth, signed-bytes slice) pairs in order, one verdict per
+   slot, counting the batch and its items.  The runtime does not call
+   it: each received message is verified by [verify_slice] in the
+   handler that accepts it. *)
 let verify_batch (mode : mode) (directory : Principal.directory)
     (items : (Net.Wire.auth * Net.Arena.slice) array) : verdict array =
   if Array.length items > 0 then begin
@@ -152,23 +149,6 @@ let verify_batch (mode : mode) (directory : Principal.directory)
     Obs.Metrics.inc ~by:(Array.length items) c_verify_batch_size
   end;
   Array.map (fun (auth, bytes) -> verify_slice mode directory auth bytes) items
-
-(* Fan a batch across the pool in [chunk]-sized slabs, one async task
-   each; item [j]'s verdict is slot [j mod chunk] of future
-   [j / chunk].  Callers await lazily — a future not yet started when
-   its verdict is demanded is stolen and run inline, so the fallback
-   degenerates to exactly the scalar path. *)
-let verify_batch_fanout ?(chunk = 16) (pool : Par.Pool.t) (mode : mode)
-    (directory : Principal.directory)
-    (items : (Net.Wire.auth * Net.Arena.slice) array) :
-    verdict array Par.Pool.future array =
-  if chunk < 1 then invalid_arg "Auth.verify_batch_fanout: chunk must be >= 1";
-  let n = Array.length items in
-  let nslabs = (n + chunk - 1) / chunk in
-  Array.init nslabs (fun i ->
-      let lo = i * chunk in
-      let slab = Array.sub items lo (min chunk (n - lo)) in
-      Par.Pool.async pool (fun () -> verify_batch mode directory slab))
 
 (* Sign an individual provenance node (authenticated provenance,
    Section 4.3: "individual nodes in the provenance tree need to have

@@ -234,7 +234,7 @@ let test_ring_overflow () =
   let log = Obs.Events.create ~capacity:4 () in
   for i = 0 to 5 do
     Obs.Events.emit log ~at:(float_of_int i)
-      (Obs.Events.E_msg_sent { src = "a"; dst = "b"; bytes = i })
+      (Obs.Events.E_custom { kind = "link_down"; attrs = [ ("src", string_of_int i) ] })
   done;
   Alcotest.(check int) "length capped at capacity" 4 (Obs.Events.length log);
   Alcotest.(check int) "two overwrites" 2 (Obs.Events.dropped_count log);
@@ -246,20 +246,22 @@ let test_ring_overflow () =
 
 let test_event_json_lines () =
   let log = Obs.Events.create ~capacity:16 () in
-  Obs.Events.emit log ~at:1.5 (Obs.Events.E_sig_verified { node = "n1"; ok = false });
+  Obs.Events.emit log ~at:1.5 (Obs.Events.E_forged_dropped { node = "n1"; src = "n4" });
   Obs.Events.emit log ~at:2.0
-    (Obs.Events.E_rule_fired { node = "n2"; rule = "p3"; derivations = 4 });
+    (Obs.Events.E_custom { kind = "retracted"; attrs = [ ("node", "n2"); ("count", "4") ] });
   let lines = String.split_on_char '\n' (String.trim (Obs.Events.to_json_lines log)) in
   match List.map Obs.Json.parse lines with
   | [ a; b ] ->
-    Alcotest.(check (option string)) "kind" (Some "sig_verified")
+    Alcotest.(check (option string)) "kind" (Some "forged_dropped")
       (Option.bind (Obs.Json.member "kind" a) Obs.Json.to_string_opt);
     Alcotest.(check (option (float 0.0))) "virtual timestamp" (Some 1.5)
       (Option.bind (Obs.Json.member "at" a) Obs.Json.to_float_opt);
-    Alcotest.(check (option string)) "payload field" (Some "p3")
-      (Option.bind (Obs.Json.member "rule" b) Obs.Json.to_string_opt);
-    Alcotest.(check (option int)) "derivations" (Some 4)
-      (Option.bind (Obs.Json.member "derivations" b) Obs.Json.to_int_opt)
+    Alcotest.(check (option string)) "payload field" (Some "n4")
+      (Option.bind (Obs.Json.member "src" a) Obs.Json.to_string_opt);
+    Alcotest.(check (option string)) "custom kind" (Some "retracted")
+      (Option.bind (Obs.Json.member "kind" b) Obs.Json.to_string_opt);
+    Alcotest.(check (option string)) "custom attribute" (Some "4")
+      (Option.bind (Obs.Json.member "count" b) Obs.Json.to_string_opt)
   | l -> Alcotest.failf "expected 2 event lines, got %d" (List.length l)
 
 (* --- Prometheus label-value escaping ----------------------------------- *)

@@ -1,9 +1,10 @@
 (* Tests for the domain pool (lib/par), the runtime's coalescing event
    loop and the hash-consed value/tuple interners: pool semantics,
-   interning laws, timestamp coalescing at jobs = 1, and the
-   seq-vs-par equivalence property on the distributed Best-Path
-   fixpoint (identical fixpoints, provenance, and message counts
-   across seeds, including a lossy/reliable run). *)
+   interning laws, timestamp coalescing at jobs = 1, the seq-vs-par
+   equivalence property on the distributed Best-Path fixpoint
+   (identical fixpoints, provenance, and message counts across seeds,
+   including a lossy/reliable run), and one signature check per
+   accepted message on the pool. *)
 
 open Engine
 
@@ -44,62 +45,6 @@ let test_pool_invalid () =
   Alcotest.check_raises "jobs < 1 rejected"
     (Invalid_argument "Pool.create: jobs must be >= 1") (fun () ->
       ignore (Par.Pool.create ~jobs:0))
-
-(* --- futures (async/await) -------------------------------------------- *)
-
-let test_future_worker_execution () =
-  let pool = Par.Pool.create ~jobs:4 in
-  Fun.protect
-    ~finally:(fun () -> Par.Pool.shutdown pool)
-    (fun () ->
-      let futures = Array.init 64 (fun i -> Par.Pool.async pool (fun () -> i * i)) in
-      let got = Array.map Par.Pool.await futures in
-      Alcotest.(check bool) "all resolved in submission slots" true
-        (got = Array.init 64 (fun i -> i * i)))
-
-let test_future_steal_on_idle_pool () =
-  (* jobs = 1 spawns no workers: the task stays pending until await
-     steals it and runs it inline, so await never blocks *)
-  let pool = Par.Pool.create ~jobs:1 in
-  Fun.protect
-    ~finally:(fun () -> Par.Pool.shutdown pool)
-    (fun () ->
-      let ran_on = ref None in
-      let fut =
-        Par.Pool.async pool (fun () ->
-            ran_on := Some (Domain.self ());
-            41 + 1)
-      in
-      Alcotest.(check int) "stolen and run inline" 42 (Par.Pool.await fut);
-      Alcotest.(check bool) "ran on the awaiting domain" true
-        (!ran_on = Some (Domain.self ())))
-
-let test_future_exception_reraised () =
-  let pool = Par.Pool.create ~jobs:1 in
-  Fun.protect
-    ~finally:(fun () -> Par.Pool.shutdown pool)
-    (fun () ->
-      let fut = Par.Pool.async pool (fun () -> failwith "future boom") in
-      Alcotest.check_raises "task exception re-raised at await"
-        (Failure "future boom") (fun () -> ignore (Par.Pool.await fut));
-      (* re-awaiting yields the same outcome, not a re-run *)
-      Alcotest.check_raises "second await re-raises too" (Failure "future boom")
-        (fun () -> ignore (Par.Pool.await fut)))
-
-let test_future_await_idempotent () =
-  let pool = Par.Pool.create ~jobs:2 in
-  Fun.protect
-    ~finally:(fun () -> Par.Pool.shutdown pool)
-    (fun () ->
-      let runs = Atomic.make 0 in
-      let fut =
-        Par.Pool.async pool (fun () ->
-            Atomic.incr runs;
-            "once")
-      in
-      Alcotest.(check string) "first await" "once" (Par.Pool.await fut);
-      Alcotest.(check string) "second await" "once" (Par.Pool.await fut);
-      Alcotest.(check int) "task ran exactly once" 1 (Atomic.get runs))
 
 (* --- hash-consing laws ------------------------------------------------ *)
 
@@ -305,17 +250,46 @@ let test_jobs1_coalesces () =
   Alcotest.(check bool) "a node group held several items" true
     (Obs.Metrics.gauge_value group_max > 1.0)
 
+(* Every signature is checked once, by the handler that accepts its
+   message.  On a lossy best-effort run with worker domains, the RSA
+   verifications performed ([crypto.verify_seconds] observations) must
+   equal the verdicts the runtime counted ([signatures_verified], which
+   counts failed checks too), so a message the network drops is never
+   verified. *)
+let test_verifies_what_it_accepts () =
+  let seed = 2008 in
+  let rng = Crypto.Rng.create ~seed in
+  let topo = Net.Topology.random rng ~n:8 () in
+  let cfg =
+    Core.Config.with_jobs
+      (Core.Config.with_fault_seed
+         (Core.Config.with_loss { Core.Config.sendlog with Core.Config.rsa_bits } 0.2)
+         7)
+      2
+  in
+  let t = Core.Runtime.create ~rng ~cfg ~topo ~program:(Ndlog.Programs.best_path ()) () in
+  Obs.Metrics.reset Obs.Metrics.default;
+  Core.Runtime.install_links t;
+  ignore (Core.Runtime.run t);
+  Core.Runtime.shutdown t;
+  let st = Core.Runtime.stats t in
+  let verifications =
+    Obs.Metrics.hist_count (Obs.Metrics.histogram Obs.Metrics.default "crypto.verify_seconds")
+  in
+  Alcotest.(check bool) "the network dropped messages" true (st.Net.Stats.drops > 0);
+  Alcotest.(check int) "no forged messages" 0 st.Net.Stats.verification_failures;
+  Alcotest.(check int) "one RSA verification per counted verdict"
+    st.Net.Stats.signatures_verified verifications
+
 let suite : unit Alcotest.test_case list =
   [ Alcotest.test_case "pool map order + chunking" `Quick test_pool_map;
     Alcotest.test_case "pool exception propagation" `Quick test_pool_exception;
     Alcotest.test_case "pool rejects jobs < 1" `Quick test_pool_invalid;
-    Alcotest.test_case "futures: worker execution" `Quick test_future_worker_execution;
-    Alcotest.test_case "futures: steal on idle pool" `Quick test_future_steal_on_idle_pool;
-    Alcotest.test_case "futures: exception re-raised" `Quick test_future_exception_reraised;
-    Alcotest.test_case "futures: await idempotent" `Quick test_future_await_idempotent;
     Alcotest.test_case "value interning laws" `Quick test_value_interning_laws;
     Alcotest.test_case "tuple interning laws" `Quick test_tuple_interning_laws;
     Alcotest.test_case "seq = par: ndlog seeds" `Quick test_seq_par_ndlog;
     Alcotest.test_case "seq = par: provenance shipping" `Quick test_seq_par_sendlog_prov;
     Alcotest.test_case "seq = par: lossy + reliable" `Quick test_seq_par_lossy_reliable;
-    Alcotest.test_case "jobs = 1 coalesces" `Quick test_jobs1_coalesces ]
+    Alcotest.test_case "jobs = 1 coalesces" `Quick test_jobs1_coalesces;
+    Alcotest.test_case "verifies exactly what it accepts" `Quick
+      test_verifies_what_it_accepts ]

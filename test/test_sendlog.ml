@@ -253,38 +253,6 @@ let test_verify_batch_unknown_principal () =
   Alcotest.(check string) "unknown principal named" "forged:unknown principal mallory"
     (verdict_str verdicts.(0))
 
-let test_verify_batch_fanout_slots () =
-  (* slab layout: item j's verdict is slot [j mod chunk] of future
-     [j / chunk], a forged item keeps its exact position *)
-  let d = Sendlog.Principal.directory_for (rng ()) ~rsa_bits:384 [ "a" ] in
-  let sender = Sendlog.Principal.find_exn d "a" in
-  let items =
-    Array.init 7 (fun j ->
-        if j = 5 then
-          let auth, _ = signed_item sender "payload-5" in
-          (auth, Net.Arena.of_string "payload-5-tampered")
-        else signed_item sender (Printf.sprintf "payload-%d" j))
-  in
-  let pool = Par.Pool.create ~jobs:2 in
-  Fun.protect
-    ~finally:(fun () -> Par.Pool.shutdown pool)
-    (fun () ->
-      let futures =
-        Sendlog.Auth.verify_batch_fanout ~chunk:3 pool Sendlog.Auth.Auth_rsa d items
-      in
-      Alcotest.(check int) "ceil(7/3) slabs" 3 (Array.length futures);
-      let verdict j = (Par.Pool.await futures.(j / 3)).(j mod 3) in
-      for j = 0 to 6 do
-        let expect =
-          if j = 5 then "forged:bad signature from a" else "verified:a"
-        in
-        Alcotest.(check string) (Printf.sprintf "slot %d" j) expect
-          (verdict_str (verdict j))
-      done;
-      Alcotest.check_raises "chunk < 1 rejected"
-        (Invalid_argument "Auth.verify_batch_fanout: chunk must be >= 1") (fun () ->
-          ignore (Sendlog.Auth.verify_batch_fanout ~chunk:0 pool Sendlog.Auth.Auth_rsa d items)))
-
 (* --- compilation ----------------------------------------------------------- *)
 
 let test_compile_ndlog_localizes () =
@@ -347,8 +315,6 @@ let suite : unit Alcotest.test_case list =
       test_verify_batch_pinpoints_forgery;
     Alcotest.test_case "verify batch: unknown principal" `Quick
       test_verify_batch_unknown_principal;
-    Alcotest.test_case "verify batch: fanout slab slots" `Quick
-      test_verify_batch_fanout_slots;
     Alcotest.test_case "compile localizes NDlog" `Quick test_compile_ndlog_localizes;
     Alcotest.test_case "compile detects SeNDlog" `Quick test_compile_sendlog_detected;
     Alcotest.test_case "compile rejects unsafe" `Quick test_compile_rejects_bad_program;
