@@ -4,7 +4,8 @@
    1. offline provenance - the expired soft state whose provenance was
       retired to the persisted provenance log, read back from disk;
    2. ForNet-style Bloom digests - compact per-epoch summaries of
-      forwarded traffic, queried to locate a packet's path;
+      forwarded traffic, persisted in a provenance log and queried to
+      locate a packet's path;
    3. IP-traceback-style sampling and random moonwalks - probabilistic
       reconstruction of attack paths.
 
@@ -75,23 +76,31 @@ p4 bestPath(@S, D, P, C) :- bestPathCost(@S, D, C), path(@S, D, P, C).
 
   (* --- 2. ForNet Bloom digests ------------------------------------- *)
   print_endline "\nForNet-style Bloom digests:";
-  let ds = Core.Forensics.create_digests ~epoch_seconds:60.0 ~expected_per_epoch:1000 ~fp_rate:0.01 () in
+  (* Per-(node, epoch) digests live in a provenance log of their own. *)
+  let digests =
+    Store.Prov_log.open_log ~digest_expected:1000 ~digest_fp_rate:0.01
+      ~dir:(Filename.concat log_dir "digests") ()
+  in
   let path = [ "n4"; "n3"; "n2"; "n1"; "n0" ] in
   let attack_packet = "pkt:evil-flow-1234:77" in
   (* The attack packet traverses n4..n0; background traffic fills the
      digests of every node. *)
-  List.iter (fun node -> Core.Forensics.record ds ~node ~time:10.0 attack_packet) path;
+  List.iter
+    (fun node -> Store.Prov_log.record_digest digests ~node ~time:10.0 attack_packet)
+    path;
   let rng = Crypto.Rng.create ~seed:32 in
   for i = 0 to 4999 do
     let node = Printf.sprintf "n%d" (Crypto.Rng.int rng 5) in
-    Core.Forensics.record ds ~node ~time:10.0 (Printf.sprintf "pkt:bg-%d" i)
+    Store.Prov_log.record_digest digests ~node ~time:10.0 (Printf.sprintf "pkt:bg-%d" i)
   done;
-  let hits = Core.Forensics.query ds ~time:10.0 attack_packet in
+  Store.Prov_log.flush digests;
+  let hits = Store.Prov_log.digest_nodes digests ~time:10.0 attack_packet in
   Printf.printf "  query(%s) -> forwarded by %s (true path: %s)\n" attack_packet
     (String.concat "," hits)
     (String.concat "," (List.sort compare path));
-  Printf.printf "  digest storage: %d bytes total (vs %d packet records)\n"
-    (Core.Forensics.storage_bytes ds) 5005;
+  Printf.printf "  digest storage: %d bytes on disk (vs %d packet records)\n"
+    (Store.Prov_log.bytes_on_disk digests) 5005;
+  Store.Prov_log.close digests;
 
   (* --- 3. IP-traceback sampling ------------------------------------ *)
   print_endline "\nIP-traceback-style probabilistic marking:";
@@ -121,7 +130,10 @@ p4 bestPath(@S, D, P, C) :- bestPathCost(@S, D, C), path(@S, D, P, C).
       (fun src ->
         for _ = 1 to 2 do
           let dst = Printf.sprintf "h%d" (Crypto.Rng.int rng 40) in
-          flows := { Core.Forensics.fl_src = src; fl_dst = dst; fl_time = float_of_int wave } :: !flows;
+          flows :=
+            { Store.Prov_log.fl_src = src; fl_dst = dst; fl_time = float_of_int wave;
+              fl_ident = "pkt:worm" }
+            :: !flows;
           newly := dst :: !newly
         done)
       !infected;

@@ -1,57 +1,13 @@
-(* Forensics (Sections 3 and 5): ForNet-style Bloom digests,
-   IP-traceback-style sampling, and random moonwalks.
+(* Forensics (Sections 3 and 5): IP-traceback-style sampling and
+   random moonwalks.
 
-   These are the storage/accuracy trade-offs the paper surveys for
-   historical traffic: instead of full per-packet provenance, nodes
-   keep (a) per-epoch Bloom digests of what they forwarded (ForNet
-   [23]), or (b) probabilistic marks emitted every 1/k packets
-   (IP traceback [22]); and queries over a flow graph can use random
-   moonwalks [26] instead of exhaustive traversal. *)
-
-(* --- ForNet-style Bloom digests -------------------------------------- *)
-
-type digest_store = {
-  ds_epoch_seconds : float;
-  ds_expected_per_epoch : int;
-  ds_fp_rate : float;
-  tables : (string * int, Bloom.t) Hashtbl.t; (* (node, epoch) -> digest *)
-}
-
-let create_digests ?(epoch_seconds = 60.0) ?(expected_per_epoch = 10_000)
-    ?(fp_rate = 0.01) () : digest_store =
-  { ds_epoch_seconds = epoch_seconds;
-    ds_expected_per_epoch = expected_per_epoch;
-    ds_fp_rate = fp_rate;
-    tables = Hashtbl.create 64 }
-
-let epoch_of (ds : digest_store) (time : float) : int =
-  int_of_float (time /. ds.ds_epoch_seconds)
-
-let digest_for (ds : digest_store) ~(node : string) ~(epoch : int) : Bloom.t =
-  match Hashtbl.find_opt ds.tables (node, epoch) with
-  | Some b -> b
-  | None ->
-    let b = Bloom.create_for ~expected:ds.ds_expected_per_epoch ~fp_rate:ds.ds_fp_rate in
-    Hashtbl.add ds.tables (node, epoch) b;
-    b
-
-(* Record that [node] forwarded an item (packet/tuple identity) at
-   [time]. *)
-let record (ds : digest_store) ~(node : string) ~(time : float) (key : string) : unit =
-  Bloom.add (digest_for ds ~node ~epoch:(epoch_of ds time)) key
-
-(* Which nodes claim to have forwarded [key] during the epoch covering
-   [time]?  False positives possible, false negatives not. *)
-let query (ds : digest_store) ~(time : float) (key : string) : string list =
-  let epoch = epoch_of ds time in
-  Hashtbl.fold
-    (fun (node, e) digest acc ->
-      if e = epoch && Bloom.mem digest key then node :: acc else acc)
-    ds.tables []
-  |> List.sort String.compare
-
-let storage_bytes (ds : digest_store) : int =
-  Hashtbl.fold (fun _ b acc -> acc + Bloom.size_bytes b) ds.tables 0
+   These are storage/accuracy trade-offs the paper surveys for
+   historical traffic: instead of full per-packet provenance, routers
+   emit probabilistic marks every 1/k packets (IP traceback [22]), and
+   queries over a flow graph can use random moonwalks [26] instead of
+   exhaustive traversal.  The third, per-epoch Bloom digests of what a
+   node forwarded (ForNet [23]), is kept by the provenance log
+   (Store.Prov_log), as are the sampled flows a moonwalk walks. *)
 
 (* --- IP-traceback-style sampling -------------------------------------- *)
 
@@ -95,13 +51,11 @@ let simulate_traceback (rng : Crypto.Rng.t) ~(path : string list)
    from a random late edge and repeatedly steps to a uniformly random
    earlier incoming edge at the current source. *)
 
-type flow = { fl_src : string; fl_dst : string; fl_time : float }
-
-let random_moonwalk (rng : Crypto.Rng.t) ~(flows : flow list) ~(walks : int)
+let random_moonwalk (rng : Crypto.Rng.t) ~(flows : Store.Prov_log.flow list) ~(walks : int)
     ~(max_hops : int) : (string * int) list =
   let arrivals = Hashtbl.create 64 in
   List.iter
-    (fun f ->
+    (fun (f : Store.Prov_log.flow) ->
       let cur = Option.value (Hashtbl.find_opt arrivals f.fl_dst) ~default:[] in
       Hashtbl.replace arrivals f.fl_dst (f :: cur))
     flows;
@@ -112,12 +66,12 @@ let random_moonwalk (rng : Crypto.Rng.t) ~(flows : flow list) ~(walks : int)
     for _ = 1 to walks do
       (* Start from a random flow, walk backwards in time. *)
       let start = flows_arr.(Crypto.Rng.int rng (Array.length flows_arr)) in
-      let rec step (f : flow) (hops : int) =
+      let rec step (f : Store.Prov_log.flow) (hops : int) =
         if hops >= max_hops then f.fl_src
         else begin
           let incoming =
             List.filter
-              (fun g -> g.fl_time < f.fl_time)
+              (fun (g : Store.Prov_log.flow) -> g.fl_time < f.fl_time)
               (Option.value (Hashtbl.find_opt arrivals f.fl_src) ~default:[])
           in
           match incoming with

@@ -7,13 +7,13 @@
    pointers to the previous hop, reconstructed on demand by
    [Traceback].
    *Offline*: when a tuple expires or is replaced, its provenance
-   leaves the live table for the append-only log (Section 4.2),
-   through the retire sink the runtime installs when a log is
-   configured.
+   leaves the live table for the append-only log (Section 4.2), when
+   the store was created with one.
 
    Derivations are stored as the log's own [Store.Prov_log.deriv]
-   records, so a live entry and a log record describe a derivation
-   with one type.
+   records, and retirements and checkpoints are built as the log's
+   [Store.Prov_log.record], so a live entry and a log record describe
+   a derivation with one type.
 
    Re-derivations of the same tuple combine with [Plus]; duplicate
    derivations (the same rule over the same body tuples, which
@@ -48,27 +48,15 @@ type entry = {
   mutable e_received_from : string list; (* senders that shipped this tuple *)
 }
 
-type offline_record = {
-  off_tuple : Tuple.t;
-  off_expr : Provenance.Prov_expr.t;
-  off_derivs : Store.Prov_log.deriv list;
-  off_received_from : string list;
-  off_expired_at : float;
-}
-
 type t = {
+  node : string; (* address of the node holding the store *)
+  domain : string; (* its AS-domain base key, the log's secondary index *)
+  log : Store.Prov_log.t option; (* write-through target of every retirement *)
   entries : entry Tuple.Table.t;
-  mutable on_retire : (offline_record -> unit) option;
-      (* write-through sink to the persisted log (Store.Prov_log);
-         fires on every retirement *)
 }
 
-let create () = { entries = Tuple.Table.create 256; on_retire = None }
-
-(* Install the on-disk write-through: every retired tuple's record is
-   handed to [sink]. *)
-let set_retire_sink (t : t) (sink : (offline_record -> unit) option) : unit =
-  t.on_retire <- sink
+let create ~(node : string) ~(domain : string) ~(log : Store.Prov_log.t option) : t =
+  { node; domain; log; entries = Tuple.Table.create 256 }
 
 let find (t : t) (tuple : Tuple.t) : entry option = Tuple.Table.find_opt t.entries tuple
 
@@ -246,9 +234,11 @@ let remove_received (t : t) (tuple : Tuple.t) ~(from : string) : unit =
       drop_if_empty t tuple e
     end
 
-let offline_of (tuple : Tuple.t) (e : entry) ~(now : float) : offline_record =
-  { off_tuple = tuple; off_expr = e.e_expr; off_derivs = alt_derivs e.e_alts;
-    off_received_from = e.e_received_from; off_expired_at = now }
+let log_record (t : t) (tuple : Tuple.t) (e : entry) ~(live : bool) ~(now : float) :
+    Store.Prov_log.record =
+  { Store.Prov_log.r_node = t.node; r_domain = t.domain; r_live = live; r_at = now;
+    r_tuple = tuple; r_expr = e.e_expr; r_received_from = e.e_received_from;
+    r_derivs = alt_derivs e.e_alts }
 
 (* Move a tuple's provenance to the offline log (expiry / replacement;
    Section 4.2). *)
@@ -257,13 +247,17 @@ let retire (t : t) (tuple : Tuple.t) ~(now : float) : unit =
   | None -> ()
   | Some e ->
     Tuple.Table.remove t.entries tuple;
-    Option.iter (fun sink -> sink (offline_of tuple e ~now)) t.on_retire
+    Option.iter
+      (fun log -> Store.Prov_log.append log (log_record t tuple e ~live:false ~now))
+      t.log
 
-(* Snapshot the live entries as offline-shaped records (checkpoint
-   time as the timestamp); the runtime persists these as 'L' frames so
-   offline traceback covers still-live tuples across a restart. *)
-let live_records (t : t) ~(now : float) : offline_record list =
-  Tuple.Table.fold (fun tuple e acc -> offline_of tuple e ~now :: acc) t.entries []
+(* Snapshot the live entries as checkpoint records (checkpoint time as
+   the timestamp); the runtime persists these as 'L' frames so offline
+   traceback covers still-live tuples across a restart. *)
+let live_records (t : t) ~(now : float) : Store.Prov_log.record list =
+  Tuple.Table.fold
+    (fun tuple e acc -> log_record t tuple e ~live:true ~now :: acc)
+    t.entries []
 
 (* Storage accounting for the ablations: bytes of online expressions
    and derivation pointers. *)

@@ -5,12 +5,14 @@
     derivation records — (rule, body tuples, where each body tuple
     lives) — reconstructed on demand by {!Traceback}.  {e Offline}:
     when a tuple expires or is replaced its provenance leaves the live
-    table and, when a retire sink is installed, is written through to
-    the persisted log ([Store.Prov_log]), the only offline store.
+    table and, when the store was created with a log, is written
+    through to the persisted log ([Store.Prov_log]), the only offline
+    store.
 
     Derivations are held as the log's own [Store.Prov_log.deriv]
-    records, so the live store and the log hand traceback one record
-    type and retirement converts nothing.
+    records, and retirements and checkpoints are built as the log's
+    [Store.Prov_log.record], so the live store and the log hand
+    traceback one record type and nothing converts between them.
 
     Storage is per-alternative: each Plus branch (base assertion,
     local derivation, shipped provenance) keeps its own expression, so
@@ -20,24 +22,13 @@
 
 open Engine
 
-(** A retired (or checkpointed) tuple's provenance, as handed to the
-    retire sink. *)
-type offline_record = {
-  off_tuple : Tuple.t;
-  off_expr : Provenance.Prov_expr.t;
-  off_derivs : Store.Prov_log.deriv list;
-  off_received_from : string list;
-  off_expired_at : float;
-}
-
 type t
 
-val create : unit -> t
-
-val set_retire_sink : t -> (offline_record -> unit) option -> unit
-(** Install (or clear) the write-through sink fired on every
-    {!retire}.  The sink runs on whichever domain retires the tuple,
-    so it must be thread-safe (the persisted log is). *)
+val create : node:string -> domain:string -> log:Store.Prov_log.t option -> t
+(** The store of the node at address [node], whose AS-domain base key
+    is [domain] (e.g. ["as3"]); both are stamped on every record it
+    hands the log.  Every {!retire} appends to [log], when given, from
+    whichever domain retires the tuple (the log is thread-safe). *)
 
 (** {1 Recording} *)
 
@@ -85,12 +76,13 @@ val remove_received : t -> Tuple.t -> from:string -> unit
 (** {1 Offline provenance (Section 4.2)} *)
 
 val retire : t -> Tuple.t -> now:float -> unit
-(** Move a tuple's provenance out of the live table, handing it to
-    the retire sink when one is installed. *)
+(** Move a tuple's provenance out of the live table, appending it to
+    the log as a retirement record stamped [now] when the store has
+    one. *)
 
-val live_records : t -> now:float -> offline_record list
-(** Snapshot the live entries as offline-shaped records ([now] as the
-    timestamp); the runtime persists these as 'L' checkpoint frames so
+val live_records : t -> now:float -> Store.Prov_log.record list
+(** Snapshot the live entries as checkpoint records ([r_live], [now]
+    as the timestamp); the runtime persists these as 'L' frames so
     offline traceback covers still-live tuples across a restart. *)
 
 (** {1 Storage accounting (the ablations)} *)

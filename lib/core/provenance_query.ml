@@ -146,15 +146,7 @@ let run_sampled (log : Store.Prov_log.t) ~(rng : Crypto.Rng.t) ~(walks : int)
     if flows = [] then []
     else begin
       Obs.Metrics.inc ~by:walks c_walks;
-      let mw_flows =
-        List.map
-          (fun (f : Store.Prov_log.flow) ->
-            { Forensics.fl_src = f.Store.Prov_log.fl_src;
-              fl_dst = f.fl_dst;
-              fl_time = f.fl_time })
-          flows
-      in
-      Forensics.random_moonwalk rng ~flows:mw_flows ~walks ~max_hops
+      Forensics.random_moonwalk rng ~flows ~walks ~max_hops
     end
   in
   Suspects { prefilter = prefilter_nodes; suspects }

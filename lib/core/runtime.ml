@@ -146,8 +146,7 @@ type t = {
   c_batch_items : Obs.Metrics.counter; (* work items across all batches *)
   c_flows : Obs.Metrics.counter; (* 1/K-sampled flows written to the log *)
   g_group_max : Obs.Metrics.gauge; (* largest per-node group coalesced *)
-  g_crashed : Obs.Metrics.gauge; (* nodes currently failed-stop *)
-  mutable crashed_now : int;
+  g_crashed : Obs.Metrics.gauge; (* nodes failed-stop when [drive] returns *)
   chan_seq : (string * string, int) Hashtbl.t;
       (* next data sequence number per (src,dst) channel *)
   pending : (string * string * int, unit) Hashtbl.t;
@@ -244,19 +243,6 @@ let sched_to (t : t) (addr : string) ~(delay : float) (action : unit -> unit) : 
 let as_domain_of (topo : Net.Topology.t) (addr : string) : string =
   Printf.sprintf "as%d" (Net.Topology.as_of topo addr)
 
-(* Shape a live store's offline record for the on-disk log: the
-   store already holds the log's derivation records. *)
-let log_record_of_offline ~(node : string) ~(domain : string) ~(live : bool)
-    (r : Prov_store.offline_record) : Store.Prov_log.record =
-  { Store.Prov_log.r_node = node;
-    r_domain = domain;
-    r_live = live;
-    r_at = r.Prov_store.off_expired_at;
-    r_tuple = r.Prov_store.off_tuple;
-    r_expr = r.Prov_store.off_expr;
-    r_received_from = r.Prov_store.off_received_from;
-    r_derivs = r.Prov_store.off_derivs }
-
 let create ?(directory : Sendlog.Principal.directory option) ~(rng : Crypto.Rng.t)
     ~(cfg : Config.t) ~(topo : Net.Topology.t) ~(program : Ndlog.Ast.program) () : t =
   let compiled = Sendlog.Compile.compile program in
@@ -265,6 +251,12 @@ let create ?(directory : Sendlog.Principal.directory option) ~(rng : Crypto.Rng.
     | Some d -> d
     | None ->
       Sendlog.Principal.directory_for rng ~rsa_bits:cfg.rsa_bits topo.Net.Topology.nodes
+  in
+  (* Persisted offline provenance log: every node's retire path writes
+     through to it, so expired tuples remain traceable after the
+     process exits (Section 4.2). *)
+  let prov_log =
+    Option.map (fun dir -> Store.Prov_log.open_log ~dir ()) cfg.Config.prov_log
   in
   let nodes = Hashtbl.create (List.length topo.Net.Topology.nodes) in
   List.iter
@@ -284,7 +276,8 @@ let create ?(directory : Sendlog.Principal.directory option) ~(rng : Crypto.Rng.
         { n_addr = addr;
           n_principal = principal;
           n_db = db;
-          n_prov = Prov_store.create ();
+          n_prov =
+            Prov_store.create ~node:addr ~domain:(as_domain_of topo addr) ~log:prov_log;
           n_support = Support.create ();
           n_base = Tuple.Table.create 64;
           n_recv_from = Tuple.Table.create 64;
@@ -317,24 +310,6 @@ let create ?(directory : Sendlog.Principal.directory option) ~(rng : Crypto.Rng.
   (* Fresh run: reused principals must not carry signatures (or their
      cost savings) over from a previous runtime. *)
   Sendlog.Principal.clear_sign_caches directory;
-  (* Persisted offline provenance log: every node's retire path writes
-     through to it, so expired tuples remain traceable after the
-     process exits (Section 4.2). *)
-  let prov_log =
-    Option.map (fun dir -> Store.Prov_log.open_log ~dir ()) cfg.Config.prov_log
-  in
-  (match prov_log with
-  | Some log ->
-    Hashtbl.iter
-      (fun _ n ->
-        let domain = as_domain_of topo n.n_addr in
-        Prov_store.set_retire_sink n.n_prov
-          (Some
-             (fun r ->
-               Store.Prov_log.append log
-                 (log_record_of_offline ~node:n.n_addr ~domain ~live:false r))))
-      nodes
-  | None -> ());
   (* Shard layout: partition nodes by AS.  [shards = 0] means one
      shard per distinct AS; [shards = K] folds ASes onto K shards by
      [as mod K]; [shards = 1] is a single queue. *)
@@ -417,7 +392,6 @@ let create ?(directory : Sendlog.Principal.directory option) ~(rng : Crypto.Rng.
       c_flows = Obs.Metrics.counter reg "forensics.flows_recorded";
       g_group_max = Obs.Metrics.gauge reg "par.group_items_max";
       g_crashed = Obs.Metrics.gauge reg "sim.crashed_nodes";
-      crashed_now = 0;
       chan_seq = Hashtbl.create 64;
       pending = Hashtbl.create 256;
       seen = Hashtbl.create 256;
@@ -428,23 +402,6 @@ let create ?(directory : Sendlog.Principal.directory option) ~(rng : Crypto.Rng.
   Obs.Metrics.set t.g_crashed 0.0;
   Obs.Metrics.set (Obs.Metrics.gauge reg "par.jobs") (float_of_int cfg.jobs);
   Obs.Metrics.set (Obs.Metrics.gauge reg "sim.shards") (float_of_int shard_count);
-  (* Marker events keep the sim.crashed_nodes gauge current as the
-     fault model's fail-stop schedule plays out.  They are telemetry
-     only (crash semantics come from the pure [Fault.is_down]), so
-     shard 0 hosts them all regardless of the crashed node's shard. *)
-  List.iter
-    (fun (c : Net.Fault.crash) ->
-      Net.Event_sim.schedule_at t.shards.(0).sh_sim ~time:c.Net.Fault.cr_at
-        (fun () ->
-          t.crashed_now <- t.crashed_now + 1;
-          Obs.Metrics.set t.g_crashed (float_of_int t.crashed_now));
-      match c.Net.Fault.cr_restart with
-      | Some r ->
-        Net.Event_sim.schedule_at t.shards.(0).sh_sim ~time:r (fun () ->
-            t.crashed_now <- t.crashed_now - 1;
-            Obs.Metrics.set t.g_crashed (float_of_int t.crashed_now))
-      | None -> ())
-    cfg.Config.fault.Net.Fault.crashes;
   t
 
 (* --- provenance capture ---------------------------------------------- *)
@@ -1652,6 +1609,16 @@ let drive (t : t) ~(until : float) : int =
   (* Deliver any events parked at the horizon so a later [run] resumes
      from a consistent queue. *)
   flush_outboxes t;
+  (* The crash gauge reads the pure fail-stop schedule at the time
+     reached: no event of its own, so a crash never moves the clock. *)
+  let fault = t.cfg.Config.fault and now = now t in
+  let down =
+    List.filter_map
+      (fun (c : Net.Fault.crash) ->
+        if Net.Fault.is_down fault ~now c.cr_node then Some c.cr_node else None)
+      fault.Net.Fault.crashes
+  in
+  Obs.Metrics.set t.g_crashed (float_of_int (List.length (List.sort_uniq String.compare down)));
   !count
 
 type run_result = {
@@ -1687,12 +1654,7 @@ let sync_prov_log (t : t) : unit =
   | Some log ->
     let at = now t in
     List.iter
-      (fun n ->
-        let domain = as_domain_of t.topo n.n_addr in
-        List.iter
-          (fun r ->
-            Store.Prov_log.append log (log_record_of_offline ~node:n.n_addr ~domain ~live:true r))
-          (Prov_store.live_records n.n_prov ~now:at))
+      (fun n -> List.iter (Store.Prov_log.append log) (Prov_store.live_records n.n_prov ~now:at))
       (nodes t);
     Store.Prov_log.flush log
 

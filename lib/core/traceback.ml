@@ -42,8 +42,7 @@ let c_partial = Obs.Metrics.counter Obs.Metrics.default "traceback.partial_resul
    (sized as its expression encoding). *)
 let request_bytes (tuple : Tuple.t) : int = 16 + Tuple.wire_size tuple
 
-let response_bytes (e : Provenance.Prov_expr.t) : int =
-  16 + String.length (Provenance.Prov_expr.encode e)
+let response_bytes (e : Provenance.Prov_expr.t) : int = 16 + Provenance.Prov_expr.wire_size e
 
 let max_depth = 64
 

@@ -62,9 +62,6 @@ type rel_store = {
 type t = {
   rels : (string, rel_store) Hashtbl.t;
   ttls : (string, float) Hashtbl.t; (* soft-state lifetime per relation *)
-  no_refresh : (string, unit) Hashtbl.t;
-      (* relations whose tuples keep their original expiry on
-         re-derivation; default is to extend (see [set_refresh_on_rederive]) *)
   indexing : bool; (* when off, [probe] falls back to a scan *)
 }
 
@@ -79,7 +76,6 @@ let c_scans = Obs.Metrics.counter Obs.Metrics.default "db.full_scans"
 let create ?(indexing = true) () =
   { rels = Hashtbl.create 32;
     ttls = Hashtbl.create 8;
-    no_refresh = Hashtbl.create 8;
     indexing }
 
 let rel_store (db : t) (name : string) : rel_store =
@@ -143,34 +139,11 @@ let set_policy (db : t) (name : string) (policy : policy) : unit =
 
 let policy (db : t) (name : string) : policy = (rel_store db name).policy
 
-(* Setting a TTL only affects *future* inserts unless [retroactive]
-   is passed, in which case already-live tuples of the relation get
-   [inserted_at + seconds] as their new expiry (which may already be
-   in the past — the next eviction pass collects them). *)
-let set_ttl ?(retroactive = false) (db : t) (name : string) (seconds : float) :
-    unit =
-  Hashtbl.replace db.ttls name seconds;
-  if retroactive then
-    match Hashtbl.find_opt db.rels name with
-    | None -> ()
-    | Some store ->
-      Tuple.Table.iter
-        (fun _ meta -> meta.expires_at <- Some (meta.inserted_at +. seconds))
-        store.tuples
+(* Setting a TTL only affects *future* inserts. *)
+let set_ttl (db : t) (name : string) (seconds : float) : unit =
+  Hashtbl.replace db.ttls name seconds
 
 let ttl (db : t) (name : string) : float option = Hashtbl.find_opt db.ttls name
-
-(* Whether re-deriving (re-inserting) an already-live tuple extends
-   its soft-state lifetime to [now + ttl].  The default — true —
-   matches P2's refresh semantics: a tuple stays alive as long as it
-   keeps being derived.  When off, the tuple keeps the expiry from
-   its first insertion even if re-derived. *)
-let set_refresh_on_rederive (db : t) (name : string) (on : bool) : unit =
-  if on then Hashtbl.remove db.no_refresh name
-  else Hashtbl.replace db.no_refresh name ()
-
-let refresh_on_rederive (db : t) (name : string) : bool =
-  not (Hashtbl.mem db.no_refresh name)
 
 type insert_result =
   | Added
@@ -210,11 +183,12 @@ let insert (db : t) ~(now : float) ?(asserted_by : Value.t option)
     Tuple.Table.replace store.tuples tuple { inserted_at = now; expires_at; asserters };
     add_to_indexes store tuple
   in
-  (* Refresh an existing tuple's soft state; reports [New_asserter]
-     when the asserting principal is new for this tuple.  Lifetime
-     extension is explicit per relation (see [set_refresh_on_rederive]). *)
+  (* Refresh an existing tuple's soft state (P2's semantics: a tuple
+     stays alive as long as it keeps being derived); reports
+     [New_asserter] when the asserting principal is new for this
+     tuple. *)
   let refresh (meta : meta) =
-    if refresh_on_rederive db tuple.rel then meta.expires_at <- expires_at;
+    meta.expires_at <- expires_at;
     match asserted_by with
     | Some p when not (List.exists (Value.equal p) meta.asserters) ->
       meta.asserters <- p :: meta.asserters;

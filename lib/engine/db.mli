@@ -46,27 +46,15 @@ val create : ?indexing:bool -> unit -> t
 val set_policy : t -> string -> policy -> unit
 val policy : t -> string -> policy
 
-val set_ttl : ?retroactive:bool -> t -> string -> float -> unit
-(** Set the relation's soft-state lifetime.  By default this affects
-    only tuples inserted {e after} the call — tuples already live keep
-    their recorded expiry (usually [None] when no TTL was set at
-    insert time).  Pass [~retroactive:true] to also rewrite live
-    tuples' expiry to [inserted_at + seconds]; an expiry that lands in
-    the past is collected by the next {!evict_expired} pass. *)
+val set_ttl : t -> string -> float -> unit
+(** Set the relation's soft-state lifetime.  This affects only tuples
+    inserted {e after} the call — tuples already live keep their
+    recorded expiry (usually [None] when no TTL was set at insert
+    time).  Re-deriving (re-inserting) a live tuple extends its
+    lifetime to [now + ttl], P2's refresh semantics: a tuple stays
+    alive as long as it keeps being derived. *)
 
 val ttl : t -> string -> float option
-
-val set_refresh_on_rederive : t -> string -> bool -> unit
-(** Whether re-deriving (re-inserting) an already-live tuple of the
-    relation extends its lifetime to [now + ttl].  The default —
-    [true] — is P2's refresh semantics: a tuple stays alive as long
-    as it keeps being derived, and every {!insert} that reports
-    [Refreshed]/[New_asserter] silently renews the expiry using the
-    relation TTL in force at refresh time.  Set to [false] to make
-    the tuple keep the expiry from its first insertion regardless of
-    later re-derivations (new asserters are still recorded). *)
-
-val refresh_on_rederive : t -> string -> bool
 
 type insert_result =
   | Added

@@ -124,6 +124,9 @@ let rec get_value (r : Arena.reader) : Engine.Value.t =
 let read_tuple (r : Arena.reader) : Engine.Tuple.t =
   let rel = get_string r in
   let n = Arena.u32 r in
+  (* every value takes at least one byte: check before [Array.init]
+     allocates [n] slots from an untrusted count *)
+  if n > Arena.remaining r then raise (Decode_error "tuple arity exceeds its bytes");
   let args = Array.init n (fun _ -> get_value r) in
   { Engine.Tuple.rel; args }
 

@@ -3,7 +3,8 @@
    provenance in Core.Prov_store evaporates when tuples expire; this
    log is where retirements (and optional live-tuple checkpoints) are
    written through so forensic traceback works after expiry and across
-   process restarts.
+   process restarts.  It is also the only store of Section 5's
+   1/K-sampled flows and per-(node, epoch) Bloom digests.
 
    On-disk layout, inside one directory:
 
@@ -11,13 +12,8 @@
                        ordered list of live segment files.  Always
                        replaced via tmp-file + atomic rename.
      seg-%06d.log      size-bounded binary segments of frames.
-     seg-%06d.idx      persistent index sidecar, written when a
-                       segment is sealed: per record frame, its
-                       offset and index keys (node, tuple identity,
-                       relation, AS domain), so reopening a sealed
-                       segment never decodes record payloads.
-     *.tmp             in-flight manifest/segment/sidecar writes;
-                       orphans from a crash are deleted at open.
+     *.tmp             in-flight manifest/segment writes; orphans
+                       from a crash are deleted at open.
 
    Each segment starts with the magic "PSNLOG1\n" and then frames:
 
@@ -26,17 +22,23 @@
    where the checksum is the first four bytes of SHA-256 over the
    kind byte plus payload.  Frame kinds: 'R' retired-tuple record,
    'L' live-tuple checkpoint record, 'F' sampled flow, 'B' per-(node,
-   epoch) Bloom digest.  Record payloads reuse the existing codecs:
-   Net.Wire.encode_tuple for tuples and Provenance.Condense.to_wire
-   for the condensed provenance expression (falling back to the raw
-   Prov_expr codec when the expression's support exceeds the 16-bit
-   condensed wire fields).
+   epoch) Bloom digest.  Frames are written on a Net.Arena writer and
+   read with an Arena reader.  Record payloads reuse the existing
+   codecs: Net.Wire's tuple encoding for tuples and
+   Provenance.Condense.to_wire for the condensed provenance expression
+   (falling back to the raw Prov_expr codec when the expression's
+   support exceeds the 16-bit condensed wire fields).
+
+   The frames are the only copy of what the log knows.  Opening scans
+   every listed segment, checks each frame's checksum, and rebuilds
+   the in-memory index (tuple identity, relation, AS domain), the
+   flows and the digests from the frames that pass.
 
    Recovery invariants (DESIGN.md section 12):
      - only the tail segment can be torn: sealed segments and the
-       manifest are only ever produced by tmp+rename.  Opening scans
-       the tail, stops at the first frame whose length or checksum is
-       bad, and truncates the file to the valid prefix.
+       manifest are only ever produced by tmp+rename.  Opening
+       truncates the tail to the frames before the first one whose
+       length or checksum is bad.
      - compaction writes the merged segment to a tmp file, renames
        it, swaps the manifest, and only then unlinks the merged
        inputs.  A crash before the swap leaves an orphan tmp (deleted
@@ -87,7 +89,6 @@ exception Corrupt of string
 exception Crash_injected of string
 
 let magic = "PSNLOG1\n"
-let idx_magic = "PSNIDX1\n"
 let manifest_name = "MANIFEST"
 let default_segment_bytes = 4 * 1024 * 1024
 let default_compact_threshold = 4
@@ -95,184 +96,152 @@ let default_epoch_seconds = 60.0
 let default_digest_expected = 10_000
 let default_digest_fp_rate = 0.01
 
+module Arena = Net.Arena
+
 (* ------------------------------------------------------------------ *)
-(* Primitive codecs                                                    *)
+(* Field codecs                                                        *)
 
-let put_u8 buf v = Buffer.add_char buf (Char.chr (v land 0xFF))
-
-let put_u16 buf v =
-  if v < 0 || v > 0xFFFF then invalid_arg "Prov_log: u16 field overflow";
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF));
-  Buffer.add_char buf (Char.chr (v land 0xFF))
-
-let put_u32 buf v =
-  if v < 0 || v > 0xFFFF_FFFF then invalid_arg "Prov_log: u32 field overflow";
-  Buffer.add_char buf (Char.chr ((v lsr 24) land 0xFF));
-  Buffer.add_char buf (Char.chr ((v lsr 16) land 0xFF));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF));
-  Buffer.add_char buf (Char.chr (v land 0xFF))
-
-let put_f64 buf v =
-  let bits = Int64.bits_of_float v in
-  for i = 7 downto 0 do
-    put_u8 buf (Int64.to_int (Int64.logand (Int64.shift_right_logical bits (i * 8)) 0xFFL))
-  done
-
-let put_str16 buf s =
-  put_u16 buf (String.length s);
-  Buffer.add_string buf s
-
-let put_str32 buf s =
-  put_u32 buf (String.length s);
-  Buffer.add_string buf s
-
-let put_opt16 buf = function
-  | None -> put_u8 buf 0
-  | Some s ->
-    put_u8 buf 1;
-    put_str16 buf s
-
-type cursor = { src : string; mutable pos : int }
-
-let need (c : cursor) n =
-  if c.pos + n > String.length c.src then raise (Corrupt "truncated frame payload")
-
-let get_u8 c =
-  need c 1;
-  let v = Char.code c.src.[c.pos] in
-  c.pos <- c.pos + 1;
+(* Arena writers keep a value's low bits; here a count or length that
+   does not fit its field is a caller error, not a different frame. *)
+let fits ~(bits : int) (v : int) : int =
+  if v < 0 || v lsr bits <> 0 then
+    invalid_arg (Printf.sprintf "Prov_log: u%d field overflow" bits);
   v
 
-let get_u16 c =
-  let hi = get_u8 c in
-  let lo = get_u8 c in
-  (hi lsl 8) lor lo
+let add_count16 a (l : 'a list) = Arena.add_u16 a (fits ~bits:16 (List.length l))
+let add_f64 a v = Arena.add_u64 a (Int64.bits_of_float v)
 
-let get_u32 c =
-  let a = get_u16 c in
-  let b = get_u16 c in
-  (a lsl 16) lor b
+let add_str16 a s =
+  Arena.add_u16 a (fits ~bits:16 (String.length s));
+  Arena.add_string a s
 
-let get_f64 c =
-  need c 8;
-  let bits = ref 0L in
-  for _ = 1 to 8 do
-    bits := Int64.logor (Int64.shift_left !bits 8) (Int64.of_int (get_u8 c))
-  done;
-  Int64.float_of_bits !bits
+let add_str32 a s =
+  Arena.add_u32 a (fits ~bits:32 (String.length s));
+  Arena.add_string a s
 
-let get_bytes c n =
-  need c n;
-  let s = String.sub c.src c.pos n in
-  c.pos <- c.pos + n;
-  s
+let add_opt16 a = function
+  | None -> Arena.add_char a '\000'
+  | Some s ->
+    Arena.add_char a '\001';
+    add_str16 a s
 
-let get_str16 c = get_bytes c (get_u16 c)
-let get_str32 c = get_bytes c (get_u32 c)
+(* A u32 length prefix, then whatever [write] adds. *)
+let add_block32 a (write : Arena.t -> unit) =
+  let at = Arena.reserve_u32 a in
+  write a;
+  Arena.patch_u32 a at (fits ~bits:32 (Arena.length a - at - 4))
 
-let get_opt16 c =
-  match get_u8 c with
+let f64 r = Int64.float_of_bits (Arena.u64 r)
+let str16 r = Arena.take_string r (Arena.u16 r)
+let block32 r = Arena.take r (Arena.u32 r)
+
+let opt16 r =
+  match Arena.u8 r with
   | 0 -> None
-  | 1 -> Some (get_str16 c)
+  | 1 -> Some (str16 r)
   | n -> raise (Corrupt (Printf.sprintf "bad option tag %d" n))
+
+(* The one place a read past the end of a payload becomes [Corrupt]. *)
+let decoding (payload : Arena.slice) (read : Arena.reader -> 'a) : 'a =
+  try read (Arena.reader payload) with
+  | Arena.Bounds_error _ -> raise (Corrupt "truncated frame payload")
 
 (* ------------------------------------------------------------------ *)
 (* Payload codecs                                                      *)
 
 (* Record payload:
      u8 live | str16 node | str16 domain | f64 at
-     str32 tuple (Net.Wire.encode_tuple)
+     str32 tuple (Net.Wire tuple encoding)
      u8 expr-repr (0 condensed / 1 raw) | str32 expr bytes
      u16 n, str16 received-from addresses (order-preserving)
      u16 n derivations, each:
        str16 rule | f64 at | opt signer | opt signature
        u16 n body items, each:
          str32 tuple | u8 origin (0 local / 1 remote + str16 addr) | opt says *)
-let encode_record (ctx : Provenance.Condense.ctx) (r : record) : string =
-  let buf = Buffer.create 256 in
-  put_u8 buf (if r.r_live then 1 else 0);
-  put_str16 buf r.r_node;
-  put_str16 buf r.r_domain;
-  put_f64 buf r.r_at;
-  put_str32 buf (Net.Wire.encode_tuple r.r_tuple);
+let write_record (ctx : Provenance.Condense.ctx) a (r : record) : unit =
+  Arena.add_char a (if r.r_live then '\001' else '\000');
+  add_str16 a r.r_node;
+  add_str16 a r.r_domain;
+  add_f64 a r.r_at;
+  add_block32 a (fun a -> Net.Wire.write_tuple a r.r_tuple);
   (match Provenance.Condense.to_wire ctx r.r_expr with
   | w ->
-    put_u8 buf 0;
-    put_str32 buf w
+    Arena.add_char a '\000';
+    add_str32 a w
   | exception Provenance.Condense.Wire_error _ ->
     (* support too wide for the condensed u16 fields: keep the raw
        expression codec so the record is never lost *)
-    put_u8 buf 1;
-    put_str32 buf (Provenance.Prov_expr.encode r.r_expr));
-  put_u16 buf (List.length r.r_received_from);
-  List.iter (put_str16 buf) r.r_received_from;
-  put_u16 buf (List.length r.r_derivs);
+    Arena.add_char a '\001';
+    add_str32 a (Provenance.Prov_expr.encode r.r_expr));
+  add_count16 a r.r_received_from;
+  List.iter (add_str16 a) r.r_received_from;
+  add_count16 a r.r_derivs;
   List.iter
     (fun d ->
-      put_str16 buf d.d_rule;
-      put_f64 buf d.d_at;
-      put_opt16 buf d.d_signer;
-      put_opt16 buf d.d_signature;
-      put_u16 buf (List.length d.d_body);
+      add_str16 a d.d_rule;
+      add_f64 a d.d_at;
+      add_opt16 a d.d_signer;
+      add_opt16 a d.d_signature;
+      add_count16 a d.d_body;
       List.iter
         (fun b ->
-          put_str32 buf (Net.Wire.encode_tuple b.b_tuple);
+          add_block32 a (fun a -> Net.Wire.write_tuple a b.b_tuple);
           (match b.b_origin with
-          | Local -> put_u8 buf 0
+          | Local -> Arena.add_char a '\000'
           | Remote addr ->
-            put_u8 buf 1;
-            put_str16 buf addr);
-          put_opt16 buf b.b_says)
+            Arena.add_char a '\001';
+            add_str16 a addr);
+          add_opt16 a b.b_says)
         d.d_body)
-    r.r_derivs;
-  Buffer.contents buf
+    r.r_derivs
 
-let decode_tuple_block (s : string) : Engine.Tuple.t =
-  try Net.Wire.decode_tuple s with
+let tuple_block r : Engine.Tuple.t =
+  try Net.Wire.decode_tuple_slice (block32 r) with
   | Net.Wire.Decode_error m -> raise (Corrupt ("bad tuple block: " ^ m))
 
-let decode_expr_block (ctx : Provenance.Condense.ctx) ~(repr : int) (s : string) :
-    Provenance.Prov_expr.t =
+let expr_block (ctx : Provenance.Condense.ctx) ~(repr : int) r : Provenance.Prov_expr.t =
+  let block = block32 r in
   match repr with
   | 0 -> (
-    try Provenance.Condense.of_wire ctx s with
+    try Provenance.Condense.of_wire_slice ctx block with
     | Provenance.Condense.Wire_error m -> raise (Corrupt ("bad condensed block: " ^ m)))
   | 1 -> (
-    try Provenance.Prov_expr.decode s with
+    try Provenance.Prov_expr.decode (Arena.to_string block) with
     | Provenance.Prov_expr.Decode_error m -> raise (Corrupt ("bad raw expr block: " ^ m)))
   | n -> raise (Corrupt (Printf.sprintf "bad expr repr tag %d" n))
 
-let decode_record (ctx : Provenance.Condense.ctx) ~(live : bool) (payload : string) : record =
-  let c = { src = payload; pos = 0 } in
-  let live_flag = get_u8 c in
-  if live_flag <> (if live then 1 else 0) then
+(* The index keys lead the payload, so indexing a frame reads only
+   these fields. *)
+let read_record_keys ~(live : bool) r : string * string * float * Engine.Tuple.t =
+  if Arena.u8 r <> Bool.to_int live then
     raise (Corrupt "record live flag disagrees with frame kind");
-  let node = get_str16 c in
-  let domain = get_str16 c in
-  let at = get_f64 c in
-  let tuple = decode_tuple_block (get_str32 c) in
-  let repr = get_u8 c in
-  let expr = decode_expr_block ctx ~repr (get_str32 c) in
-  let nrecv = get_u16 c in
-  let received = List.init nrecv (fun _ -> get_str16 c) in
-  let nderiv = get_u16 c in
+  let node = str16 r in
+  let domain = str16 r in
+  let at = f64 r in
+  let tuple = tuple_block r in
+  (node, domain, at, tuple)
+
+let read_record (ctx : Provenance.Condense.ctx) ~(live : bool) r : record =
+  let node, domain, at, tuple = read_record_keys ~live r in
+  let repr = Arena.u8 r in
+  let expr = expr_block ctx ~repr r in
+  let received = List.init (Arena.u16 r) (fun _ -> str16 r) in
   let derivs =
-    List.init nderiv (fun _ ->
-        let rule = get_str16 c in
-        let dat = get_f64 c in
-        let signer = get_opt16 c in
-        let signature = get_opt16 c in
-        let nbody = get_u16 c in
+    List.init (Arena.u16 r) (fun _ ->
+        let rule = str16 r in
+        let dat = f64 r in
+        let signer = opt16 r in
+        let signature = opt16 r in
         let body =
-          List.init nbody (fun _ ->
-              let t = decode_tuple_block (get_str32 c) in
+          List.init (Arena.u16 r) (fun _ ->
+              let t = tuple_block r in
               let origin =
-                match get_u8 c with
+                match Arena.u8 r with
                 | 0 -> Local
-                | 1 -> Remote (get_str16 c)
+                | 1 -> Remote (str16 r)
                 | n -> raise (Corrupt (Printf.sprintf "bad origin tag %d" n))
               in
-              let says = get_opt16 c in
+              let says = opt16 r in
               { b_tuple = t; b_origin = origin; b_says = says })
         in
         { d_rule = rule; d_at = dat; d_signer = signer; d_signature = signature; d_body = body })
@@ -280,98 +249,65 @@ let decode_record (ctx : Provenance.Condense.ctx) ~(live : bool) (payload : stri
   { r_node = node; r_domain = domain; r_live = live; r_at = at; r_tuple = tuple;
     r_expr = expr; r_received_from = received; r_derivs = derivs }
 
-(* Cheap key extraction for indexing a record frame without decoding
-   the expression or derivations (used when a sealed segment has no
-   sidecar index). *)
-let decode_record_keys (payload : string) : bool * string * string * Engine.Tuple.t =
-  let c = { src = payload; pos = 0 } in
-  let live = get_u8 c <> 0 in
-  let node = get_str16 c in
-  let domain = get_str16 c in
-  let _at = get_f64 c in
-  let tuple = decode_tuple_block (get_str32 c) in
-  (live, node, domain, tuple)
+let write_flow a (f : flow) : unit =
+  add_str16 a f.fl_src;
+  add_str16 a f.fl_dst;
+  add_f64 a f.fl_time;
+  add_str16 a f.fl_ident
 
-let encode_flow (f : flow) : string =
-  let buf = Buffer.create 64 in
-  put_str16 buf f.fl_src;
-  put_str16 buf f.fl_dst;
-  put_f64 buf f.fl_time;
-  put_str16 buf f.fl_ident;
-  Buffer.contents buf
-
-let decode_flow (payload : string) : flow =
-  let c = { src = payload; pos = 0 } in
-  let src = get_str16 c in
-  let dst = get_str16 c in
-  let time = get_f64 c in
-  let ident = get_str16 c in
+let read_flow r : flow =
+  let src = str16 r in
+  let dst = str16 r in
+  let time = f64 r in
+  let ident = str16 r in
   { fl_src = src; fl_dst = dst; fl_time = time; fl_ident = ident }
 
-let encode_bloom ~(node : string) ~(epoch : int) (b : Bloom.t) : string =
-  let buf = Buffer.create 64 in
-  put_str16 buf node;
-  put_u32 buf epoch;
-  put_str32 buf (Bloom.to_bytes b);
-  Buffer.contents buf
+let write_bloom a ~(node : string) ~(epoch : int) (b : Bloom.t) : unit =
+  add_str16 a node;
+  Arena.add_u32 a (fits ~bits:32 epoch);
+  add_str32 a (Bloom.to_bytes b)
 
-let decode_bloom (payload : string) : string * int * Bloom.t =
-  let c = { src = payload; pos = 0 } in
-  let node = get_str16 c in
-  let epoch = get_u32 c in
-  let bytes = get_str32 c in
+let read_bloom r : string * int * Bloom.t =
+  let node = str16 r in
+  let epoch = Arena.u32 r in
+  let bytes = Arena.to_string (block32 r) in
   let b = try Bloom.of_bytes bytes with Invalid_argument m -> raise (Corrupt m) in
   (node, epoch, b)
 
 (* ------------------------------------------------------------------ *)
 (* Frames                                                              *)
 
-let checksum (kind : char) (payload : string) : string =
-  String.sub (Crypto.Sha256.digest (String.make 1 kind ^ payload)) 0 4
+(* First four bytes of SHA-256 over a frame's kind byte and payload. *)
+let checksum (body : Arena.slice) : string =
+  String.sub (Arena.with_bytes body Crypto.Sha256.digest_bytes) 0 4
 
 let frame_overhead = 4 + 1 + 4
 
-let write_frame (oc : out_channel) (kind : char) (payload : string) : int =
-  let len = String.length payload in
-  output_char oc (Char.chr ((len lsr 24) land 0xFF));
-  output_char oc (Char.chr ((len lsr 16) land 0xFF));
-  output_char oc (Char.chr ((len lsr 8) land 0xFF));
-  output_char oc (Char.chr (len land 0xFF));
-  output_char oc kind;
-  output_string oc payload;
-  output_string oc (checksum kind payload);
-  frame_overhead + len
-
 (* Scan frames of a loaded segment string; [f off kind payload] per
-   valid frame.  Returns the length of the valid prefix: scanning
-   stops (without raising) at the first truncated or checksum-corrupt
-   frame — the torn-tail tolerance. *)
-let scan_frames (s : string) (f : int -> char -> string -> unit) : int =
-  let len = String.length s in
-  if len < String.length magic || String.sub s 0 (String.length magic) <> magic then 0
+   frame whose length and checksum are good, skipping one whose payload
+   then fails to decode ([Corrupt]).  Returns the length of the valid
+   prefix: scanning stops (without raising) at the first truncated or
+   checksum-corrupt frame — the torn-tail tolerance. *)
+let scan_frames (s : string) (f : int -> char -> Arena.slice -> unit) : int =
+  if not (String.starts_with ~prefix:magic s) then 0
   else begin
-    let pos = ref (String.length magic) in
-    let stop = ref false in
-    while not !stop do
-      let off = !pos in
-      if off + frame_overhead > len then stop := true
-      else begin
-        let b i = Char.code s.[off + i] in
-        let plen = (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3 in
-        if plen < 0 || off + frame_overhead + plen > len then stop := true
-        else begin
-          let kind = s.[off + 4] in
-          let payload = String.sub s (off + 5) plen in
-          let sum = String.sub s (off + 5 + plen) 4 in
-          if sum <> checksum kind payload then stop := true
-          else begin
-            (try f off kind payload with Corrupt _ -> ());
-            pos := off + frame_overhead + plen
-          end
-        end
-      end
-    done;
-    !pos
+    let r = Arena.reader_of_string s in
+    ignore (Arena.take r (String.length magic));
+    let rec next () =
+      let off = String.length s - Arena.remaining r in
+      match
+        let plen = Arena.u32 r in
+        let body = Arena.take r (1 + plen) in
+        (body, Arena.take_string r 4)
+      with
+      | exception Arena.Bounds_error _ -> off
+      | body, sum when String.equal sum (checksum body) ->
+        let plen = Arena.slice_length body - 1 in
+        (try f off (Arena.get body 0) (Arena.sub body ~pos:1 ~len:plen) with Corrupt _ -> ());
+        next ()
+      | _ -> off
+    in
+    next ()
   end
 
 (* ------------------------------------------------------------------ *)
@@ -386,9 +322,36 @@ type entry = {
   en_domain : string;
 }
 
+let entry_of ~(off : int) ~(live : bool) ~(node : string) ~(domain : string)
+    ~(ident : string) (tuple : Engine.Tuple.t) : entry =
+  { en_off = off; en_live = live; en_node = node; en_ident = ident;
+    en_rel = tuple.Engine.Tuple.rel; en_domain = domain }
+
+(* What one checksummed frame holds. *)
+type frame =
+  | Record of entry
+  | Flow of flow
+  | Digest of string * int * Bloom.t  (* node, epoch, digest *)
+  | Unknown  (* unknown frame kind: forward-compat skip *)
+
+let decode_frame ~(off : int) (kind : char) (payload : Arena.slice) : frame =
+  decoding payload (fun r ->
+      match kind with
+      | 'R' | 'L' ->
+        let live = kind = 'L' in
+        let node, domain, _at, tuple = read_record_keys ~live r in
+        (* [identity], not [interned_identity]: a reopened log's tuples
+           must not stay in the process-wide intern table *)
+        Record (entry_of ~off ~live ~node ~domain ~ident:(Engine.Tuple.identity tuple) tuple)
+      | 'F' -> Flow (read_flow r)
+      | 'B' ->
+        let node, epoch, b = read_bloom r in
+        Digest (node, epoch, b)
+      | _ -> Unknown)
+
 type seg = {
   sg_id : int;
-  mutable sg_entries : entry list;  (* newest first while accumulating *)
+  mutable sg_entries : entry list;  (* newest first *)
 }
 
 type t = {
@@ -399,6 +362,7 @@ type t = {
   digest_expected : int;
   digest_fp_rate : float;
   ctx : Provenance.Condense.ctx;
+  frame_buf : Arena.t;  (* reused for every appended frame, under [mu] *)
   mu : Mutex.t;
   mutable segs : seg list;  (* manifest order, oldest first; last is the tail *)
   mutable tail_oc : out_channel;
@@ -419,9 +383,7 @@ type t = {
 }
 
 let seg_file_name id = Printf.sprintf "seg-%06d.log" id
-let idx_file_name id = Printf.sprintf "seg-%06d.idx" id
 let seg_path t id = Filename.concat t.dir (seg_file_name id)
-let idx_path t id = Filename.concat t.dir (idx_file_name id)
 
 let with_lock t f =
   Mutex.lock t.mu;
@@ -448,6 +410,22 @@ let rec mkdir_p d =
     mkdir_p (Filename.dirname d);
     try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
+
+(* Append one frame to the tail: u32 payload-length | kind | payload
+   (written by [write]) | checksum.  The whole frame is built before
+   any byte reaches the file, so a payload that fails to encode leaves
+   the segment untouched.  Returns the bytes written. *)
+let write_frame t (kind : char) (write : Arena.t -> unit) : int =
+  let a = t.frame_buf in
+  Arena.reset a;
+  let at = Arena.reserve_u32 a in
+  Arena.add_char a kind;
+  write a;
+  let body = Arena.slice_from a (at + 4) in
+  Arena.patch_u32 a at (fits ~bits:32 (Arena.slice_length body - 1));
+  Arena.add_string a (checksum body);
+  Arena.with_bytes (Arena.slice a) (fun b ~pos ~len -> output t.tail_oc b pos len);
+  Arena.length a
 
 (* ---- manifest ---- *)
 
@@ -480,52 +458,6 @@ let parse_manifest (contents : string) : float option * int list =
            | None -> ())
          | _ -> ());
   (!epoch, List.rev !segs)
-
-(* ---- sidecar index ---- *)
-
-let render_idx (entries : entry list) : string =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf idx_magic;
-  put_u32 buf (List.length entries);
-  List.iter
-    (fun e ->
-      put_u32 buf e.en_off;
-      put_u8 buf (if e.en_live then 1 else 0);
-      put_str16 buf e.en_node;
-      put_str16 buf e.en_ident;
-      put_str16 buf e.en_rel;
-      put_str16 buf e.en_domain)
-    entries;
-  Buffer.contents buf
-
-let parse_idx (contents : string) : entry list option =
-  let m = String.length idx_magic in
-  if String.length contents < m || String.sub contents 0 m <> idx_magic then None
-  else
-    try
-      let c = { src = contents; pos = m } in
-      let n = get_u32 c in
-      let entries =
-        List.init n (fun _ ->
-            let off = get_u32 c in
-            let live = get_u8 c <> 0 in
-            let node = get_str16 c in
-            let ident = get_str16 c in
-            let rel = get_str16 c in
-            let domain = get_str16 c in
-            { en_off = off; en_live = live; en_node = node; en_ident = ident;
-              en_rel = rel; en_domain = domain })
-      in
-      if c.pos <> String.length contents then None else Some entries
-    with Corrupt _ -> None
-
-let parse_idx_file ~(dir : string) (id : int) : entry list option =
-  let path = Filename.concat dir (idx_file_name id) in
-  if Sys.file_exists path then parse_idx (read_file path) else None
-
-let write_idx t (s : seg) : unit =
-  write_file_atomic ~dir:t.dir ~name:(idx_file_name s.sg_id)
-    (render_idx (List.rev s.sg_entries))
 
 (* ---- in-memory index maintenance ---- *)
 
@@ -602,10 +534,8 @@ let open_log ?(segment_bytes = default_segment_bytes)
   Array.iter
     (fun f ->
       match parse_seg_id f with
-      | Some id when not (Hashtbl.mem listed_set id) ->
-        (try Sys.remove (Filename.concat dir f) with Sys_error _ -> ());
-        let idx = Filename.concat dir (idx_file_name id) in
-        if Sys.file_exists idx then (try Sys.remove idx with Sys_error _ -> ())
+      | Some id when not (Hashtbl.mem listed_set id) -> (
+        try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
       | _ -> ())
     (Sys.readdir dir);
   let listed =
@@ -615,6 +545,7 @@ let open_log ?(segment_bytes = default_segment_bytes)
     { dir; seg_bytes = segment_bytes; compact_threshold; epoch_seconds; digest_expected;
       digest_fp_rate;
       ctx = Provenance.Condense.create_ctx ();
+      frame_buf = Arena.create ~capacity:1024 ();
       mu = Mutex.create ();
       segs = [];
       tail_oc = stdout (* replaced before open_log returns *);
@@ -632,34 +563,24 @@ let open_log ?(segment_bytes = default_segment_bytes)
       c_compacted = Obs.Metrics.counter Obs.Metrics.default "forensics.segments_compacted";
       closed = false }
   in
+  (* The frames are the only copy of the log's index, flows and
+     digests: rebuild all three from every listed segment. *)
   let ntotal = List.length listed in
   let segs =
     List.mapi
       (fun i id ->
-        let is_tail = i = ntotal - 1 in
         let path = seg_path t id in
         let contents = read_file path in
-        let sidecar = if is_tail then None else parse_idx_file ~dir id in
-        let scanned = ref [] in
+        let entries = ref [] in
         let valid =
           scan_frames contents (fun off kind payload ->
-              match kind with
-              | 'R' | 'L' ->
-                if sidecar = None then begin
-                  let live, node, domain, tuple = decode_record_keys payload in
-                  scanned :=
-                    { en_off = off; en_live = live; en_node = node;
-                      en_ident = Engine.Tuple.interned_identity tuple;
-                      en_rel = tuple.Engine.Tuple.rel; en_domain = domain }
-                    :: !scanned
-                end
-              | 'F' -> t.flows_rev <- decode_flow payload :: t.flows_rev
-              | 'B' ->
-                let node, epoch, b = decode_bloom payload in
-                Hashtbl.replace t.digests (node, epoch) b
-              | _ -> () (* unknown frame kind: forward-compat skip *))
+              match decode_frame ~off kind payload with
+              | Record e -> entries := e :: !entries
+              | Flow f -> t.flows_rev <- f :: t.flows_rev
+              | Digest (node, epoch, b) -> Hashtbl.replace t.digests (node, epoch) b
+              | Unknown -> ())
         in
-        if is_tail then begin
+        if i = ntotal - 1 then begin
           (* torn tail: drop the invalid suffix before reopening for
              append.  A destroyed header truncates to empty and the
              magic is rewritten below. *)
@@ -667,8 +588,7 @@ let open_log ?(segment_bytes = default_segment_bytes)
           if keep < String.length contents then Unix.truncate path keep;
           t.tail_bytes <- keep
         end;
-        { sg_id = id;
-          sg_entries = (match sidecar with Some es -> List.rev es | None -> !scanned) })
+        { sg_id = id; sg_entries = !entries })
       listed
   in
   t.segs <- segs;
@@ -722,53 +642,35 @@ let compact_locked ?crash_after t : int =
   else begin
     let tail = tail_seg t in
     let sealed = List.filter (fun s -> s.sg_id <> tail.sg_id) t.segs in
-    (* gather frames of the merged inputs; ends newest first *)
+    (* gather the merged inputs' frames, newest first, each with its
+       bytes and what it holds *)
     let frames = ref [] in
     List.iter
       (fun s ->
         let contents = read_file (seg_path t s.sg_id) in
-        let keyed = Hashtbl.create 64 in
-        List.iter (fun e -> Hashtbl.replace keyed e.en_off e) s.sg_entries;
         ignore
           (scan_frames contents (fun off kind payload ->
-               let entry =
-                 match kind with
-                 | 'R' | 'L' -> (
-                   match Hashtbl.find_opt keyed off with
-                   | Some e -> Some e
-                   | None ->
-                     let live, node, domain, tuple = decode_record_keys payload in
-                     Some
-                       { en_off = off; en_live = live; en_node = node;
-                         en_ident = Engine.Tuple.interned_identity tuple;
-                         en_rel = tuple.Engine.Tuple.rel; en_domain = domain })
-                 | _ -> None
-               in
-               frames := (kind, payload, entry) :: !frames)))
+               let len = frame_overhead + Arena.slice_length payload in
+               frames := (contents, off, len, decode_frame ~off kind payload) :: !frames)))
       sealed;
     (* decide keeps newest to oldest; fold re-reverses, so [keep] is
        back in append (oldest-first) order *)
     let seen_rec = Hashtbl.create 256 and seen_bloom = Hashtbl.create 64 in
     let keep =
       List.fold_left
-        (fun acc ((kind, payload, entry) as fr) ->
+        (fun acc ((_, _, _, frame) as fr) ->
           let keep_it =
-            match (kind, entry) with
-            | ('R' | 'L'), Some e ->
+            match frame with
+            | Record e ->
               let key = e.en_node ^ "|" ^ e.en_ident in
               let superseded = e.en_live && Hashtbl.mem seen_rec key in
               Hashtbl.replace seen_rec key ();
               not superseded
-            | 'B', _ -> (
-              match decode_bloom payload with
-              | node, epoch, _ ->
-                if Hashtbl.mem seen_bloom (node, epoch) then false
-                else begin
-                  Hashtbl.replace seen_bloom (node, epoch) ();
-                  true
-                end
-              | exception Corrupt _ -> false)
-            | _ -> true
+            | Digest (node, epoch, _) ->
+              let fresh = not (Hashtbl.mem seen_bloom (node, epoch)) in
+              Hashtbl.replace seen_bloom (node, epoch) ();
+              fresh
+            | Flow _ | Unknown -> true
           in
           if keep_it then fr :: acc else acc)
         [] !frames
@@ -782,29 +684,22 @@ let compact_locked ?crash_after t : int =
     let pos = ref (String.length magic) in
     let new_entries = ref [] in
     List.iter
-      (fun (kind, payload, entry) ->
-        let off = !pos in
-        pos := off + write_frame oc kind payload;
-        match entry with
-        | Some e -> new_entries := { e with en_off = off } :: !new_entries
-        | None -> ())
+      (fun (contents, off, len, frame) ->
+        (match frame with
+        | Record e -> new_entries := { e with en_off = !pos } :: !new_entries
+        | Flow _ | Digest _ | Unknown -> ());
+        output_substring oc contents off len;
+        pos := !pos + len)
       keep;
     close_out oc;
     if crash_after = Some `Tmp_written then
       crash_out t "crashed after compaction tmp written, before manifest swap";
     Sys.rename tmp (seg_path t new_id);
-    let merged_seg = { sg_id = new_id; sg_entries = !new_entries } in
-    write_idx t merged_seg;
-    t.segs <- [ merged_seg; tail ];
+    t.segs <- [ { sg_id = new_id; sg_entries = !new_entries }; tail ];
     write_manifest t;
     if crash_after = Some `Manifest_swapped then
       crash_out t "crashed after manifest swap, before merged inputs unlinked";
-    List.iter
-      (fun s ->
-        (try Sys.remove (seg_path t s.sg_id) with Sys_error _ -> ());
-        let idx = idx_path t s.sg_id in
-        if Sys.file_exists idx then (try Sys.remove idx with Sys_error _ -> ()))
-      sealed;
+    List.iter (fun s -> try Sys.remove (seg_path t s.sg_id) with Sys_error _ -> ()) sealed;
     close_readers t;
     rebuild_index t;
     let n = List.length sealed in
@@ -812,16 +707,14 @@ let compact_locked ?crash_after t : int =
     n
   end
 
-(* Seal the tail (flush, sidecar index) and start a new segment; then
-   compact inline once enough sealed segments pile up.  "Background"
-   compaction is amortized over segment boundaries — it never runs on
-   an append that doesn't also roll the segment. *)
+(* Seal the tail and start a new segment; then compact inline once
+   enough sealed segments pile up.  "Background" compaction is
+   amortized over segment boundaries — it never runs on an append that
+   doesn't also roll the segment. *)
 let maybe_roll t : unit =
   if t.tail_bytes >= t.seg_bytes then begin
-    let tail = tail_seg t in
     Stdlib.flush t.tail_oc;
     close_out t.tail_oc;
-    write_idx t tail;
     let s = fresh_segment t in
     t.segs <- t.segs @ [ s ];
     write_manifest t;
@@ -832,16 +725,14 @@ let maybe_roll t : unit =
 (* Appends                                                             *)
 
 let append_locked t (r : record) : unit =
-  let payload = encode_record t.ctx r in
-  let kind = if r.r_live then 'L' else 'R' in
   let tail = tail_seg t in
-  let off = t.tail_bytes in
-  t.tail_bytes <- t.tail_bytes + write_frame t.tail_oc kind payload;
   let e =
-    { en_off = off; en_live = r.r_live; en_node = r.r_node;
-      en_ident = Engine.Tuple.interned_identity r.r_tuple;
-      en_rel = r.r_tuple.Engine.Tuple.rel; en_domain = r.r_domain }
+    (* a runtime's tuples are interned already: the identity is a lookup *)
+    entry_of ~off:t.tail_bytes ~live:r.r_live ~node:r.r_node ~domain:r.r_domain
+      ~ident:(Engine.Tuple.interned_identity r.r_tuple) r.r_tuple
   in
+  t.tail_bytes <-
+    t.tail_bytes + write_frame t (if r.r_live then 'L' else 'R') (fun a -> write_record t.ctx a r);
   tail.sg_entries <- e :: tail.sg_entries;
   index_add t tail.sg_id e;
   Obs.Metrics.inc t.c_records;
@@ -856,7 +747,7 @@ let append_flow t ~(src : string) ~(dst : string) ~(time : float) ~(ident : stri
   with_lock t (fun () ->
       check_open t;
       let f = { fl_src = src; fl_dst = dst; fl_time = time; fl_ident = ident } in
-      t.tail_bytes <- t.tail_bytes + write_frame t.tail_oc 'F' (encode_flow f);
+      t.tail_bytes <- t.tail_bytes + write_frame t 'F' (fun a -> write_flow a f);
       t.flows_rev <- f :: t.flows_rev;
       maybe_roll t)
 
@@ -887,7 +778,7 @@ let flush_locked t : unit =
     (fun ((node, epoch) as k) ->
       match Hashtbl.find_opt t.digests k with
       | Some b ->
-        t.tail_bytes <- t.tail_bytes + write_frame t.tail_oc 'B' (encode_bloom ~node ~epoch b)
+        t.tail_bytes <- t.tail_bytes + write_frame t 'B' (fun a -> write_bloom a ~node ~epoch b)
       | None -> ())
     (List.sort compare dirty);
   Stdlib.flush t.tail_oc;
@@ -927,27 +818,18 @@ let reader_for t (seg_id : int) : in_channel =
 let read_record_at t (seg_id : int) (off : int) : record =
   let ic = reader_for t seg_id in
   seek_in ic off;
-  let b () = Char.code (input_char ic) in
-  let plen =
-    (* sequenced lets: operand order of [lor] is unspecified, and these
-       reads side-effect the channel position *)
-    try
-      let b3 = b () in
-      let b2 = b () in
-      let b1 = b () in
-      let b0 = b () in
-      (b3 lsl 24) lor (b2 lsl 16) lor (b1 lsl 8) lor b0
-    with End_of_file -> raise (Corrupt "record offset past end of segment")
+  let header =
+    try really_input_string ic 5 with
+    | End_of_file -> raise (Corrupt "record offset past end of segment")
   in
-  let kind, payload =
-    try
-      let kind = input_char ic in
-      (kind, really_input_string ic plen)
-    with End_of_file -> raise (Corrupt "truncated record frame")
+  let h = Arena.reader_of_string header in
+  let plen = Arena.u32 h in
+  let kind = Char.chr (Arena.u8 h) in
+  let payload =
+    try really_input_string ic plen with End_of_file -> raise (Corrupt "truncated record frame")
   in
   match kind with
-  | 'R' -> decode_record t.ctx ~live:false payload
-  | 'L' -> decode_record t.ctx ~live:true payload
+  | 'R' | 'L' -> decoding (Arena.of_string payload) (read_record t.ctx ~live:(kind = 'L'))
   | k -> raise (Corrupt (Printf.sprintf "frame at indexed offset has kind %C" k))
 
 let lookup t ~(ident : string) : record list =
@@ -1017,7 +899,7 @@ let bytes_on_disk t : int =
       List.fold_left
         (fun acc s ->
           let sz p = try (Unix.stat p).Unix.st_size with Unix.Unix_error _ -> 0 in
-          acc + sz (seg_path t s.sg_id) + sz (idx_path t s.sg_id))
+          acc + sz (seg_path t s.sg_id))
         0 t.segs)
 
 (* ------------------------------------------------------------------ *)

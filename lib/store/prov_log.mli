@@ -3,17 +3,19 @@
 
     Retired (expired) tuples' provenance is written through here by
     [Core.Prov_store], together with optional live-tuple checkpoints,
-    1/K-sampled flows and per-(node, epoch) Bloom digests, so
-    forensic traceback works after tuples expire and across process
-    restarts.
+    so forensic traceback works after tuples expire and across
+    process restarts.  The log is also the only store of 1/K-sampled
+    flows and per-(node, epoch) Bloom digests.
 
     A log is a directory: a [MANIFEST] naming the ordered live
-    segments (always replaced by tmp + atomic rename), size-bounded
-    binary segment files of checksummed frames, and per-segment
-    persistent index sidecars written at seal time.  Recovery
-    tolerates a torn tail (the invalid suffix is truncated at open)
-    and crashes at any point of compaction (orphan tmp files and
-    unlisted segments are swept at open).  See DESIGN.md §12.
+    segments (always replaced by tmp + atomic rename) and
+    size-bounded binary segment files of checksummed frames.  The
+    frames are the only copy of what the log knows: {!open_log}
+    rebuilds the index, flows and digests from every frame whose
+    checksum passes.  Recovery tolerates a torn tail (the invalid
+    suffix is truncated at open) and crashes at any point of
+    compaction (orphan tmp files and unlisted segments are swept at
+    open).  See DESIGN.md §12.
 
     All operations are mutex-guarded; the retire write-through runs
     on the runtime's worker domains. *)
@@ -64,8 +66,8 @@ type flow = {
 type t
 
 exception Corrupt of string
-(** A frame or index that passed the checksum but fails to decode
-    (raised by queries, never by [open_log], which skips bad data). *)
+(** A frame that passed the checksum but fails to decode (raised by
+    queries, never by [open_log], which skips bad frames). *)
 
 exception Crash_injected of string
 (** Raised by {!compact} when its [crash_after] test hook fires; the
@@ -81,9 +83,9 @@ val open_log :
   unit ->
   t
 (** Open (creating if needed) the log directory and recover its
-    state: sweep orphan tmp files and unlisted segments, load sealed
-    segments through their index sidecars, scan and truncate the torn
-    tail.  [segment_bytes] bounds a segment (default 4 MiB, min 1
+    state: sweep orphan tmp files and unlisted segments, scan every
+    segment's frames to rebuild the index, flows and digests, and
+    truncate the torn tail.  [segment_bytes] bounds a segment (default 4 MiB, min 1
     KiB); after more than [compact_threshold] sealed segments pile up
     they are merged (default 4).  [epoch_seconds] buckets Bloom
     digests (default 60; an existing log's manifest value wins).

@@ -440,16 +440,21 @@ let test_trust_gate_on_runtime () =
     (Core.Trust_mgmt.rejected none)
 
 let test_forensics_bloom_path_query () =
-  let ds = Core.Forensics.create_digests ~epoch_seconds:60.0 ~expected_per_epoch:100 ~fp_rate:0.001 () in
-  List.iter
-    (fun node -> Core.Forensics.record ds ~node ~time:5.0 "pkt-x")
-    [ "r1"; "r2"; "r3" ];
-  Core.Forensics.record ds ~node:"r9" ~time:5.0 "other";
-  let hits = Core.Forensics.query ds ~time:5.0 "pkt-x" in
-  List.iter (fun r -> Alcotest.(check bool) r true (List.mem r hits)) [ "r1"; "r2"; "r3" ];
-  (* epoch isolation *)
-  Alcotest.(check (list string)) "different epoch empty" []
-    (Core.Forensics.query ds ~time:500.0 "pkt-x")
+  Test_store.with_temp_dir (fun dir ->
+      let log =
+        Store.Prov_log.open_log ~epoch_seconds:60.0 ~digest_expected:100
+          ~digest_fp_rate:0.001 ~dir ()
+      in
+      List.iter
+        (fun node -> Store.Prov_log.record_digest log ~node ~time:5.0 "pkt-x")
+        [ "r1"; "r2"; "r3" ];
+      Store.Prov_log.record_digest log ~node:"r9" ~time:5.0 "other";
+      let hits = Store.Prov_log.digest_nodes log ~time:5.0 "pkt-x" in
+      List.iter (fun r -> Alcotest.(check bool) r true (List.mem r hits)) [ "r1"; "r2"; "r3" ];
+      (* epoch isolation *)
+      Alcotest.(check (list string)) "different epoch empty" []
+        (Store.Prov_log.digest_nodes log ~time:500.0 "pkt-x");
+      Store.Prov_log.close log)
 
 let test_forensics_sampling_recovers_path () =
   let sim =
@@ -471,8 +476,9 @@ let test_forensics_moonwalk_finds_origin () =
     List.concat_map
       (fun i ->
         let mid = Printf.sprintf "m%d" i in
-        [ { Core.Forensics.fl_src = "origin"; fl_dst = mid; fl_time = 1.0 };
-          { Core.Forensics.fl_src = mid; fl_dst = Printf.sprintf "leaf%d" i; fl_time = 2.0 } ])
+        [ { Store.Prov_log.fl_src = "origin"; fl_dst = mid; fl_time = 1.0; fl_ident = "x" };
+          { Store.Prov_log.fl_src = mid; fl_dst = Printf.sprintf "leaf%d" i; fl_time = 2.0;
+            fl_ident = "x" } ])
       (List.init 10 Fun.id)
   in
   match Core.Forensics.random_moonwalk (Crypto.Rng.create ~seed:63) ~flows ~walks:100 ~max_hops:5 with
@@ -622,6 +628,22 @@ let test_backoff_cap_bounds_completion () =
     true
     (capped_sim +. cfg.Core.Config.max_backoff < uncapped_sim)
 
+let test_crash_leaves_completion () =
+  (* n7 fails at 50 s, long after the N=8 fixpoint (about 0.5 s
+     virtual): nothing is sent after the network goes quiet, so the
+     run completes then, and the crash gauge reads the schedule at
+     that time *)
+  let crash = { Net.Fault.cr_node = "n7"; cr_at = 50.0; cr_restart = None } in
+  let cfg = Core.Config.with_crash (Core.Config.with_reliable Core.Config.ndlog true) crash in
+  let t, _ = mk_runtime ~cfg ~n:8 () in
+  Core.Runtime.install_links t;
+  let r = Core.Runtime.run t in
+  Alcotest.(check bool)
+    (Printf.sprintf "completes at %.3fs virtual, before 1s" r.Core.Runtime.sim_seconds)
+    true (r.Core.Runtime.sim_seconds < 1.0);
+  Alcotest.(check (float 1e-9)) "n7 not yet down" 0.0
+    (Obs.Metrics.gauge_value (Obs.Metrics.gauge Obs.Metrics.default "sim.crashed_nodes"))
+
 let test_retransmits_reuse_signatures () =
   (* RSA-authenticated run under loss: retransmitted copies carry the
      original signature (signed bytes exclude the sequence number), so
@@ -665,6 +687,8 @@ let test_traceback_partial_across_crashed_node () =
         (Tuple.make "link" [ Value.V_str l.l_src; Value.V_str l.l_dst ]))
     topo.links;
   ignore (Core.Runtime.run t);
+  (* the fixpoint completes long before the crash: carry the clock past it *)
+  Core.Runtime.advance t ~seconds:100.0;
   Alcotest.(check bool) "b is down at query time" true (Core.Runtime.is_node_down t "b");
   Alcotest.(check (float 1e-9)) "crash gauge tracks the outage" 1.0
     (Obs.Metrics.gauge_value (Obs.Metrics.gauge Obs.Metrics.default "sim.crashed_nodes"));
@@ -990,6 +1014,8 @@ let suite : unit Alcotest.test_case list =
       test_reliable_converges_to_fault_free;
     Alcotest.test_case "backoff cap bounds completion under faults" `Quick
       test_backoff_cap_bounds_completion;
+    Alcotest.test_case "crash after the fixpoint leaves completion" `Quick
+      test_crash_leaves_completion;
     Alcotest.test_case "retransmits reuse signatures" `Quick test_retransmits_reuse_signatures;
     Alcotest.test_case "traceback partial across crashed node" `Quick
       test_traceback_partial_across_crashed_node;

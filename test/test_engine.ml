@@ -102,7 +102,7 @@ let test_db_set_ttl_semantics () =
   let db = Db.create () in
   let t1 = Tuple.make "soft" [ v_int 1 ] in
   ignore (Db.insert db ~now:0.0 t1);
-  (* default: a TTL set after insertion does NOT apply to live tuples *)
+  (* a TTL set after insertion does NOT apply to live tuples *)
   Db.set_ttl db "soft" 5.0;
   Alcotest.(check int) "pre-existing tuple immortal" 0
     (List.length (Db.evict_expired db ~now:100.0));
@@ -110,29 +110,19 @@ let test_db_set_ttl_semantics () =
   let t2 = Tuple.make "soft" [ v_int 2 ] in
   ignore (Db.insert db ~now:100.0 t2);
   Alcotest.(check (list string)) "new tuple expires" [ "soft(2)" ]
-    (List.map Tuple.to_string (Db.evict_expired db ~now:106.0));
-  (* retroactive: live tuples get inserted_at + seconds, possibly past *)
-  Db.set_ttl ~retroactive:true db "soft" 5.0;
-  Alcotest.(check (list string)) "retroactive expiry collected" [ "soft(1)" ]
-    (List.map Tuple.to_string (Db.evict_expired db ~now:107.0))
+    (List.map Tuple.to_string (Db.evict_expired db ~now:106.0))
 
 let test_db_refresh_on_rederive () =
   let db = Db.create () in
   Db.set_ttl db "soft" 5.0;
   let t = Tuple.make "soft" [ v_int 1 ] in
-  (* default (P2 semantics): re-derivation extends the lifetime *)
+  (* P2 semantics: re-derivation extends the lifetime *)
   ignore (Db.insert db ~now:0.0 t);
   ignore (Db.insert db ~now:4.0 t);
   Alcotest.(check int) "refreshed past original expiry" 0
     (List.length (Db.evict_expired db ~now:6.0));
   Alcotest.(check (list string)) "expires from the refresh" [ "soft(1)" ]
-    (List.map Tuple.to_string (Db.evict_expired db ~now:9.5));
-  (* explicit opt-out: the first insertion's expiry sticks *)
-  Db.set_refresh_on_rederive db "soft" false;
-  ignore (Db.insert db ~now:10.0 t);
-  ignore (Db.insert db ~now:14.0 t);
-  Alcotest.(check (list string)) "re-derivation did not extend" [ "soft(1)" ]
-    (List.map Tuple.to_string (Db.evict_expired db ~now:15.5))
+    (List.map Tuple.to_string (Db.evict_expired db ~now:9.5))
 
 let test_db_asserters () =
   let db = Db.create () in

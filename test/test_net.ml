@@ -406,6 +406,16 @@ let test_decode_garbage () =
     | exception Net.Wire.Decode_error _ -> true
     | _ -> false)
 
+(* Relation "p", arity 0xFFFF_FFFF, one bool: the count must be
+   checked against the bytes left before any array is allocated. *)
+let test_decode_huge_arity () =
+  let s = "\000\000\000\001p\xFF\xFF\xFF\xFF\003\001" in
+  Alcotest.(check int) "11-byte encoding" 11 (String.length s);
+  Alcotest.(check bool) "huge arity rejected" true
+    (match Net.Wire.decode_tuple s with
+    | exception Net.Wire.Decode_error _ -> true
+    | _ -> false)
+
 (* --- stats ------------------------------------------------------------------ *)
 
 let test_stats_accounting () =
@@ -681,6 +691,7 @@ let suite : unit Alcotest.test_case list =
     Alcotest.test_case "auth size ordering" `Quick test_auth_ordering_sizes;
     Alcotest.test_case "signed bytes bind endpoints" `Quick test_signed_bytes_binds_endpoints;
     Alcotest.test_case "decode garbage" `Quick test_decode_garbage;
+    Alcotest.test_case "decode huge arity" `Quick test_decode_huge_arity;
     Alcotest.test_case "stats accounting" `Quick test_stats_accounting;
     Alcotest.test_case "topology deterministic" `Quick test_topology_deterministic;
     Alcotest.test_case "topology outdegree" `Quick test_topology_outdegree;

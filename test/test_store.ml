@@ -412,6 +412,235 @@ let test_digest_fp_rate () =
         true (rate < 0.03);
       Store.Prov_log.close log)
 
+(* --- frame bytes ----------------------------------------------------- *)
+
+let of_hex (h : string) : string =
+  String.init (String.length h / 2) (fun i -> Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> really_input_string ic (in_channel_length ic))
+
+let write_file path contents =
+  let oc = open_out_bin path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)
+
+(* A record with a derivation, a remote body item and a signer. *)
+let rich_record =
+  let s x = Value.V_str x in
+  {
+    Store.Prov_log.r_node = "n1";
+    r_domain = "as0";
+    r_live = false;
+    r_at = 12.5;
+    r_tuple = Tuple.make "path" [ s "n1"; s "n3"; Value.V_int 7 ];
+    r_expr = Provenance.Prov_expr.(times (base "n1") (base "n2"));
+    r_received_from = [ "n2" ];
+    r_derivs =
+      [ { Store.Prov_log.d_rule = "p2"; d_at = 12.0; d_signer = Some "n1";
+          d_signature = Some "\x01\x02sig";
+          d_body =
+            [ { Store.Prov_log.b_tuple = Tuple.make "link" [ s "n1"; s "n2"; Value.V_int 3 ];
+                b_origin = Store.Prov_log.Local; b_says = None };
+              { Store.Prov_log.b_tuple = Tuple.make "path" [ s "n2"; s "n3"; Value.V_int 4 ];
+                b_origin = Store.Prov_log.Remote "n2"; b_says = Some "n2" } ] } ];
+  }
+
+let rich_flow =
+  { Store.Prov_log.fl_src = "n2"; fl_dst = "n1"; fl_time = 12.25; fl_ident = "path(n2, n3, 4)" }
+
+let digest_key = "path(n1, n3, 7)"
+
+(* [rich_record], [rich_flow] and a digest of [digest_key] (4-key
+   filter at 10%), as the log wrote them before it encoded through
+   Net.Arena: the bytes on disk must not change. *)
+let golden_frames =
+  List.map of_hex
+    [ "000000ed520000026e31000361733040290000000000000000002300000004706174680000000304000000026e3104000000026e3301000000000000000700000000320002000000026e32000100026e31000000030000000100000000000000010000000400000000000000000000000300000004000100026e3200010002703240280000000000000100026e310100050102736967000200000023000000046c696e6b0000000304000000026e3104000000026e3201000000000000000300000000002300000004706174680000000304000000026e3204000000026e330100000000000000040100026e320100026e32b82444c1";
+      "000000214600026e3200026e314028800000000000000f70617468286e322c206e332c203429e76d5b1b";
+      "000000194200026e31000000000000000d0000001400030000000100920068483d12" ]
+
+let write_rich log =
+  Store.Prov_log.append log rich_record;
+  Store.Prov_log.append_flow log ~src:rich_flow.fl_src ~dst:rich_flow.fl_dst
+    ~time:rich_flow.fl_time ~ident:rich_flow.fl_ident;
+  Store.Prov_log.record_digest log ~node:"n1" ~time:12.5 digest_key
+
+let seg1 dir = Filename.concat dir "seg-000001.log"
+
+let test_golden_frames () =
+  let golden = "PSNLOG1\n" ^ String.concat "" golden_frames in
+  with_temp_dir (fun dir ->
+      let log = Store.Prov_log.open_log ~digest_expected:4 ~digest_fp_rate:0.1 ~dir () in
+      write_rich log;
+      Store.Prov_log.close log;
+      Alcotest.(check string) "encoded frames"
+        (Crypto.Sha256.to_hex golden)
+        (Crypto.Sha256.to_hex (read_file (seg1 dir))));
+  with_temp_dir (fun dir ->
+      Store.Prov_log.close (Store.Prov_log.open_log ~dir ());
+      write_file (seg1 dir) golden;
+      let log = Store.Prov_log.open_log ~dir () in
+      (match Store.Prov_log.lookup log ~ident:(Tuple.identity rich_record.r_tuple) with
+      | [ r ] ->
+        Alcotest.(check string) "decoded expression"
+          (Provenance.Prov_expr.canonical_string rich_record.r_expr)
+          (Provenance.Prov_expr.canonical_string r.r_expr);
+        Alcotest.(check bool) "decoded record" true
+          ({ r with r_expr = rich_record.r_expr } = rich_record)
+      | rs -> Alcotest.failf "%d records decoded, expected 1" (List.length rs));
+      Alcotest.(check bool) "decoded flow" true (Store.Prov_log.flows log = [ rich_flow ]);
+      Alcotest.(check (list string)) "decoded digest" [ "n1" ]
+        (Store.Prov_log.digest_nodes log ~time:12.5 digest_key);
+      Store.Prov_log.close log)
+
+(* Every lookup of a reopened log is answered from the checksummed
+   frames: an edit anywhere else in the directory changes no answer. *)
+let test_reopen_answers_from_frames () =
+  with_temp_dir (fun dir ->
+      let log = Store.Prov_log.open_log ~segment_bytes:1024 ~compact_threshold:1000 ~dir () in
+      fill log 60;
+      Alcotest.(check bool) "at least 3 sealed segments" true
+        (Store.Prov_log.segment_count log >= 4);
+      Store.Prov_log.close log;
+      let is_segment f = String.starts_with ~prefix:"seg-" f && Filename.check_suffix f ".log" in
+      let files = Array.to_list (Sys.readdir dir) in
+      Alcotest.(check (list string)) "only MANIFEST and segments" []
+        (List.filter (fun f -> not (f = "MANIFEST" || is_segment f)) files);
+      List.iter
+        (fun f ->
+          if not (f = "MANIFEST" || is_segment f) then begin
+            let path = Filename.concat dir f in
+            let s = read_file path in
+            let b = Buffer.create (String.length s) in
+            let i = ref 0 in
+            while !i < String.length s do
+              if !i + 4 <= String.length s && String.sub s !i 4 = "p(0)" then begin
+                Buffer.add_string b "p(9)";
+                i := !i + 4
+              end
+              else begin
+                Buffer.add_char b s.[!i];
+                incr i
+              end
+            done;
+            write_file path (Buffer.contents b)
+          end)
+        files;
+      let log = Store.Prov_log.open_log ~segment_bytes:1024 ~compact_threshold:1000 ~dir () in
+      for i = 0 to 59 do
+        let tuple = Tuple.make "p" [ Value.V_int i ] in
+        match Store.Prov_log.lookup log ~ident:(Tuple.identity tuple) with
+        | [ r ] ->
+          Alcotest.(check string)
+            (Printf.sprintf "p(%d) holds its own tuple" i)
+            (Tuple.to_string tuple) (Tuple.to_string r.r_tuple)
+        | rs -> Alcotest.failf "p(%d): %d records, expected 1" i (List.length rs)
+      done;
+      Store.Prov_log.close log)
+
+(* --- frame decoders are total -------------------------------------- *)
+
+(* The frames of a small log holding every kind: 'R' and 'L' records
+   (one with a derivation, a remote body and a signer), 'F' flows and
+   'B' digests.  Returns the directory's MANIFEST and the frames. *)
+let frame_fixture =
+  lazy
+    (with_temp_dir (fun dir ->
+         let log = Store.Prov_log.open_log ~digest_expected:16 ~digest_fp_rate:0.1 ~dir () in
+         write_rich log;
+         for i = 0 to 5 do
+           Store.Prov_log.append log { (mk_record i) with r_live = i mod 2 = 0 };
+           Store.Prov_log.append_flow log ~src:"n0" ~dst:"n1" ~time:(float_of_int i)
+             ~ident:(Printf.sprintf "p(%d)" i);
+           Store.Prov_log.record_digest log ~node:(Printf.sprintf "n%d" (i mod 3)) ~time:1.0
+             (Printf.sprintf "p(%d)" i)
+         done;
+         Store.Prov_log.close log;
+         let seg = read_file (seg1 dir) in
+         let rec frames pos =
+           if pos >= String.length seg then []
+           else
+             let len = 9 + Int32.to_int (String.get_int32_be seg pos) in
+             String.sub seg pos len :: frames (pos + len)
+         in
+         (read_file (Filename.concat dir "MANIFEST"), frames 8)))
+
+(* Recompute a frame's checksum after its payload was edited, as
+   anyone who edits a record can. *)
+let reseal (frame : string) : string =
+  let body = String.sub frame 4 (String.length frame - 8) in
+  String.sub frame 0 (String.length frame - 4)
+  ^ String.sub (Crypto.Sha256.digest body) 0 4
+
+(* Reopen a log whose frame [k] was replaced, and query every answer
+   it holds: only [Corrupt] may escape a query, and nothing [open_log]. *)
+let reopen_and_query dir (k : int) (frame : string) : unit =
+  let manifest, frames = Lazy.force frame_fixture in
+  write_file (Filename.concat dir "MANIFEST") manifest;
+  write_file (seg1 dir)
+    ("PSNLOG1\n" ^ String.concat "" (List.mapi (fun i f -> if i = k then frame else f) frames));
+  let log = Store.Prov_log.open_log ~dir () in
+  let guard f = try ignore (f ()) with Store.Prov_log.Corrupt _ -> () in
+  Fun.protect
+    ~finally:(fun () -> Store.Prov_log.close log)
+    (fun () ->
+      List.iter
+        (fun rel ->
+          guard (fun () -> Store.Prov_log.idents_of_relation log rel);
+          List.iter
+            (fun ident -> guard (fun () -> Store.Prov_log.lookup log ~ident))
+            (Store.Prov_log.idents_of_relation log rel))
+        ("p" :: "path" :: Store.Prov_log.relations log);
+      guard (fun () ->
+          List.iter
+            (fun (f : Store.Prov_log.flow) ->
+              ignore (Store.Prov_log.digest_nodes log ~time:f.fl_time f.fl_ident))
+            (Store.Prov_log.flows log));
+      guard (fun () -> Store.Prov_log.digest_nodes log ~time:12.5 digest_key))
+
+let prop_resealed_frame_mutation =
+  let gen =
+    QCheck.Gen.(
+      pair (int_bound 1000)
+        (list_size (int_range 1 3) (pair (int_bound 100_000) (int_range 1 255))))
+  in
+  QCheck.Test.make ~name:"resealed frame mutations raise only Corrupt" ~count:1500
+    (QCheck.make gen) (fun (k, flips) ->
+      let _, frames = Lazy.force frame_fixture in
+      let k = k mod List.length frames in
+      let frame = Bytes.of_string (List.nth frames k) in
+      let plen = Bytes.length frame - 9 in
+      List.iter
+        (fun (pos, x) ->
+          let i = 5 + (pos mod plen) in
+          Bytes.set frame i (Char.chr (Char.code (Bytes.get frame i) lxor x)))
+        flips;
+      with_temp_dir (fun dir -> reopen_and_query dir k (reseal (Bytes.to_string frame)));
+      true)
+
+(* The fixed case: an 'R' frame whose tuple block claims 2^32 - 1
+   values is skipped at open, without allocating for them. *)
+let test_huge_arity_frame () =
+  let _, frames = Lazy.force frame_fixture in
+  let r = rich_record in
+  let k = 0 in
+  let frame = Bytes.of_string (List.nth frames k) in
+  (* 4 + 1 frame header, then live | str16 node | str16 domain | f64
+     at | u32 tuple length | str32 rel | u32 arity *)
+  let arity_at =
+    5 + 1 + (2 + String.length r.r_node) + (2 + String.length r.r_domain) + 8 + 4
+    + (4 + String.length r.r_tuple.rel)
+  in
+  Bytes.set_int32_be frame arity_at 0xFFFF_FFFFl;
+  with_temp_dir (fun dir ->
+      reopen_and_query dir k (reseal (Bytes.to_string frame));
+      let log = Store.Prov_log.open_log ~dir () in
+      Alcotest.(check int) "the frame is skipped" 0
+        (List.length (Store.Prov_log.lookup log ~ident:(Tuple.identity r.r_tuple)));
+      Alcotest.(check int) "the other records stay" 6 (Store.Prov_log.record_count log);
+      Store.Prov_log.close log)
+
 let suite =
   [
     Alcotest.test_case "reopen roundtrip" `Quick test_reopen_roundtrip;
@@ -433,4 +662,10 @@ let suite =
       test_write_through_identity;
     Alcotest.test_case "persisted bloom digest FP rate" `Quick
       test_digest_fp_rate;
+    Alcotest.test_case "frames byte-identical to the golden encoding" `Quick
+      test_golden_frames;
+    Alcotest.test_case "reopened log answers from checksummed frames" `Quick
+      test_reopen_answers_from_frames;
+    Alcotest.test_case "resealed huge-arity frame skipped" `Quick test_huge_arity_frame;
   ]
+  @ List.map QCheck_alcotest.to_alcotest [ prop_resealed_frame_mutation ]
