@@ -181,10 +181,6 @@ let run_cmd =
          & info [ "metrics" ] ~docv:"FILE"
              ~doc:"Write a metrics snapshot (JSON) to FILE after the run; \"-\" for stdout")
   in
-  let metrics_format =
-    Arg.(value & opt (enum [ ("json", `Json); ("prom", `Prom) ]) `Json
-         & info [ "metrics-format" ] ~doc:"Snapshot format: json | prom (Prometheus text)")
-  in
   let trace_out =
     Arg.(value & opt (some string) None
          & info [ "trace" ] ~docv:"FILE"
@@ -219,7 +215,7 @@ let run_cmd =
   let run file nodes seed cfg rsa_bits loss dup reorder jitter
       crashes fault_seed reliable retries ack_timeout max_backoff jobs shards
       prov_granularity flap_rate churn advance with_links show metrics_out
-      metrics_format trace_out chrome_out events_out prov_log prov_sample =
+      trace_out chrome_out events_out prov_log prov_sample =
     let program = Ndlog.Parser.parse_program_exn (read_file file) in
     let rng = Crypto.Rng.create ~seed in
     let topo = Net.Topology.random rng ~n:nodes () in
@@ -328,13 +324,7 @@ let run_cmd =
           (Core.Runtime.query_all t rel))
       show;
     (match metrics_out with
-    | Some path ->
-      let content =
-        match metrics_format with
-        | `Json -> Obs.Metrics.to_json_string Obs.Metrics.default ^ "\n"
-        | `Prom -> Obs.Metrics.to_prometheus Obs.Metrics.default
-      in
-      write_output path content
+    | Some path -> write_output path (Obs.Metrics.to_json_string Obs.Metrics.default ^ "\n")
     | None -> ());
     (match (trace_out, tracer) with
     | Some path, Some tr -> write_output path (Obs.Trace.to_json_lines tr)
@@ -369,7 +359,7 @@ let run_cmd =
           $ ack_timeout $ max_backoff $ jobs $ shards
           $ prov_granularity $ flap_rate
           $ churn $ advance $ with_links
-          $ show $ metrics_out $ metrics_format $ trace_out $ chrome_out $ events_out
+          $ show $ metrics_out $ trace_out $ chrome_out $ events_out
           $ prov_log $ prov_sample)
 
 (* --- psn trace --------------------------------------------------------- *)

@@ -33,19 +33,7 @@ let () =
       (Some log_dir)
   in
   let program =
-    Ndlog.Parser.parse_program_exn
-      ({|
-#ttl path 5.
-#key bestPathCost 0,1.
-#key bestPath 0,1.
-|}
-      ^ {|
-p1 path(@S, D, P, C) :- link(@S, D, C), P := f_init(S, D).
-p2 path(@S, D, P, C) :- link(@S, Z, C1), bestPath(@Z, D, P2, C2),
-   f_member(P2, S) == false, C := C1 + C2, P := f_concat(S, P2).
-p3 bestPathCost(@S, D, a_MIN<C>) :- path(@S, D, P, C).
-p4 bestPath(@S, D, P, C) :- bestPathCost(@S, D, C), path(@S, D, P, C).
-|})
+    Ndlog.Parser.parse_program_exn ("#ttl path 5.\n" ^ Ndlog.Programs.best_path_src)
   in
   let t = Core.Runtime.create ~rng:(Crypto.Rng.create ~seed:31) ~cfg ~topo ~program () in
   Core.Runtime.install_links t;

@@ -6,9 +6,15 @@
    (rule, body tuples, where each body tuple lives) - i.e. only
    pointers to the previous hop, reconstructed on demand by
    [Traceback].
-   *Offline*: when a tuple expires or is replaced, its provenance
-   leaves the live table for the append-only log (Section 4.2), when
-   the store was created with one.
+   *Offline*: when a tuple expires, is replaced or is retracted, its
+   provenance leaves the live table for the append-only log (Section
+   4.2), when the store was created with one.
+
+   An entry has one life cycle.  It is created when its tuple goes
+   live at the node or ships from it, and it leaves only through
+   [retire], which writes it to the log.  Pruning an entry's last
+   alternative retires it with that alternative still inside, so the
+   log names the derivation or sender that last stood behind it.
 
    Derivations are stored as the log's own [Store.Prov_log.deriv]
    records, and retirements and checkpoints are built as the log's
@@ -45,7 +51,6 @@ type alt = {
 type entry = {
   mutable e_alts : alt list; (* newest first *)
   mutable e_expr : Provenance.Prov_expr.t; (* cached fold of e_alts *)
-  mutable e_received_from : string list; (* senders that shipped this tuple *)
 }
 
 type t = {
@@ -64,9 +69,7 @@ let entry (t : t) (tuple : Tuple.t) : entry =
   match Tuple.Table.find_opt t.entries tuple with
   | Some e -> e
   | None ->
-    let e =
-      { e_alts = []; e_expr = Provenance.Prov_expr.zero; e_received_from = [] }
-    in
+    let e = { e_alts = []; e_expr = Provenance.Prov_expr.zero } in
     Tuple.Table.replace t.entries tuple e;
     e
 
@@ -80,6 +83,19 @@ let alt_derivs (alts : alt list) : Store.Prov_log.deriv list =
 
 let derivs_of (t : t) (tuple : Tuple.t) : Store.Prov_log.deriv list =
   match find t tuple with Some e -> alt_derivs e.e_alts | None -> []
+
+(* Senders of the [Alt_recv] alternatives, newest first by first
+   arrival: a sender's oldest alternative places it. *)
+let alt_senders (alts : alt list) : string list =
+  List.fold_right
+    (fun a acc ->
+      match a.a_kind with
+      | Alt_recv f when not (List.exists (String.equal f) acc) -> f :: acc
+      | Alt_recv _ | Alt_base | Alt_deriv _ -> acc)
+    alts []
+
+let received_from (t : t) (tuple : Tuple.t) : string list =
+  match find t tuple with Some e -> alt_senders e.e_alts | None -> []
 
 (* Plus-combine the alternatives in arrival order, matching the
    expression an append-only run accumulates. *)
@@ -136,33 +152,46 @@ let record_derivation (t : t) (head : Tuple.t) ~(record : Store.Prov_log.deriv)
    the network): plus-combine with what we already believe. *)
 let record_received (t : t) (tuple : Tuple.t) ~(from : string)
     ~(expr : Provenance.Prov_expr.t) : unit =
-  let e = entry t tuple in
   let key = "recv|" ^ from ^ "|" ^ Provenance.Prov_expr.to_string expr in
-  add_alt e { a_key = key; a_expr = expr; a_kind = Alt_recv from };
-  if not (List.exists (String.equal from) e.e_received_from) then
-    e.e_received_from <- from :: e.e_received_from
+  add_alt (entry t tuple) { a_key = key; a_expr = expr; a_kind = Alt_recv from }
 
-let received_from (t : t) (tuple : Tuple.t) : string list =
-  match find t tuple with Some e -> e.e_received_from | None -> []
+let log_record (t : t) (tuple : Tuple.t) (e : entry) ~(live : bool) ~(now : float) :
+    Store.Prov_log.record =
+  { Store.Prov_log.r_node = t.node; r_domain = t.domain; r_live = live; r_at = now;
+    r_tuple = tuple; r_expr = e.e_expr; r_received_from = alt_senders e.e_alts;
+    r_derivs = alt_derivs e.e_alts }
 
-let drop_if_empty (t : t) (tuple : Tuple.t) (e : entry) : unit =
-  if e.e_alts = [] && e.e_received_from = [] then Tuple.Table.remove t.entries tuple
-
-(* Trim one invalidated derivation alternative (incremental deletion:
-   a body tuple died but the head survives through other branches).
-   The cached expression is rebuilt from the surviving alternatives. *)
-let remove_derivation (t : t) (head : Tuple.t) ~(rule : string)
-    ~(body : (Tuple.t * string option) list) : unit =
-  match find t head with
+(* Move a tuple's provenance to the offline log (Section 4.2): the
+   only way an entry leaves the live table. *)
+let retire (t : t) (tuple : Tuple.t) ~(now : float) : unit =
+  match find t tuple with
   | None -> ()
   | Some e ->
-    let key = deriv_key ~rule body in
-    let keep = List.filter (fun a -> not (String.equal a.a_key key)) e.e_alts in
-    if List.length keep <> List.length e.e_alts then begin
-      e.e_alts <- keep;
-      rebuild e;
-      drop_if_empty t head e
+    Tuple.Table.remove t.entries tuple;
+    Option.iter
+      (fun log -> Store.Prov_log.append log (log_record t tuple e ~live:false ~now))
+      t.log
+
+(* Drop the alternatives [keep] rejects and rebuild the cached
+   expression from the survivors; an entry that would be left with
+   none is retired whole instead. *)
+let prune (t : t) (tuple : Tuple.t) ~(now : float) ~(keep : alt -> bool) : unit =
+  match find t tuple with
+  | None -> ()
+  | Some e ->
+    let kept = List.filter keep e.e_alts in
+    if kept = [] then retire t tuple ~now
+    else if List.compare_lengths kept e.e_alts <> 0 then begin
+      e.e_alts <- kept;
+      rebuild e
     end
+
+(* Trim one invalidated derivation alternative (incremental deletion:
+   a body tuple died). *)
+let remove_derivation (t : t) (head : Tuple.t) ~(now : float) ~(rule : string)
+    ~(body : (Tuple.t * string option) list) : unit =
+  let key = deriv_key ~rule body in
+  prune t head ~now ~keep:(fun a -> not (String.equal a.a_key key))
 
 (* Recompute local-derivation alternatives from the *current*
    provenance of their body tuples.  Derivations recorded earlier hold
@@ -212,44 +241,11 @@ let refresh_tuple (t : t) (tuple : Tuple.t) ~(expr_of : Tuple.t -> Provenance.Pr
 
 (* Forget everything a sender contributed to this tuple's provenance
    (the sender retracted it). *)
-let remove_received (t : t) (tuple : Tuple.t) ~(from : string) : unit =
-  match find t tuple with
-  | None -> ()
-  | Some e ->
-    let keep =
-      List.filter
-        (fun a ->
-          match a.a_kind with
-          | Alt_recv f -> not (String.equal f from)
-          | Alt_base | Alt_deriv _ -> true)
-        e.e_alts
-    in
-    let changed = List.length keep <> List.length e.e_alts in
-    if changed then e.e_alts <- keep;
-    if List.exists (String.equal from) e.e_received_from then
-      e.e_received_from <-
-        List.filter (fun f -> not (String.equal f from)) e.e_received_from;
-    if changed then begin
-      rebuild e;
-      drop_if_empty t tuple e
-    end
-
-let log_record (t : t) (tuple : Tuple.t) (e : entry) ~(live : bool) ~(now : float) :
-    Store.Prov_log.record =
-  { Store.Prov_log.r_node = t.node; r_domain = t.domain; r_live = live; r_at = now;
-    r_tuple = tuple; r_expr = e.e_expr; r_received_from = e.e_received_from;
-    r_derivs = alt_derivs e.e_alts }
-
-(* Move a tuple's provenance to the offline log (expiry / replacement;
-   Section 4.2). *)
-let retire (t : t) (tuple : Tuple.t) ~(now : float) : unit =
-  match Tuple.Table.find_opt t.entries tuple with
-  | None -> ()
-  | Some e ->
-    Tuple.Table.remove t.entries tuple;
-    Option.iter
-      (fun log -> Store.Prov_log.append log (log_record t tuple e ~live:false ~now))
-      t.log
+let remove_received (t : t) (tuple : Tuple.t) ~(now : float) ~(from : string) : unit =
+  prune t tuple ~now ~keep:(fun a ->
+      match a.a_kind with
+      | Alt_recv f -> not (String.equal f from)
+      | Alt_base | Alt_deriv _ -> true)
 
 (* Snapshot the live entries as checkpoint records (checkpoint time as
    the timestamp); the runtime persists these as 'L' frames so offline

@@ -4,10 +4,20 @@
     expression.  {e Distributed/online}: each live tuple maps to
     derivation records — (rule, body tuples, where each body tuple
     lives) — reconstructed on demand by {!Traceback}.  {e Offline}:
-    when a tuple expires or is replaced its provenance leaves the live
-    table and, when the store was created with a log, is written
-    through to the persisted log ([Store.Prov_log]), the only offline
-    store.
+    when a tuple expires, is replaced or is retracted its provenance
+    leaves the live table and, when the store was created with a log,
+    is written through to the persisted log ([Store.Prov_log]), the
+    only offline store.
+
+    An entry has one life cycle: the runtime creates it when its tuple
+    goes live at the node or ships from it, and it leaves only through
+    {!retire}.  A prune that would remove an entry's last alternative
+    ({!remove_derivation}, {!remove_received}) retires the entry with
+    that alternative still in it, so the log names the derivation or
+    sender that last stood behind the tuple.  (Shipped provenance is
+    recorded as its message is accepted, before the insert; none of
+    [Ndlog.Programs] sends tuples into a keyed relation, so there a
+    received tuple is never rejected.)
 
     Derivations are held as the log's own [Store.Prov_log.deriv]
     records, and retirements and checkpoints are built as the log's
@@ -52,14 +62,17 @@ val derivs_of : t -> Tuple.t -> Store.Prov_log.deriv list
 (** Local derivation alternatives, newest first. *)
 
 val received_from : t -> Tuple.t -> string list
-(** Senders currently standing behind the tuple, newest first. *)
+(** Senders currently standing behind the tuple: the senders of its
+    shipped-provenance alternatives, newest first by first arrival. *)
 
 (** {1 Incremental deletion} *)
 
 val remove_derivation :
-  t -> Tuple.t -> rule:string -> body:(Tuple.t * string option) list -> unit
+  t -> Tuple.t -> now:float -> rule:string -> body:(Tuple.t * string option) list -> unit
 (** Trim one invalidated derivation alternative and rebuild the
-    cached expression from the survivors. *)
+    cached expression from the survivors.  When it is the entry's
+    last alternative, the entry is retired at [now] with it instead
+    (a shipped head whose derivation died, say). *)
 
 val refresh_tuple : t -> Tuple.t -> expr_of:(Tuple.t -> Provenance.Prov_expr.t) -> bool
 (** Recompute one tuple's local-derivation alternatives from the
@@ -70,15 +83,17 @@ val refresh_tuple : t -> Tuple.t -> expr_of:(Tuple.t -> Provenance.Prov_expr.t) 
     unknown tuple; the runtime calls it once per head of a changed
     tuple's support cone, in topological order. *)
 
-val remove_received : t -> Tuple.t -> from:string -> unit
-(** Forget everything a sender contributed (the sender retracted). *)
+val remove_received : t -> Tuple.t -> now:float -> from:string -> unit
+(** Forget everything a sender contributed (the sender retracted).
+    When that leaves no alternative, the entry is retired at [now]
+    with the sender's alternatives still in it. *)
 
 (** {1 Offline provenance (Section 4.2)} *)
 
 val retire : t -> Tuple.t -> now:float -> unit
 (** Move a tuple's provenance out of the live table, appending it to
     the log as a retirement record stamped [now] when the store has
-    one. *)
+    one.  The only way an entry leaves the table. *)
 
 val live_records : t -> now:float -> Store.Prov_log.record list
 (** Snapshot the live entries as checkpoint records ([r_live], [now]

@@ -492,13 +492,13 @@ let capture_derivation (t : t) (n : node) (deriv : Eval.derivation) :
         Provenance.Prov_expr.times_list
           (List.map (fun (b, _) -> body_expr t n b) deriv.d_body)
     in
-    let node_repr =
-      Printf.sprintf "%s<-%s[%s]" (Tuple.interned_identity deriv.d_head) deriv.d_rule
-        (String.concat ";"
-           (List.map (fun (b, _) -> Tuple.interned_identity b) deriv.d_body))
-    in
     let signature, signer =
       if t.cfg.sign_provenance then begin
+        let node_repr =
+          Printf.sprintf "%s<-%s[%s]" (Tuple.interned_identity deriv.d_head) deriv.d_rule
+            (String.concat ";"
+               (List.map (fun (b, _) -> Tuple.interned_identity b) deriv.d_body))
+        in
         Net.Stats.record_signature t.stats;
         ( Sendlog.Auth.sign_provenance_node t.cfg.auth n.n_principal ~node_repr,
           Some n.n_addr )
@@ -899,7 +899,7 @@ let rec retract_pass (t : t) (xc : exec_ctx) (n : node) ~(lost : Tuple.t list)
     res.Eval.rr_deleted;
   List.iter
     (fun (d : Eval.derivation) ->
-      Prov_store.remove_derivation n.n_prov d.Eval.d_head ~rule:d.Eval.d_rule
+      Prov_store.remove_derivation n.n_prov d.Eval.d_head ~now ~rule:d.Eval.d_rule
         ~body:
           (List.map
              (fun (b, asserter) -> (b, Option.map Value.to_addr asserter))
@@ -1029,7 +1029,7 @@ let handle_retract (t : t) (xc : exec_ctx) (receiver : node)
       if !srcs = [] then Tuple.Table.remove receiver.n_recv_from tuple
     | None -> ());
     if prov_enabled t then
-      Prov_store.remove_received receiver.n_prov tuple ~from:src;
+      Prov_store.remove_received receiver.n_prov tuple ~now:(now t) ~from:src;
     if Db.mem receiver.n_db tuple then retract_local t xc receiver ~lost:[ tuple ]
 
 (* Commit a finished handler: from its measured compute time and

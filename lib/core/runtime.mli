@@ -63,9 +63,9 @@ val create :
   unit ->
   t
 (** Build a runtime: one node (database, provenance store, principal)
-    per topology node.  Crash/restart markers from [cfg.fault] are
-    pre-scheduled so the [sim.crashed_nodes] gauge tracks the
-    fail-stop schedule. *)
+    per topology node.  No event is scheduled for the fail-stop
+    schedule in [cfg.fault]: each {!run} or {!advance} sets the
+    [sim.crashed_nodes] gauge from it at the time reached. *)
 
 val node : t -> string -> node
 (** Raises [Invalid_argument] for an unknown address. *)

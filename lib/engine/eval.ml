@@ -398,6 +398,18 @@ type stats = {
 
 let new_stats () = { rounds = 0; derivations = 0; inserted = 0 }
 
+(* Insert [tuple] and, when it is a derived head ([deriv]) that the
+   relation's replace policy did not reject, report the derivation:
+   provenance is captured only for tuples that go live, and before
+   [on_replace] hears of the incumbent the new head displaced. *)
+let insert_reporting (db : Db.t) ~(now : float) ?(asserted_by : Value.t option)
+    ~(on_replace : Tuple.t -> unit) ~(on_derive : derivation -> unit)
+    ?(deriv : derivation option) (tuple : Tuple.t) : Db.insert_result =
+  let r = Db.insert db ~now ?asserted_by tuple in
+  (match (r, deriv) with Db.Rejected, _ | _, None -> () | _, Some d -> on_derive d);
+  (match r with Db.Replaced old -> on_replace old | _ -> ());
+  r
+
 (* [run_fixpoint db ~now ~rules ~local ~self_principal ~pending ~on_derive]
    inserts [pending] and applies [rules] to a local fixpoint.
 
@@ -414,9 +426,11 @@ let new_stats () = { rounds = 0; derivations = 0; inserted = 0 }
      inserted* (the retraction pass re-inserts re-derived tuples
      itself); they join the first round's delta without the
      insert-and-filter step applied to [pending].
-   - [on_derive] fires for *every* derivation found, including
-     re-derivations of existing tuples, so the caller can accumulate
-     alternative provenance (Plus in the semiring). *)
+   - [on_derive] fires for every derivation whose head is inserted
+     locally and not rejected by a replace policy, after the insert —
+     re-derivations of existing tuples included, so the caller can
+     accumulate alternative provenance (Plus in the semiring).  Heads
+     emitted elsewhere are returned as [emit]s instead. *)
 let run_fixpoint (db : Db.t) ~(now : float) ~(rules : rule list)
     ~(local : string option) ?(self_principal : Value.t option)
     ?(support : Support.t option) ?(on_replace = fun (_ : Tuple.t) -> ())
@@ -488,9 +502,10 @@ let run_fixpoint (db : Db.t) ~(now : float) ~(rules : rule list)
      tuple* (Added/Replaced) as opposed to a new asserter of an
      existing one; only new tuples are excluded from pre-delta join
      positions by the semi-naive ordering. *)
-  let insert_local tuple asserter =
-    let r = Db.insert db ~now ?asserted_by:asserter tuple in
-    (match r with Db.Replaced old -> on_replace old | _ -> ());
+  let insert_local ?deriv tuple asserter =
+    let r =
+      insert_reporting db ~now ?asserted_by:asserter ~on_replace ~on_derive ?deriv tuple
+    in
     if Db.result_is_new r then begin
       let fresh = match r with Db.Added | Db.Replaced _ -> true | _ -> false in
       Some ({ f_tuple = tuple; f_asserter = asserter }, fresh)
@@ -558,8 +573,7 @@ let run_fixpoint (db : Db.t) ~(now : float) ~(rules : rule list)
           ~body
       | None -> ());
       if is_local then begin
-        on_derive deriv;
-        match insert_local tuple self_principal with
+        match insert_local ~deriv tuple self_principal with
         | Some fi ->
           stats.inserted <- stats.inserted + 1;
           fi :: next_frontier
@@ -757,12 +771,15 @@ let retract (db : Db.t) ~(support : Support.t) ~(now : float)
   let push_seed tuple asserter =
     seeded := { f_tuple = tuple; f_asserter = asserter } :: !seeded
   in
-  (* Insert [tuple]; true when it is live afterwards. *)
-  let reinsert tuple asserters =
+  (* Insert [tuple] (reporting [deriv] if it goes live); true when it
+     is live afterwards. *)
+  let reinsert ?deriv tuple asserters =
     let one asserter =
-      let r = Db.insert db ~now ?asserted_by:asserter tuple in
-      (match r with Db.Replaced old -> on_replace old | _ -> ());
-      match r with Db.Rejected -> false | _ -> true
+      match
+        insert_reporting db ~now ?asserted_by:asserter ~on_replace ~on_derive ?deriv tuple
+      with
+      | Db.Rejected -> false
+      | _ -> true
     in
     match asserters with
     | [] -> one None
@@ -801,9 +818,8 @@ let retract (db : Db.t) ~(support : Support.t) ~(now : float)
               let live =
                 List.fold_left
                   (fun acc (e : Support.entry) ->
-                    on_derive
-                      { d_rule = e.sp_rule; d_head = tup; d_body = e.sp_body };
-                    let l = reinsert tup [ self_principal ] in
+                    let deriv = { d_rule = e.sp_rule; d_head = tup; d_body = e.sp_body } in
+                    let l = reinsert ~deriv tup [ self_principal ] in
                     acc || l)
                   false local_valid
               in
@@ -837,9 +853,10 @@ let retract (db : Db.t) ~(support : Support.t) ~(now : float)
               ~dest:(if is_local then None else dest)
               ~body;
             if is_local then begin
-              on_derive deriv;
-              let r = Db.insert db ~now ?asserted_by:self_principal tuple in
-              (match r with Db.Replaced old -> on_replace old | _ -> ());
+              let r =
+                insert_reporting db ~now ?asserted_by:self_principal ~on_replace
+                  ~on_derive ~deriv tuple
+              in
               if Db.result_is_new r then push_seed tuple self_principal
             end
             else

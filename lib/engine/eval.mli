@@ -72,9 +72,14 @@ val run_fixpoint :
     - [seeded]: frontier items whose tuples the caller has already
       inserted (used by {!retract}); they join the first round's delta
       directly.
-    - [on_derive] fires exactly once per distinct derivation found,
-      including re-derivations of existing tuples, so the caller can
-      accumulate alternative provenance (Plus in the semiring). *)
+    - [on_derive] fires exactly once per distinct derivation whose
+      head is inserted locally, after the insert and only when the
+      relation's replace policy accepts it (a beaten candidate is
+      reported if {!retract} later reinstates it), and before
+      [on_replace] hears of the incumbent it displaced.
+      Re-derivations of existing tuples are reported too, so the
+      caller can accumulate alternative provenance (Plus in the
+      semiring); heads emitted elsewhere are returned as {!emit}s. *)
 
 (** Outcome of a {!retract} pass. *)
 type retract_result = {
@@ -111,7 +116,9 @@ val retract :
     remote sender — [external_support] returns its asserters, [[]]
     meaning none) or a recorded derivation whose body is live again,
     recompute COUNT/SUM heads, and run a semi-naive fixpoint over
-    whatever changed.  After the pass the database equals the fixpoint
+    whatever changed.  [on_derive] and [on_replace] fire as in
+    {!run_fixpoint}; a reinstated beaten candidate reports each of
+    its surviving derivations.  After the pass the database equals the fixpoint
     a from-scratch run would reach without the [lost] tuples (see
     DESIGN.md §10 for the negation caveat). *)
 

@@ -1,5 +1,5 @@
 (* Metrics registry: named counters, gauges, and log-scale histograms
-   with labels, snapshot-able to JSON and Prometheus-style text.
+   with labels, snapshot-able to JSON.
 
    Metric handles are cheap mutable cells; the registry maps
    (name, labels) to the handle so independent call sites share one
@@ -12,8 +12,7 @@
    the bucket whose upper bound is the next power of two (via
    [Float.frexp]), which spans nanoseconds to hours in ~60 buckets
    with zero configuration.  Bucket counts in the JSON snapshot are
-   per-bucket; the Prometheus rendering accumulates them into the
-   conventional cumulative `_bucket{le="..."}` series. *)
+   per-bucket. *)
 
 type counter = {
   c_name : string;
@@ -249,93 +248,3 @@ let to_json (reg : registry) : Json.t =
     [ ("metrics", Json.List (List.map (fun (_, m) -> metric_json m) (sorted_metrics reg))) ]
 
 let to_json_string (reg : registry) : string = Json.to_string (to_json reg)
-
-(* --- Prometheus text exposition ---------------------------------------- *)
-
-let sanitize (name : string) : string =
-  String.map
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':' -> c
-      | _ -> '_')
-    name
-
-(* Label values per the exposition format: only backslash, double
-   quote and newline are escaped.  OCaml's [%S] is wrong here — it
-   emits decimal escapes ([\123]) for bytes outside the printable
-   ASCII range, which a Prometheus parser takes literally, mangling
-   any UTF-8 label value. *)
-let escape_label_value (v : string) : string =
-  let buf = Buffer.create (String.length v + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    v;
-  Buffer.contents buf
-
-let prom_labels ?(extra = []) (labels : (string * string) list) : string =
-  match List.sort compare labels @ extra with
-  | [] -> ""
-  | ls ->
-    "{"
-    ^ String.concat ","
-        (List.map
-           (fun (k, v) -> Printf.sprintf "%s=\"%s\"" (sanitize k) (escape_label_value v))
-           ls)
-    ^ "}"
-
-let prom_float (f : float) : string =
-  if Float.is_nan f then "NaN"
-  else if f = Float.infinity then "+Inf"
-  else if f = Float.neg_infinity then "-Inf"
-  else Printf.sprintf "%.12g" f
-
-let to_prometheus (reg : registry) : string =
-  let buf = Buffer.create 1024 in
-  let typed = Hashtbl.create 16 in
-  let declare name kind =
-    if not (Hashtbl.mem typed name) then begin
-      Hashtbl.replace typed name ();
-      Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" name kind)
-    end
-  in
-  List.iter
-    (fun (_, m) ->
-      match m with
-      | M_counter c ->
-        let n = sanitize c.c_name in
-        declare n "counter";
-        Buffer.add_string buf
-          (Printf.sprintf "%s%s %d\n" n (prom_labels c.c_labels) c.c_value)
-      | M_gauge g ->
-        let n = sanitize g.g_name in
-        declare n "gauge";
-        Buffer.add_string buf
-          (Printf.sprintf "%s%s %s\n" n (prom_labels g.g_labels) (prom_float g.g_value))
-      | M_histogram h ->
-        let n = sanitize h.h_name in
-        declare n "histogram";
-        let cumulative = ref 0 in
-        List.iter
-          (fun (b, count) ->
-            cumulative := !cumulative + count;
-            Buffer.add_string buf
-              (Printf.sprintf "%s_bucket%s %d\n" n
-                 (prom_labels h.h_labels
-                    ~extra:[ ("le", prom_float (bucket_upper_bound b)) ])
-                 !cumulative))
-          (sorted_buckets h);
-        Buffer.add_string buf
-          (Printf.sprintf "%s_bucket%s %d\n" n
-             (prom_labels h.h_labels ~extra:[ ("le", "+Inf") ])
-             h.h_count);
-        Buffer.add_string buf
-          (Printf.sprintf "%s_sum%s %s\n" n (prom_labels h.h_labels) (prom_float h.h_sum));
-        Buffer.add_string buf
-          (Printf.sprintf "%s_count%s %d\n" n (prom_labels h.h_labels) h.h_count))
-    (sorted_metrics reg);
-  Buffer.contents buf

@@ -313,8 +313,8 @@ let scan_frames (s : string) (f : int -> char -> Arena.slice -> unit) : int =
 (* ------------------------------------------------------------------ *)
 (* Segments, index, handle                                             *)
 
+(* The index keys of one record frame. *)
 type entry = {
-  en_off : int;
   en_live : bool;
   en_node : string;
   en_ident : string;
@@ -322,10 +322,10 @@ type entry = {
   en_domain : string;
 }
 
-let entry_of ~(off : int) ~(live : bool) ~(node : string) ~(domain : string)
-    ~(ident : string) (tuple : Engine.Tuple.t) : entry =
-  { en_off = off; en_live = live; en_node = node; en_ident = ident;
-    en_rel = tuple.Engine.Tuple.rel; en_domain = domain }
+let entry_of ~(live : bool) ~(node : string) ~(domain : string) ~(ident : string)
+    (tuple : Engine.Tuple.t) : entry =
+  { en_live = live; en_node = node; en_ident = ident; en_rel = tuple.Engine.Tuple.rel;
+    en_domain = domain }
 
 (* What one checksummed frame holds. *)
 type frame =
@@ -334,7 +334,7 @@ type frame =
   | Digest of string * int * Bloom.t  (* node, epoch, digest *)
   | Unknown  (* unknown frame kind: forward-compat skip *)
 
-let decode_frame ~(off : int) (kind : char) (payload : Arena.slice) : frame =
+let decode_frame (kind : char) (payload : Arena.slice) : frame =
   decoding payload (fun r ->
       match kind with
       | 'R' | 'L' ->
@@ -342,17 +342,12 @@ let decode_frame ~(off : int) (kind : char) (payload : Arena.slice) : frame =
         let node, domain, _at, tuple = read_record_keys ~live r in
         (* [identity], not [interned_identity]: a reopened log's tuples
            must not stay in the process-wide intern table *)
-        Record (entry_of ~off ~live ~node ~domain ~ident:(Engine.Tuple.identity tuple) tuple)
+        Record (entry_of ~live ~node ~domain ~ident:(Engine.Tuple.identity tuple) tuple)
       | 'F' -> Flow (read_flow r)
       | 'B' ->
         let node, epoch, b = read_bloom r in
         Digest (node, epoch, b)
       | _ -> Unknown)
-
-type seg = {
-  sg_id : int;
-  mutable sg_entries : entry list;  (* newest first *)
-}
 
 type t = {
   dir : string;
@@ -364,7 +359,7 @@ type t = {
   ctx : Provenance.Condense.ctx;
   frame_buf : Arena.t;  (* reused for every appended frame, under [mu] *)
   mu : Mutex.t;
-  mutable segs : seg list;  (* manifest order, oldest first; last is the tail *)
+  mutable segs : int list;  (* segment ids, manifest order: oldest first, tail last *)
   mutable tail_oc : out_channel;
   mutable tail_bytes : int;
   mutable next_id : int;
@@ -440,7 +435,7 @@ let render_manifest ~(epoch_seconds : float) (seg_ids : int list) : string =
 
 let write_manifest t =
   write_file_atomic ~dir:t.dir ~name:manifest_name
-    (render_manifest ~epoch_seconds:t.epoch_seconds (List.map (fun s -> s.sg_id) t.segs))
+    (render_manifest ~epoch_seconds:t.epoch_seconds t.segs)
 
 let parse_seg_id (file : string) : int option =
   try Scanf.sscanf file "seg-%06d.log%!" (fun id -> Some id) with _ -> None
@@ -472,27 +467,29 @@ let secondary_add tbl key ident =
   in
   Hashtbl.replace set ident ()
 
-let index_add t (seg_id : int) (e : entry) : unit =
+(* The one in-memory copy of the records' keys.  Records are added in
+   log order, so each identity's locations stay newest first. *)
+let index_add t (seg_id : int) (off : int) (e : entry) : unit =
   (match Hashtbl.find_opt t.index e.en_ident with
-  | Some locs -> locs := (seg_id, e.en_off) :: !locs
-  | None -> Hashtbl.replace t.index e.en_ident (ref [ (seg_id, e.en_off) ]));
+  | Some locs -> locs := (seg_id, off) :: !locs
+  | None -> Hashtbl.replace t.index e.en_ident (ref [ (seg_id, off) ]));
   secondary_add t.by_rel e.en_rel e.en_ident;
   secondary_add t.by_domain e.en_domain e.en_ident;
   t.n_records <- t.n_records + 1
 
-let rebuild_index t : unit =
-  Hashtbl.reset t.index;
-  Hashtbl.reset t.by_rel;
-  Hashtbl.reset t.by_domain;
-  t.n_records <- 0;
-  List.iter
-    (fun s -> List.iter (fun e -> index_add t s.sg_id e) (List.rev s.sg_entries))
-    t.segs
+(* Index the record frames of segment [id], whose bytes are
+   [contents], and hand every other frame to [other].  Returns the
+   length of the valid prefix, as [scan_frames] does. *)
+let index_segment t (id : int) (contents : string) ~(other : frame -> unit) : int =
+  scan_frames contents (fun off kind payload ->
+      match decode_frame kind payload with
+      | Record e -> index_add t id off e
+      | (Flow _ | Digest _ | Unknown) as fr -> other fr)
 
 (* ------------------------------------------------------------------ *)
 (* Open / recovery                                                     *)
 
-let fresh_segment t : seg =
+let fresh_segment t : int =
   let id = t.next_id in
   t.next_id <- t.next_id + 1;
   let oc =
@@ -502,7 +499,7 @@ let fresh_segment t : seg =
   Stdlib.flush oc;
   t.tail_oc <- oc;
   t.tail_bytes <- String.length magic;
-  { sg_id = id; sg_entries = [] }
+  id
 
 let open_log ?(segment_bytes = default_segment_bytes)
     ?(compact_threshold = default_compact_threshold)
@@ -566,36 +563,30 @@ let open_log ?(segment_bytes = default_segment_bytes)
   (* The frames are the only copy of the log's index, flows and
      digests: rebuild all three from every listed segment. *)
   let ntotal = List.length listed in
-  let segs =
-    List.mapi
-      (fun i id ->
-        let path = seg_path t id in
-        let contents = read_file path in
-        let entries = ref [] in
-        let valid =
-          scan_frames contents (fun off kind payload ->
-              match decode_frame ~off kind payload with
-              | Record e -> entries := e :: !entries
-              | Flow f -> t.flows_rev <- f :: t.flows_rev
-              | Digest (node, epoch, b) -> Hashtbl.replace t.digests (node, epoch) b
-              | Unknown -> ())
-        in
-        if i = ntotal - 1 then begin
-          (* torn tail: drop the invalid suffix before reopening for
-             append.  A destroyed header truncates to empty and the
-             magic is rewritten below. *)
-          let keep = if valid < String.length magic then 0 else valid in
-          if keep < String.length contents then Unix.truncate path keep;
-          t.tail_bytes <- keep
-        end;
-        { sg_id = id; sg_entries = !entries })
-      listed
-  in
-  t.segs <- segs;
-  (match List.rev segs with
+  List.iteri
+    (fun i id ->
+      let path = seg_path t id in
+      let contents = read_file path in
+      let valid =
+        index_segment t id contents ~other:(function
+          | Flow f -> t.flows_rev <- f :: t.flows_rev
+          | Digest (node, epoch, b) -> Hashtbl.replace t.digests (node, epoch) b
+          | Record _ | Unknown -> ())
+      in
+      if i = ntotal - 1 then begin
+        (* torn tail: drop the invalid suffix before reopening for
+           append.  A destroyed header truncates to empty and the
+           magic is rewritten below. *)
+        let keep = if valid < String.length magic then 0 else valid in
+        if keep < String.length contents then Unix.truncate path keep;
+        t.tail_bytes <- keep
+      end)
+    listed;
+  t.segs <- listed;
+  (match List.rev listed with
   | tail :: _ ->
     let oc =
-      open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 (seg_path t tail.sg_id)
+      open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 (seg_path t tail)
     in
     t.tail_oc <- oc;
     if t.tail_bytes = 0 then begin
@@ -603,17 +594,14 @@ let open_log ?(segment_bytes = default_segment_bytes)
       Stdlib.flush oc;
       t.tail_bytes <- String.length magic
     end
-  | [] ->
-    let s = fresh_segment t in
-    t.segs <- [ s ]);
+  | [] -> t.segs <- [ fresh_segment t ]);
   write_manifest t;
-  rebuild_index t;
   t
 
 (* ------------------------------------------------------------------ *)
 (* Sealing and compaction                                              *)
 
-let tail_seg t : seg =
+let tail_seg t : int =
   match List.rev t.segs with
   | s :: _ -> s
   | [] -> invalid_arg "Prov_log: no tail segment"
@@ -641,17 +629,17 @@ let compact_locked ?crash_after t : int =
   if List.length t.segs < 3 then 0
   else begin
     let tail = tail_seg t in
-    let sealed = List.filter (fun s -> s.sg_id <> tail.sg_id) t.segs in
+    let sealed = List.filter (fun id -> id <> tail) t.segs in
     (* gather the merged inputs' frames, newest first, each with its
        bytes and what it holds *)
     let frames = ref [] in
     List.iter
-      (fun s ->
-        let contents = read_file (seg_path t s.sg_id) in
+      (fun id ->
+        let contents = read_file (seg_path t id) in
         ignore
           (scan_frames contents (fun off kind payload ->
                let len = frame_overhead + Arena.slice_length payload in
-               frames := (contents, off, len, decode_frame ~off kind payload) :: !frames)))
+               frames := (contents, off, len, decode_frame kind payload) :: !frames)))
       sealed;
     (* decide keeps newest to oldest; fold re-reverses, so [keep] is
        back in append (oldest-first) order *)
@@ -682,11 +670,11 @@ let compact_locked ?crash_after t : int =
     let oc = open_out_bin tmp in
     output_string oc magic;
     let pos = ref (String.length magic) in
-    let new_entries = ref [] in
+    let merged = ref [] in  (* kept records at their new offsets, newest first *)
     List.iter
       (fun (contents, off, len, frame) ->
         (match frame with
-        | Record e -> new_entries := { e with en_off = !pos } :: !new_entries
+        | Record e -> merged := (!pos, e) :: !merged
         | Flow _ | Digest _ | Unknown -> ());
         output_substring oc contents off len;
         pos := !pos + len)
@@ -695,13 +683,20 @@ let compact_locked ?crash_after t : int =
     if crash_after = Some `Tmp_written then
       crash_out t "crashed after compaction tmp written, before manifest swap";
     Sys.rename tmp (seg_path t new_id);
-    t.segs <- [ { sg_id = new_id; sg_entries = !new_entries }; tail ];
+    t.segs <- [ new_id; tail ];
     write_manifest t;
     if crash_after = Some `Manifest_swapped then
       crash_out t "crashed after manifest swap, before merged inputs unlinked";
-    List.iter (fun s -> try Sys.remove (seg_path t s.sg_id) with Sys_error _ -> ()) sealed;
+    List.iter (fun id -> try Sys.remove (seg_path t id) with Sys_error _ -> ()) sealed;
     close_readers t;
-    rebuild_index t;
+    (* re-index in log order: the kept records, then the tail's *)
+    Hashtbl.reset t.index;
+    Hashtbl.reset t.by_rel;
+    Hashtbl.reset t.by_domain;
+    t.n_records <- 0;
+    List.iter (fun (off, e) -> index_add t new_id off e) (List.rev !merged);
+    Stdlib.flush t.tail_oc;
+    ignore (index_segment t tail (read_file (seg_path t tail)) ~other:ignore);
     let n = List.length sealed in
     Obs.Metrics.inc ~by:n t.c_compacted;
     n
@@ -715,8 +710,8 @@ let maybe_roll t : unit =
   if t.tail_bytes >= t.seg_bytes then begin
     Stdlib.flush t.tail_oc;
     close_out t.tail_oc;
-    let s = fresh_segment t in
-    t.segs <- t.segs @ [ s ];
+    let id = fresh_segment t in
+    t.segs <- t.segs @ [ id ];
     write_manifest t;
     if List.length t.segs - 1 > t.compact_threshold then ignore (compact_locked t)
   end
@@ -725,16 +720,13 @@ let maybe_roll t : unit =
 (* Appends                                                             *)
 
 let append_locked t (r : record) : unit =
-  let tail = tail_seg t in
-  let e =
-    (* a runtime's tuples are interned already: the identity is a lookup *)
-    entry_of ~off:t.tail_bytes ~live:r.r_live ~node:r.r_node ~domain:r.r_domain
-      ~ident:(Engine.Tuple.interned_identity r.r_tuple) r.r_tuple
-  in
+  let off = t.tail_bytes in
   t.tail_bytes <-
     t.tail_bytes + write_frame t (if r.r_live then 'L' else 'R') (fun a -> write_record t.ctx a r);
-  tail.sg_entries <- e :: tail.sg_entries;
-  index_add t tail.sg_id e;
+  (* a runtime's tuples are interned already: the identity is a lookup *)
+  index_add t (tail_seg t) off
+    (entry_of ~live:r.r_live ~node:r.r_node ~domain:r.r_domain
+       ~ident:(Engine.Tuple.interned_identity r.r_tuple) r.r_tuple);
   Obs.Metrics.inc t.c_records;
   maybe_roll t
 
@@ -897,9 +889,9 @@ let bytes_on_disk t : int =
       check_open t;
       Stdlib.flush t.tail_oc;
       List.fold_left
-        (fun acc s ->
+        (fun acc id ->
           let sz p = try (Unix.stat p).Unix.st_size with Unix.Unix_error _ -> 0 in
-          acc + sz (seg_path t s.sg_id))
+          acc + sz (seg_path t id))
         0 t.segs)
 
 (* ------------------------------------------------------------------ *)

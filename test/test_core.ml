@@ -1235,6 +1235,59 @@ let test_replaced_incumbent_retired_offline () =
       check_retired_to_log t ~rel:"bestPathCost";
       Core.Runtime.shutdown t)
 
+(* One way out of the live store: a retraction retires what it
+   removes.  A shipped head whose derivation dies is retired at its
+   sender, and a received copy whose last sender retracts it keeps that
+   sender in its record, so every offline walk of a bestPath record,
+   rooted at every node the log names, reaches its leaves. *)
+let test_offline_trees_complete_after_retraction () =
+  Test_store.with_temp_dir (fun dir ->
+      let cfg = Core.Config.with_prov_log Core.Config.sendlog_prov (Some dir) in
+      let t, topo = mk_runtime ~cfg ~n:12 () in
+      run_links t;
+      let l = List.hd topo.Net.Topology.links in
+      Core.Runtime.link_down t ~src:l.Net.Topology.l_src ~dst:l.Net.Topology.l_dst;
+      ignore (Core.Runtime.run t);
+      Alcotest.(check bool) "the link's retraction deleted tuples" true
+        (Core.Runtime.tuples_retracted t > 0);
+      Core.Runtime.link_up t ~src:l.Net.Topology.l_src ~dst:l.Net.Topology.l_dst;
+      ignore (Core.Runtime.run t);
+      Core.Runtime.sync_prov_log t;
+      let log = Option.get (Core.Runtime.prov_log t) in
+      let trees = ref 0 in
+      List.iter
+        (fun ident ->
+          List.iter
+            (fun at ->
+              incr trees;
+              let r = Core.Traceback.offline_query log ~at ~ident () in
+              if r.Core.Traceback.partial then
+                Alcotest.failf "offline tree of %s at %s is partial" ident at)
+            (Core.Traceback.offline_nodes log ~ident))
+        (Store.Prov_log.idents_of_relation log "bestPath");
+      Alcotest.(check bool) "more trees than live bestPath tuples" true
+        (!trees > List.length (Core.Runtime.query_all t "bestPath"));
+      Core.Runtime.shutdown t)
+
+(* One way in: provenance is captured for tuples that go live at their
+   node or ship from it, never for a head its keyed relation rejects
+   (a worse bestPathCost, a bestPath witness losing the tie-break). *)
+let test_prov_store_holds_live_or_shipped () =
+  let t, _ = mk_runtime ~cfg:Core.Config.sendlog_prov ~n:16 ~seed:2008 () in
+  run_links t;
+  List.iter
+    (fun (n : Core.Runtime.node) ->
+      List.iter
+        (fun (r : Store.Prov_log.record) ->
+          let tu = r.Store.Prov_log.r_tuple in
+          let located = Value.to_addr (Tuple.arg tu 0) in
+          if String.equal located n.n_addr && not (Db.mem n.n_db tu) then
+            Alcotest.failf "%s has provenance at %s but is not live there"
+              (Tuple.identity tu) n.n_addr)
+        (Core.Prov_store.live_records n.n_prov ~now:0.0))
+    (Core.Runtime.nodes t);
+  Core.Runtime.shutdown t
+
 (* Link churn with and without the domain pool: a --jobs 1 and a
    --jobs 4 run over the same flap schedule must agree tuple-for-tuple
    and byte-for-byte on provenance, with both matching from-scratch. *)
@@ -1326,6 +1379,10 @@ let churn_suite =
     Alcotest.test_case "ttl expiry = scratch" `Quick test_ttl_expiry_matches_scratch;
     Alcotest.test_case "replaced incumbent retired offline" `Quick
       test_replaced_incumbent_retired_offline;
+    Alcotest.test_case "offline trees complete after retraction" `Quick
+      test_offline_trees_complete_after_retraction;
+    Alcotest.test_case "prov store holds live or shipped tuples" `Quick
+      test_prov_store_holds_live_or_shipped;
     Alcotest.test_case "seq vs par churn identical" `Quick
       test_seq_vs_par_churn_identical;
     Alcotest.test_case "flap schedule deterministic" `Quick

@@ -226,6 +226,14 @@ let test_analysis_compound_context () =
   Alcotest.(check (list string)) "variable context fine" []
     (List.map Analysis.show_error (errors_of ~sendlog:true "At S:\nr1 p(S) :- q(S)."))
 
+(* The example program the CLI docs run is the library's Best-Path,
+   not a copy that can drift from it (e.g. lose the witness
+   tie-break). *)
+let test_example_best_path () =
+  let src = In_channel.with_open_bin "../examples/best_path.ndlog" In_channel.input_all in
+  Alcotest.(check bool) "examples/best_path.ndlog = Programs.best_path" true
+    (Ast.equal_program (parse src) (Programs.best_path ()))
+
 let test_base_predicates () =
   let p = parse Programs.best_path_src in
   Alcotest.(check (list string)) "base" [ "link" ] (Analysis.base_predicates p)
@@ -318,6 +326,7 @@ let suite : unit Alcotest.test_case list =
     Alcotest.test_case "analysis: negation binding" `Quick test_analysis_negated_unbound;
     Alcotest.test_case "analysis: compound At-context" `Quick test_analysis_compound_context;
     Alcotest.test_case "analysis: base predicates" `Quick test_base_predicates;
+    Alcotest.test_case "example best_path.ndlog is the library's" `Quick test_example_best_path;
     Alcotest.test_case "localize reachable" `Quick test_localize_reachable;
     Alcotest.test_case "localize no-op" `Quick test_localize_already_local;
     Alcotest.test_case "localize three sites" `Quick test_localize_three_sites;

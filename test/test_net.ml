@@ -286,6 +286,31 @@ let prop_message_truncation_detected =
       done;
       !ok)
 
+(* Change 1-3 bytes of [s]: (position, non-zero xor) pairs, the
+   position taken modulo the length. *)
+let mutate (s : string) (flips : (int * int) list) : string =
+  let b = Bytes.of_string s in
+  List.iter
+    (fun (pos, x) ->
+      let i = pos mod Bytes.length b in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor x)))
+    flips;
+  Bytes.to_string b
+
+let flips_gen = QCheck.Gen.(list_size (int_range 1 3) (pair (int_bound 100_000) (int_range 1 255)))
+
+(* Received bytes are untrusted: whatever a few changed bytes make of
+   an encoded message, the decoder returns a message or raises its
+   declared error. *)
+let prop_message_mutation =
+  QCheck.Test.make ~name:"mutated messages raise only Decode_error" ~count:10_000
+    (QCheck.pair message_gen (QCheck.make flips_gen))
+    (fun (m, flips) ->
+      let bytes = mutate (Net.Wire.encode_message m) flips in
+      match Net.Wire.decode_message_slice (Net.Arena.of_string bytes) with
+      | (_ : Net.Wire.message) -> true
+      | exception Net.Wire.Decode_error _ -> true)
+
 let prop_message_size_identity =
   QCheck.Test.make ~name:"size = encoded length - trace bytes" ~count:300 message_gen
     (fun m ->
@@ -719,4 +744,5 @@ let suite : unit Alcotest.test_case list =
         prop_signed_bytes_byte_identical;
         prop_message_roundtrip;
         prop_message_truncation_detected;
+        prop_message_mutation;
         prop_message_size_identity ]

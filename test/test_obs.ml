@@ -1,7 +1,7 @@
 (* Tests for the observability layer: metrics registry semantics
    (counters, gauges, log-scale histograms, labels, in-place reset),
    span nesting against a mocked clock, event ring-buffer overflow,
-   and the JSON / Prometheus snapshot round-trips. *)
+   and the JSON snapshot round-trip. *)
 
 (* --- metrics ----------------------------------------------------------- *)
 
@@ -109,34 +109,6 @@ let test_reset_in_place () =
   Obs.Metrics.inc c;
   Alcotest.(check int) "handle still live after reset" 1
     (Obs.Metrics.value (Obs.Metrics.counter reg "c"))
-
-let test_prometheus_rendering () =
-  let reg = Obs.Metrics.create () in
-  Obs.Metrics.inc ~by:3 (Obs.Metrics.counter reg ~labels:[ ("rule", "p1") ] "eval.rule_derivations");
-  Obs.Metrics.set (Obs.Metrics.gauge reg "sim.queue_depth_max") 12.0;
-  let h = Obs.Metrics.histogram reg "runtime.handler_seconds" in
-  List.iter (Obs.Metrics.observe h) [ 0.5; 0.75; 3.0 ];
-  let text = Obs.Metrics.to_prometheus reg in
-  let contains needle =
-    let nl = String.length needle and tl = String.length text in
-    let rec go i = i + nl <= tl && (String.sub text i nl = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "counter line" true
-    (contains "eval_rule_derivations{rule=\"p1\"} 3");
-  Alcotest.(check bool) "gauge line" true (contains "sim_queue_depth_max 12");
-  Alcotest.(check bool) "type declared" true
-    (contains "# TYPE runtime_handler_seconds histogram");
-  (* buckets are cumulative: le=1 holds 2, le=4 holds all 3 *)
-  Alcotest.(check bool) "cumulative le=1" true
-    (contains "runtime_handler_seconds_bucket{le=\"1\"} 2");
-  Alcotest.(check bool) "cumulative le=4" true
-    (contains "runtime_handler_seconds_bucket{le=\"4\"} 3");
-  Alcotest.(check bool) "+Inf bucket" true
-    (contains "runtime_handler_seconds_bucket{le=\"+Inf\"} 3");
-  Alcotest.(check bool) "count line" true (contains "runtime_handler_seconds_count 3")
-
-(* --- json -------------------------------------------------------------- *)
 
 let test_json_round_trip () =
   let v =
@@ -264,28 +236,6 @@ let test_event_json_lines () =
       (Option.bind (Obs.Json.member "count" b) Obs.Json.to_string_opt)
   | l -> Alcotest.failf "expected 2 event lines, got %d" (List.length l)
 
-(* --- Prometheus label-value escaping ----------------------------------- *)
-
-let test_prom_label_escaping () =
-  (* Exposition format: exactly backslash, double quote and newline are
-     escaped; everything else (tabs, UTF-8 bytes) passes through raw. *)
-  Alcotest.(check string) "backslash" {|a\\b|} (Obs.Metrics.escape_label_value {|a\b|});
-  Alcotest.(check string) "quote" {|say \"hi\"|} (Obs.Metrics.escape_label_value {|say "hi"|});
-  Alcotest.(check string) "newline" {|l1\nl2|} (Obs.Metrics.escape_label_value "l1\nl2");
-  Alcotest.(check string) "utf-8 untouched" "caf\xc3\xa9" (Obs.Metrics.escape_label_value "caf\xc3\xa9");
-  Alcotest.(check string) "tab untouched" "a\tb" (Obs.Metrics.escape_label_value "a\tb");
-  let reg = Obs.Metrics.create () in
-  Obs.Metrics.inc
-    (Obs.Metrics.counter reg ~labels:[ ("rule", "p\\1 \"q\"\nz\xc3\xa9") ] "m");
-  let text = Obs.Metrics.to_prometheus reg in
-  let contains needle =
-    let nl = String.length needle and tl = String.length text in
-    let rec go i = i + nl <= tl && (String.sub text i nl = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "rendered escaped label" true
-    (contains "m{rule=\"p\\\\1 \\\"q\\\"\\nz\xc3\xa9\"} 1")
-
 (* --- histogram bucket edges -------------------------------------------- *)
 
 let test_bucket_boundaries () =
@@ -303,36 +253,6 @@ let test_bucket_boundaries () =
   Alcotest.(check (float 0.0)) "ub of bucket 1" 2.0 (Obs.Metrics.bucket_upper_bound 1);
   Alcotest.(check (float 0.0)) "ub of nonpositive" 0.0
     (Obs.Metrics.bucket_upper_bound Obs.Metrics.nonpositive_bucket)
-
-let test_cumulative_vs_per_bucket () =
-  (* The Prometheus rendering is cumulative, the JSON snapshot is
-     per-bucket: at every upper bound the cumulative count must equal
-     the sum of per-bucket JSON counts up to that bound. *)
-  let reg = Obs.Metrics.create () in
-  let h = Obs.Metrics.histogram reg "lat" in
-  List.iter (Obs.Metrics.observe h) [ 0.0; 0.3; 0.6; 0.9; 1.5; 3.0; 3.5; 100.0 ];
-  let per_bucket =
-    List.map (fun (b, n) -> (Obs.Metrics.bucket_upper_bound b, n))
-      (Obs.Metrics.sorted_buckets h)
-  in
-  let text = Obs.Metrics.to_prometheus reg in
-  let contains needle =
-    let nl = String.length needle and tl = String.length text in
-    let rec go i = i + nl <= tl && (String.sub text i nl = needle || go (i + 1)) in
-    go 0
-  in
-  let cumulative = ref 0 in
-  List.iter
-    (fun (ub, n) ->
-      cumulative := !cumulative + n;
-      let line =
-        Printf.sprintf "lat_bucket{le=\"%.12g\"} %d" ub !cumulative
-      in
-      Alcotest.(check bool) (Printf.sprintf "cumulative at le=%g" ub) true (contains line))
-    per_bucket;
-  Alcotest.(check int) "cumulative reaches count" (Obs.Metrics.hist_count h) !cumulative;
-  Alcotest.(check bool) "+Inf equals count" true
-    (contains (Printf.sprintf "lat_bucket{le=\"+Inf\"} %d" (Obs.Metrics.hist_count h)))
 
 (* --- percentile estimation --------------------------------------------- *)
 
@@ -455,16 +375,13 @@ let suite : unit Alcotest.test_case list =
     Alcotest.test_case "kind mismatch rejected" `Quick test_kind_mismatch;
     Alcotest.test_case "histogram semantics" `Quick test_histogram_semantics;
     Alcotest.test_case "reset is in-place" `Quick test_reset_in_place;
-    Alcotest.test_case "prometheus rendering" `Quick test_prometheus_rendering;
     Alcotest.test_case "json round trip" `Quick test_json_round_trip;
     Alcotest.test_case "metrics json snapshot" `Quick test_metrics_json_snapshot;
     Alcotest.test_case "span nesting (mock clock)" `Quick test_span_nesting_mock_clock;
     Alcotest.test_case "span limit + json lines" `Quick test_span_limit_and_json_lines;
     Alcotest.test_case "event ring overflow" `Quick test_ring_overflow;
     Alcotest.test_case "event json lines" `Quick test_event_json_lines;
-    Alcotest.test_case "prometheus label escaping" `Quick test_prom_label_escaping;
     Alcotest.test_case "histogram bucket boundaries" `Quick test_bucket_boundaries;
-    Alcotest.test_case "cumulative vs per-bucket counts" `Quick test_cumulative_vs_per_bucket;
     Alcotest.test_case "percentile estimation" `Quick test_percentile_estimation;
     Alcotest.test_case "tracer under parallel domains" `Quick test_trace_multi_domain;
     Alcotest.test_case "chrome trace export" `Quick test_chrome_export ]

@@ -132,6 +132,18 @@ let prop_bdd_wire_roundtrip =
           = Prov_expr.derivable_from decoded ~trusted:env)
         assignments)
 
+(* Shipped provenance blocks are untrusted: whatever 1-3 changed bytes
+   make of a condensed block, decoding returns an expression or raises
+   [Wire_error]. *)
+let prop_condensed_block_mutation =
+  QCheck.Test.make ~name:"mutated condensed blocks raise only Wire_error" ~count:10_000
+    (QCheck.pair expr_gen (QCheck.make Test_net.flips_gen))
+    (fun (e, flips) ->
+      let block = Test_net.mutate (Condense.to_wire (Condense.create_ctx ()) e) flips in
+      match Condense.of_wire_slice (Condense.create_ctx ()) (Net.Arena.of_string block) with
+      | (_ : Prov_expr.t) -> true
+      | exception Condense.Wire_error _ -> true)
+
 let prop_minimal_why_absorbed =
   (* no witness in the minimal why-provenance contains another *)
   QCheck.Test.make ~name:"minimal why has no absorbed witness" ~count:200 expr_gen
@@ -356,4 +368,5 @@ let suite : unit Alcotest.test_case list =
           prop_codec_roundtrip;
           prop_wire_size_matches_encode;
           prop_bdd_wire_roundtrip;
+          prop_condensed_block_mutation;
           prop_minimal_why_absorbed ])

@@ -99,6 +99,51 @@ let test_torn_tail_truncated () =
         (Store.Prov_log.record_count log);
       Store.Prov_log.close log)
 
+(* Compaction re-indexes the log from the frames it scans: every
+   identity's lookup, and the secondary indexes, answer as a reopened
+   log does.  Node and liveness vary so compaction drops superseded
+   live checkpoints and moves the frames it keeps. *)
+let test_compaction_reindex () =
+  with_temp_dir (fun dir ->
+      let record i =
+        { (mk_record (i mod 12)) with
+          Store.Prov_log.r_live = i mod 4 <> 0;
+          r_at = float_of_int i }
+      in
+      let log =
+        Store.Prov_log.open_log ~segment_bytes:1024 ~compact_threshold:1000 ~dir ()
+      in
+      for i = 0 to 89 do
+        Store.Prov_log.append log (record i)
+      done;
+      let idents = List.init 12 (fun i -> Tuple.identity (Tuple.make "p" [ Value.V_int i ])) in
+      let answers log =
+        ( Store.Prov_log.record_count log,
+          List.map
+            (fun ident ->
+              List.map
+                (fun (r : Store.Prov_log.record) ->
+                  Printf.sprintf "%s %b %g %s" r.r_node r.r_live r.r_at
+                    (Tuple.identity r.r_tuple))
+                (Store.Prov_log.lookup log ~ident))
+            idents,
+          Store.Prov_log.idents_of_relation log "p",
+          Store.Prov_log.idents_of_domain log "as1" )
+      in
+      let merged = Store.Prov_log.compact log in
+      Alcotest.(check bool) "compaction merged sealed segments" true (merged >= 2);
+      Store.Prov_log.append log (record 90);
+      let count, lookups, by_rel, by_domain = answers log in
+      Alcotest.(check bool) "superseded checkpoints dropped" true (count < 91);
+      Store.Prov_log.close log;
+      let log = Store.Prov_log.open_log ~dir () in
+      let count', lookups', by_rel', by_domain' = answers log in
+      Alcotest.(check int) "record count" count' count;
+      Alcotest.(check (list (list string))) "lookups" lookups' lookups;
+      Alcotest.(check (list string)) "relation index" by_rel' by_rel;
+      Alcotest.(check (list string)) "domain index" by_domain' by_domain;
+      Store.Prov_log.close log)
+
 let crash_compaction_case hook () =
   with_temp_dir (fun dir ->
       (* tiny segments so 60 records span many sealed segments *)
@@ -646,6 +691,8 @@ let suite =
     Alcotest.test_case "reopen roundtrip" `Quick test_reopen_roundtrip;
     Alcotest.test_case "torn tail truncated on recovery" `Quick
       test_torn_tail_truncated;
+    Alcotest.test_case "compaction re-indexes as a reopen does" `Quick
+      test_compaction_reindex;
     Alcotest.test_case "crash after compaction tmp write" `Quick
       (crash_compaction_case `Tmp_written);
     Alcotest.test_case "crash after compaction manifest swap" `Quick
