@@ -3,7 +3,7 @@
 
      dune exec bench/main.exe                 full reproduction
      dune exec bench/main.exe -- --quick      small sweep (N <= 40), no N=1000 point
-     dune exec bench/main.exe -- --figures    skip ablations A-D and the micro-benchmarks
+     dune exec bench/main.exe -- --figures    skip ablations A, C, D and the micro-benchmarks
      dune exec bench/main.exe -- --micro      Bechamel micro-benchmarks only
      dune exec bench/main.exe -- --no-micro   skip the micro-benchmarks
      dune exec bench/main.exe -- --ns 10,20   custom sweep sizes
@@ -22,8 +22,7 @@
      Section 6 overhead summary (the paper's +53%/+36%/+41%/+54% text)
      Forensics ablation  provenance-log write-through + offline traceback
      Beyond the paper    N=1000 at AS granularity
-     Ablation A  local vs distributed provenance
-     Ablation B  proactive vs reactive maintenance
+     Ablation A  local (proactive) vs distributed (reactive) provenance
      Ablation C  sampling and Bloom digests
      Ablation D  provenance granularity (node vs AS)
      Micro       Bechamel micro-benchmarks of the substrates *)
@@ -472,17 +471,18 @@ let figures (o : options) : Core.Bestpath_workload.point list * Obs.Json.t =
 (* --- Ablation A: local vs distributed provenance ------------------------- *)
 
 let ablation_local_vs_distributed (o : options) =
-  hr "Ablation A (Section 4.1): local vs distributed provenance";
+  hr "Ablation A (Sections 4.1, 5): local vs distributed provenance";
   phase_reset ();
   Printf.printf
-    "local ships provenance with every tuple; distributed stores per-hop pointers\n\
-     and pays at query time. N=20 Best-Path, then traceback of every bestPath at n0.\n\n";
+    "local maintains expressions proactively and ships them with every tuple;\n\
+     distributed stores per-hop pointers and computes expressions reactively, at\n\
+     query time. N=20 Best-Path, then traceback of every bestPath at n0.\n\n";
   let topo = Net.Topology.random (Crypto.Rng.create ~seed:2008) ~n:20 () in
   let directory =
     Core.Bestpath_workload.shared_directory ~rsa_bits:o.rsa_bits topo.Net.Topology.nodes
   in
-  Printf.printf "%-12s %14s %16s %16s %14s\n" "mode" "wire prov (B)" "online store (B)"
-    "traceback msgs" "traceback (B)";
+  Printf.printf "%-12s %14s %14s %12s %16s %15s %14s\n" "mode" "completion (s)"
+    "wire prov (B)" "expr (B)" "online store (B)" "traceback msgs" "traceback (B)";
   List.iter
     (fun (name, prov) ->
       let cfg = { Core.Config.sendlog_prov with rsa_bits = o.rsa_bits; prov } in
@@ -491,7 +491,7 @@ let ablation_local_vs_distributed (o : options) =
           ~program:(Ndlog.Programs.best_path ()) ()
       in
       Core.Runtime.install_links t;
-      ignore (Core.Runtime.run t);
+      let r = Core.Runtime.run t in
       let stats = Core.Runtime.stats t in
       let storage = Core.Runtime.total_storage t in
       let tb_msgs = ref 0 and tb_bytes = ref 0 in
@@ -501,42 +501,17 @@ let ablation_local_vs_distributed (o : options) =
           tb_msgs := !tb_msgs + r.cost.remote_queries;
           tb_bytes := !tb_bytes + r.cost.query_bytes)
         (Core.Runtime.query t ~at:"n0" "bestPath");
-      Printf.printf "%-12s %14d %16d %16d %14d\n" name stats.bytes_provenance
+      Printf.printf "%-12s %14.3f %14d %12d %16d %15d %14d\n" name r.sim_seconds
+        stats.bytes_provenance storage.st_online_expr_bytes
         (storage.st_online_expr_bytes + storage.st_online_pointer_bytes)
         !tb_msgs !tb_bytes)
     [ ("local", Core.Config.Prov_local); ("distributed", Core.Config.Prov_distributed) ];
   Printf.printf
-    "\nexpected: local pays on the wire during execution and answers queries locally;\n\
-     distributed ships nothing but traceback crosses nodes (the paper's trade-off).\n"
-
-(* --- Ablation B: proactive vs reactive ------------------------------------ *)
-
-let ablation_proactive_vs_reactive (o : options) =
-  hr "Ablation B (Section 5): proactive vs reactive provenance";
-  phase_reset ();
-  let topo = Net.Topology.random (Crypto.Rng.create ~seed:2009) ~n:20 () in
-  let directory =
-    Core.Bestpath_workload.shared_directory ~rsa_bits:o.rsa_bits topo.Net.Topology.nodes
-  in
-  Printf.printf "%-12s %16s %18s %16s\n" "mode" "completion (s)" "wire prov (B)" "expr bytes";
-  List.iter
-    (fun (name, maintenance) ->
-      let cfg = { Core.Config.sendlog_prov with rsa_bits = o.rsa_bits; maintenance } in
-      let t =
-        Core.Runtime.create ~directory ~rng:(Crypto.Rng.create ~seed:1) ~cfg ~topo
-          ~program:(Ndlog.Programs.best_path ()) ()
-      in
-      Core.Runtime.install_links t;
-      let r = Core.Runtime.run t in
-      let stats = Core.Runtime.stats t in
-      let storage = Core.Runtime.total_storage t in
-      Printf.printf "%-12s %16.3f %18d %16d\n" name r.sim_seconds stats.bytes_provenance
-        storage.st_online_expr_bytes)
-    [ ("proactive", Core.Config.Proactive); ("reactive", Core.Config.Reactive) ];
-  Printf.printf
-    "\nexpected: reactive maintains pointers only (no wire cost; expression bytes\n\
-     for base facts only) and defers computation to query time; proactive pays\n\
-     during execution.\n"
+    "\nexpected: local pays on the wire and in expression bytes during execution, and\n\
+     its stored expression answers a query without messages; distributed ships\n\
+     nothing and keeps expressions for base facts only, so a query is the traceback\n\
+     walk, which crosses nodes (the paper's trade-off). The walk reads derivation\n\
+     records, so it costs the same in both modes.\n"
 
 (* --- Ablation C: sampling and Bloom digests -------------------------------- *)
 
@@ -719,8 +694,6 @@ let () =
     if not o.figures_only then begin
       ablation_local_vs_distributed o;
       phase_metrics "ablation A";
-      ablation_proactive_vs_reactive o;
-      phase_metrics "ablation B";
       ablation_sampling o;
       phase_metrics "ablation C";
       ablation_granularity o;

@@ -128,19 +128,14 @@ let run_cmd =
          & info [ "max-backoff" ] ~docv:"SECONDS"
              ~doc:"Cap on the exponential retransmission backoff")
   in
-  let jobs =
-    Arg.(value & opt int 1
-         & info [ "jobs" ] ~docv:"N"
-             ~doc:"Worker domains that evaluate each timestamp's per-node groups \
-                   (1 = the calling domain alone)")
-  in
   let shards =
     Arg.(value & opt int 1
          & info [ "shards" ] ~docv:"K"
-             ~doc:"Event-simulator shards: partition nodes by AS across K \
-                   per-shard queues synchronized conservatively (1 = single \
-                   queue, 0 = one shard per AS domain); results are \
-                   byte-identical across K")
+             ~doc:"Event-simulator shards, the engine's only parallelism: \
+                   partition nodes by AS across K per-shard queues drained on \
+                   worker domains and synchronized conservatively (1 = single \
+                   queue on the calling domain, 0 = one shard per AS domain); \
+                   results are byte-identical across K")
   in
   let prov_granularity =
     Arg.(value & opt string "node"
@@ -213,7 +208,7 @@ let run_cmd =
                    (deterministic per key; 1 = capture and record everything)")
   in
   let run file nodes seed cfg rsa_bits loss dup reorder jitter
-      crashes fault_seed reliable retries ack_timeout max_backoff jobs shards
+      crashes fault_seed reliable retries ack_timeout max_backoff shards
       prov_granularity flap_rate churn advance with_links show metrics_out
       trace_out chrome_out events_out prov_log prov_sample =
     let program = Ndlog.Parser.parse_program_exn (read_file file) in
@@ -262,8 +257,7 @@ let run_cmd =
             exit 1
         in
         let c = Core.Config.with_prov_log c prov_log in
-        let c = Core.Config.with_prov_sample c prov_sample in
-        Core.Config.with_jobs c jobs
+        Core.Config.with_prov_sample c prov_sample
       with Invalid_argument e ->
         Printf.eprintf "%s\n" e;
         exit 1
@@ -349,14 +343,14 @@ let run_cmd =
         (Store.Prov_log.segment_count log)
         (Store.Prov_log.bytes_on_disk log)
     | None -> ());
-    (* Join the worker domains (jobs > 1) before exiting. *)
+    (* Join the sharded engine's worker domains before exiting. *)
     Core.Runtime.shutdown t
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Execute a program over a simulated network")
     Term.(const run $ file $ nodes $ seed $ cfg $ rsa_bits
           $ loss $ dup $ reorder $ jitter $ crashes $ fault_seed $ reliable $ retries
-          $ ack_timeout $ max_backoff $ jobs $ shards
+          $ ack_timeout $ max_backoff $ shards
           $ prov_granularity $ flap_rate
           $ churn $ advance $ with_links
           $ show $ metrics_out $ trace_out $ chrome_out $ events_out

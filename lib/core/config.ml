@@ -9,16 +9,13 @@
    per-store hash indexes, signs by CRT/Montgomery exponentiation and
    ships provenance BDD-condensed (Section 4.4).  The remaining knobs
    cover Sections 4 and 5 (distributed provenance, the offline log,
-   proactive vs reactive maintenance, sampling, AS granularity). *)
+   sampling, AS granularity); [shards] is the only source of
+   parallelism. *)
 
 type prov_mode =
   | Prov_off
-  | Prov_local (* ship provenance with each tuple (Section 4.1) *)
-  | Prov_distributed (* store per-hop pointers; traceback on demand *)
-
-type maintenance =
-  | Proactive (* eagerly maintain and propagate provenance *)
-  | Reactive (* record pointers; compute expressions on demand *)
+  | Prov_local (* maintain each tuple's expression, ship it (Section 4.1) *)
+  | Prov_distributed (* store pointers; traceback computes expressions (Section 5) *)
 
 type granularity =
   | Node_level (* provenance keyed by node/principal *)
@@ -47,7 +44,6 @@ let default_cost_model =
 type t = {
   auth : Sendlog.Auth.mode;
   prov : prov_mode;
-  maintenance : maintenance;
   granularity : granularity;
   sign_provenance : bool; (* per-node signatures on provenance (Section 4.3) *)
   rsa_bits : int;
@@ -62,16 +58,12 @@ type t = {
       (* cap on the backoff interval: without it a lossy channel's
          retransmission gaps grow past a minute and dominate simulated
          convergence time *)
-  jobs : int;
-      (* worker domains that evaluate a timestamp's per-node groups;
-         1 = evaluate them on the calling domain.  Each group verifies
-         the signatures of the messages it accepts, on whichever domain
-         evaluates it *)
   shards : int;
-      (* event queues for the conservative parallel engine: 1 = one
-         queue drained as a single window, 0 = one shard per AS
-         domain, K >= 2 = partition nodes across K shards by AS
-         (domain i mod K) *)
+      (* event queues for the conservative parallel engine, the only
+         source of parallelism: 1 = one queue drained as a single
+         window on the calling domain, 0 = one shard per AS domain,
+         K >= 2 = partition nodes across K shards by AS (domain i mod
+         K) *)
   prov_log : string option;
       (* directory of the persisted offline provenance log (Section
          4.2); None = no on-disk write-through *)
@@ -86,7 +78,6 @@ type t = {
 let default =
   { auth = Sendlog.Auth.Auth_none;
     prov = Prov_off;
-    maintenance = Proactive;
     granularity = Node_level;
     sign_provenance = false;
     rsa_bits = 384;
@@ -96,7 +87,6 @@ let default =
     retry_limit = 8;
     ack_timeout = 0.25;
     max_backoff = 2.0;
-    jobs = 1;
     shards = 1;
     prov_log = None;
     prov_sample_k = 1 }
@@ -179,10 +169,6 @@ let with_max_backoff (c : t) (max_backoff : float) : t =
   if max_backoff <= 0.0 then
     invalid_arg "Config.with_max_backoff: must be positive";
   { c with max_backoff }
-
-let with_jobs (c : t) (jobs : int) : t =
-  if jobs < 1 then invalid_arg "Config.with_jobs: need at least 1 job";
-  { c with jobs }
 
 let with_shards (c : t) (shards : int) : t =
   if shards < 0 then invalid_arg "Config.with_shards: need >= 0 (0 = per domain)";

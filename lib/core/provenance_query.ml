@@ -93,19 +93,10 @@ let disk_idents (log : Store.Prov_log.t) (target : target) : string list =
 
 let run_disk (log : Store.Prov_log.t) ~(granularity : Config.granularity)
     ~(before : float option) (target : target) : answer =
-  let findings =
-    List.concat_map
-      (fun ident ->
-        List.map
-          (fun node ->
-            { f_node = node;
-              f_ident = ident;
-              f_result =
-                Traceback.offline_query log ~granularity ?before ~at:node ~ident () })
-          (Traceback.offline_nodes log ~ident))
-      (disk_idents log target)
-  in
-  Trees findings
+  Trees
+    (List.map
+       (fun (node, ident, result) -> { f_node = node; f_ident = ident; f_result = result })
+       (Traceback.offline_findings log ~granularity ~before (disk_idents log target)))
 
 (* --- sampled backend --------------------------------------------------- *)
 

@@ -135,7 +135,7 @@ type t = {
          digests); internally mutex-guarded, so worker domains append
          directly *)
   pool : Par.Pool.t option;
-      (* worker domains when [cfg.jobs > 1] or the engine is sharded *)
+      (* worker domains that drain the shards; none with one shard *)
   obs_events : Obs.Events.log; (* bounded structured event log *)
   mutable tracer : Obs.Trace.t option; (* span tree, when tracing is on *)
   h_handler : Obs.Metrics.histogram; (* modeled per-handler duration *)
@@ -174,8 +174,8 @@ let nodes (t : t) : node list =
 (* --- shard context ---------------------------------------------------- *)
 
 (* Which shard the calling domain is currently draining: set around
-   each window drain, -1 elsewhere (the orchestrator between drains,
-   and pool workers evaluating a single shard's node groups). *)
+   each window drain, -1 elsewhere (the orchestrator between
+   drains). *)
 let cur_shard_key : int Domain.DLS.key = Domain.DLS.new_key (fun () -> -1)
 
 let shard_of (t : t) (addr : string) : int =
@@ -355,16 +355,14 @@ let create ?(directory : Sendlog.Principal.directory option) ~(rng : Crypto.Rng.
           sh_outbox = [];
           sh_order = 0 })
   in
-  (* The sharded engine needs worker domains even when [jobs = 1];
-     shards beyond the hardware parallelism just queue. *)
-  let pool_jobs =
-    if shard_count > 1 then
-      max cfg.Config.jobs
-        (min shard_count (max 2 (Domain.recommended_domain_count ())))
-    else cfg.Config.jobs
-  in
+  (* Several shards drain on a pool sized to the shard count and the
+     host (shards beyond the hardware parallelism just queue). *)
   let pool =
-    if pool_jobs > 1 then Some (Par.Pool.create ~jobs:pool_jobs) else None
+    if shard_count > 1 then
+      Some
+        (Par.Pool.create
+           ~jobs:(min shard_count (max 2 (Domain.recommended_domain_count ()))))
+    else None
   in
   let t =
     { cfg;
@@ -400,7 +398,6 @@ let create ?(directory : Sendlog.Principal.directory option) ~(rng : Crypto.Rng.
       on_message = None }
   in
   Obs.Metrics.set t.g_crashed 0.0;
-  Obs.Metrics.set (Obs.Metrics.gauge reg "par.jobs") (float_of_int cfg.jobs);
   Obs.Metrics.set (Obs.Metrics.gauge reg "sim.shards") (float_of_int shard_count);
   t
 
@@ -478,32 +475,21 @@ let refresh_dependents (n : node) (seeds : Tuple.t list) : unit =
         mark heads)
     !order
 
-(* Record one derivation in [n]'s provenance store and return the
-   expression shipped alongside the head tuple (local mode). *)
+(* Record one derivation in [n]'s provenance store and return its
+   combined expression: the product of its bodies' under local
+   provenance, zero under distributed provenance, which records the
+   pointers alone and leaves expressions to traceback. *)
 let capture_derivation (t : t) (n : node) (deriv : Eval.derivation) :
     Provenance.Prov_expr.t =
   if (not (prov_enabled t)) || not (sampled t deriv.d_head) then
     Provenance.Prov_expr.zero
   else begin
+    let local = t.cfg.prov = Config.Prov_local in
     let combined =
-      match t.cfg.maintenance with
-      | Config.Reactive -> Provenance.Prov_expr.zero (* pointers only *)
-      | Config.Proactive ->
+      if local then
         Provenance.Prov_expr.times_list
           (List.map (fun (b, _) -> body_expr t n b) deriv.d_body)
-    in
-    let signature, signer =
-      if t.cfg.sign_provenance then begin
-        let node_repr =
-          Printf.sprintf "%s<-%s[%s]" (Tuple.interned_identity deriv.d_head) deriv.d_rule
-            (String.concat ";"
-               (List.map (fun (b, _) -> Tuple.interned_identity b) deriv.d_body))
-        in
-        Net.Stats.record_signature t.stats;
-        ( Sendlog.Auth.sign_provenance_node t.cfg.auth n.n_principal ~node_repr,
-          Some n.n_addr )
-      end
-      else (None, None)
+      else Provenance.Prov_expr.zero
     in
     let record =
       { Store.Prov_log.d_rule = deriv.d_rule;
@@ -515,13 +501,22 @@ let capture_derivation (t : t) (n : node) (deriv : Eval.derivation) :
                 b_says = Option.map Value.to_addr asserter })
             deriv.d_body;
         d_at = now t;
-        d_signature = signature;
-        d_signer = signer }
+        d_signature = None;
+        d_signer = None }
     in
-    if
-      Prov_store.record_derivation n.n_prov deriv.d_head ~record ~combined
-      && t.cfg.maintenance = Config.Proactive
-    then refresh_dependents n [ deriv.d_head ];
+    let record =
+      if t.cfg.sign_provenance then begin
+        Net.Stats.record_signature t.stats;
+        { record with
+          d_signature =
+            Sendlog.Auth.sign_provenance_node t.cfg.auth n.n_principal
+              ~node_repr:(Store.Prov_log.node_repr deriv.d_head record);
+          d_signer = Some n.n_addr }
+      end
+      else record
+    in
+    if Prov_store.record_derivation n.n_prov deriv.d_head ~record ~combined && local then
+      refresh_dependents n [ deriv.d_head ];
     combined
   end
 
@@ -674,8 +669,8 @@ let dispatch (t : t) (receiver : node) (msg : Net.Wire.message) ~(delay : float)
   else transmit t ~delay receiver msg ~attempt:0 ~ident
 
 (* Prepare an emitted tuple for the wire: capture provenance, dedup
-   against the sender's sent cache, and sign.  Everything here is
-   either per-node state or mutex-guarded, so worker domains prepare
+   against the sender's sent cache, and sign what is sent.  Everything
+   here is either per-node state or mutex-guarded, so shards prepare
    (and in particular sign) concurrently.  The message is *not*
    released: it joins [xc.xc_out] and is committed in canonical order
    once the handler's duration is known. *)
@@ -685,30 +680,28 @@ let send (t : t) (xc : exec_ctx) (sender : node) (emit : Eval.emit) : unit =
      these pointers back through the node that derived the tuple) and
      obtain the combined expression of this derivation. *)
   let combined = capture_derivation t sender emit.e_deriv in
-  (* AS-level granularity (Section 5.3): a tuple crossing a domain
-     boundary ships its provenance summarized to the origin domain's
-     single base key; intra-domain sends keep node-level detail. *)
-  let shipped =
-    match t.cfg.granularity with
-    | Config.Node_level -> combined
-    | Config.As_level ->
-      let src_as = Net.Topology.as_of t.topo sender.n_addr in
-      if Net.Topology.as_of t.topo emit.e_dest = src_as then combined
-      else
-        Provenance.Condense.domain_summary combined
-          ~domain:(Printf.sprintf "as%d" src_as)
-  in
-  (* Provenance shipped with the tuple: only in local proactive mode
-     (receiver Plus-combines alternatives). *)
+  (* The combined expression ships with the tuple (the receiver
+     Plus-combines alternatives); it is zero, and nothing ships, unless
+     provenance is local and the tuple sampled.  AS-level granularity
+     (Section 5.3): a tuple crossing a domain boundary ships its
+     provenance summarized to the origin domain's single base key;
+     intra-domain sends keep node-level detail. *)
   let prov_block =
-    match (t.cfg.prov, t.cfg.maintenance) with
-    | Config.Prov_local, Config.Proactive when sampled t tuple ->
-      if Provenance.Prov_expr.equal shipped Provenance.Prov_expr.zero then None
-      else begin
-        xc.xc_charge <- xc.xc_charge +. t.cfg.cost_model.per_provenance_seconds;
-        Some (encode_prov t shipped)
-      end
-    | _ -> None
+    if Provenance.Prov_expr.equal combined Provenance.Prov_expr.zero then None
+    else begin
+      let shipped =
+        match t.cfg.granularity with
+        | Config.Node_level -> combined
+        | Config.As_level ->
+          let src_as = Net.Topology.as_of t.topo sender.n_addr in
+          if Net.Topology.as_of t.topo emit.e_dest = src_as then combined
+          else
+            Provenance.Condense.domain_summary combined
+              ~domain:(Printf.sprintf "as%d" src_as)
+      in
+      xc.xc_charge <- xc.xc_charge +. t.cfg.cost_model.per_provenance_seconds;
+      Some (encode_prov t shipped)
+    end
   in
   let cache_group = emit.e_dest ^ "|" ^ Tuple.interned_identity tuple in
   let cache_variant = Option.value prov_block ~default:"" in
@@ -720,13 +713,9 @@ let send (t : t) (xc : exec_ctx) (sender : node) (emit : Eval.emit) : unit =
       Hashtbl.add sender.n_sent_cache cache_group v;
       v
   in
-  let fresh = not (Hashtbl.mem variants cache_variant) in
-  (* Under RSA, signing runs *before* the sent-cache verdict:
-     [Wire.signed_bytes] excludes the seq and the provenance block, so
-     a re-derivation re-shipping the same (dest, tuple) — whatever its
-     provenance variant — recurs byte-identically and resolves as a
-     digest-cache hit rather than never reaching the cache at all. *)
-  if fresh || t.cfg.auth = Sendlog.Auth.Auth_rsa then begin
+  (* A deduplicated re-emission is neither signed nor sent. *)
+  if not (Hashtbl.mem variants cache_variant) then begin
+    Hashtbl.add variants cache_variant ();
     (* The signed bytes live in the domain's scratch arena only long
        enough to be digested (or MACed) by [make_auth_slice]; no
        string is ever materialized on this path. *)
@@ -735,23 +724,20 @@ let send (t : t) (xc : exec_ctx) (sender : node) (emit : Eval.emit) : unit =
         ~dst:emit.e_dest tuple
     in
     let auth = Sendlog.Auth.make_auth_slice t.cfg.auth sender.n_principal bytes in
-    if fresh then begin
-      Hashtbl.add variants cache_variant ();
-      (match t.cfg.auth with
-      | Sendlog.Auth.Auth_rsa | Sendlog.Auth.Auth_hmac -> Net.Stats.record_signature t.stats
-      | Sendlog.Auth.Auth_none | Sendlog.Auth.Auth_cleartext -> ());
-      let latency = Net.Topology.delivery_latency t.topo ~src:sender.n_addr ~dst:emit.e_dest in
-      let receiver = Hashtbl.find_opt t.nodes emit.e_dest in
-      xc.xc_out <-
-        { o_kind = Net.Wire.K_data;
-          o_dest = emit.e_dest;
-          o_receiver = receiver;
-          o_latency = latency;
-          o_tuple = tuple;
-          o_auth = auth;
-          o_prov = prov_block }
-        :: xc.xc_out
-    end
+    (match t.cfg.auth with
+    | Sendlog.Auth.Auth_rsa | Sendlog.Auth.Auth_hmac -> Net.Stats.record_signature t.stats
+    | Sendlog.Auth.Auth_none | Sendlog.Auth.Auth_cleartext -> ());
+    let latency = Net.Topology.delivery_latency t.topo ~src:sender.n_addr ~dst:emit.e_dest in
+    let receiver = Hashtbl.find_opt t.nodes emit.e_dest in
+    xc.xc_out <-
+      { o_kind = Net.Wire.K_data;
+        o_dest = emit.e_dest;
+        o_receiver = receiver;
+        o_latency = latency;
+        o_tuple = tuple;
+        o_auth = auth;
+        o_prov = prov_block }
+      :: xc.xc_out
   end
 
 let self_principal_of (t : t) (n : node) : Value.t option =
@@ -906,9 +892,9 @@ let rec retract_pass (t : t) (xc : exec_ctx) (n : node) ~(lost : Tuple.t list)
              d.Eval.d_body))
     res.Eval.rr_invalidated;
   (* Dead tuples and pruned alternatives leave stale copies of their
-     old expressions in their dependents' derivations (proactive
-     capture only: reactive maintenance stores pointers). *)
-  if prov_enabled t && t.cfg.maintenance = Config.Proactive then
+     old expressions in their dependents' derivations (local
+     provenance only: distributed provenance stores pointers). *)
+  if t.cfg.prov = Config.Prov_local then
     refresh_dependents n
       (res.Eval.rr_deleted
       @ List.map (fun (d : Eval.derivation) -> d.Eval.d_head) res.Eval.rr_invalidated);
@@ -1420,7 +1406,7 @@ let group_inbox (sh : shard) : (node * work_item list) list =
 
 (* Evaluate one node's share of a timestamp batch: authenticate every
    queued message, then run a single combined semi-naive fixpoint over
-   the whole frontier.  May run on a pool worker; only per-node and
+   the whole frontier.  Shards run it concurrently; only per-node and
    mutex-guarded state is touched, and nothing is committed here. *)
 let node_compute (t : t) ((n, items) : node * work_item list) :
     node * exec_ctx * float * int * int * (int * int) option =
@@ -1511,11 +1497,10 @@ let flush_outboxes (t : t) : unit =
    their dataflow work in the shard inbox (ACKs, timers and fault
    verdicts still execute inline — they are cheap and order-
    sensitive).  The parked work is then evaluated as one combined
-   fixpoint per node — on [pool] when given, else on the calling
-   domain — and committed in canonical group order; cross-shard
-   products wait in the outbox. *)
-let drain_shard (t : t) (sh : shard) ~(pool : Par.Pool.t option) ~(limit : float)
-    ~(inclusive : bool) : int =
+   fixpoint per node, on the domain draining the shard, and committed
+   in canonical group order; cross-shard products wait in the
+   outbox. *)
+let drain_shard (t : t) (sh : shard) ~(limit : float) ~(inclusive : bool) : int =
   let in_window ts = if inclusive then ts <= limit else ts < limit in
   let count = ref 0 in
   let continue = ref true in
@@ -1536,16 +1521,11 @@ let drain_shard (t : t) (sh : shard) ~(pool : Par.Pool.t option) ~(limit : float
             Obs.Metrics.inc ~by:len t.c_batch_items;
             Obs.Metrics.set_max t.g_group_max (float_of_int len))
           groups;
-        let results =
-          match pool with
-          | Some pool -> Par.Pool.parallel_map pool (node_compute t) groups
-          | None -> Array.map (node_compute t) groups
-        in
         Array.iter
           (fun (n, xc, compute, nmsgs, bytes, tparent) ->
             commit_handler t n ~incoming_msgs:nmsgs ~incoming_bytes:bytes ~compute
               ?trace_parent:tparent xc)
-          results
+          (Array.map (node_compute t) groups)
       end
   done;
   !count
@@ -1555,10 +1535,9 @@ let drain_shard (t : t) (sh : shard) ~(pool : Par.Pool.t option) ~(limit : float
    every shard through it (each drain pinned to its shard via
    [cur_shard_key]), then exchange the buffered cross-shard events at
    the barrier.  A single shard has infinite lookahead, so the whole
-   horizon is one window drained on the calling domain, its node
-   groups evaluated on the pool when there is one.  Several shards are
-   drained on the pool, each evaluating its groups sequentially
-   ([Par.Pool] is not reentrant).  Safety: every cross-shard
+   horizon is one window drained on the calling domain.  Several
+   shards are drained on the pool, each evaluating its node groups
+   sequentially on the domain that drains it.  Safety: every cross-shard
    interaction is delayed by at least the lookahead (delivery latency,
    ACK latency, retransmit latency are all >= the minimum cross-shard
    link latency), so nothing produced inside a window can land inside
@@ -1568,11 +1547,11 @@ let drain_shard (t : t) (sh : shard) ~(pool : Par.Pool.t option) ~(limit : float
    durations are positive), so rounds always advance. *)
 let drive (t : t) ~(until : float) : int =
   let k = Array.length t.shards in
-  let drain ~pool ~limit ~inclusive i =
+  let drain ~limit ~inclusive i =
     Domain.DLS.set cur_shard_key i;
     Fun.protect
       ~finally:(fun () -> Domain.DLS.set cur_shard_key (-1))
-      (fun () -> drain_shard t t.shards.(i) ~pool ~limit ~inclusive)
+      (fun () -> drain_shard t t.shards.(i) ~limit ~inclusive)
   in
   let count = ref 0 in
   let continue = ref true in
@@ -1597,12 +1576,11 @@ let drive (t : t) ~(until : float) : int =
         else (ts, true)
       in
       let drained =
-        if k = 1 then drain ~pool:t.pool ~limit ~inclusive 0
-        else
+        match t.pool with
+        | None -> drain ~limit ~inclusive 0
+        | Some pool ->
           Array.fold_left ( + ) 0
-            (Par.Pool.parallel_map (Option.get t.pool)
-               (drain ~pool:None ~limit ~inclusive)
-               (Array.init k Fun.id))
+            (Par.Pool.parallel_map pool (drain ~limit ~inclusive) (Array.init k Fun.id))
       in
       count := !count + drained
   done;
@@ -1658,9 +1636,9 @@ let sync_prov_log (t : t) : unit =
       (nodes t);
     Store.Prov_log.flush log
 
-(* Join the worker domains (OCaml caps live domains, so long-lived
-   processes that create many runtimes must release them), and release
-   the offline log's file handles. *)
+(* Join the sharded engine's worker domains (OCaml caps live domains,
+   so long-lived processes that create many runtimes must release
+   them), and release the offline log's file handles. *)
 let shutdown (t : t) : unit =
   (match t.prov_log with Some log -> Store.Prov_log.close log | None -> ());
   match t.pool with Some pool -> Par.Pool.shutdown pool | None -> ()

@@ -132,15 +132,15 @@ val run : ?until:float -> t -> run_result
     virtual-time horizon.  The one event loop pops all events sharing
     the next timestamp, groups deferred dataflow work (deliveries,
     fact installs and retractions) per destination node, evaluates
-    each node's combined fixpoint — on the [Config.jobs] worker
-    domains when [jobs > 1], else on the calling domain — and commits
-    observable effects (sequence numbers, stats, dispatch) in
-    canonical first-arrival order.  With [Config.shards <> 1] each
-    shard is drained this way through conservative lookahead
-    windows. *)
+    each node's combined fixpoint on the domain draining its shard,
+    and commits observable effects (sequence numbers, stats, dispatch)
+    in canonical first-arrival order.  With one shard the calling
+    domain drains the whole horizon; with [Config.shards <> 1] the
+    shards drain concurrently on worker domains, through conservative
+    lookahead windows. *)
 
 val shutdown : t -> unit
-(** Join the worker domains of the [jobs > 1] pool (no-op otherwise)
+(** Join a sharded runtime's worker domains (no-op with one shard)
     and close the offline provenance log's file handles.  OCaml caps
     live domains, so call this when discarding a runtime in a
     long-lived process (the bench harness and tests do). *)

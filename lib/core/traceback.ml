@@ -156,25 +156,28 @@ let query (t : Runtime.t) ~(at : string) (tuple : Tuple.t) : result =
   in
   walk ~lookup ~at tuple
 
-(* The offline record source: the persisted provenance log.  Record
-   selection replaces node lookup — the latest record for (node,
-   ident), optionally bounded to the log prefix stamped at or before
-   [before] ("the log as of time T") — and a missing record plays the
-   role of a crashed node.  The AS cut compares the *stored* domain
-   keys against the root record's instead of consulting a topology. *)
-let offline_query (log : Store.Prov_log.t)
-    ?(granularity = Config.Node_level) ?(before : float option)
-    ~(at : string) ~(ident : string) () : result =
-  (* Per-query cache of index lookups: the walk revisits identities. *)
+(* Memoized [Store.Prov_log.lookup]: a walk revisits identities, and
+   the findings of one query share subtrees. *)
+let memo_lookup (log : Store.Prov_log.t) : string -> Store.Prov_log.record list =
   let cache : (string, Store.Prov_log.record list) Hashtbl.t = Hashtbl.create 64 in
-  let records_of ident =
+  fun ident ->
     match Hashtbl.find_opt cache ident with
     | Some rs -> rs
     | None ->
       let rs = Store.Prov_log.lookup log ~ident in
       Hashtbl.add cache ident rs;
       rs
-  in
+
+(* The offline record source: the persisted provenance log, read
+   through [records_of].  Record selection replaces node lookup — the
+   latest record for (node, ident), optionally bounded to the log
+   prefix stamped at or before [before] ("the log as of time T") — and
+   a missing record plays the role of a crashed node.  The AS cut
+   compares the *stored* domain keys against the root record's instead
+   of consulting a topology. *)
+let offline_walk ~(records_of : string -> Store.Prov_log.record list)
+    ~(granularity : Config.granularity) ~(before : float option) ~(at : string)
+    ~(ident : string) : result =
   (* [lookup] returns oldest first, so the last survivor wins. *)
   let record_for addr ident : Store.Prov_log.record option =
     List.fold_left
@@ -203,15 +206,30 @@ let offline_query (log : Store.Prov_log.t)
     in
     walk ~lookup ~at root.r_tuple
 
-(* Nodes holding a record for [ident], newest occurrence last —
-   offline queries that don't name a node root at each of these. *)
-let offline_nodes (log : Store.Prov_log.t) ~(ident : string) : string list =
+let offline_query (log : Store.Prov_log.t) ?(granularity = Config.Node_level)
+    ?(before : float option) ~(at : string) ~(ident : string) () : result =
+  offline_walk ~records_of:(memo_lookup log) ~granularity ~before ~at ~ident
+
+(* Nodes holding one of [records], oldest occurrence first. *)
+let nodes_of (records : Store.Prov_log.record list) : string list =
   List.fold_left
     (fun acc (r : Store.Prov_log.record) ->
-      if List.exists (String.equal r.Store.Prov_log.r_node) acc then acc
-      else acc @ [ r.Store.Prov_log.r_node ])
-    []
-    (Store.Prov_log.lookup log ~ident)
+      if List.mem r.r_node acc then acc else acc @ [ r.r_node ])
+    [] records
+
+let offline_nodes (log : Store.Prov_log.t) ~(ident : string) : string list =
+  nodes_of (Store.Prov_log.lookup log ~ident)
+
+(* Every (node, identity) root of [idents], walked over one memo. *)
+let offline_findings (log : Store.Prov_log.t) ~(granularity : Config.granularity)
+    ~(before : float option) (idents : string list) : (string * string * result) list =
+  let records_of = memo_lookup log in
+  List.concat_map
+    (fun ident ->
+      List.map
+        (fun at -> (at, ident, offline_walk ~records_of ~granularity ~before ~at ~ident))
+        (nodes_of (records_of ident)))
+    idents
 
 (* Latency-annotated view of a traceback result: the derivation tree's
    [a_created] stamps are virtual-clock times (Prov_store records them

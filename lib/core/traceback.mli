@@ -54,6 +54,16 @@ val offline_nodes : Store.Prov_log.t -> ident:string -> string list
 (** Nodes holding a log record for the identity, oldest occurrence
     first — roots for offline queries that don't name a node. *)
 
+val offline_findings :
+  Store.Prov_log.t ->
+  granularity:Config.granularity ->
+  before:float option ->
+  string list ->
+  (string * string * result) list
+(** {!offline_query} at every node of {!offline_nodes}, for each
+    identity in turn, over one memo of log lookups: each identity is
+    read and decoded once however many findings reach it. *)
+
 (** {1 Latency profile} *)
 
 val latency_tree : result -> string

@@ -32,8 +32,8 @@ let public_exponent = Nat.of_int 65537
    (every verified message), so the per-modulus precomputation (n',
    R^2) is shared across calls.  Keys are [Nat.t] values (int arrays,
    hashed structurally); the table is bounded defensively, and
-   mutex-guarded because sign/verify run concurrently on the parallel
-   batch engine's worker domains. *)
+   mutex-guarded because sign/verify run concurrently on the sharded
+   engine's worker domains. *)
 let mont_mu = Mutex.create ()
 let mont_cache : (Nat.t, Nat.Mont.ctx) Hashtbl.t = Hashtbl.create 16
 

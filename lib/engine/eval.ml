@@ -456,7 +456,7 @@ let run_fixpoint (db : Db.t) ~(now : float) ~(rules : rule list)
      probes/hits to the rule that issued them.  The deltas accumulate
      locally and flush to labeled series at fixpoint exit, so the
      per-pass overhead is two [gettimeofday]s and four int reads.
-     Under the parallel batch engine several fixpoints interleave on
+     Under the sharded engine several fixpoints interleave on
      the same global counters, so probe/hit attribution is approximate
      there; wall time stays accurate per rule. *)
   let c_probes = Obs.Metrics.counter reg "db.index_probes" in

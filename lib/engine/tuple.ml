@@ -80,7 +80,7 @@ module Table = Hashtbl.Make (Hashed)
    string rendered once and cached alongside.  Replaces the former hot
    path where every dedup/index/Bloom key re-ran [to_string].  Global,
    append-only and mutex-guarded for the same reasons as [Value.id];
-   the parallel batch engine's worker domains intern newly derived
+   the sharded engine's worker domains intern newly derived
    tuples under this lock while the table's existing entries stay
    immutable ("frozen") for lock-free reads of cached records already
    in hand. *)

@@ -52,7 +52,7 @@ module Table : Hashtbl.S with type key = t
     rendered once and cached), so dedup tables, index keys and
     Bloom-filter keys compare machine ints instead of re-stringifying
     the tuple.  The interner is global, append-only, and mutex-guarded:
-    worker domains of the parallel batch engine may intern newly
+    worker domains of the sharded engine may intern newly
     derived tuples concurrently. *)
 
 val id : t -> int

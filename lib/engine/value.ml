@@ -94,7 +94,7 @@ let rec hash = function
    ints instead of walking structural values.  The table is global and
    append-only — ids escape into long-lived index tables, so entries
    are never dropped — and mutex-guarded so interning stays safe from
-   the worker domains of the parallel batch engine.  Because the table
+   the worker domains of the sharded engine.  Because the table
    hashes with [hash]/[equal], cross-representation numeric equals
    (V_int 2 / V_float 2.) intern to the same id: whichever
    representation arrives first wins the slot. *)

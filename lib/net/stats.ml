@@ -46,7 +46,7 @@ type t = {
   c_acks : Obs.Metrics.counter;
   c_retry_exhausted : Obs.Metrics.counter;
   mu : Mutex.t;
-      (* record_* calls race between the parallel batch engine's
+      (* record_* calls race between the sharded engine's
          worker domains (signing/verification accounting happens
          inside node handlers); readers run between batches *)
 }

@@ -28,7 +28,7 @@ type log = {
   mutable seq : int;
   mutable dropped : int;
   mu : Mutex.t;
-      (* emits can race between the parallel batch engine's worker
+      (* emits can race between the sharded engine's worker
          domains; reads happen only from the orchestrator between
          batches, so guarding [emit] alone keeps the ring coherent *)
 }

@@ -44,7 +44,7 @@ type metric =
 type registry = { tbl : (string, metric) Hashtbl.t }
 
 (* One process-wide lock covers every registry: lookup/creation, all
-   mutations, and snapshot iteration.  The parallel batch engine's
+   mutations, and snapshot iteration.  The sharded engine's
    worker domains record into the shared default registry, and OCaml 5
    Hashtbls are not safe under concurrent mutation.  A single global
    mutex (rather than per-registry) keeps handle mutation safe even

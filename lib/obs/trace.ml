@@ -10,7 +10,7 @@
    Spans nest by call structure: [with_span] pushes onto a stack, so
    spans opened inside a span's body become its children.  Stacks are
    kept *per domain* and every mutation runs under the tracer's mutex,
-   so the parallel batch engine's worker domains can open spans on a
+   so the sharded engine's worker domains can open spans on a
    shared tracer without corrupting it; a span opened on one domain
    never becomes the implicit parent of a span recorded on another.
    [record] additionally accepts an explicit parent id, which is how

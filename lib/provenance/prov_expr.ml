@@ -93,8 +93,7 @@ let to_annotation (e : t) : string = "<" ^ to_string e ^ ">"
    {!to_string} (e.g. <a*b> vs <b*a> when derivations are discovered
    in a different order).  Flatten each operator's operand list and
    sort the rendered operands, recursively, for an order-insensitive
-   form; the parallel batch engine's equivalence tests compare
-   these. *)
+   form; the shard byte-identity tests compare these. *)
 let canonical_string (e : t) : string =
   let rec plus_terms = function
     | Plus (a, b) -> plus_terms a @ plus_terms b

@@ -25,15 +25,16 @@ let mode_to_string = function
 
 (* Sender-side signature cache counters.  [Net.Wire.signed_bytes]
    deliberately excludes the sequence number and the provenance block,
-   so identical payloads can share signature work.  The runtime's
-   per-node sent cache keys on (dest, tuple, provenance block) and only
-   signs on a miss, and retransmissions reuse the already-signed
-   message — so on workloads where no tuple is ever re-derived toward
-   the same destination every signed payload is unique and hits read 0.
-   The cache earns hits when the same tuple is re-shipped to the same
-   destination under a *different* provenance block: the sent cache
-   misses but the signed bytes recur (covered by the live-path fixture
-   in test_sendlog.ml). *)
+   so identical payloads can share signature work.  The runtime signs
+   only what it sends: its per-node sent cache keys on (dest, tuple,
+   provenance block), a deduplicated re-emission is dropped before
+   signing, and retransmissions reuse the already-signed message — so
+   every lookup here is a message that goes out, and on workloads
+   where no tuple is re-shipped toward the same destination hits read
+   0.  The cache earns hits when the same tuple is re-shipped to the
+   same destination under a *different* provenance block: the sent
+   cache misses but the signed bytes recur (covered by the live-path
+   fixture in test_sendlog.ml). *)
 let c_cache_hits = Obs.Metrics.counter Obs.Metrics.default "crypto.sign_cache_hits"
 
 let c_cache_misses = Obs.Metrics.counter Obs.Metrics.default "crypto.sign_cache_misses"
@@ -41,7 +42,7 @@ let c_cache_misses = Obs.Metrics.counter Obs.Metrics.default "crypto.sign_cache_
 let sign_cache_max = 8192 (* per-principal bound; reset on overflow *)
 
 (* One lock for every principal's sig_cache: nodes sign concurrently
-   on the parallel batch engine's worker domains, and distinct
+   on the sharded engine's worker domains, and distinct
    principals never contend for long (the critical sections exclude
    the RSA exponentiation itself). *)
 let sign_cache_mu = Mutex.create ()

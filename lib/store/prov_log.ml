@@ -67,6 +67,13 @@ type deriv = {
   d_body : body_item list;
 }
 
+let node_repr (head : Engine.Tuple.t) (d : deriv) : string =
+  Printf.sprintf "%s<-%s[%s]"
+    (Engine.Tuple.interned_identity head)
+    d.d_rule
+    (String.concat ";"
+       (List.map (fun b -> Engine.Tuple.interned_identity b.b_tuple) d.d_body))
+
 type record = {
   r_node : string;
   r_domain : string;

@@ -41,6 +41,11 @@ type deriv = {
   d_body : body_item list;
 }
 
+val node_repr : Engine.Tuple.t -> deriv -> string
+(** What a derivation's [d_signature] signs (Section 4.3):
+    ["head<-rule[body;...]"] over the interned identities of the head
+    and of the derivation's bodies. *)
+
 type record = {
   r_node : string;  (** node address that held the tuple *)
   r_domain : string;  (** AS-domain base key of that node, e.g. ["as3"] *)

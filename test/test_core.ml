@@ -1,8 +1,8 @@
 (* Integration tests for the distributed runtime and the use-case
    layers: correctness of the distributed fixpoint against reference
    algorithms, authentication end to end, the provenance taxonomy
-   behaviours (local/distributed, online/offline, proactive/reactive,
-   sampled, AS granularity), traceback, diagnostics, forensics,
+   behaviours (local/distributed, online/offline, sampled, AS
+   granularity), traceback, diagnostics, forensics,
    accountability, trust management, and the benchmark metrics. *)
 
 open Engine
@@ -169,19 +169,24 @@ let test_forged_messages_dropped () =
   Alcotest.(check bool) "failures recorded" true (st.verification_failures > 0)
 
 let test_forged_messages_dropped_batched () =
-  (* the same adversary with worker domains (jobs > 1): node groups are
-     evaluated on the pool, each verifying its own messages as it
+  (* the same adversary on the sharded engine: n0 sits in one AS and
+     n1, n2 in another, so the two shards drain concurrently (n2's on a
+     pool domain), each node group verifying its own messages as it
      accepts them, and every forged message is still dropped and
      counted *)
-  let topo = Net.Topology.line ~n:3 () in
+  let line = Net.Topology.line ~n:3 () in
+  let as_of = Hashtbl.create 3 in
+  List.iter (fun (n, a) -> Hashtbl.replace as_of n a) [ ("n0", 0); ("n1", 1); ("n2", 1) ];
+  let topo = Net.Topology.validated ~nodes:line.nodes ~links:line.links ~as_of in
   let directory =
     Sendlog.Principal.directory_for (Crypto.Rng.create ~seed:31) ~rsa_bits topo.nodes
   in
-  let cfg = Core.Config.with_jobs { Core.Config.sendlog with rsa_bits } 4 in
+  let cfg = Core.Config.with_shards { Core.Config.sendlog with rsa_bits } 0 in
   let t =
     Core.Runtime.create ~directory ~rng:(Crypto.Rng.create ~seed:32) ~cfg ~topo
       ~program:(Ndlog.Programs.best_path ()) ()
   in
+  Alcotest.(check int) "two shards" 2 (Core.Runtime.shard_count t);
   let rogue = Sendlog.Principal.create (Crypto.Rng.create ~seed:33) ~name:"n1" ~rsa_bits () in
   Core.Runtime.replace_principal t ~at:"n1" rogue;
   run_links t;
@@ -269,15 +274,85 @@ let test_traceback_matches_local_provenance () =
     [ [ "a" ]; [ "b" ]; [ "a"; "b" ]; [] ];
   Alcotest.(check bool) "traceback crossed nodes" true (r.cost.remote_queries > 0)
 
+(* Section 4.3: under [sign_provenance] every local derivation carries
+   its deriving node's signature over [Store.Prov_log.node_repr] of
+   the head and the derivation record traceback reads. *)
+let test_signed_provenance_verifies () =
+  let t = paper_topology_runtime { Core.Config.sendlog_prov with sign_provenance = true } in
+  let directory = Core.Runtime.directory t in
+  let auth = (Core.Runtime.config t).Core.Config.auth in
+  let verifies ~principal ~node_repr ~signature =
+    Sendlog.Auth.verify_provenance_node auth directory ~principal ~node_repr ~signature
+  in
+  let reprs = ref [] in
+  List.iter
+    (fun (n : Core.Runtime.node) ->
+      List.iter
+        (fun (r : Store.Prov_log.record) ->
+          List.iter
+            (fun (d : Store.Prov_log.deriv) ->
+              let node_repr = Store.Prov_log.node_repr r.r_tuple d in
+              let what = node_repr ^ " at " ^ n.n_addr in
+              reprs := node_repr :: !reprs;
+              Alcotest.(check (option string)) (what ^ ": signer") (Some n.n_addr) d.d_signer;
+              match d.d_signature with
+              | None -> Alcotest.failf "%s: unsigned" what
+              | Some signature ->
+                Alcotest.(check bool) (what ^ ": verifies") true
+                  (verifies ~principal:n.n_addr ~node_repr ~signature);
+                let changed =
+                  Store.Prov_log.node_repr r.r_tuple { d with d_rule = d.d_rule ^ "'" }
+                in
+                Alcotest.(check bool) (what ^ ": changed repr rejected") false
+                  (verifies ~principal:n.n_addr ~node_repr:changed ~signature))
+            r.r_derivs)
+        (Core.Prov_store.live_records n.n_prov ~now:0.0))
+    (Core.Runtime.nodes t);
+  (* every derivation of the run, in the signed format
+     head<-rule[body;...] *)
+  Alcotest.(check (list string)) "signed derivations"
+    [ "r2_mid0(b, a)<-r2_l0[link(a, b)]";
+      "r2_mid0(c, a)<-r2_l0[link(a, c)]";
+      "r2_mid0(c, b)<-r2_l0[link(b, c)]";
+      "reachable(a, b)<-r1[link(a, b)]";
+      "reachable(a, c)<-r1[link(a, c)]";
+      "reachable(a, c)<-r2_l1[r2_mid0(b, a);reachable(b, c)]";
+      "reachable(b, c)<-r1[link(b, c)]" ]
+    (List.sort compare !reprs)
+
 let test_distributed_mode_stores_pointers_only () =
   let t = paper_topology_runtime { Core.Config.sendlog_prov with prov = Core.Config.Prov_distributed } in
   let st = Core.Runtime.stats t in
   (* no provenance on the wire in distributed mode *)
   Alcotest.(check int) "prov bytes = flag bytes only" st.messages st.bytes_provenance;
-  (* but traceback still reconstructs the derivation *)
+  (* no expression is stored for the derived tuple: its provenance is
+     a+a*b, and an expression built from what a holds would read just a *)
+  Alcotest.(check string) "no stored expression" "0"
+    (Provenance.Prov_expr.canonical_string
+       (Core.Runtime.provenance_of t ~at:"a" reachable_ac));
+  (* traceback reconstructs the derivation on demand *)
   let r = Core.Traceback.query t ~at:"a" reachable_ac in
   Alcotest.(check (list string)) "origins" [ "a"; "b" ]
     (List.sort compare (Provenance.Prov_expr.bases r.expr))
+
+(* The reactive mode ships nothing beyond each message's flag byte
+   across a multi-hop Best-Path network, and every best path can still
+   be traced back to the links it came from. *)
+let test_reactive_ships_nothing () =
+  let cfg = { Core.Config.sendlog_prov with prov = Core.Config.Prov_distributed } in
+  let t, _ = mk_runtime ~cfg ~n:8 () in
+  run_links t;
+  let st = Core.Runtime.stats t in
+  Alcotest.(check bool) "messages crossed" true (st.messages > 0);
+  Alcotest.(check int) "no provenance shipped" st.messages st.bytes_provenance;
+  let best = Core.Runtime.query t ~at:"n0" "bestPath" in
+  Alcotest.(check bool) "best paths derived" true (best <> []);
+  List.iter
+    (fun tu ->
+      let r = Core.Traceback.query t ~at:"n0" tu in
+      Alcotest.(check bool) (Tuple.to_string tu ^ " reconstructable") true
+        (Provenance.Prov_expr.bases r.expr <> []))
+    best
 
 (* Retirement writes through to the runtime's provenance log, the
    only offline store; [sync_prov_log] is never called, so every
@@ -314,17 +389,6 @@ let test_offline_store_after_expiry () =
       (* offline provenance survives *)
       check_retired_to_log t ~rel:"reachable";
       Core.Runtime.shutdown t)
-
-let test_reactive_ships_nothing () =
-  let t =
-    paper_topology_runtime { Core.Config.sendlog_prov with maintenance = Core.Config.Reactive }
-  in
-  let st = Core.Runtime.stats t in
-  Alcotest.(check int) "no provenance shipped" st.messages st.bytes_provenance;
-  (* pointers still recorded: traceback works on demand *)
-  let r = Core.Traceback.query t ~at:"a" reachable_ac in
-  Alcotest.(check bool) "reconstructable" true
-    (Provenance.Prov_expr.bases r.expr <> [])
 
 let test_sampling_reduces_storage () =
   let storage_at k =
@@ -780,18 +844,19 @@ let test_cross_node_trace_links () =
   | _ -> Alcotest.fail "chrome export has no traceEvents")
 
 let test_traced_parallel_engine () =
-  (* The tracer is shared by the batch engine's worker domains; a
-     jobs=4 traced run must complete, record spans, and agree with the
-     sequential fixpoint. *)
-  let t0, _ = mk_runtime ~n:6 () in
+  (* The tracer is shared by the sharded engine's worker domains; a
+     traced run with one shard per AS (N = 20 spans two) must complete,
+     record spans, and agree with the one-shard fixpoint. *)
+  let t0, _ = mk_runtime ~n:20 () in
   run_links t0;
   let baseline = cost_fixpoint t0 in
-  let t, _ = mk_runtime ~cfg:(Core.Config.with_jobs Core.Config.ndlog 4) ~n:6 () in
+  let t, _ = mk_runtime ~cfg:(Core.Config.with_shards Core.Config.ndlog 0) ~n:20 () in
   let tr = Core.Runtime.enable_tracing t in
   run_links t;
+  Alcotest.(check int) "two shards" 2 (Core.Runtime.shard_count t);
   Alcotest.(check (list string)) "parallel traced fixpoint matches" baseline
     (cost_fixpoint t);
-  Alcotest.(check bool) "spans recorded under jobs=4" true
+  Alcotest.(check bool) "spans recorded on two shards" true
     (Obs.Trace.finished_spans tr <> []);
   Core.Runtime.shutdown t
 
@@ -993,8 +1058,8 @@ let suite : unit Alcotest.test_case list =
     Alcotest.test_case "paper example provenance" `Quick test_paper_example_provenance;
     Alcotest.test_case "traceback = local provenance" `Quick test_traceback_matches_local_provenance;
     Alcotest.test_case "distributed mode: pointers only" `Quick test_distributed_mode_stores_pointers_only;
-    Alcotest.test_case "offline store after expiry" `Quick test_offline_store_after_expiry;
     Alcotest.test_case "reactive ships nothing" `Quick test_reactive_ships_nothing;
+    Alcotest.test_case "offline store after expiry" `Quick test_offline_store_after_expiry;
     Alcotest.test_case "sampling reduces storage" `Quick test_sampling_reduces_storage;
     Alcotest.test_case "AS granularity" `Quick test_as_granularity;
     Alcotest.test_case "diagnostics alarm" `Quick test_diagnostics_alarm_threshold;
@@ -1029,7 +1094,8 @@ let suite : unit Alcotest.test_case list =
       test_forged_drops_kept_in_event_log;
     Alcotest.test_case "retry-exhausted event" `Quick test_retry_exhausted_event;
     Alcotest.test_case "critical path semantics" `Quick test_critical_path_semantics;
-    Alcotest.test_case "traceback latency view" `Quick test_traceback_latency_view ]
+    Alcotest.test_case "traceback latency view" `Quick test_traceback_latency_view;
+    Alcotest.test_case "signed provenance verifies" `Quick test_signed_provenance_verifies ]
 
 (* --- Chord (paper's future work) -------------------------------------------- *)
 
@@ -1269,6 +1335,59 @@ let test_offline_trees_complete_after_retraction () =
         (!trees > List.length (Core.Runtime.query_all t "bestPath"));
       Core.Runtime.shutdown t)
 
+(* The disk backend walks every finding of one query over a shared
+   memo of log lookups; it must answer exactly what one
+   [offline_query] per finding answers: the same roots in the same
+   order, the same trees and the same [partial] flags, with and
+   without a time bound. *)
+let test_disk_query_matches_offline_query () =
+  Test_store.with_temp_dir (fun dir ->
+      let cfg = Core.Config.with_prov_log Core.Config.sendlog_prov (Some dir) in
+      let t, topo = mk_runtime ~cfg ~n:12 () in
+      run_links t;
+      let l = List.hd topo.Net.Topology.links in
+      Core.Runtime.link_down t ~src:l.Net.Topology.l_src ~dst:l.Net.Topology.l_dst;
+      ignore (Core.Runtime.run t);
+      let mid = Core.Runtime.now t in
+      Core.Runtime.link_up t ~src:l.Net.Topology.l_src ~dst:l.Net.Topology.l_dst;
+      ignore (Core.Runtime.run t);
+      Core.Runtime.sync_prov_log t;
+      let log = Option.get (Core.Runtime.prov_log t) in
+      let render at ident (r : Core.Traceback.result) =
+        Printf.sprintf "%s|%s|partial=%b|%s" at ident r.Core.Traceback.partial
+          (Obs.Json.to_string (Core.Provenance_query.tree_to_json r.Core.Traceback.tree))
+      in
+      List.iter
+        (fun before ->
+          let expected =
+            List.concat_map
+              (fun ident ->
+                List.map
+                  (fun at -> render at ident (Core.Traceback.offline_query log ?before ~at ~ident ()))
+                  (Core.Traceback.offline_nodes log ~ident))
+              (Store.Prov_log.idents_of_relation log "bestPath")
+          in
+          let q =
+            { Core.Provenance_query.q_target = Core.Provenance_query.Relation "bestPath";
+              q_before = before;
+              q_granularity = None;
+              q_backend = Core.Provenance_query.Disk log }
+          in
+          match Core.Provenance_query.run q with
+          | Core.Provenance_query.Trees fs ->
+            Alcotest.(check bool) "findings" true (fs <> []);
+            Alcotest.(check (list string))
+              (Printf.sprintf "before %s"
+                 (Option.fold ~none:"none" ~some:string_of_float before))
+              expected
+              (List.map
+                 (fun (f : Core.Provenance_query.finding) ->
+                   render f.f_node f.f_ident f.f_result)
+                 fs)
+          | Core.Provenance_query.Suspects _ -> Alcotest.fail "disk backend answered suspects")
+        [ None; Some mid ];
+      Core.Runtime.shutdown t)
+
 (* One way in: provenance is captured for tuples that go live at their
    node or ship from it, never for a head its keyed relation rejects
    (a worse bestPathCost, a bestPath witness losing the tie-break). *)
@@ -1288,19 +1407,19 @@ let test_prov_store_holds_live_or_shipped () =
     (Core.Runtime.nodes t);
   Core.Runtime.shutdown t
 
-(* Link churn with and without the domain pool: a --jobs 1 and a
-   --jobs 4 run over the same flap schedule must agree tuple-for-tuple
-   and byte-for-byte on provenance, with both matching from-scratch. *)
+(* Link churn on one shard and on two: runs over the same flap schedule
+   must each match from-scratch tuple-for-tuple and byte-for-byte on
+   provenance.  N = 20 spans two ASes, so both shards hold nodes. *)
 let test_seq_vs_par_churn_identical () =
-  let run jobs =
+  let run shards =
     let cfg =
-      Core.Config.with_jobs
+      Core.Config.with_shards
         { Core.Config.sendlog_prov with Core.Config.rsa_bits }
-        jobs
+        shards
     in
-    Core.Bestpath_workload.run_churn ~cfg ~n:8 ~rate:0.4 ~horizon:3.0 ()
+    Core.Bestpath_workload.run_churn ~cfg ~n:20 ~rate:0.4 ~horizon:3.0 ()
   in
-  let seq = run 1 and par = run 4 in
+  let seq = run 1 and par = run 2 in
   Alcotest.(check bool) "seq matches scratch (fixpoint+prov)" true
     (seq.Core.Bestpath_workload.c_fixpoint_match
     && seq.Core.Bestpath_workload.c_prov_match);
@@ -1388,7 +1507,9 @@ let churn_suite =
     Alcotest.test_case "flap schedule deterministic" `Quick
       test_flap_schedule_deterministic;
     Alcotest.test_case "chord churn: no stale results" `Quick
-      test_chord_churn_no_stale_results ]
+      test_chord_churn_no_stale_results;
+    Alcotest.test_case "disk query = offline_query per finding" `Quick
+      test_disk_query_matches_offline_query ]
 
 let suite = suite @ churn_suite
 
@@ -1456,10 +1577,10 @@ let test_cycle_refresh_one_lap () =
   ignore (Core.Runtime.run t);
   Alcotest.(check (pair int int)) "after retracting e(0,1)" (28, 224) (tc_size ())
 
-(* Reactive maintenance records derivation pointers only: no derived
+(* Distributed provenance records derivation pointers only: no derived
    tuple carries an expression, only the base link facts do. *)
-let test_reactive_stores_pointers_only () =
-  let cfg = { Core.Config.sendlog_prov with maintenance = Core.Config.Reactive } in
+let test_distributed_stores_pointers_only () =
+  let cfg = { Core.Config.sendlog_prov with prov = Core.Config.Prov_distributed } in
   let t, _ = mk_runtime ~cfg ~n:8 () in
   run_links t;
   let has_expr (at, tu) =
@@ -1484,8 +1605,8 @@ let refresh_suite =
   [ Alcotest.test_case "diamond refresh is order-independent" `Quick
       test_diamond_refresh_order_independent;
     Alcotest.test_case "cyclic refresh: one lap" `Quick test_cycle_refresh_one_lap;
-    Alcotest.test_case "reactive stores pointers only" `Quick
-      test_reactive_stores_pointers_only ]
+    Alcotest.test_case "distributed stores pointers only" `Quick
+      test_distributed_stores_pointers_only ]
 
 (* Any flap schedule leaves every Best-Path relation, and its
    provenance, equal to a from-scratch run: copies shipped with an

@@ -1,10 +1,9 @@
 (* Tests for the domain pool (lib/par), the runtime's coalescing event
    loop and the hash-consed value/tuple interners: pool semantics,
-   interning laws, timestamp coalescing at jobs = 1, the seq-vs-par
-   equivalence property on the distributed Best-Path fixpoint
-   (identical fixpoints, provenance, and message counts across seeds,
-   including a lossy/reliable run), and one signature check per
-   accepted message on the pool. *)
+   interning laws, timestamp coalescing on one shard, a lossy reliable
+   run that gives the same fixpoint, provenance and message count on
+   one shard as on two, and one signature check per accepted message
+   on the sharded engine's pool. *)
 
 open Engine
 
@@ -125,17 +124,17 @@ let test_tuple_interning_laws () =
   ignore (Tuple.id (Tuple.make "internFreshRel2" [ Value.V_int before ]));
   Alcotest.(check bool) "interner grows" true (Tuple.interned_count () > before)
 
-(* --- seq vs par equivalence ------------------------------------------- *)
+(* --- one shard vs two --------------------------------------------------- *)
 
 (* Fingerprint of a finished Best-Path run: the sorted bestPathCost and
-   bestPath fixpoints, the provenance of every bestPathCost tuple, and
-   the total wire message count.  A pooled run must reproduce the
-   first three exactly, and the count within the policy below. *)
+   bestPath fixpoints, the provenance of every bestPathCost tuple, the
+   total wire message count, and the shard count it ran on. *)
 type fingerprint = {
   fp_cost : string list;
   fp_best : string list;
   fp_prov : string list;
   fp_msgs : int;
+  fp_shards : int;
 }
 
 let fingerprint t =
@@ -157,7 +156,8 @@ let fingerprint t =
   { fp_cost = sorted "bestPathCost";
     fp_best = sorted "bestPath";
     fp_prov = prov;
-    fp_msgs = st.Net.Stats.messages }
+    fp_msgs = st.Net.Stats.messages;
+    fp_shards = Core.Runtime.shard_count t }
 
 let run_once ~cfg ~topo ~directory ~seed =
   let t =
@@ -170,64 +170,45 @@ let run_once ~cfg ~topo ~directory ~seed =
   Core.Runtime.shutdown t;
   fp
 
-(* Message-count policy.  The distributed fixpoint and its provenance
-   are always identical between modes.  Both modes run the same
-   coalescing loop, so the same virtual schedule yields the same
-   messages; counts drift only through the virtual clock, which adds
-   each handler's measured CPU time and so can move a delivery into a
-   different batch, where coalescing suppresses (or, with shipped
-   provenance, regroups) a different set of transient best-path
-   improvements.  [`Exact] asserts equal counts where the schedule
-   leaves no room for that; [`Envelope] bounds the drift instead. *)
-let check_seq_par_equal ~name ?(msgs = `Exact) ~cfg ~seed ~n () =
-  let topo = Net.Topology.random (Crypto.Rng.create ~seed) ~n () in
+(* A lossy reliable SeNDLog run on one shard and on two reaches the
+   same fixpoint and provenance and sends exactly as many messages:
+   retransmission backoff staggers deliveries, so the measured clock
+   has no batch to regroup.  The six nodes are split across two ASes,
+   so each shard holds three. *)
+let test_seq_par_lossy_reliable () =
+  let seed = 705 in
+  let random = Net.Topology.random (Crypto.Rng.create ~seed) ~n:6 () in
+  let as_of = Hashtbl.create 6 in
+  List.iteri (fun i n -> Hashtbl.replace as_of n (i mod 2)) random.nodes;
+  let topo = Net.Topology.validated ~nodes:random.nodes ~links:random.links ~as_of in
   let directory =
     Sendlog.Principal.directory_for
       (Crypto.Rng.create ~seed:(seed + 1))
       ~rsa_bits topo.nodes
   in
-  let cfg = { cfg with Core.Config.rsa_bits } in
-  let seq = run_once ~cfg:(Core.Config.with_jobs cfg 1) ~topo ~directory ~seed:(seed + 2) in
-  let par = run_once ~cfg:(Core.Config.with_jobs cfg 4) ~topo ~directory ~seed:(seed + 2) in
-  Alcotest.(check (list string)) (name ^ ": bestPathCost fixpoint") seq.fp_cost par.fp_cost;
-  Alcotest.(check (list string)) (name ^ ": bestPath fixpoint") seq.fp_best par.fp_best;
-  Alcotest.(check (list string)) (name ^ ": provenance") seq.fp_prov par.fp_prov;
-  match msgs with
-  | `Exact -> Alcotest.(check int) (name ^ ": message count") seq.fp_msgs par.fp_msgs
-  | `Envelope ->
-    let bound = max 5 (seq.fp_msgs / 10) in
-    if abs (seq.fp_msgs - par.fp_msgs) > bound then
-      Alcotest.failf "%s: message counts diverged: seq=%d par=%d (bound %d)" name
-        seq.fp_msgs par.fp_msgs bound
-
-let test_seq_par_ndlog () =
-  List.iter
-    (fun seed ->
-      check_seq_par_equal ~name:(Printf.sprintf "ndlog seed %d" seed) ~msgs:`Envelope
-        ~cfg:Core.Config.ndlog ~seed ~n:7 ())
-    [ 501; 502; 503 ]
-
-let test_seq_par_sendlog_prov () =
-  check_seq_par_equal ~name:"sendlogprov seed 604" ~msgs:`Envelope
-    ~cfg:Core.Config.sendlog_prov ~seed:604 ~n:6 ()
-
-(* Retransmission backoff staggers deliveries, so the measured clock
-   has no batch to regroup and the message count must match
-   exactly. *)
-let test_seq_par_lossy_reliable () =
   let cfg =
     Core.Config.with_fault_seed
-      (Core.Config.with_reliable (Core.Config.with_loss Core.Config.sendlog 0.15) true)
+      (Core.Config.with_reliable
+         (Core.Config.with_loss { Core.Config.sendlog with Core.Config.rsa_bits } 0.15)
+         true)
       71
   in
-  check_seq_par_equal ~name:"lossy reliable seed 705" ~msgs:`Exact ~cfg ~seed:705 ~n:6 ()
+  let run shards =
+    run_once ~cfg:(Core.Config.with_shards cfg shards) ~topo ~directory ~seed:(seed + 2)
+  in
+  let seq = run 1 and par = run 2 in
+  Alcotest.(check int) "two shards" 2 par.fp_shards;
+  Alcotest.(check (list string)) "bestPathCost fixpoint" seq.fp_cost par.fp_cost;
+  Alcotest.(check (list string)) "bestPath fixpoint" seq.fp_best par.fp_best;
+  Alcotest.(check (list string)) "provenance" seq.fp_prov par.fp_prov;
+  Alcotest.(check int) "message count" seq.fp_msgs par.fp_msgs
 
-(* The one event loop coalesces at every [jobs]: a jobs = 1,
-   shards = 1 run still pops whole timestamps and evaluates a node's
-   same-timestamp work (here, its link-fact installs at t = 0) as one
-   group.  The registry is global, so the batch count is a delta and
-   the group-size high-water mark is cleared first. *)
-let test_jobs1_coalesces () =
+(* The one event loop coalesces on every shard count: a one-shard run
+   pops whole timestamps and evaluates a node's same-timestamp work
+   (here, its link-fact installs at t = 0) as one group.  The registry
+   is global, so the batch count is a delta and the group-size
+   high-water mark is cleared first. *)
+let test_one_shard_coalesces () =
   let reg = Obs.Metrics.default in
   let batches = Obs.Metrics.counter reg "par.batches" in
   let group_max = Obs.Metrics.gauge reg "par.group_items_max" in
@@ -235,11 +216,7 @@ let test_jobs1_coalesces () =
   Obs.Metrics.set group_max 0.0;
   let seed = 511 in
   let topo = Net.Topology.random (Crypto.Rng.create ~seed) ~n:7 () in
-  let cfg =
-    Core.Config.with_shards
-      (Core.Config.with_jobs { Core.Config.ndlog with Core.Config.rsa_bits } 1)
-      1
-  in
+  let cfg = Core.Config.with_shards { Core.Config.ndlog with Core.Config.rsa_bits } 1 in
   let directory =
     Sendlog.Principal.directory_for (Crypto.Rng.create ~seed:(seed + 1)) ~rsa_bits
       topo.nodes
@@ -251,7 +228,8 @@ let test_jobs1_coalesces () =
     (Obs.Metrics.gauge_value group_max > 1.0)
 
 (* Every signature is checked once, by the handler that accepts its
-   message.  On a lossy best-effort run with worker domains, the RSA
+   message.  On a lossy best-effort run with one shard per AS (N = 20
+   spans two, so one shard drains on a pool domain), the RSA
    verifications performed ([crypto.verify_seconds] observations) must
    equal the verdicts the runtime counted ([signatures_verified], which
    counts failed checks too), so a message the network drops is never
@@ -259,15 +237,16 @@ let test_jobs1_coalesces () =
 let test_verifies_what_it_accepts () =
   let seed = 2008 in
   let rng = Crypto.Rng.create ~seed in
-  let topo = Net.Topology.random rng ~n:8 () in
+  let topo = Net.Topology.random rng ~n:20 () in
   let cfg =
-    Core.Config.with_jobs
+    Core.Config.with_shards
       (Core.Config.with_fault_seed
          (Core.Config.with_loss { Core.Config.sendlog with Core.Config.rsa_bits } 0.2)
          7)
-      2
+      0
   in
   let t = Core.Runtime.create ~rng ~cfg ~topo ~program:(Ndlog.Programs.best_path ()) () in
+  Alcotest.(check int) "one shard per AS" 2 (Core.Runtime.shard_count t);
   Obs.Metrics.reset Obs.Metrics.default;
   Core.Runtime.install_links t;
   ignore (Core.Runtime.run t);
@@ -287,9 +266,7 @@ let suite : unit Alcotest.test_case list =
     Alcotest.test_case "pool rejects jobs < 1" `Quick test_pool_invalid;
     Alcotest.test_case "value interning laws" `Quick test_value_interning_laws;
     Alcotest.test_case "tuple interning laws" `Quick test_tuple_interning_laws;
-    Alcotest.test_case "seq = par: ndlog seeds" `Quick test_seq_par_ndlog;
-    Alcotest.test_case "seq = par: provenance shipping" `Quick test_seq_par_sendlog_prov;
     Alcotest.test_case "seq = par: lossy + reliable" `Quick test_seq_par_lossy_reliable;
-    Alcotest.test_case "jobs = 1 coalesces" `Quick test_jobs1_coalesces;
+    Alcotest.test_case "one shard coalesces" `Quick test_one_shard_coalesces;
     Alcotest.test_case "verifies exactly what it accepts" `Quick
       test_verifies_what_it_accepts ]
