@@ -474,7 +474,7 @@ let ablation_local_vs_distributed (o : options) =
   hr "Ablation A (Sections 4.1, 5): local vs distributed provenance";
   phase_reset ();
   Printf.printf
-    "local maintains expressions proactively and ships them with every tuple;\n\
+    "local evaluates expressions at each node and ships them with every tuple;\n\
      distributed stores per-hop pointers and computes expressions reactively, at\n\
      query time. N=20 Best-Path, then traceback of every bestPath at n0.\n\n";
   let topo = Net.Topology.random (Crypto.Rng.create ~seed:2008) ~n:20 () in
@@ -508,7 +508,7 @@ let ablation_local_vs_distributed (o : options) =
     [ ("local", Core.Config.Prov_local); ("distributed", Core.Config.Prov_distributed) ];
   Printf.printf
     "\nexpected: local pays on the wire and in expression bytes during execution, and\n\
-     its stored expression answers a query without messages; distributed ships\n\
+     its local expression answers a query without messages; distributed ships\n\
      nothing and keeps expressions for base facts only, so a query is the traceback\n\
      walk, which crosses nodes (the paper's trade-off). The walk reads derivation\n\
      records, so it costs the same in both modes.\n"

@@ -4,7 +4,7 @@
    Subcommands:
      parse   check and pretty-print an NDlog/SeNDlog program
      run     execute a program over a simulated topology
-             (--metrics / --trace / --events dump run telemetry;
+             (--metrics / --trace-out / --events dump run telemetry;
              --prov-log persists offline provenance for psn trace)
      trace   offline traceback over a persisted provenance log
      stats   pretty-print a metrics snapshot written by run --metrics
@@ -178,11 +178,6 @@ let run_cmd =
   in
   let trace_out =
     Arg.(value & opt (some string) None
-         & info [ "trace" ] ~docv:"FILE"
-             ~doc:"Write the run's span tree (JSON lines, virtual-clock durations) to FILE")
-  in
-  let chrome_out =
-    Arg.(value & opt (some string) None
          & info [ "trace-out" ] ~docv:"FILE"
              ~doc:"Write the run's causal trace as Chrome trace-event JSON \
                    (loadable in Perfetto / chrome://tracing) to FILE")
@@ -210,7 +205,7 @@ let run_cmd =
   let run file nodes seed cfg rsa_bits loss dup reorder jitter
       crashes fault_seed reliable retries ack_timeout max_backoff shards
       prov_granularity flap_rate churn advance with_links show metrics_out
-      trace_out chrome_out events_out prov_log prov_sample =
+      trace_out events_out prov_log prov_sample =
     let program = Ndlog.Parser.parse_program_exn (read_file file) in
     let rng = Crypto.Rng.create ~seed in
     let topo = Net.Topology.random rng ~n:nodes () in
@@ -267,9 +262,7 @@ let run_cmd =
     Obs.Metrics.reset Obs.Metrics.default;
     let t = Core.Runtime.create ~rng ~cfg ~topo ~program () in
     let tracer =
-      if trace_out <> None || chrome_out <> None then
-        Some (Core.Runtime.enable_tracing t)
-      else None
+      if trace_out <> None then Some (Core.Runtime.enable_tracing t) else None
     in
     if with_links then Core.Runtime.install_links t;
     Core.Runtime.install_program_facts t;
@@ -277,7 +270,7 @@ let run_cmd =
     (* Keep stdout clean for the snapshot when any telemetry target is
        "-", so `psn run --metrics - | psn stats -` pipes cleanly. *)
     let human =
-      if List.mem (Some "-") [ metrics_out; trace_out; chrome_out; events_out ] then
+      if List.mem (Some "-") [ metrics_out; trace_out; events_out ] then
         stderr
       else stdout
     in
@@ -321,9 +314,6 @@ let run_cmd =
     | Some path -> write_output path (Obs.Metrics.to_json_string Obs.Metrics.default ^ "\n")
     | None -> ());
     (match (trace_out, tracer) with
-    | Some path, Some tr -> write_output path (Obs.Trace.to_json_lines tr)
-    | _ -> ());
-    (match (chrome_out, tracer) with
     | Some path, Some tr -> write_output path (Obs.Export.chrome_trace tr)
     | _ -> ());
     (match events_out with
@@ -353,7 +343,7 @@ let run_cmd =
           $ ack_timeout $ max_backoff $ shards
           $ prov_granularity $ flap_rate
           $ churn $ advance $ with_links
-          $ show $ metrics_out $ trace_out $ chrome_out $ events_out
+          $ show $ metrics_out $ trace_out $ events_out
           $ prov_log $ prov_sample)
 
 (* --- psn trace --------------------------------------------------------- *)

@@ -41,24 +41,35 @@ let () =
   let live_before = List.length (Core.Runtime.query_all t "path") in
   Core.Runtime.advance t ~seconds:10.0;
   let live_after = List.length (Core.Runtime.query_all t "path") in
-  (* Closing the runtime closes its log; a fresh handle recovers the
-     retired records from disk, as a later forensic session would. *)
+  (* Checkpoint the live tuples (the link facts the routes rest on),
+     then close the runtime and its log; a fresh handle recovers the
+     records from disk, as a later forensic session would. *)
+  Core.Runtime.sync_prov_log t;
   Core.Runtime.shutdown t;
   let log = Store.Prov_log.open_log ~dir:log_dir () in
-  let offline =
+  let retired =
     List.concat_map
-      (fun ident -> Store.Prov_log.lookup log ~ident)
+      (fun ident ->
+        List.filter
+          (fun (r : Store.Prov_log.record) -> not r.r_live)
+          (Store.Prov_log.lookup log ~ident))
       (Store.Prov_log.idents_of_relation log "path")
   in
   Printf.printf
-    "path tuples: %d live before expiry, %d after; %d provenance records in the offline log\n"
-    live_before live_after (List.length offline);
-  (match offline with
+    "path tuples: %d live before expiry, %d after; %d retired to the offline log\n"
+    live_before live_after (List.length retired);
+  (* A record holds the tuple's derivations; the offline walk over
+     them, down to the checkpointed link facts, gives its provenance
+     expression. *)
+  (match retired with
   | r :: _ ->
+    let walk =
+      Core.Traceback.offline_query log ~at:r.r_node ~ident:(Engine.Tuple.identity r.r_tuple) ()
+    in
     Printf.printf "  e.g. at %s: %s expired at t=%.1f, provenance %s\n" r.r_node
       (Engine.Tuple.to_string r.r_tuple)
       r.r_at
-      (Provenance.Prov_expr.to_annotation r.r_expr)
+      (Provenance.Prov_expr.to_annotation walk.Core.Traceback.expr)
   | [] -> ());
   Store.Prov_log.close log;
 

@@ -14,7 +14,7 @@
 
 type prov_mode =
   | Prov_off
-  | Prov_local (* maintain each tuple's expression, ship it (Section 4.1) *)
+  | Prov_local (* evaluate each tuple's expression at its node, ship it (Section 4.1) *)
   | Prov_distributed (* store pointers; traceback computes expressions (Section 5) *)
 
 type granularity =

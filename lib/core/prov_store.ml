@@ -1,7 +1,8 @@
 (* Per-node provenance storage, covering the taxonomy of Section 4.
 
-   *Local/online*: each live tuple maps to its provenance expression
-   (the whole derivation is available at the node).
+   *Local/online*: each live tuple's provenance expression is
+   available at the node, evaluated from its derivation records when
+   asked.
    *Distributed/online*: each live tuple maps to derivation records -
    (rule, body tuples, where each body tuple lives) - i.e. only
    pointers to the previous hop, reconstructed on demand by
@@ -26,42 +27,41 @@
    semi-naive evaluation can report more than once) are deduplicated
    by a derivation key.
 
-   Storage is per-alternative: each Plus branch (base assertion,
-   local derivation, shipped provenance from a sender) keeps its own
-   expression, so incremental deletion can remove exactly the
-   alternatives a retraction invalidated and rebuild the combined
-   expression from the survivors — in the original arrival order, so
-   the rebuilt expression is byte-identical to what a run that never
-   saw the removed branch would have accumulated. *)
+   The records are the only stored form of provenance.  An
+   alternative keeps only what they cannot rebuild: a base its key, a
+   received copy the expression its sender shipped, a local
+   derivation its record.  [expr_of] evaluates the Plus of a tuple's
+   alternatives each time it is asked, so incremental deletion only
+   removes the alternatives a retraction invalidated, and no copy of
+   a body's expression can go stale in its dependents. *)
 
 open Engine
 
-(* One Plus alternative of a tuple's provenance. *)
+(* One Plus alternative of a tuple's provenance: what the records
+   cannot rebuild. *)
 type alt_kind =
-  | Alt_base (* locally asserted base fact *)
+  | Alt_base (* locally asserted base fact, keyed by [a_key] *)
   | Alt_deriv of Store.Prov_log.deriv (* local rule firing *)
-  | Alt_recv of string (* provenance shipped by this sender *)
+  | Alt_recv of string * Provenance.Prov_expr.t (* sender, expression it shipped *)
 
 type alt = {
   a_key : string; (* dedup key; also the removal handle *)
-  a_expr : Provenance.Prov_expr.t;
   a_kind : alt_kind;
 }
 
-type entry = {
-  mutable e_alts : alt list; (* newest first *)
-  mutable e_expr : Provenance.Prov_expr.t; (* cached fold of e_alts *)
-}
+type entry = { mutable e_alts : alt list (* newest first *) }
 
 type t = {
   node : string; (* address of the node holding the store *)
   domain : string; (* its AS-domain base key, the log's secondary index *)
+  local : bool; (* [Config.Prov_local]: derivations evaluate to expressions *)
   log : Store.Prov_log.t option; (* write-through target of every retirement *)
   entries : entry Tuple.Table.t;
 }
 
-let create ~(node : string) ~(domain : string) ~(log : Store.Prov_log.t option) : t =
-  { node; domain; log; entries = Tuple.Table.create 256 }
+let create ~(node : string) ~(domain : string) ~(prov : Config.prov_mode)
+    ~(log : Store.Prov_log.t option) : t =
+  { node; domain; local = prov = Config.Prov_local; log; entries = Tuple.Table.create 256 }
 
 let find (t : t) (tuple : Tuple.t) : entry option = Tuple.Table.find_opt t.entries tuple
 
@@ -69,12 +69,40 @@ let entry (t : t) (tuple : Tuple.t) : entry =
   match Tuple.Table.find_opt t.entries tuple with
   | Some e -> e
   | None ->
-    let e = { e_alts = []; e_expr = Provenance.Prov_expr.zero } in
+    let e = { e_alts = [] } in
     Tuple.Table.replace t.entries tuple e;
     e
 
-let expr_of (t : t) (tuple : Tuple.t) : Provenance.Prov_expr.t =
-  match find t tuple with Some e -> e.e_expr | None -> Provenance.Prov_expr.zero
+(* The Plus of the alternatives, oldest first: a base gives its key, a
+   received copy the expression its sender shipped, and a local
+   derivation the Times of its bodies' expressions at this node (zero
+   under distributed provenance, which keeps pointers only).  [path]
+   holds the entries being evaluated higher up in this call; a body
+   among them closes a cycle in the records and contributes zero. *)
+let rec eval_entry (t : t) (path : entry list) (e : entry) : Provenance.Prov_expr.t =
+  let path = e :: path in
+  List.fold_right
+    (fun a acc ->
+      let x =
+        match a.a_kind with
+        | Alt_base -> Provenance.Prov_expr.base a.a_key
+        | Alt_recv (_, shipped) -> shipped
+        | Alt_deriv d when t.local ->
+          List.fold_left
+            (fun acc (b : Store.Prov_log.body_item) ->
+              Provenance.Prov_expr.times acc (eval_tuple t path b.b_tuple))
+            Provenance.Prov_expr.one d.d_body
+        | Alt_deriv _ -> Provenance.Prov_expr.zero
+      in
+      Provenance.Prov_expr.plus acc x)
+    e.e_alts Provenance.Prov_expr.zero
+
+and eval_tuple (t : t) (path : entry list) (tuple : Tuple.t) : Provenance.Prov_expr.t =
+  match find t tuple with
+  | Some e when not (List.memq e path) -> eval_entry t path e
+  | Some _ | None -> Provenance.Prov_expr.zero
+
+let expr_of (t : t) (tuple : Tuple.t) : Provenance.Prov_expr.t = eval_tuple t [] tuple
 
 let alt_derivs (alts : alt list) : Store.Prov_log.deriv list =
   List.filter_map
@@ -90,32 +118,21 @@ let alt_senders (alts : alt list) : string list =
   List.fold_right
     (fun a acc ->
       match a.a_kind with
-      | Alt_recv f when not (List.exists (String.equal f) acc) -> f :: acc
+      | Alt_recv (f, _) when not (List.exists (String.equal f) acc) -> f :: acc
       | Alt_recv _ | Alt_base | Alt_deriv _ -> acc)
     alts []
 
 let received_from (t : t) (tuple : Tuple.t) : string list =
   match find t tuple with Some e -> alt_senders e.e_alts | None -> []
 
-(* Plus-combine the alternatives in arrival order, matching the
-   expression an append-only run accumulates. *)
-let rebuild (e : entry) : unit =
-  e.e_expr <-
-    List.fold_left
-      (fun acc a -> Provenance.Prov_expr.plus acc a.a_expr)
-      Provenance.Prov_expr.zero (List.rev e.e_alts)
-
 let add_alt (e : entry) (a : alt) : unit =
-  if not (List.exists (fun a' -> String.equal a'.a_key a.a_key) e.e_alts) then begin
-    e.e_alts <- a :: e.e_alts;
-    e.e_expr <- Provenance.Prov_expr.plus e.e_expr a.a_expr
-  end
+  if not (List.exists (fun a' -> String.equal a'.a_key a.a_key) e.e_alts) then
+    e.e_alts <- a :: e.e_alts
 
 (* Record a base tuple with its provenance key (principal, tuple id,
    or AS, depending on granularity). *)
 let record_base (t : t) (tuple : Tuple.t) ~(key : string) : unit =
-  add_alt (entry t tuple)
-    { a_key = key; a_expr = Provenance.Prov_expr.base key; a_kind = Alt_base }
+  add_alt (entry t tuple) { a_key = key; a_kind = Alt_base }
 
 (* Dedup/removal key of a local derivation: rule plus body identities
    with the asserting principal a [says] literal consumed, if any.
@@ -130,35 +147,28 @@ let deriv_key ~(rule : string) (body : (Tuple.t * string option) list) : string 
            ^ Option.fold ~none:"" ~some:(fun s -> "/" ^ s) says)
          body)
 
-(* Record a local derivation; [combined] is the (already computed)
-   Times-expression over the body provenance.  Returns [true] when the
-   derivation was new. *)
-let record_derivation (t : t) (head : Tuple.t) ~(record : Store.Prov_log.deriv)
-    ~(combined : Provenance.Prov_expr.t) : bool =
+(* Record a local derivation (a duplicate of one already recorded adds
+   nothing). *)
+let record_derivation (t : t) (head : Tuple.t) ~(record : Store.Prov_log.deriv) : unit =
   let key =
     deriv_key ~rule:record.d_rule
       (List.map
          (fun (b : Store.Prov_log.body_item) -> (b.b_tuple, b.b_says))
          record.d_body)
   in
-  let e = entry t head in
-  if List.exists (fun a -> String.equal a.a_key key) e.e_alts then false
-  else begin
-    add_alt e { a_key = key; a_expr = combined; a_kind = Alt_deriv record };
-    true
-  end
+  add_alt (entry t head) { a_key = key; a_kind = Alt_deriv record }
 
 (* Record provenance shipped with a received tuple (local mode over
-   the network): plus-combine with what we already believe. *)
+   the network): one more alternative of what we already believe. *)
 let record_received (t : t) (tuple : Tuple.t) ~(from : string)
     ~(expr : Provenance.Prov_expr.t) : unit =
   let key = "recv|" ^ from ^ "|" ^ Provenance.Prov_expr.to_string expr in
-  add_alt (entry t tuple) { a_key = key; a_expr = expr; a_kind = Alt_recv from }
+  add_alt (entry t tuple) { a_key = key; a_kind = Alt_recv (from, expr) }
 
 let log_record (t : t) (tuple : Tuple.t) (e : entry) ~(live : bool) ~(now : float) :
     Store.Prov_log.record =
   { Store.Prov_log.r_node = t.node; r_domain = t.domain; r_live = live; r_at = now;
-    r_tuple = tuple; r_expr = e.e_expr; r_received_from = alt_senders e.e_alts;
+    r_tuple = tuple; r_received_from = alt_senders e.e_alts;
     r_derivs = alt_derivs e.e_alts }
 
 (* Move a tuple's provenance to the offline log (Section 4.2): the
@@ -172,19 +182,14 @@ let retire (t : t) (tuple : Tuple.t) ~(now : float) : unit =
       (fun log -> Store.Prov_log.append log (log_record t tuple e ~live:false ~now))
       t.log
 
-(* Drop the alternatives [keep] rejects and rebuild the cached
-   expression from the survivors; an entry that would be left with
-   none is retired whole instead. *)
+(* Drop the alternatives [keep] rejects; an entry that would be left
+   with none is retired whole instead. *)
 let prune (t : t) (tuple : Tuple.t) ~(now : float) ~(keep : alt -> bool) : unit =
   match find t tuple with
   | None -> ()
   | Some e ->
     let kept = List.filter keep e.e_alts in
-    if kept = [] then retire t tuple ~now
-    else if List.compare_lengths kept e.e_alts <> 0 then begin
-      e.e_alts <- kept;
-      rebuild e
-    end
+    if kept = [] then retire t tuple ~now else e.e_alts <- kept
 
 (* Trim one invalidated derivation alternative (incremental deletion:
    a body tuple died). *)
@@ -193,58 +198,12 @@ let remove_derivation (t : t) (head : Tuple.t) ~(now : float) ~(rule : string)
   let key = deriv_key ~rule body in
   prune t head ~now ~keep:(fun a -> not (String.equal a.a_key key))
 
-(* Recompute local-derivation alternatives from the *current*
-   provenance of their body tuples.  Derivations recorded earlier hold
-   a frozen copy of each body's expression inside their combined
-   Times, so those copies go stale when a body's provenance changes:
-   incremental deletion can prune an alternative out of a body tuple's
-   entry (e.g. a bestPath still carrying a min-witness through a
-   retracted link), and a body can gain an alternative after its
-   dependents were derived (e.g. a bestPathCost reached by a second
-   equal-cost path after its bestPath was derived).  Bodies whose
-   provenance reads [Zero] (unsampled or capture-disabled) keep their
-   recorded expression.  Returns [true] when any expression changed. *)
-let refresh_entry (e : entry) ~(expr_of : Tuple.t -> Provenance.Prov_expr.t) : bool =
-  let changed = ref false in
-  let alts' =
-    List.map
-      (fun a ->
-        match a.a_kind with
-        | Alt_base | Alt_recv _ -> a
-        | Alt_deriv r ->
-          let exprs =
-            List.map (fun (b : Store.Prov_log.body_item) -> expr_of b.b_tuple) r.d_body
-          in
-          if
-            List.exists
-              (Provenance.Prov_expr.equal Provenance.Prov_expr.zero)
-              exprs
-          then a
-          else
-            let combined = Provenance.Prov_expr.times_list exprs in
-            if Provenance.Prov_expr.equal combined a.a_expr then a
-            else begin
-              changed := true;
-              { a with a_expr = combined }
-            end)
-      e.e_alts
-  in
-  if !changed then begin
-    e.e_alts <- alts';
-    rebuild e
-  end;
-  !changed
-
-let refresh_tuple (t : t) (tuple : Tuple.t) ~(expr_of : Tuple.t -> Provenance.Prov_expr.t) :
-    bool =
-  match find t tuple with Some e -> refresh_entry e ~expr_of | None -> false
-
 (* Forget everything a sender contributed to this tuple's provenance
    (the sender retracted it). *)
 let remove_received (t : t) (tuple : Tuple.t) ~(now : float) ~(from : string) : unit =
   prune t tuple ~now ~keep:(fun a ->
       match a.a_kind with
-      | Alt_recv f -> not (String.equal f from)
+      | Alt_recv (f, _) -> not (String.equal f from)
       | Alt_base | Alt_deriv _ -> true)
 
 (* Snapshot the live entries as checkpoint records (checkpoint time as
@@ -267,8 +226,8 @@ let storage (t : t) : storage =
   let entries = Tuple.Table.length t.entries in
   let expr_bytes, ptr_bytes =
     Tuple.Table.fold
-      (fun _ e (eb, pb) ->
-        let eb = eb + Provenance.Prov_expr.wire_size e.e_expr in
+      (fun tuple e (eb, pb) ->
+        let eb = eb + Provenance.Prov_expr.wire_size (expr_of t tuple) in
         let pb =
           pb
           + List.fold_left

@@ -1,13 +1,14 @@
 (** Per-node provenance storage, covering the taxonomy of Section 4.
 
-    {e Local/online}: each live tuple maps to its provenance
-    expression.  {e Distributed/online}: each live tuple maps to
-    derivation records — (rule, body tuples, where each body tuple
-    lives) — reconstructed on demand by {!Traceback}.  {e Offline}:
-    when a tuple expires, is replaced or is retracted its provenance
-    leaves the live table and, when the store was created with a log,
-    is written through to the persisted log ([Store.Prov_log]), the
-    only offline store.
+    {e Local/online}: each live tuple's provenance expression is
+    available at the node, evaluated from its records by {!expr_of}.
+    {e Distributed/online}: each live tuple maps to derivation records
+    — (rule, body tuples, where each body tuple lives) —
+    reconstructed on demand by {!Traceback}.  {e Offline}: when a
+    tuple expires, is replaced or is retracted its provenance leaves
+    the live table and, when the store was created with a log, is
+    written through to the persisted log ([Store.Prov_log]), the only
+    offline store.
 
     An entry has one life cycle: the runtime creates it when its tuple
     goes live at the node or ships from it, and it leaves only through
@@ -24,39 +25,49 @@
     [Store.Prov_log.record], so the live store and the log hand
     traceback one record type and nothing converts between them.
 
-    Storage is per-alternative: each Plus branch (base assertion,
-    local derivation, shipped provenance) keeps its own expression, so
-    incremental deletion can remove exactly the alternatives a
-    retraction invalidated and rebuild the combined expression from
-    the survivors in original arrival order. *)
+    The records are the only stored form of provenance: an entry is a
+    list of Plus alternatives, each keeping only what the records
+    cannot rebuild (a base its key, a received copy the expression its
+    sender shipped, a local derivation its record).  Incremental
+    deletion removes exactly the alternatives a retraction
+    invalidated, and no expression is cached to go stale. *)
 
 open Engine
 
 type t
 
-val create : node:string -> domain:string -> log:Store.Prov_log.t option -> t
+val create :
+  node:string -> domain:string -> prov:Config.prov_mode -> log:Store.Prov_log.t option -> t
 (** The store of the node at address [node], whose AS-domain base key
     is [domain] (e.g. ["as3"]); both are stamped on every record it
-    hands the log.  Every {!retire} appends to [log], when given, from
-    whichever domain retires the tuple (the log is thread-safe). *)
+    hands the log.  [prov] is the run's provenance mode: under
+    [Prov_distributed] a derivation is a pointer only and {!expr_of}
+    gives it no expression.  Every {!retire} appends to [log], when
+    given, from whichever domain retires the tuple (the log is
+    thread-safe). *)
 
 (** {1 Recording} *)
 
 val record_base : t -> Tuple.t -> key:string -> unit
-val record_derivation :
-  t -> Tuple.t -> record:Store.Prov_log.deriv -> combined:Provenance.Prov_expr.t -> bool
-(** Record a local derivation; [combined] is the Times-expression
-    over the body provenance.  Returns [true] when new (duplicates
-    are deduplicated by rule + body identities). *)
+val record_derivation : t -> Tuple.t -> record:Store.Prov_log.deriv -> unit
+(** Record a local derivation; duplicates are deduplicated by rule +
+    body identities. *)
 
 val record_received :
   t -> Tuple.t -> from:string -> expr:Provenance.Prov_expr.t -> unit
-(** Plus-combine provenance shipped with a received tuple. *)
+(** Record the expression a sender shipped with a received tuple as
+    one more alternative. *)
 
 (** {1 Lookup} *)
 
 val expr_of : t -> Tuple.t -> Provenance.Prov_expr.t
-(** Zero for unknown tuples. *)
+(** The tuple's expression, evaluated from its records: the Plus of
+    its alternatives, oldest first.  A base gives its key, a received
+    copy the expression its sender shipped, and a local derivation
+    the Times of its bodies' [expr_of] at this node.  Zero for
+    unknown tuples; a derivation contributes zero under
+    [Prov_distributed], and so does a body already being evaluated
+    higher up in the same call (a cycle in the records). *)
 
 val derivs_of : t -> Tuple.t -> Store.Prov_log.deriv list
 (** Local derivation alternatives, newest first. *)
@@ -69,19 +80,9 @@ val received_from : t -> Tuple.t -> string list
 
 val remove_derivation :
   t -> Tuple.t -> now:float -> rule:string -> body:(Tuple.t * string option) list -> unit
-(** Trim one invalidated derivation alternative and rebuild the
-    cached expression from the survivors.  When it is the entry's
-    last alternative, the entry is retired at [now] with it instead
-    (a shipped head whose derivation died, say). *)
-
-val refresh_tuple : t -> Tuple.t -> expr_of:(Tuple.t -> Provenance.Prov_expr.t) -> bool
-(** Recompute one tuple's local-derivation alternatives from the
-    {e current} provenance of their body tuples (derivations hold
-    frozen copies that go stale when a body loses or gains an
-    alternative).  Bodies reading Zero keep their recorded expression.
-    Returns [true] when the tuple's expression changed, [false] for an
-    unknown tuple; the runtime calls it once per head of a changed
-    tuple's support cone, in topological order. *)
+(** Trim one invalidated derivation alternative.  When it is the
+    entry's last alternative, the entry is retired at [now] with it
+    instead (a shipped head whose derivation died, say). *)
 
 val remove_received : t -> Tuple.t -> now:float -> from:string -> unit
 (** Forget everything a sender contributed (the sender retracted).
@@ -109,3 +110,6 @@ type storage = {
 }
 
 val storage : t -> storage
+(** [st_online_expr_bytes] sums the uncondensed wire size of every
+    entry's {!expr_of}; [st_online_pointer_bytes] the body tuples and
+    locations of its derivation records. *)

@@ -184,14 +184,20 @@ let rec tree_to_json (t : Provenance.Derivation.t) : Obs.Json.t =
          ("tuple", Obs.Json.Str tuple) ]
       @ ann_fields ann
       @ [ ("children", Obs.Json.List (List.map tree_to_json children)) ])
-  | Provenance.Derivation.Union { tuple; alternatives } ->
+  | Provenance.Derivation.Union { tuple; location; alternatives } ->
     Obs.Json.Obj
       [ ("kind", Obs.Json.Str "union");
         ("tuple", Obs.Json.Str tuple);
+        ("location", Obs.Json.Str location);
         ("alternatives", Obs.Json.List (List.map tree_to_json alternatives)) ]
   | Provenance.Derivation.Unreachable { tuple; location } ->
     Obs.Json.Obj
       [ ("kind", Obs.Json.Str "unreachable");
+        ("tuple", Obs.Json.Str tuple);
+        ("location", Obs.Json.Str location) ]
+  | Provenance.Derivation.Shared { tuple; location } ->
+    Obs.Json.Obj
+      [ ("kind", Obs.Json.Str "shared");
         ("tuple", Obs.Json.Str tuple);
         ("location", Obs.Json.Str location) ]
 

@@ -140,8 +140,6 @@ type t = {
   mutable tracer : Obs.Trace.t option; (* span tree, when tracing is on *)
   h_handler : Obs.Metrics.histogram; (* modeled per-handler duration *)
   h_compute : Obs.Metrics.histogram; (* measured CPU per handler *)
-  c_flushes : Obs.Metrics.counter;
-  c_buffered : Obs.Metrics.counter;
   c_batches : Obs.Metrics.counter; (* timestamp batches executed *)
   c_batch_items : Obs.Metrics.counter; (* work items across all batches *)
   c_flows : Obs.Metrics.counter; (* 1/K-sampled flows written to the log *)
@@ -153,9 +151,6 @@ type t = {
       (* reliable layer: data sends awaiting an ACK, keyed (src,dst,seq) *)
   seen : (string * string * int, int) Hashtbl.t;
       (* receiver-side dedup: processed-delivery count per (src,dst,seq) *)
-  mutable links_with_cost : bool;
-      (* how [install_links] rendered link facts, so churn operations
-         ([link_down]/[link_up]) can reconstruct the same tuples *)
   mutable tuples_retracted : int;
       (* monotone count of tuples deleted by retraction passes, across
          all nodes *)
@@ -277,7 +272,8 @@ let create ?(directory : Sendlog.Principal.directory option) ~(rng : Crypto.Rng.
           n_principal = principal;
           n_db = db;
           n_prov =
-            Prov_store.create ~node:addr ~domain:(as_domain_of topo addr) ~log:prov_log;
+            Prov_store.create ~node:addr ~domain:(as_domain_of topo addr) ~prov:cfg.prov
+              ~log:prov_log;
           n_support = Support.create ();
           n_base = Tuple.Table.create 64;
           n_recv_from = Tuple.Table.create 64;
@@ -383,8 +379,6 @@ let create ?(directory : Sendlog.Principal.directory option) ~(rng : Crypto.Rng.
       tracer = None;
       h_handler = Obs.Metrics.histogram reg "runtime.handler_seconds";
       h_compute = Obs.Metrics.histogram reg "runtime.handler_compute_seconds";
-      c_flushes = Obs.Metrics.counter reg "runtime.out_buffer_flushes";
-      c_buffered = Obs.Metrics.counter reg "runtime.messages_buffered";
       c_batches = Obs.Metrics.counter reg "par.batches";
       c_batch_items = Obs.Metrics.counter reg "par.batch_items";
       c_flows = Obs.Metrics.counter reg "forensics.flows_recorded";
@@ -393,7 +387,6 @@ let create ?(directory : Sendlog.Principal.directory option) ~(rng : Crypto.Rng.
       chan_seq = Hashtbl.create 64;
       pending = Hashtbl.create 256;
       seen = Hashtbl.create 256;
-      links_with_cost = true;
       tuples_retracted = 0;
       on_message = None }
   in
@@ -439,54 +432,17 @@ let origin_of (n : node) (tuple : Tuple.t) : Store.Prov_log.origin =
   | sender :: _ -> Store.Prov_log.Remote sender
   | [] -> Store.Prov_log.Local
 
-(* The one provenance refresh.  A derivation alternative freezes its
-   bodies' expressions, so when [seeds] change (gained an alternative,
-   lost one, or died) heads in their support cone may hold stale
-   copies.  Walk the cone depth-first from the seeds' heads, shipped
-   heads included (the sender keeps their entries), then refresh each
-   head once in reverse post-order if one of its bodies changed.  On a
-   DAG that order is topological, so one pass reaches the fixpoint
-   whatever order alternatives arrived in; on a cycle the back edge is
-   not followed, so each tuple is refreshed once per lap. *)
-let refresh_dependents (n : node) (seeds : Tuple.t list) : unit =
-  let heads_of tup =
-    List.map (fun (e : Support.entry) -> e.Support.sp_head)
-      (Support.dependents_of n.n_support tup)
-  in
-  (* reached head -> whether one of its bodies changed *)
-  let stale : bool Tuple.Table.t = Tuple.Table.create 16 in
-  let order = ref [] in
-  let rec visit tup =
-    if not (Tuple.Table.mem stale tup) then begin
-      Tuple.Table.replace stale tup false;
-      let heads = heads_of tup in
-      List.iter visit heads;
-      order := (tup, heads) :: !order
-    end
-  in
-  let mark = List.iter (fun h -> Tuple.Table.replace stale h true) in
-  List.iter (fun s -> List.iter visit (heads_of s)) seeds;
-  (* marked only now: [visit] reads any entry as visited *)
-  List.iter (fun s -> mark (heads_of s)) seeds;
-  let expr_of b = Prov_store.expr_of n.n_prov b in
-  List.iter
-    (fun (tup, heads) ->
-      if Tuple.Table.find stale tup && Prov_store.refresh_tuple n.n_prov tup ~expr_of then
-        mark heads)
-    !order
-
 (* Record one derivation in [n]'s provenance store and return its
-   combined expression: the product of its bodies' under local
-   provenance, zero under distributed provenance, which records the
-   pointers alone and leaves expressions to traceback. *)
+   combined expression, which a send ships: the product of its bodies'
+   under local provenance, zero under distributed provenance, which
+   records the pointers alone and leaves expressions to traceback. *)
 let capture_derivation (t : t) (n : node) (deriv : Eval.derivation) :
     Provenance.Prov_expr.t =
   if (not (prov_enabled t)) || not (sampled t deriv.d_head) then
     Provenance.Prov_expr.zero
   else begin
-    let local = t.cfg.prov = Config.Prov_local in
     let combined =
-      if local then
+      if t.cfg.prov = Config.Prov_local then
         Provenance.Prov_expr.times_list
           (List.map (fun (b, _) -> body_expr t n b) deriv.d_body)
       else Provenance.Prov_expr.zero
@@ -515,8 +471,7 @@ let capture_derivation (t : t) (n : node) (deriv : Eval.derivation) :
       end
       else record
     in
-    if Prov_store.record_derivation n.n_prov deriv.d_head ~record ~combined && local then
-      refresh_dependents n [ deriv.d_head ];
+    Prov_store.record_derivation n.n_prov deriv.d_head ~record;
     combined
   end
 
@@ -891,13 +846,6 @@ let rec retract_pass (t : t) (xc : exec_ctx) (n : node) ~(lost : Tuple.t list)
              (fun (b, asserter) -> (b, Option.map Value.to_addr asserter))
              d.Eval.d_body))
     res.Eval.rr_invalidated;
-  (* Dead tuples and pruned alternatives leave stale copies of their
-     old expressions in their dependents' derivations (local
-     provenance only: distributed provenance stores pointers). *)
-  if t.cfg.prov = Config.Prov_local then
-    refresh_dependents n
-      (res.Eval.rr_deleted
-      @ List.map (fun (d : Eval.derivation) -> d.Eval.d_head) res.Eval.rr_invalidated);
   locked t.net_mu (fun () ->
       t.tuples_retracted <- t.tuples_retracted + List.length res.Eval.rr_deleted);
   if res.Eval.rr_deleted <> [] then
@@ -959,7 +907,7 @@ let process (t : t) (xc : exec_ctx) (n : node) (pending : Eval.frontier_item lis
     if displacement_may_drain n old then displaced := old :: !displaced
   in
   let self_principal = self_principal_of t n in
-  let emits, _stats =
+  let emits =
     Eval.run_fixpoint n.n_db ~now:(now t)
       ~rules:t.compiled.c_rules ~local:(Some n.n_addr) ?self_principal
       ~support:n.n_support ~on_replace ~pending
@@ -1038,10 +986,6 @@ let commit_handler (t : t) (n : node) ~(incoming_msgs : int) ~(incoming_bytes : 
   xc.xc_out <- [];
   Obs.Metrics.observe t.h_handler duration;
   Obs.Metrics.observe t.h_compute compute;
-  if outgoing <> [] then begin
-    Obs.Metrics.inc t.c_flushes;
-    Obs.Metrics.inc ~by:(List.length outgoing) t.c_buffered
-  end;
   let trace_ctx =
     match t.tracer with
     | Some tr ->
@@ -1303,11 +1247,10 @@ let install_program_facts (t : t) : unit =
     (Ndlog.Ast.facts t.compiled.c_program)
 
 (* Install the topology's link facts at their source nodes. *)
-let install_links ?(with_cost = true) (t : t) : unit =
-  t.links_with_cost <- with_cost;
+let install_links (t : t) : unit =
   List.iter
     (fun tuple -> install_fact t ~at:(Value.to_addr (Tuple.arg tuple 0)) tuple)
-    (Net.Topology.link_facts ~with_cost t.topo)
+    (Net.Topology.link_facts t.topo)
 
 (* Retract a base fact previously installed at a node (scheduled
    immediately): withdraw its external support and run the incremental
@@ -1324,15 +1267,12 @@ let retract_fact (t : t) ~(at : string) (tuple : Tuple.t) : unit =
    depends on.  The equivalent from-scratch run is a fresh runtime on
    [Net.Topology.remove_link]-mutated topology. *)
 
-let link_tuple (t : t) (l : Net.Topology.link) : Tuple.t =
-  let args =
-    if t.links_with_cost then
-      [ Value.V_str l.Net.Topology.l_src;
-        Value.V_str l.Net.Topology.l_dst;
-        Value.V_int l.Net.Topology.l_cost ]
-    else [ Value.V_str l.Net.Topology.l_src; Value.V_str l.Net.Topology.l_dst ]
-  in
-  Tuple.make "link" args
+(* The link fact [install_links] installed for a physical link. *)
+let link_tuple (l : Net.Topology.link) : Tuple.t =
+  Tuple.make "link"
+    [ Value.V_str l.Net.Topology.l_src;
+      Value.V_str l.Net.Topology.l_dst;
+      Value.V_int l.Net.Topology.l_cost ]
 
 let find_physical_link (t : t) ~(src : string) ~(dst : string) ~(op : string) :
     Net.Topology.link =
@@ -1343,27 +1283,25 @@ let find_physical_link (t : t) ~(src : string) ~(dst : string) ~(op : string) :
 
 let link_down (t : t) ~(src : string) ~(dst : string) : unit =
   let l = find_physical_link t ~src ~dst ~op:"link_down" in
-  retract_fact t ~at:src (link_tuple t l)
+  retract_fact t ~at:src (link_tuple l)
 
 let link_up (t : t) ~(src : string) ~(dst : string) : unit =
   let l = find_physical_link t ~src ~dst ~op:"link_up" in
-  install_fact t ~at:src (link_tuple t l)
+  install_fact t ~at:src (link_tuple l)
 
 (* Schedule a seed-reproducible Poisson flap process over every
    physical link (see [Net.Fault.flap_schedule]).  Flap times are
    relative to the current virtual time, so a caller can first run to
    the static fixpoint and then start the churn phase.  Returns the
    schedule so callers can report or assert on it. *)
-let schedule_flaps (t : t) ~(rate : float) ?(mean_downtime = 0.5)
-    ~(horizon : float) () : Net.Fault.flap list =
+let schedule_flaps (t : t) ~(rate : float) ~(horizon : float) () : Net.Fault.flap list =
   let links =
     List.map
       (fun (l : Net.Topology.link) -> (l.Net.Topology.l_src, l.Net.Topology.l_dst))
       t.topo.Net.Topology.links
   in
   let flaps =
-    Net.Fault.flap_schedule t.cfg.Config.fault ~links ~rate ~mean_downtime
-      ~horizon ()
+    Net.Fault.flap_schedule t.cfg.Config.fault ~links ~rate ~horizon ()
   in
   let start = now t in
   List.iter
@@ -1745,8 +1683,6 @@ let replace_principal (t : t) ~(at : string) (p : Sendlog.Principal.t) : unit =
 let event_log (t : t) : Obs.Events.log = t.obs_events
 
 let tracer (t : t) : Obs.Trace.t option = t.tracer
-
-let set_tracer (t : t) (tr : Obs.Trace.t) : unit = t.tracer <- Some tr
 
 (* Attach a tracer whose primary clock is the simulator's virtual
    clock (wall-clock durations are recorded alongside). *)

@@ -76,7 +76,7 @@ val nodes : t -> node list
 
 val install_fact : t -> at:string -> Tuple.t -> unit
 val install_program_facts : t -> unit
-val install_links : ?with_cost:bool -> t -> unit
+val install_links : t -> unit
 
 val retract_fact : t -> at:string -> Tuple.t -> unit
 (** Retract a base fact previously installed at a node (scheduled
@@ -99,20 +99,14 @@ val retract_fact : t -> at:string -> Tuple.t -> unit
     runtime over [Net.Topology.remove_link]-mutated topology. *)
 
 val link_down : t -> src:string -> dst:string -> unit
-(** Retract the link fact for a physical link (as rendered by the last
-    {!install_links}).  Raises [Invalid_argument] if the physical link
-    does not exist. *)
+(** Retract the link fact {!install_links} installed for a physical
+    link.  Raises [Invalid_argument] if the physical link does not
+    exist. *)
 
 val link_up : t -> src:string -> dst:string -> unit
 (** Reinstall the link fact for a physical link. *)
 
-val schedule_flaps :
-  t ->
-  rate:float ->
-  ?mean_downtime:float ->
-  horizon:float ->
-  unit ->
-  Net.Fault.flap list
+val schedule_flaps : t -> rate:float -> horizon:float -> unit -> Net.Fault.flap list
 (** Schedule a seed-reproducible Poisson link-flap process over every
     physical link (see {!Net.Fault.flap_schedule}; the seed is
     [cfg.fault.seed]).  Flap times are relative to the current virtual
@@ -220,7 +214,6 @@ val replace_principal : t -> at:string -> Sendlog.Principal.t -> unit
 
 val event_log : t -> Obs.Events.log
 val tracer : t -> Obs.Trace.t option
-val set_tracer : t -> Obs.Trace.t -> unit
 
 val enable_tracing : t -> Obs.Trace.t
 (** Attach a tracer whose primary clock is the simulator's virtual

@@ -66,30 +66,42 @@ let finish (cost : cost) (partial : bool) (tree : Provenance.Derivation.t) : res
 
 (* Reconstruct the derivation tree of [root] as held at [at],
    following remote pointers across nodes.  [lookup addr tuple ident]
-   is the record source: the live stores or the persisted log.
-   [visited] breaks cycles (a tuple rederived through itself across
-   nodes). *)
+   is the record source: the live stores or the persisted log.  Each
+   (node, tuple) subtree is walked once: a later visit becomes a
+   [Shared] reference to it, which costs no remote query, and a visit
+   to one still on the walk's own path (a cycle in the records), or
+   past [max_depth], becomes a reference that contributes zero.
+   Neither makes the tree partial. *)
 let walk ~(lookup : string -> Tuple.t -> string -> source) ~(at : string)
     (root : Tuple.t) : result =
   let cost = { remote_queries = 0; query_bytes = 0; nodes_visited = 1 } in
-  let visited = Hashtbl.create 64 in
+  (* (node, tuple) -> [None] while on the walk's path, then the
+     reference a later visit becomes *)
+  let walked : (string, Provenance.Derivation.t option) Hashtbl.t = Hashtbl.create 64 in
   let partial = ref false in
+  let seen (addr : string) (ident : string) : Provenance.Derivation.t option =
+    match Hashtbl.find_opt walked (addr ^ "|" ^ ident) with
+    | Some (Some r) -> Some r
+    | Some None -> Some (Provenance.Derivation.Shared { tuple = ident; location = addr })
+    | None -> None
+  in
   let rec step (addr : string) (tuple : Tuple.t) (depth : int) : Provenance.Derivation.t =
     let ident = Tuple.interned_identity tuple in
-    match lookup addr tuple ident with
-    | Cut dom ->
-      Provenance.Derivation.Leaf
-        { tuple = ident; ann = Provenance.Derivation.annot ~says:dom dom }
-    | Missing ->
-      partial := true;
-      Provenance.Derivation.Unreachable { tuple = ident; location = addr }
-    | Found (derivs, senders) ->
-      let key = addr ^ "|" ^ ident in
-      if depth > max_depth || Hashtbl.mem visited key then
+    match seen addr ident with
+    | Some r -> r
+    | None -> (
+      match lookup addr tuple ident with
+      | Cut dom ->
         Provenance.Derivation.Leaf
-          { tuple = ident; ann = Provenance.Derivation.annot addr }
-      else begin
-        Hashtbl.add visited key ();
+          { tuple = ident; ann = Provenance.Derivation.annot ~says:dom dom }
+      | Missing ->
+        partial := true;
+        Provenance.Derivation.Unreachable { tuple = ident; location = addr }
+      | Found _ when depth > max_depth ->
+        Provenance.Derivation.Shared { tuple = ident; location = addr }
+      | Found (derivs, senders) ->
+        let key = addr ^ "|" ^ ident in
+        Hashtbl.replace walked key None;
         let local_alternatives =
           List.map
             (fun (d : Store.Prov_log.deriv) ->
@@ -117,23 +129,34 @@ let walk ~(lookup : string -> Tuple.t -> string -> source) ~(at : string)
         let remote_alternatives =
           List.map (fun sender -> remote sender tuple depth) senders
         in
-        match local_alternatives @ remote_alternatives with
-        | [] ->
-          (* A base tuple: leaf asserted by its home node. *)
-          Provenance.Derivation.Leaf
-            { tuple = ident; ann = Provenance.Derivation.annot ~says:addr addr }
-        | [ one ] -> one
-        | alternatives -> Provenance.Derivation.Union { tuple = ident; alternatives }
-      end
-  (* One remote provenance query: ask [sender] for [tuple]'s subtree. *)
+        let tree =
+          match local_alternatives @ remote_alternatives with
+          | [] ->
+            (* A base tuple: leaf asserted by its home node. *)
+            Provenance.Derivation.Leaf
+              { tuple = ident; ann = Provenance.Derivation.annot ~says:addr addr }
+          | [ one ] -> one
+          | alternatives ->
+            Provenance.Derivation.Union { tuple = ident; location = addr; alternatives }
+        in
+        Hashtbl.replace walked key
+          (Some
+             (Provenance.Derivation.Shared
+                { tuple = ident; location = Provenance.Derivation.location_of tree }));
+        tree)
+  (* One remote provenance query: ask [sender] for [tuple]'s subtree,
+     unless the walk already holds it. *)
   and remote (sender : string) (tuple : Tuple.t) (depth : int) : Provenance.Derivation.t =
-    cost.remote_queries <- cost.remote_queries + 1;
-    cost.nodes_visited <- cost.nodes_visited + 1;
-    cost.query_bytes <- cost.query_bytes + request_bytes tuple;
-    let sub = step sender tuple (depth + 1) in
-    cost.query_bytes <-
-      cost.query_bytes + response_bytes (Provenance.Derivation.to_expr_by_tuple sub);
-    sub
+    match seen sender (Tuple.interned_identity tuple) with
+    | Some r -> r
+    | None ->
+      cost.remote_queries <- cost.remote_queries + 1;
+      cost.nodes_visited <- cost.nodes_visited + 1;
+      cost.query_bytes <- cost.query_bytes + request_bytes tuple;
+      let sub = step sender tuple (depth + 1) in
+      cost.query_bytes <-
+        cost.query_bytes + response_bytes (Provenance.Derivation.to_expr_by_tuple sub);
+      sub
   in
   let tree = step at root 0 in
   finish cost !partial tree

@@ -390,14 +390,6 @@ let recompute_agg_rule (db : Db.t) ~(self : Value.t option) (rule : rule) :
 
 (* --- the fixpoint ---------------------------------------------------- *)
 
-type stats = {
-  mutable rounds : int;
-  mutable derivations : int;
-  mutable inserted : int;
-}
-
-let new_stats () = { rounds = 0; derivations = 0; inserted = 0 }
-
 (* Insert [tuple] and, when it is a derived head ([deriv]) that the
    relation's replace policy did not reject, report the derivation:
    provenance is captured only for tuples that go live, and before
@@ -435,9 +427,8 @@ let run_fixpoint (db : Db.t) ~(now : float) ~(rules : rule list)
     ~(local : string option) ?(self_principal : Value.t option)
     ?(support : Support.t option) ?(on_replace = fun (_ : Tuple.t) -> ())
     ?(seeded : frontier_item list = [])
-    ~(pending : frontier_item list) ~(on_derive : derivation -> unit) () :
-    emit list * stats =
-  let stats = new_stats () in
+    ~(pending : frontier_item list) ~(on_derive : derivation -> unit) () : emit list =
+  let rounds = ref 0 and derivations = ref 0 and inserted = ref 0 in
   let reg = Obs.Metrics.default in
   let rule_counter =
     let cache = Hashtbl.create 8 in
@@ -555,7 +546,7 @@ let run_fixpoint (db : Db.t) ~(now : float) ~(rules : rule list)
     if Deriv_tbl.mem round_seen key then next_frontier
     else begin
       Deriv_tbl.add round_seen key ();
-      stats.derivations <- stats.derivations + 1;
+      incr derivations;
       Obs.Metrics.inc (rule_counter rule_name);
       let deriv = { d_rule = rule_name; d_head = tuple; d_body = body } in
       let is_local = match (dest, local) with
@@ -575,7 +566,7 @@ let run_fixpoint (db : Db.t) ~(now : float) ~(rules : rule list)
       if is_local then begin
         match insert_local ~deriv tuple self_principal with
         | Some fi ->
-          stats.inserted <- stats.inserted + 1;
+          incr inserted;
           fi :: next_frontier
         | None -> next_frontier
       end
@@ -588,7 +579,7 @@ let run_fixpoint (db : Db.t) ~(now : float) ~(rules : rule list)
     end
   in
   while !frontier <> [] do
-    stats.rounds <- stats.rounds + 1;
+    incr rounds;
     let delta = List.map fst !frontier in
     Tuple.Table.reset delta_new;
     List.iter
@@ -630,10 +621,10 @@ let run_fixpoint (db : Db.t) ~(now : float) ~(rules : rule list)
     frontier := !next
   done;
   flush_profile ();
-  Obs.Metrics.inc ~by:stats.rounds (Obs.Metrics.counter reg "eval.rounds");
-  Obs.Metrics.inc ~by:stats.derivations (Obs.Metrics.counter reg "eval.derivations");
-  Obs.Metrics.inc ~by:stats.inserted (Obs.Metrics.counter reg "eval.inserted");
-  (List.rev !emits, stats)
+  Obs.Metrics.inc ~by:!rounds (Obs.Metrics.counter reg "eval.rounds");
+  Obs.Metrics.inc ~by:!derivations (Obs.Metrics.counter reg "eval.derivations");
+  Obs.Metrics.inc ~by:!inserted (Obs.Metrics.counter reg "eval.inserted");
+  List.rev !emits
 
 (* --- incremental deletion (DRed) ------------------------------------- *)
 
@@ -652,7 +643,6 @@ type retract_result = {
   rr_remote_dead : (string * Tuple.t) list;
   rr_invalidated : derivation list;
   rr_emits : emit list;
-  rr_stats : stats;
 }
 
 (* [retract db ~support ~lost ...] implements delete-and-rederive
@@ -930,8 +920,8 @@ let retract (db : Db.t) ~(support : Support.t) ~(now : float)
     |> List.sort (fun a b -> String.compare (Tuple.identity a) (Tuple.identity b))
   in
   (* --- phase 5: propagate ------------------------------------------- *)
-  let emits, stats =
-    if !seeded = [] then ([], new_stats ())
+  let emits =
+    if !seeded = [] then []
     else
       run_fixpoint db ~now ~rules ~local ?self_principal ~support ~on_replace
         ~seeded:!seeded ~pending:[] ~on_derive ()
@@ -939,8 +929,7 @@ let retract (db : Db.t) ~(support : Support.t) ~(now : float)
   { rr_deleted = deleted;
     rr_remote_dead = remote_dead;
     rr_invalidated = !invalidated;
-    rr_emits = List.rev !extra_emits @ emits;
-    rr_stats = stats }
+    rr_emits = List.rev !extra_emits @ emits }
 
 (* Single-site convenience used by tests and the quickstart example:
    run a whole program (facts + rules) to fixpoint in one database,
@@ -957,7 +946,7 @@ let run_single_site ?(on_derive = fun _ -> ()) (program : program) : Db.t =
           f_asserter = None })
       (facts program)
   in
-  let emits, _stats =
+  let emits =
     run_fixpoint db ~now:0.0 ~rules:(rules program) ~local:None ~pending ~on_derive ()
   in
   (if emits <> [] then begin

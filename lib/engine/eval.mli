@@ -38,12 +38,6 @@ type frontier_item = {
 
 exception Rule_error of string
 
-type stats = {
-  mutable rounds : int;
-  mutable derivations : int;
-  mutable inserted : int;
-}
-
 val run_fixpoint :
   Db.t ->
   now:float ->
@@ -56,7 +50,7 @@ val run_fixpoint :
   pending:frontier_item list ->
   on_derive:(derivation -> unit) ->
   unit ->
-  emit list * stats
+  emit list
 (** Insert [pending] and apply [rules] to a local fixpoint.
 
     - [local]: this node's address; derived tuples addressed elsewhere
@@ -94,7 +88,6 @@ type retract_result = {
           matching provenance alternatives can be trimmed *)
   rr_emits : emit list;
       (** tuples (re-)derived for other nodes during propagation *)
-  rr_stats : stats;
 }
 
 val retract :

@@ -18,8 +18,8 @@
    handler's span names the *sending* node's span (carried in the wire
    message's trace context) as its parent.
 
-   Completed spans append to a bounded list serialized as JSON lines
-   (one object per span), oldest first. *)
+   Completed spans append to a bounded list, oldest first;
+   [Export.chrome_trace] writes them as a Chrome trace. *)
 
 type span = {
   sp_id : int;
@@ -154,26 +154,6 @@ let reset (t : t) : unit =
       t.finished <- [];
       t.finished_len <- 0;
       t.dropped <- 0)
-
-let span_to_json (s : span) : Json.t =
-  Json.Obj
-    [ ("id", Json.Int s.sp_id);
-      ("parent", match s.sp_parent with Some p -> Json.Int p | None -> Json.Null);
-      ("name", Json.Str s.sp_name);
-      ("start", Json.Float s.sp_start);
-      ("dur", Json.Float s.sp_dur);
-      ("wall_dur", Json.Float s.sp_wall_dur);
-      ("attrs", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) s.sp_attrs)) ]
-
-(* One JSON object per line, oldest span first. *)
-let to_json_lines (t : t) : string =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun s ->
-      Buffer.add_string buf (Json.to_string (span_to_json s));
-      Buffer.add_char buf '\n')
-    (finished_spans t);
-  Buffer.contents buf
 
 (* Total primary-clock time spent in spans named [name]. *)
 let total_duration (t : t) (name : string) : float =

@@ -25,66 +25,99 @@ let annot ?(created = 0.0) ?ttl ?says ?signature location =
 type t =
   | Leaf of { tuple : string; ann : annotation }
   | Rule of { rule : string; tuple : string; ann : annotation; children : t list }
-  | Union of { tuple : string; alternatives : t list }
+  | Union of { tuple : string; location : string; alternatives : t list }
   | Unreachable of { tuple : string; location : string }
       (* traceback could not reach [location] (crashed node, exhausted
          retries): the subtree rooted here is unknown (Section 4.1's
          graceful degradation under partial failure) *)
+  | Shared of { tuple : string; location : string }
+      (* another visit to the subtree of [tuple] held at [location]:
+         shown in full where the walk finished it, earlier in the same
+         tree, or an enclosing subtree the walk had not finished (a
+         cycle in the records) *)
 
 let tuple_of = function
   | Leaf { tuple; _ } | Rule { tuple; _ } | Union { tuple; _ }
-  | Unreachable { tuple; _ } ->
+  | Unreachable { tuple; _ } | Shared { tuple; _ } ->
     tuple
+
+let location_of = function
+  | Leaf { ann; _ } | Rule { ann; _ } -> ann.a_location
+  | Union { location; _ } | Unreachable { location; _ } | Shared { location; _ } -> location
 
 (* Base tuples at the leaves: "one can use this tree to figure out the
    initial input base tuples".  An [Unreachable] stub contributes no
-   base tuples - its subtree is unknown, not empty. *)
+   base tuples - its subtree is unknown, not empty - and a [Shared]
+   reference none - its subtree lists them where it appears in full. *)
 let rec leaves = function
   | Leaf { tuple; _ } -> [ tuple ]
   | Rule { children; _ } -> List.concat_map leaves children
   | Union { alternatives; _ } -> List.concat_map leaves alternatives
-  | Unreachable _ -> []
+  | Unreachable _ | Shared _ -> []
 
 let rec depth = function
-  | Leaf _ | Unreachable _ -> 1
+  | Leaf _ | Unreachable _ | Shared _ -> 1
   | Rule { children; _ } ->
     1 + List.fold_left (fun acc c -> max acc (depth c)) 0 children
   | Union { alternatives; _ } ->
     List.fold_left (fun acc c -> max acc (depth c)) 0 alternatives
 
 let rec node_count = function
-  | Leaf _ | Unreachable _ -> 1
+  | Leaf _ | Unreachable _ | Shared _ -> 1
   | Rule { children; _ } -> 1 + List.fold_left (fun acc c -> acc + node_count c) 0 children
   | Union { alternatives; _ } ->
     1 + List.fold_left (fun acc c -> acc + node_count c) 0 alternatives
 
 let rec unreachable_leaves = function
-  | Leaf _ -> []
+  | Leaf _ | Shared _ -> []
   | Rule { children; _ } -> List.concat_map unreachable_leaves children
   | Union { alternatives; _ } -> List.concat_map unreachable_leaves alternatives
   | Unreachable { location; _ } -> [ location ]
 
-(* The provenance expression of the tree: leaves are base keys, rule
-   nodes multiply children, unions add alternatives (Section 4.4).  An
-   unreachable subtree maps to zero, which annihilates the product it
-   sits in (that derivation cannot be confirmed) while leaving sibling
-   alternatives in a union intact. *)
-let rec to_expr = function
-  | Leaf { tuple; ann } -> (
-    match ann.a_says with
-    | Some p -> Prov_expr.base p (* Figure 2 keys by asserting principal *)
-    | None -> Prov_expr.base tuple)
-  | Rule { children; _ } -> Prov_expr.times_list (List.map to_expr children)
-  | Union { alternatives; _ } -> Prov_expr.plus_list (List.map to_expr alternatives)
-  | Unreachable _ -> Prov_expr.zero
+(* The provenance expression of the tree (Section 4.4): [leaf] keys
+   each leaf, rule nodes multiply children, unions add alternatives.
+   An unreachable subtree maps to zero, which annihilates the product
+   it sits in (that derivation cannot be confirmed) while leaving
+   sibling alternatives in a union intact.  A [Shared] reference takes
+   the expression of the subtree it names, memoized by location and
+   tuple as the fold finishes each subtree, in the walk's order; a
+   reference the fold cannot resolve that way (a subtree still being
+   folded: a cycle) maps through [unresolved]. *)
+let fold_expr ~(leaf : string -> annotation -> Prov_expr.t)
+    ~(unresolved : string -> Prov_expr.t) (t : t) : Prov_expr.t =
+  let memo = Hashtbl.create 16 in
+  let rec go path node =
+    let key = (location_of node, tuple_of node) in
+    match node with
+    | Shared { tuple; _ } -> (
+      match Hashtbl.find_opt memo key with
+      | Some e when not (List.mem key path) -> e
+      | Some _ | None -> unresolved tuple)
+    | Leaf _ | Rule _ | Union _ | Unreachable _ ->
+      let path = key :: path in
+      let e =
+        match node with
+        | Leaf { tuple; ann } -> leaf tuple ann
+        | Rule { children; _ } -> Prov_expr.times_list (List.map (go path) children)
+        | Union { alternatives; _ } -> Prov_expr.plus_list (List.map (go path) alternatives)
+        | Unreachable _ | Shared _ -> Prov_expr.zero
+      in
+      Hashtbl.replace memo key e;
+      e
+  in
+  go [] t
 
-(* Keyed by base tuple identity instead of principal. *)
-let rec to_expr_by_tuple = function
-  | Leaf { tuple; _ } -> Prov_expr.base tuple
-  | Rule { children; _ } -> Prov_expr.times_list (List.map to_expr_by_tuple children)
-  | Union { alternatives; _ } ->
-    Prov_expr.plus_list (List.map to_expr_by_tuple alternatives)
-  | Unreachable _ -> Prov_expr.zero
+(* Leaves keyed by the asserting principal when present (Figure 2);
+   a cycle contributes zero. *)
+let to_expr (t : t) : Prov_expr.t =
+  fold_expr t
+    ~leaf:(fun tuple ann -> Prov_expr.base (Option.value ann.a_says ~default:tuple))
+    ~unresolved:(fun _ -> Prov_expr.zero)
+
+(* Keyed by base tuple identity instead of principal; a reference to a
+   subtree outside [t] names its tuple. *)
+let to_expr_by_tuple (t : t) : Prov_expr.t =
+  fold_expr t ~leaf:(fun tuple _ -> Prov_expr.base tuple) ~unresolved:Prov_expr.base
 
 (* All locations that took part in the derivation; used for
    AS-granularity aggregation (Section 5). *)
@@ -93,7 +126,7 @@ let rec locations = function
   | Rule { ann; children; _ } ->
     ann.a_location :: List.concat_map locations children
   | Union { alternatives; _ } -> List.concat_map locations alternatives
-  | Unreachable { location; _ } -> [ location ]
+  | Unreachable { location; _ } | Shared { location; _ } -> [ location ]
 
 (* Are all signatures present and all nodes attributed?  The runtime
    performs real verification; this checks structural completeness of
@@ -103,6 +136,7 @@ let rec fully_attributed = function
   | Rule { ann; children; _ } -> ann.a_says <> None && List.for_all fully_attributed children
   | Union { alternatives; _ } -> List.for_all fully_attributed alternatives
   | Unreachable _ -> false
+  | Shared _ -> true (* checked where the subtree appears in full *)
 
 (* ASCII rendering in the spirit of Figures 1-2. *)
 let to_string (t : t) : string =
@@ -118,12 +152,14 @@ let to_string (t : t) : string =
       Buffer.add_string buf
         (Printf.sprintf "%s%s%s  <- %s@%s\n" pad says tuple rule ann.a_location);
       List.iter (go (indent + 2)) children
-    | Union { tuple; alternatives } ->
-      Buffer.add_string buf (Printf.sprintf "%s%s  <- union\n" pad tuple);
+    | Union { tuple; location; alternatives } ->
+      Buffer.add_string buf (Printf.sprintf "%s%s  <- union@%s\n" pad tuple location);
       List.iter (go (indent + 2)) alternatives
     | Unreachable { tuple; location } ->
       Buffer.add_string buf
-        (Printf.sprintf "%s%s  <- unreachable@%s\n" pad tuple location));
+        (Printf.sprintf "%s%s  <- unreachable@%s\n" pad tuple location)
+    | Shared { tuple; location } ->
+      Buffer.add_string buf (Printf.sprintf "%s%s  <- shared@%s\n" pad tuple location));
   in
   go 0 t;
   Buffer.contents buf
@@ -142,7 +178,9 @@ let to_string (t : t) : string =
      as soon as any one derivation lands (later alternatives only add
      provenance).
    - An unreachable stub contributes nothing (0.0): its subtree's
-     timing is unknown, so it never inflates the path. *)
+     timing is unknown, so it never inflates the path.  Neither does a
+     shared reference: its subtree's timing counts where it appears in
+     full. *)
 let rec completion = function
   | Leaf { ann; _ } -> ann.a_created
   | Rule { ann; children; _ } ->
@@ -152,7 +190,7 @@ let rec completion = function
       (fun acc c -> Float.min acc (completion c))
       Float.infinity alternatives
     |> fun v -> if v = Float.infinity then 0.0 else v
-  | Unreachable _ -> 0.0
+  | Unreachable _ | Shared _ -> 0.0
 
 (* The chain of tree nodes that determined the root's completion time:
    at a rule node the slowest child, at a union the earliest
@@ -160,7 +198,7 @@ let rec completion = function
    completion time; anything off it has slack. *)
 let rec critical_path (t : t) : t list =
   match t with
-  | Leaf _ | Unreachable _ -> [ t ]
+  | Leaf _ | Unreachable _ | Shared _ -> [ t ]
   | Rule { ann; children; _ } -> (
     let slowest =
       List.fold_left
@@ -210,12 +248,16 @@ let to_latency_string (t : t) : string =
         (Printf.sprintf "%s%s%s  <- %s@%s  t=%.6f\n" pad mark tuple rule
            ann.a_location at);
       List.iter (go (indent + 2)) children
-    | Union { tuple; alternatives } ->
-      Buffer.add_string buf (Printf.sprintf "%s%s%s  <- union  t=%.6f\n" pad mark tuple at);
+    | Union { tuple; location; alternatives } ->
+      Buffer.add_string buf
+        (Printf.sprintf "%s%s%s  <- union@%s  t=%.6f\n" pad mark tuple location at);
       List.iter (go (indent + 2)) alternatives
     | Unreachable { tuple; location } ->
       Buffer.add_string buf
-        (Printf.sprintf "%s%s%s  <- unreachable@%s  t=?\n" pad mark tuple location))
+        (Printf.sprintf "%s%s%s  <- unreachable@%s  t=?\n" pad mark tuple location)
+    | Shared { tuple; location } ->
+      Buffer.add_string buf
+        (Printf.sprintf "%s%s%s  <- shared@%s  t=?\n" pad mark tuple location))
   in
   go 0 t;
   Buffer.contents buf
@@ -227,6 +269,7 @@ let figure1 () : t =
   let leaf loc tuple = Leaf { tuple; ann = annot loc } in
   Union
     { tuple = "reachable(a,c)";
+      location = "a";
       alternatives =
         [ Rule
             { rule = "r1"; tuple = "reachable(a,c)"; ann = annot "a";
@@ -246,6 +289,7 @@ let figure2 () : t =
   let leaf loc says tuple = Leaf { tuple; ann = annot ~says loc } in
   Union
     { tuple = "reachable(a,c)";
+      location = "a";
       alternatives =
         [ Rule
             { rule = "s1"; tuple = "reachable(a,c)"; ann = annot ~says:"a" "a";

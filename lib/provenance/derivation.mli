@@ -4,7 +4,9 @@
     rule (an oval in the figures) to child subtrees; [Union] combines
     alternative derivations of the same tuple.  Traceback (both the
     live walk and the offline walk over the persisted log) produces
-    these trees; {!to_expr} maps them onto provenance expressions. *)
+    these trees, showing each (location, tuple) subtree in full once
+    and as a [Shared] reference wherever the walk reaches it again;
+    {!to_expr} maps them onto provenance expressions. *)
 
 type annotation = {
   a_location : string;  (** where the step executed: "@a" in Figure 1 *)
@@ -26,17 +28,26 @@ val annot :
 type t =
   | Leaf of { tuple : string; ann : annotation }
   | Rule of { rule : string; tuple : string; ann : annotation; children : t list }
-  | Union of { tuple : string; alternatives : t list }
+  | Union of { tuple : string; location : string; alternatives : t list }
   | Unreachable of { tuple : string; location : string }
       (** traceback could not reach [location] (crashed node, missing
           offline record): the subtree rooted here is unknown (Section
           4.1's graceful degradation) *)
+  | Shared of { tuple : string; location : string }
+      (** another visit to the subtree of [tuple] held at [location]:
+          one shown in full earlier in the same tree, or an enclosing
+          subtree not yet finished (a cycle in the records) *)
 
 val tuple_of : t -> string
 
+val location_of : t -> string
+(** Where the subtree's root is held; with {!tuple_of}, the key a
+    [Shared] reference names. *)
+
 val leaves : t -> string list
 (** Base tuples at the leaves; an [Unreachable] stub contributes none
-    (its subtree is unknown, not empty). *)
+    (its subtree is unknown, not empty), nor does a [Shared] reference
+    (its subtree lists them where it appears in full). *)
 
 val depth : t -> int
 val node_count : t -> int
@@ -47,17 +58,24 @@ val unreachable_leaves : t -> string list
 val to_expr : t -> Prov_expr.t
 (** The provenance expression of the tree: leaves are base keys (the
     asserting principal when present, Figure 2), rules multiply,
-    unions add, unreachable subtrees map to zero. *)
+    unions add, unreachable subtrees map to zero.  A [Shared]
+    reference contributes the expression of the subtree it names,
+    which appears in full earlier in the tree; a reference to an
+    enclosing subtree (a cycle) contributes zero. *)
 
 val to_expr_by_tuple : t -> Prov_expr.t
-(** Like {!to_expr} but always keyed by base tuple identity. *)
+(** Like {!to_expr} but always keyed by base tuple identity, and a
+    [Shared] reference that does not resolve within the tree names its
+    tuple: the size of a subtree that points at parts its reader
+    already holds. *)
 
 val locations : t -> string list
 (** Every location that took part, for AS-granularity aggregation. *)
 
 val fully_attributed : t -> bool
 (** Structural completeness of an authenticated tree: every node
-    carries a [says] principal and no subtree is unreachable. *)
+    carries a [says] principal and no subtree is unreachable (a
+    [Shared] reference is checked where its subtree appears). *)
 
 val to_string : t -> string
 (** ASCII rendering in the spirit of Figures 1–2. *)
@@ -67,7 +85,9 @@ val to_string : t -> string
     When [a_created] stamps carry the virtual clock (as runtime
     traceback trees do), the tree doubles as a latency profile: a
     rule completes at the latest of its stamp and its children, a
-    union at its earliest alternative. *)
+    union at its earliest alternative.  Unreachable stubs and [Shared]
+    references complete at 0: their timing is unknown or counted where
+    the subtree appears in full. *)
 
 val completion : t -> float
 val critical_path : t -> t list

@@ -122,8 +122,9 @@ let canonical_string (e : t) : string =
   in
   go ~parent:`Top e
 
-(* Wire size in bytes when shipped uncondensed: a flattened prefix
-   encoding with one byte per operator and length-prefixed keys. *)
+(* Size in bytes of the expression written uncondensed: a flattened
+   prefix encoding with one byte per operator and length-prefixed
+   keys.  Storage accounting and traceback costs measure with it. *)
 let rec wire_size = function
   | Zero | One -> 1
   | Base k -> 1 + 2 + String.length k
@@ -170,67 +171,3 @@ let asserted_solely_by (e : t) ~(principal_of : string -> string option)
 let vote_count (e : t) ~(principal_of : string -> string option)
     ~(principals : string list) : int =
   List.length (List.filter (asserted_solely_by e ~principal_of) principals)
-
-(* --- binary wire codec ----------------------------------------------- *)
-
-(* Binary encoding matching [wire_size]: one tag byte per node, keys
-   length-prefixed with 2 bytes.  This is the provenance block format
-   shipped inside [Net.Wire] messages. *)
-let encode (e : t) : string =
-  let buf = Buffer.create 32 in
-  let rec go = function
-    | Zero -> Buffer.add_char buf '\000'
-    | One -> Buffer.add_char buf '\001'
-    | Base k ->
-      Buffer.add_char buf '\002';
-      let n = String.length k in
-      Buffer.add_char buf (Char.chr ((n lsr 8) land 0xFF));
-      Buffer.add_char buf (Char.chr (n land 0xFF));
-      Buffer.add_string buf k
-    | Plus (a, b) ->
-      Buffer.add_char buf '\003';
-      go a;
-      go b
-    | Times (a, b) ->
-      Buffer.add_char buf '\004';
-      go a;
-      go b
-  in
-  go e;
-  Buffer.contents buf
-
-exception Decode_error of string
-
-let decode (s : string) : t =
-  let pos = ref 0 in
-  let byte () =
-    if !pos >= String.length s then raise (Decode_error "truncated provenance");
-    let c = s.[!pos] in
-    incr pos;
-    c
-  in
-  let rec go () =
-    match byte () with
-    | '\000' -> Zero
-    | '\001' -> One
-    | '\002' ->
-      let hi = Char.code (byte ()) in
-      let lo = Char.code (byte ()) in
-      let n = (hi lsl 8) lor lo in
-      if !pos + n > String.length s then raise (Decode_error "truncated key");
-      let k = String.sub s !pos n in
-      pos := !pos + n;
-      Base k
-    | '\003' ->
-      let a = go () in
-      let b = go () in
-      Plus (a, b)
-    | '\004' ->
-      let a = go () in
-      let b = go () in
-      Times (a, b)
-    | c -> raise (Decode_error (Printf.sprintf "bad provenance tag %C" c))
-  in
-  let e = go () in
-  if !pos <> String.length s then raise (Decode_error "trailing bytes");
-  e

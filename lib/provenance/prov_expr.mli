@@ -81,17 +81,10 @@ val canonical_string : t -> string
     the byte-identity comparator used by the parallel-engine
     equivalence tests and the offline-traceback tests. *)
 
-(** {1 Wire codec} *)
+(** {1 Size} *)
 
 val wire_size : t -> int
-(** Encoded size in bytes when shipped uncondensed. *)
-
-val encode : t -> string
-(** Flattened prefix encoding: one tag byte per node, base keys
-    length-prefixed with two bytes. *)
-
-exception Decode_error of string
-
-val decode : string -> t
-(** Inverse of {!encode}.
-    @raise Decode_error on truncated or malformed input. *)
+(** Size in bytes of the expression written uncondensed (a flattened
+    prefix encoding: one tag byte per node, base keys length-prefixed
+    with two bytes).  Storage accounting and traceback costs measure
+    with it; what ships is the condensed BDD ({!Condense.to_wire}). *)

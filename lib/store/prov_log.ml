@@ -23,11 +23,11 @@
    kind byte plus payload.  Frame kinds: 'R' retired-tuple record,
    'L' live-tuple checkpoint record, 'F' sampled flow, 'B' per-(node,
    epoch) Bloom digest.  Frames are written on a Net.Arena writer and
-   read with an Arena reader.  Record payloads reuse the existing
-   codecs: Net.Wire's tuple encoding for tuples and
-   Provenance.Condense.to_wire for the condensed provenance expression
-   (falling back to the raw Prov_expr codec when the expression's
-   support exceeds the 16-bit condensed wire fields).
+   read with an Arena reader.  Tuples use Net.Wire's tuple encoding.
+   A record carries the tuple, its senders and its derivations, from
+   which offline traceback computes the expression; no expression is
+   stored.  Frames written before that change still carry an
+   expression block, which the reader skips.
 
    The frames are the only copy of what the log knows.  Opening scans
    every listed segment, checks each frame's checksum, and rebuilds
@@ -80,7 +80,6 @@ type record = {
   r_live : bool;
   r_at : float;
   r_tuple : Engine.Tuple.t;
-  r_expr : Provenance.Prov_expr.t;
   r_received_from : string list;
   r_derivs : deriv list;
 }
@@ -159,27 +158,21 @@ let decoding (payload : Arena.slice) (read : Arena.reader -> 'a) : 'a =
 (* Record payload:
      u8 live | str16 node | str16 domain | f64 at
      str32 tuple (Net.Wire tuple encoding)
-     u8 expr-repr (0 condensed / 1 raw) | str32 expr bytes
+     u8 expr-repr: 2 (no expression block).  Frames written before
+       records dropped their expression carry 0 (condensed) or 1
+       (raw) and a str32 expression block, which the reader skips.
      u16 n, str16 received-from addresses (order-preserving)
      u16 n derivations, each:
        str16 rule | f64 at | opt signer | opt signature
        u16 n body items, each:
          str32 tuple | u8 origin (0 local / 1 remote + str16 addr) | opt says *)
-let write_record (ctx : Provenance.Condense.ctx) a (r : record) : unit =
+let write_record a (r : record) : unit =
   Arena.add_char a (if r.r_live then '\001' else '\000');
   add_str16 a r.r_node;
   add_str16 a r.r_domain;
   add_f64 a r.r_at;
   add_block32 a (fun a -> Net.Wire.write_tuple a r.r_tuple);
-  (match Provenance.Condense.to_wire ctx r.r_expr with
-  | w ->
-    Arena.add_char a '\000';
-    add_str32 a w
-  | exception Provenance.Condense.Wire_error _ ->
-    (* support too wide for the condensed u16 fields: keep the raw
-       expression codec so the record is never lost *)
-    Arena.add_char a '\001';
-    add_str32 a (Provenance.Prov_expr.encode r.r_expr));
+  Arena.add_char a '\002';
   add_count16 a r.r_received_from;
   List.iter (add_str16 a) r.r_received_from;
   add_count16 a r.r_derivs;
@@ -206,15 +199,11 @@ let tuple_block r : Engine.Tuple.t =
   try Net.Wire.decode_tuple_slice (block32 r) with
   | Net.Wire.Decode_error m -> raise (Corrupt ("bad tuple block: " ^ m))
 
-let expr_block (ctx : Provenance.Condense.ctx) ~(repr : int) r : Provenance.Prov_expr.t =
-  let block = block32 r in
-  match repr with
-  | 0 -> (
-    try Provenance.Condense.of_wire_slice ctx block with
-    | Provenance.Condense.Wire_error m -> raise (Corrupt ("bad condensed block: " ^ m)))
-  | 1 -> (
-    try Provenance.Prov_expr.decode (Arena.to_string block) with
-    | Provenance.Prov_expr.Decode_error m -> raise (Corrupt ("bad raw expr block: " ^ m)))
+(* Skip an older frame's expression block, undecoded. *)
+let skip_expr_block r : unit =
+  match Arena.u8 r with
+  | 0 | 1 -> ignore (block32 r)
+  | 2 -> ()
   | n -> raise (Corrupt (Printf.sprintf "bad expr repr tag %d" n))
 
 (* The index keys lead the payload, so indexing a frame reads only
@@ -228,10 +217,9 @@ let read_record_keys ~(live : bool) r : string * string * float * Engine.Tuple.t
   let tuple = tuple_block r in
   (node, domain, at, tuple)
 
-let read_record (ctx : Provenance.Condense.ctx) ~(live : bool) r : record =
+let read_record ~(live : bool) r : record =
   let node, domain, at, tuple = read_record_keys ~live r in
-  let repr = Arena.u8 r in
-  let expr = expr_block ctx ~repr r in
+  skip_expr_block r;
   let received = List.init (Arena.u16 r) (fun _ -> str16 r) in
   let derivs =
     List.init (Arena.u16 r) (fun _ ->
@@ -254,7 +242,7 @@ let read_record (ctx : Provenance.Condense.ctx) ~(live : bool) r : record =
         { d_rule = rule; d_at = dat; d_signer = signer; d_signature = signature; d_body = body })
   in
   { r_node = node; r_domain = domain; r_live = live; r_at = at; r_tuple = tuple;
-    r_expr = expr; r_received_from = received; r_derivs = derivs }
+    r_received_from = received; r_derivs = derivs }
 
 let write_flow a (f : flow) : unit =
   add_str16 a f.fl_src;
@@ -363,7 +351,6 @@ type t = {
   epoch_seconds : float;
   digest_expected : int;
   digest_fp_rate : float;
-  ctx : Provenance.Condense.ctx;
   frame_buf : Arena.t;  (* reused for every appended frame, under [mu] *)
   mu : Mutex.t;
   mutable segs : int list;  (* segment ids, manifest order: oldest first, tail last *)
@@ -548,7 +535,6 @@ let open_log ?(segment_bytes = default_segment_bytes)
   let t =
     { dir; seg_bytes = segment_bytes; compact_threshold; epoch_seconds; digest_expected;
       digest_fp_rate;
-      ctx = Provenance.Condense.create_ctx ();
       frame_buf = Arena.create ~capacity:1024 ();
       mu = Mutex.create ();
       segs = [];
@@ -729,7 +715,7 @@ let maybe_roll t : unit =
 let append_locked t (r : record) : unit =
   let off = t.tail_bytes in
   t.tail_bytes <-
-    t.tail_bytes + write_frame t (if r.r_live then 'L' else 'R') (fun a -> write_record t.ctx a r);
+    t.tail_bytes + write_frame t (if r.r_live then 'L' else 'R') (fun a -> write_record a r);
   (* a runtime's tuples are interned already: the identity is a lookup *)
   index_add t (tail_seg t) off
     (entry_of ~live:r.r_live ~node:r.r_node ~domain:r.r_domain
@@ -828,7 +814,7 @@ let read_record_at t (seg_id : int) (off : int) : record =
     try really_input_string ic plen with End_of_file -> raise (Corrupt "truncated record frame")
   in
   match kind with
-  | 'R' | 'L' -> decoding (Arena.of_string payload) (read_record t.ctx ~live:(kind = 'L'))
+  | 'R' | 'L' -> decoding (Arena.of_string payload) (read_record ~live:(kind = 'L'))
   | k -> raise (Corrupt (Printf.sprintf "frame at indexed offset has kind %C" k))
 
 let lookup t ~(ident : string) : record list =

@@ -4,8 +4,11 @@
     Retired (expired) tuples' provenance is written through here by
     [Core.Prov_store], together with optional live-tuple checkpoints,
     so forensic traceback works after tuples expire and across
-    process restarts.  The log is also the only store of 1/K-sampled
-    flows and per-(node, epoch) Bloom digests.
+    process restarts.  A record carries the tuple, its senders and its
+    derivations; offline traceback computes the expression from them,
+    and the log stores none (frames of older logs carry an expression
+    block, which the reader skips).  The log is also the only store of
+    1/K-sampled flows and per-(node, epoch) Bloom digests.
 
     A log is a directory: a [MANIFEST] naming the ordered live
     segments (always replaced by tmp + atomic rename) and
@@ -46,15 +49,14 @@ val node_repr : Engine.Tuple.t -> deriv -> string
     ["head<-rule[body;...]"] over the interned identities of the head
     and of the derivation's bodies. *)
 
+(** What the log knows of one tuple at one node when it retired (or
+    was checkpointed). *)
 type record = {
   r_node : string;  (** node address that held the tuple *)
   r_domain : string;  (** AS-domain base key of that node, e.g. ["as3"] *)
   r_live : bool;  (** live checkpoint, not a retirement *)
   r_at : float;  (** expiry time ('R') or checkpoint time ('L') *)
   r_tuple : Engine.Tuple.t;
-  r_expr : Provenance.Prov_expr.t;
-      (** condensed provenance (BDD round-trip normalizes it to the
-          absorption-minimal sum of products) *)
   r_received_from : string list;  (** newest first, as in the live store *)
   r_derivs : deriv list;  (** newest first, as in the live store *)
 }

@@ -431,7 +431,7 @@ let test_emits_remote () =
   let p = Ndlog.Localize.localize_program (parse Ndlog.Programs.reachable_src) in
   let db = Db.create () in
   let link = Tuple.make "link" [ v_str "a"; v_str "b" ] in
-  let emits, _ =
+  let emits =
     Eval.run_fixpoint db ~now:0.0 ~rules:(Ndlog.Ast.rules p) ~local:(Some "a")
       ~pending:[ { Eval.f_tuple = link; f_asserter = None } ]
       ~on_derive:(fun _ -> ())

@@ -187,16 +187,6 @@ let test_span_limit_and_json_lines () =
   done;
   Alcotest.(check int) "bounded" 2 (List.length (Obs.Trace.finished_spans tr));
   Alcotest.(check int) "dropped counted" 2 (Obs.Trace.dropped tr);
-  let lines =
-    String.split_on_char '\n' (String.trim (Obs.Trace.to_json_lines tr))
-  in
-  Alcotest.(check int) "one line per span" 2 (List.length lines);
-  List.iter
-    (fun line ->
-      let j = Obs.Json.parse line in
-      Alcotest.(check (option string)) "span name in JSON" (Some "s")
-        (Option.bind (Obs.Json.member "name" j) Obs.Json.to_string_opt))
-    lines;
   Obs.Trace.reset tr;
   Alcotest.(check int) "reset clears" 0 (List.length (Obs.Trace.finished_spans tr))
 

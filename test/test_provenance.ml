@@ -112,14 +112,6 @@ let prop_condense_no_larger =
       let condensed, _ = Condense.condense ctx e in
       List.length (Prov_expr.bases condensed) <= List.length (Prov_expr.bases e))
 
-let prop_codec_roundtrip =
-  QCheck.Test.make ~name:"binary codec roundtrip" ~count:200 expr_gen (fun e ->
-      Prov_expr.equal e (Prov_expr.decode (Prov_expr.encode e)))
-
-let prop_wire_size_matches_encode =
-  QCheck.Test.make ~name:"wire_size = encoded length" ~count:200 expr_gen (fun e ->
-      Prov_expr.wire_size e = String.length (Prov_expr.encode e))
-
 let prop_bdd_wire_roundtrip =
   QCheck.Test.make ~name:"BDD wire roundtrip preserves semantics" ~count:200 expr_gen
     (fun e ->
@@ -365,8 +357,6 @@ let suite : unit Alcotest.test_case list =
       @ [ prop_boolean_eval_matches_truth;
           prop_condense_preserves_semantics;
           prop_condense_no_larger;
-          prop_codec_roundtrip;
-          prop_wire_size_matches_encode;
           prop_bdd_wire_roundtrip;
           prop_condensed_block_mutation;
           prop_minimal_why_absorbed ])
