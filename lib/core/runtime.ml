@@ -35,23 +35,24 @@ type node = {
          provenance variant one level down, so a retraction notice can
          drop every variant of one (dest, tuple) in O(1) *)
   mutable n_free_at : float; (* virtual time until which this node's CPU is busy *)
-  n_parked : Net.Wire.message Queue.t;
-      (* receive queue: messages that arrived while the CPU was busy,
-         in arrival order.  Drained FIFO by a wake event at
-         [n_free_at], so a message that waits through several busy
-         periods can never be overtaken by a later arrival on the same
-         channel (retract/assert wire order is load-bearing) *)
+  n_parked : work_item Queue.t;
+      (* receive queue: every unit of work that reached the node and
+         waits for its CPU, in arrival order.  One wake event runs the
+         whole queue as one handler once the CPU is free, so nothing
+         overtakes earlier work on the same channel (retract/assert
+         wire order is load-bearing) *)
   mutable n_wake_at : float;
       (* time of the armed wake event, or -1.0 when none is pending *)
 }
 
-(* One unit of node-level work inside a timestamp batch: a delivered
-   data or retract message accepted for processing, a base-fact
-   installation, or a local base-fact retraction. *)
-type work_item =
+(* One unit of node work: a delivered data or retract message, a
+   base-fact installation, a local base-fact retraction, or soft state
+   that expired at an [advance] horizon. *)
+and work_item =
   | W_msg of Net.Wire.message
   | W_fact of Tuple.t
   | W_retract of Tuple.t
+  | W_expire of Tuple.t list
 
 (* A fully prepared outgoing message, minus its channel sequence
    number.  Signing happens at preparation ([Wire.signed_bytes]
@@ -69,9 +70,8 @@ type outgoing = {
 }
 
 (* Per-handler execution context: cost-model charges and prepared
-   sends accumulated while a node's handler runs.  One per node group
-   (and per soft-state eviction), so handlers on different domains
-   never share it. *)
+   sends accumulated while a node's handler runs.  One per handler, so
+   handlers on different domains never share it. *)
 type exec_ctx = {
   mutable xc_charge : float;
   mutable xc_out : outgoing list; (* reversed *)
@@ -92,16 +92,12 @@ type outbox_entry = {
 }
 
 (* One shard of the event engine: its own priority queue and clock,
-   plus the state its window drain uses — the inbox that coalesces a
-   timestamp's deliveries per node, and the cross-shard outbox.  With
+   plus the cross-shard outbox of its current window.  With
    [Config.shards = 1] there is exactly one shard, drained as a single
    window. *)
 type shard = {
   sh_id : int;
   sh_sim : Net.Event_sim.t;
-  mutable sh_inbox : (node * work_item) list;
-      (* the current timestamp's accepted deliveries, fact installs and
-         fact retractions, in reversed arrival order *)
   mutable sh_outbox : outbox_entry list; (* reversed production order *)
   mutable sh_order : int; (* monotone outbox tiebreak counter *)
 }
@@ -140,10 +136,10 @@ type t = {
   mutable tracer : Obs.Trace.t option; (* span tree, when tracing is on *)
   h_handler : Obs.Metrics.histogram; (* modeled per-handler duration *)
   h_compute : Obs.Metrics.histogram; (* measured CPU per handler *)
-  c_batches : Obs.Metrics.counter; (* timestamp batches executed *)
-  c_batch_items : Obs.Metrics.counter; (* work items across all batches *)
+  c_handlers : Obs.Metrics.counter; (* handlers run *)
+  c_handler_items : Obs.Metrics.counter; (* work items across all handlers *)
   c_flows : Obs.Metrics.counter; (* 1/K-sampled flows written to the log *)
-  g_group_max : Obs.Metrics.gauge; (* largest per-node group coalesced *)
+  g_handler_items_max : Obs.Metrics.gauge; (* most work items one handler ran *)
   g_crashed : Obs.Metrics.gauge; (* nodes failed-stop when [drive] returns *)
   chan_seq : (string * string, int) Hashtbl.t;
       (* next data sequence number per (src,dst) channel *)
@@ -175,12 +171,6 @@ let cur_shard_key : int Domain.DLS.key = Domain.DLS.new_key (fun () -> -1)
 
 let shard_of (t : t) (addr : string) : int =
   Option.value (Hashtbl.find_opt t.shard_ids addr) ~default:0
-
-(* The shard whose inbox applies to the calling context: the one being
-   drained on this domain, or shard 0 outside any drain. *)
-let shard_ctx (t : t) : shard =
-  let i = Domain.DLS.get cur_shard_key in
-  if i >= 0 && i < Array.length t.shards then t.shards.(i) else t.shards.(0)
 
 (* Current virtual time as seen from the calling context: the draining
    shard's clock inside a window, the global maximum outside (the
@@ -347,7 +337,6 @@ let create ?(directory : Sendlog.Principal.directory option) ~(rng : Crypto.Rng.
     Array.init shard_count (fun i ->
         { sh_id = i;
           sh_sim = Net.Event_sim.create ();
-          sh_inbox = [];
           sh_outbox = [];
           sh_order = 0 })
   in
@@ -379,10 +368,10 @@ let create ?(directory : Sendlog.Principal.directory option) ~(rng : Crypto.Rng.
       tracer = None;
       h_handler = Obs.Metrics.histogram reg "runtime.handler_seconds";
       h_compute = Obs.Metrics.histogram reg "runtime.handler_compute_seconds";
-      c_batches = Obs.Metrics.counter reg "par.batches";
-      c_batch_items = Obs.Metrics.counter reg "par.batch_items";
+      c_handlers = Obs.Metrics.counter reg "par.batches";
+      c_handler_items = Obs.Metrics.counter reg "par.batch_items";
       c_flows = Obs.Metrics.counter reg "forensics.flows_recorded";
-      g_group_max = Obs.Metrics.gauge reg "par.group_items_max";
+      g_handler_items_max = Obs.Metrics.gauge reg "par.group_items_max";
       g_crashed = Obs.Metrics.gauge reg "sim.crashed_nodes";
       chan_seq = Hashtbl.create 64;
       pending = Hashtbl.create 256;
@@ -417,11 +406,15 @@ let base_key (t : t) (n : node) : string =
   | Config.Node_level -> n.n_addr
   | Config.As_level -> Printf.sprintf "as%d" (Net.Topology.as_of t.topo n.n_addr)
 
-(* Expression of a body tuple as seen at [n]; base tuples (no entry
-   yet) are registered on first use. *)
+(* Expression of a body tuple as seen at [n]; a live base tuple (no
+   entry yet) is registered on first use.  A body that is no longer
+   live (a keyed relation displaced it after the derivation was found)
+   contributes zero and gets no entry: its provenance has retired. *)
 let body_expr (t : t) (n : node) (tuple : Tuple.t) : Provenance.Prov_expr.t =
   let e = Prov_store.expr_of n.n_prov tuple in
-  if not (Provenance.Prov_expr.equal e Provenance.Prov_expr.zero) then e
+  if (not (Provenance.Prov_expr.equal e Provenance.Prov_expr.zero))
+     || not (Db.mem n.n_db tuple)
+  then e
   else begin
     Prov_store.record_base n.n_prov tuple ~key:(base_key t n);
     Prov_store.expr_of n.n_prov tuple
@@ -1049,23 +1042,12 @@ let commit_handler (t : t) (n : node) ~(incoming_msgs : int) ~(incoming_bytes : 
       | Some r -> dispatch t r msg ~delay:(depart +. o.o_latency) ~latency:o.o_latency)
     outgoing
 
-(* Execute [work] as node [n]'s CPU outside any drain (soft-state
-   eviction in [advance]): measure its real duration, then commit (the
-   messages the work produced depart only when the node finishes
-   processing, as they would on a real host). *)
-let with_processing (t : t) (n : node) (work : exec_ctx -> unit) : unit =
-  let xc = { xc_charge = 0.0; xc_out = [] } in
-  let t0 = Unix.gettimeofday () in
-  work xc;
-  let compute = Unix.gettimeofday () -. t0 in
-  commit_handler t n ~incoming_msgs:0 ~incoming_bytes:0 ~compute xc
-
 (* Authenticate an incoming data message and record its shipped
    provenance, returning the frontier item for the receiver's local
    fixpoint.  Raises [Exit] on a forged message (the verification work
    is still charged to the node).  Touches only per-node or
-   mutex-guarded state, so pool workers call it while evaluating node
-   groups. *)
+   mutex-guarded state, so shards on pool workers call it
+   concurrently. *)
 let accept_message (t : t) (receiver : node) (msg : Net.Wire.message) :
     Eval.frontier_item =
   let tuple = msg.Net.Wire.msg_tuple in
@@ -1101,107 +1083,11 @@ let accept_message (t : t) (receiver : node) (msg : Net.Wire.message) :
   end;
   { Eval.f_tuple = tuple; f_asserter = asserter }
 
-(* Hand one unit of node work to the draining shard's inbox; the
-   drain evaluates each node's share of the timestamp as one group. *)
-let join_inbox (t : t) (n : node) (item : work_item) : unit =
-  let sh = shard_ctx t in
-  sh.sh_inbox <- (n, item) :: sh.sh_inbox
-
-let rec handle_message (t : t) (receiver : node) (msg : Net.Wire.message) : unit =
-  let now = now t in
-  (* Fail-stop: a crashed node neither consumes ACKs nor processes
-     data; the copy is simply lost (the reliable layer's retransmits
-     outlive the outage). *)
-  if Net.Fault.is_down t.cfg.Config.fault ~now receiver.n_addr then
-    Net.Stats.record_drop t.stats
-  else
-    match msg.Net.Wire.msg_kind with
-    | Net.Wire.K_ack ->
-      (* Consumed by the sender-side reliable layer: clears the pending
-         entry so the retransmission timer stands down.  No dataflow
-         work, so no CPU charge or busy-queue wait. *)
-      locked t.net_mu (fun () ->
-          Hashtbl.remove t.pending
-            (msg.Net.Wire.msg_dst, msg.Net.Wire.msg_src, msg.Net.Wire.msg_seq))
-    | Net.Wire.K_data | Net.Wire.K_retract ->
-      (* If the receiver's CPU is still busy with earlier work — or
-         earlier arrivals are still waiting — the message joins the
-         node's receive queue.  A single wake event drains the queue in
-         arrival order; re-parking each message at its own [n_free_at]
-         would let a later arrival overtake one that waited through
-         several busy periods, inverting retract/assert wire order. *)
-      if
-        receiver.n_free_at > now +. 1e-9
-        || not (Queue.is_empty receiver.n_parked)
-      then begin
-        Queue.add msg receiver.n_parked;
-        arm_wake t receiver
-      end
-      else deliver_now t receiver msg
-
-(* Arm the node's wake event at the end of its busy period (or now, if
-   it is idle but the queue is nonempty).  At most one wake is pending
-   per node: the wake re-arms itself while work remains. *)
-and arm_wake (t : t) (receiver : node) : unit =
-  if receiver.n_wake_at < 0.0 then begin
-    let at = Float.max receiver.n_free_at (now t) in
-    receiver.n_wake_at <- at;
-    sched_at_to t receiver.n_addr ~time:at (fun () -> wake t receiver)
-  end
-
-(* The wake event: if the node is busy again, re-arm; otherwise the
-   whole receive queue, in arrival order, joins the current
-   timestamp's combined computation for the node. *)
-and wake (t : t) (receiver : node) : unit =
-  receiver.n_wake_at <- -1.0;
-  if receiver.n_free_at > now t +. 1e-9 then arm_wake t receiver
-  else
-    while not (Queue.is_empty receiver.n_parked) do
-      deliver_now t receiver (Queue.pop receiver.n_parked)
-    done
-
-(* Accept a data or retract message on an idle CPU: acknowledge and
-   dedup (reliable mode), then hand it to the shard inbox.  [now] is
-   re-read here — a parked message is charged the wake time, not its
-   arrival time. *)
-and deliver_now (t : t) (receiver : node) (msg : Net.Wire.message) : unit =
-  let now = now t in
-  if Net.Fault.is_down t.cfg.Config.fault ~now receiver.n_addr then
-    (* Crashed while the message waited: the copy is lost (the reliable
-       layer's retransmits outlive the outage). *)
-    Net.Stats.record_drop t.stats
-  else begin
-    (* Reliable delivery: every copy is acknowledged (the first ACK
-       may have been lost), but only the first is processed.
-       Retractions share the channel's sequence space, so the same
-       dedup covers them. *)
-    let fresh =
-      (not t.cfg.Config.reliable)
-      || begin
-           let key =
-             (msg.Net.Wire.msg_src, msg.Net.Wire.msg_dst, msg.Net.Wire.msg_seq)
-           in
-           let count =
-             locked t.net_mu (fun () ->
-                 let c = Option.value (Hashtbl.find_opt t.seen key) ~default:0 in
-                 Hashtbl.replace t.seen key (c + 1);
-                 c)
-           in
-           send_ack t receiver msg ~attempt:count;
-           count = 0
-         end
-    in
-    if fresh then begin
-      Net.Stats.record_received t.stats msg;
-      join_inbox t receiver (W_msg msg)
-    end
-  end
-
 (* Acknowledge a data message back to its sender.  ACKs ride the same
    faulty network but are never themselves retransmitted: a lost ACK
    surfaces as a data retransmission, which is re-acknowledged with a
    fresh fault verdict ([attempt] counts the deliveries seen). *)
-and send_ack (t : t) (receiver : node) (data : Net.Wire.message) ~(attempt : int) :
+let send_ack (t : t) (receiver : node) (data : Net.Wire.message) ~(attempt : int) :
     unit =
   match Hashtbl.find_opt t.nodes data.Net.Wire.msg_src with
   | None -> ()
@@ -1223,14 +1109,140 @@ and send_ack (t : t) (receiver : node) (data : Net.Wire.message) ~(attempt : int
     transmit t ~delay:latency orig ack ~attempt
       ~ident:("ack|" ^ Tuple.interned_identity data.Net.Wire.msg_tuple)
 
+(* Reliable delivery: every copy is acknowledged (the first ACK may
+   have been lost), but only the first is processed.  Retractions
+   share the channel's sequence space, so the same dedup covers
+   them. *)
+let fresh_delivery (t : t) (receiver : node) (msg : Net.Wire.message) : bool =
+  (not t.cfg.Config.reliable)
+  || begin
+       let key = (msg.Net.Wire.msg_src, msg.Net.Wire.msg_dst, msg.Net.Wire.msg_seq) in
+       let count =
+         locked t.net_mu (fun () ->
+             let c = Option.value (Hashtbl.find_opt t.seen key) ~default:0 in
+             Hashtbl.replace t.seen key (c + 1);
+             c)
+       in
+       send_ack t receiver msg ~attempt:count;
+       count = 0
+     end
+
+(* The node's one handler: run everything in its receive queue, in
+   arrival order, as one unit of CPU work, then commit it.  Messages
+   that waited for a node that has since crashed are lost (the
+   reliable layer's retransmits outlive the outage); installed facts
+   and expired soft state are processed regardless.  A fresh message is
+   acknowledged and dedup-checked here, so the ACK leaves when the
+   node reads the message.  Insertions coalesce into one combined
+   semi-naive frontier, but a retraction is a barrier: the frontier
+   accumulated so far must reach the database before the deletion pass
+   reads it, and later insertions must see the post-deletion state. *)
+let handle (t : t) (n : node) : unit =
+  let items = List.of_seq (Queue.to_seq n.n_parked) in
+  Queue.clear n.n_parked;
+  let len = List.length items in
+  Obs.Metrics.inc t.c_handlers;
+  Obs.Metrics.inc ~by:len t.c_handler_items;
+  Obs.Metrics.set_max t.g_handler_items_max (float_of_int len);
+  let t0 = Unix.gettimeofday () in
+  let xc = { xc_charge = 0.0; xc_out = [] } in
+  let down = Net.Fault.is_down t.cfg.Config.fault ~now:(now t) n.n_addr in
+  let nmsgs = ref 0 in
+  let bytes = ref 0 in
+  (* Causal parent of the handler's span: the first message that
+     carried a trace context (one span covers every item, so one
+     representative parent is the best it can record). *)
+  let tparent = ref None in
+  let frontier = ref [] in
+  let flush () =
+    if !frontier <> [] then begin
+      process t xc n (List.rev !frontier);
+      frontier := []
+    end
+  in
+  List.iter
+    (fun item ->
+      match item with
+      | W_msg _ when down -> Net.Stats.record_drop t.stats
+      | W_msg msg ->
+        if fresh_delivery t n msg then begin
+          Net.Stats.record_received t.stats msg;
+          incr nmsgs;
+          bytes := !bytes + Net.Wire.size msg;
+          if !tparent = None then tparent := msg.Net.Wire.msg_trace;
+          match msg.Net.Wire.msg_kind with
+          | Net.Wire.K_retract ->
+            flush ();
+            handle_retract t xc n msg
+          | Net.Wire.K_data | Net.Wire.K_ack -> (
+            try frontier := accept_message t n msg :: !frontier with Exit -> ())
+        end
+      | W_fact tuple ->
+        if prov_enabled t && sampled t tuple then
+          Prov_store.record_base n.n_prov tuple ~key:(base_key t n);
+        Tuple.Table.replace n.n_base tuple ();
+        frontier := { Eval.f_tuple = tuple; Eval.f_asserter = None } :: !frontier
+      | W_retract tuple ->
+        flush ();
+        Tuple.Table.remove n.n_base tuple;
+        retract_local t xc n ~lost:[ tuple ]
+      | W_expire lost ->
+        flush ();
+        retract_local t xc n ~lost)
+    items;
+  flush ();
+  let compute = Unix.gettimeofday () -. t0 in
+  commit_handler t n ~incoming_msgs:!nmsgs ~incoming_bytes:!bytes ~compute
+    ?trace_parent:!tparent xc
+
+(* Arm the node's wake event at the end of its busy period (or now, if
+   it is idle).  At most one wake is pending per node: the wake re-arms
+   itself while the CPU is busy, and otherwise runs the handler over
+   the whole queue.  A wake armed for an idle node fires after every
+   event already queued for the same instant, so same-time arrivals
+   join one handler. *)
+let rec arm_wake (t : t) (n : node) : unit =
+  if n.n_wake_at < 0.0 then begin
+    let at = Float.max n.n_free_at (now t) in
+    n.n_wake_at <- at;
+    sched_at_to t n.n_addr ~time:at (fun () -> wake t n)
+  end
+
+and wake (t : t) (n : node) : unit =
+  n.n_wake_at <- -1.0;
+  if n.n_free_at > now t +. 1e-9 then arm_wake t n else handle t n
+
+(* Queue one unit of work at the node; it runs once the CPU is free. *)
+let enqueue (t : t) (n : node) (item : work_item) : unit =
+  Queue.add item n.n_parked;
+  arm_wake t n
+
+(* A message arriving at a node.  A crashed node neither consumes ACKs
+   nor queues data; the copy is simply lost (the reliable layer's
+   retransmits outlive the outage).  An ACK is consumed on arrival by
+   the sender-side reliable layer: it clears the pending entry so the
+   retransmission timer stands down, and costs no CPU.  Data and
+   retraction notices wait in the node's receive queue. *)
+let handle_message (t : t) (receiver : node) (msg : Net.Wire.message) : unit =
+  if Net.Fault.is_down t.cfg.Config.fault ~now:(now t) receiver.n_addr then
+    Net.Stats.record_drop t.stats
+  else
+    match msg.Net.Wire.msg_kind with
+    | Net.Wire.K_ack ->
+      locked t.net_mu (fun () ->
+          Hashtbl.remove t.pending
+            (msg.Net.Wire.msg_dst, msg.Net.Wire.msg_src, msg.Net.Wire.msg_seq))
+    | Net.Wire.K_data | Net.Wire.K_retract -> enqueue t receiver (W_msg msg)
+
 let () = deliver := handle_message
 
 (* --- public operations ----------------------------------------------- *)
 
-(* Install a base fact at a node (scheduled immediately). *)
+(* Install a base fact at a node: it arrives now and waits for the
+   node's CPU like a message. *)
 let install_fact (t : t) ~(at : string) (tuple : Tuple.t) : unit =
   let n = node t at in
-  sched_to t at ~delay:0.0 (fun () -> join_inbox t n (W_fact tuple))
+  sched_to t at ~delay:0.0 (fun () -> enqueue t n (W_fact tuple))
 
 (* Install program facts at the location given by their location
    specifier (or first address argument). *)
@@ -1252,12 +1264,12 @@ let install_links (t : t) : unit =
     (fun tuple -> install_fact t ~at:(Value.to_addr (Tuple.arg tuple 0)) tuple)
     (Net.Topology.link_facts t.topo)
 
-(* Retract a base fact previously installed at a node (scheduled
-   immediately): withdraw its external support and run the incremental
-   deletion pass over everything derived from it. *)
+(* Retract a base fact previously installed at a node (arriving now,
+   like an install): withdraw its external support and run the
+   incremental deletion pass over everything derived from it. *)
 let retract_fact (t : t) ~(at : string) (tuple : Tuple.t) : unit =
   let n = node t at in
-  sched_to t at ~delay:0.0 (fun () -> join_inbox t n (W_retract tuple))
+  sched_to t at ~delay:0.0 (fun () -> enqueue t n (W_retract tuple))
 
 (* --- link churn -------------------------------------------------------- *)
 
@@ -1322,80 +1334,6 @@ let schedule_flaps (t : t) ~(rate : float) ~(horizon : float) () : Net.Fault.fla
 
 (* --- the event loop ---------------------------------------------------- *)
 
-(* Drain a shard's deferred inbox into per-node work lists, in
-   first-arrival order both across nodes and within each node's list.
-   That order is the canonical commit order: it makes seq assignment
-   (and hence the whole schedule) independent of which domain computed
-   what. *)
-let group_inbox (sh : shard) : (node * work_item list) list =
-  let items = List.rev sh.sh_inbox in
-  sh.sh_inbox <- [];
-  let order = ref [] in
-  let tbl : (string, work_item list ref) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun ((n : node), item) ->
-      match Hashtbl.find_opt tbl n.n_addr with
-      | Some r -> r := item :: !r
-      | None ->
-        Hashtbl.add tbl n.n_addr (ref [ item ]);
-        order := n :: !order)
-    items;
-  List.rev_map (fun (n : node) -> (n, List.rev !(Hashtbl.find tbl n.n_addr))) !order
-
-(* Evaluate one node's share of a timestamp batch: authenticate every
-   queued message, then run a single combined semi-naive fixpoint over
-   the whole frontier.  Shards run it concurrently; only per-node and
-   mutex-guarded state is touched, and nothing is committed here. *)
-let node_compute (t : t) ((n, items) : node * work_item list) :
-    node * exec_ctx * float * int * int * (int * int) option =
-  let t0 = Unix.gettimeofday () in
-  let xc = { xc_charge = 0.0; xc_out = [] } in
-  let nmsgs = ref 0 in
-  let bytes = ref 0 in
-  (* Causal parent for the group's combined handle span: the first
-     queued message's trace context (the group coalesces several
-     triggers into one handler, so one representative parent is the
-     best a single span can record). *)
-  let tparent = ref None in
-  (* Insertions coalesce into one combined frontier, but a retraction
-     is a barrier: the frontier accumulated so far must reach the
-     database before the deletion pass reads it, and later insertions
-     must see the post-deletion state. *)
-  let frontier = ref [] in
-  let flush () =
-    if !frontier <> [] then begin
-      process t xc n (List.rev !frontier);
-      frontier := []
-    end
-  in
-  List.iter
-    (fun item ->
-      match item with
-      | W_fact tuple ->
-        if prov_enabled t && sampled t tuple then
-          Prov_store.record_base n.n_prov tuple ~key:(base_key t n);
-        Tuple.Table.replace n.n_base tuple ();
-        frontier := { Eval.f_tuple = tuple; Eval.f_asserter = None } :: !frontier
-      | W_msg msg when msg.Net.Wire.msg_kind = Net.Wire.K_retract ->
-        incr nmsgs;
-        bytes := !bytes + Net.Wire.size msg;
-        if !tparent = None then tparent := msg.Net.Wire.msg_trace;
-        flush ();
-        handle_retract t xc n msg
-      | W_msg msg ->
-        incr nmsgs;
-        bytes := !bytes + Net.Wire.size msg;
-        if !tparent = None then tparent := msg.Net.Wire.msg_trace;
-        (try frontier := accept_message t n msg :: !frontier with Exit -> ())
-      | W_retract tuple ->
-        flush ();
-        Tuple.Table.remove n.n_base tuple;
-        retract_local t xc n ~lost:[ tuple ])
-    items;
-  flush ();
-  let compute = Unix.gettimeofday () -. t0 in
-  (n, xc, compute, !nmsgs, !bytes, !tparent)
-
 (* Flush every shard's cross-shard outbox onto the target queues.
    Orchestrator-only (between windows).  Entries are sorted by
    (timestamp, producing shard, per-shard order) before scheduling, so
@@ -1428,68 +1366,34 @@ let flush_outboxes (t : t) : unit =
         e.ox_action)
     entries
 
-(* Drain one shard through the window ending at [limit] (exclusive, or
-   inclusive for the final window and the degenerate zero-lookahead
-   one).  Each step pops every event sharing the next timestamp and
-   runs them: deliveries, fact installs and fact retractions park
-   their dataflow work in the shard inbox (ACKs, timers and fault
-   verdicts still execute inline — they are cheap and order-
-   sensitive).  The parked work is then evaluated as one combined
-   fixpoint per node, on the domain draining the shard, and committed
-   in canonical group order; cross-shard products wait in the
-   outbox. *)
-let drain_shard (t : t) (sh : shard) ~(limit : float) ~(inclusive : bool) : int =
-  let in_window ts = if inclusive then ts <= limit else ts < limit in
-  let count = ref 0 in
-  let continue = ref true in
-  while !continue do
-    match Net.Event_sim.peek_time sh.sh_sim with
-    | None -> continue := false
-    | Some ts when not (in_window ts) -> continue := false
-    | Some _ ->
-      let actions = Net.Event_sim.next_batch sh.sh_sim in
-      count := !count + List.length actions;
-      List.iter (fun act -> act ()) actions;
-      let groups = Array.of_list (group_inbox sh) in
-      if Array.length groups > 0 then begin
-        Obs.Metrics.inc t.c_batches;
-        Array.iter
-          (fun (_, items) ->
-            let len = List.length items in
-            Obs.Metrics.inc ~by:len t.c_batch_items;
-            Obs.Metrics.set_max t.g_group_max (float_of_int len))
-          groups;
-        Array.iter
-          (fun (n, xc, compute, nmsgs, bytes, tparent) ->
-            commit_handler t n ~incoming_msgs:nmsgs ~incoming_bytes:bytes ~compute
-              ?trace_parent:tparent xc)
-          (Array.map (node_compute t) groups)
-      end
-  done;
-  !count
-
 (* The runtime's one event loop, behind both [run] and [advance]: find
    the global minimum timestamp, open a window of one lookahead, drain
-   every shard through it (each drain pinned to its shard via
-   [cur_shard_key]), then exchange the buffered cross-shard events at
-   the barrier.  A single shard has infinite lookahead, so the whole
-   horizon is one window drained on the calling domain.  Several
-   shards are drained on the pool, each evaluating its node groups
-   sequentially on the domain that drains it.  Safety: every cross-shard
-   interaction is delayed by at least the lookahead (delivery latency,
-   ACK latency, retransmit latency are all >= the minimum cross-shard
-   link latency), so nothing produced inside a window can land inside
-   it.  Progress: the shard owning the minimum executes at least one
-   event per round; with zero lookahead the window degenerates to
-   exactly that timestamp, and replies are strictly later (handler
-   durations are positive), so rounds always advance. *)
+   every shard through it with [Event_sim.run] (each drain pinned to
+   its shard via [cur_shard_key]), then exchange the buffered
+   cross-shard events at the barrier.  A single shard has infinite
+   lookahead, so the whole horizon is one window drained on the
+   calling domain; several shards drain on the pool.  Every node's
+   work runs through its wake event on its own shard, one handler at a
+   time.  Safety: every cross-shard interaction is delayed by at least
+   the lookahead (delivery latency, ACK latency, retransmit latency are
+   all >= the minimum cross-shard link latency), so nothing produced
+   inside a window can land inside it.  Progress: the shard owning the
+   minimum executes at least one event per round; with zero lookahead
+   the window degenerates to exactly that timestamp, and replies are
+   strictly later (handler durations are positive), so rounds always
+   advance. *)
 let drive (t : t) ~(until : float) : int =
   let k = Array.length t.shards in
+  (* [limit] is exclusive unless [inclusive]: the window stops short of
+     the next window's first instant. *)
   let drain ~limit ~inclusive i =
     Domain.DLS.set cur_shard_key i;
     Fun.protect
       ~finally:(fun () -> Domain.DLS.set cur_shard_key (-1))
-      (fun () -> drain_shard t t.shards.(i) ~limit ~inclusive)
+      (fun () ->
+        Net.Event_sim.run
+          ~until:(if inclusive then limit else Float.pred limit)
+          t.shards.(i).sh_sim)
   in
   let count = ref 0 in
   let continue = ref true in
@@ -1545,8 +1449,8 @@ type run_result = {
 
 (* Run to distributed fixpoint (event-queue quiescence).  Under
    tracing, the whole run is one root span on the virtual clock, so
-   its [dur] is the query-completion time and the per-node-group
-   "handle" spans nest beneath it. *)
+   its [dur] is the query-completion time and every handler's
+   "handle" span nests beneath it. *)
 let run ?(until = Float.infinity) (t : t) : run_result =
   let go () =
     let t0 = Unix.gettimeofday () in
@@ -1581,42 +1485,48 @@ let shutdown (t : t) : unit =
   (match t.prov_log with Some log -> Store.Prov_log.close log | None -> ());
   match t.pool with Some pool -> Par.Pool.shutdown pool | None -> ()
 
+(* Soft state at [n] that has expired by now: evicted from the
+   database on the spot, its provenance retired to the offline log,
+   and its dependents left for the node's next handler to retract.
+   Expiry withdraws a tuple's external support — the local
+   installation and any senders: soft state a peer does not refresh
+   within its TTL dies.  Tuples still derivable from live state are
+   reinstated by the retraction pass (with freshly captured
+   provenance). *)
+let expire (t : t) (n : node) : unit =
+  let now = now t in
+  match Db.evict_expired n.n_db ~now with
+  | [] -> ()
+  | evicted ->
+    List.iter
+      (fun tuple ->
+        Tuple.Table.remove n.n_base tuple;
+        Tuple.Table.remove n.n_recv_from tuple;
+        Prov_store.retire n.n_prov tuple ~now)
+      evicted;
+    enqueue t n (W_expire evicted)
+
 (* Advance simulated time by [seconds] — and no further.  (The
    original implementation ran the queue without [~until], so any
    event scheduled beyond the horizon fast-forwarded the clock past it
    and expired every TTL on the spot; events beyond the horizon now
-   stay queued.)  Expired soft state is then evicted in deterministic
-   node order, its provenance retired to the offline log, and
-   everything derived from it incrementally retracted.  Retraction
-   fallout addressed to other nodes is queued and delivered by the
-   next [run] or [advance]. *)
+   stay queued.)  One expiry event per shard at the horizon carries
+   the shard's clock there and evicts its nodes' expired soft state,
+   in deterministic node order; each node's retraction pass then runs
+   as its next handler, at the horizon if the node is idle or when its
+   CPU frees.  Fallout addressed to other nodes, and the passes of
+   nodes still busy at the horizon, run in the next [run] or
+   [advance]. *)
 let advance (t : t) ~(seconds : float) : unit =
   let horizon = now t +. seconds in
-  (* Marker events: carry every shard's clock to the horizon even when
-     its queue drains early, so TTL eviction sees one coherent time. *)
   Array.iter
-    (fun sh -> Net.Event_sim.schedule_at sh.sh_sim ~time:horizon (fun () -> ()))
+    (fun sh ->
+      Net.Event_sim.schedule_at sh.sh_sim ~time:horizon (fun () ->
+          List.iter
+            (fun n -> if shard_of t n.n_addr = sh.sh_id then expire t n)
+            (nodes t)))
     t.shards;
-  ignore (drive t ~until:horizon);
-  let now = now t in
-  List.iter
-    (fun n ->
-      let evicted = Db.evict_expired n.n_db ~now in
-      if evicted <> [] then begin
-        (* Expiry withdraws a tuple's external support — the local
-           installation and any senders: soft state a peer does not
-           refresh within its TTL dies.  Tuples still derivable from
-           live state are reinstated by the retraction pass (with
-           freshly captured provenance). *)
-        List.iter
-          (fun tuple ->
-            Tuple.Table.remove n.n_base tuple;
-            Tuple.Table.remove n.n_recv_from tuple;
-            Prov_store.retire n.n_prov tuple ~now)
-          evicted;
-        with_processing t n (fun xc -> retract_local t xc n ~lost:evicted)
-      end)
-    (nodes t)
+  ignore (drive t ~until:horizon)
 
 (* --- queries ---------------------------------------------------------- *)
 

@@ -23,9 +23,20 @@
 
 open Engine
 
+type work_item
+(** One unit of node work waiting for the node's CPU: a delivered
+    data or retraction message, a fact installation or retraction, or
+    soft state that expired at an {!advance} horizon. *)
+
 (** One simulated node.  The record is exposed read-only (traceback
     walks [n_prov]/[n_db] directly); use {!replace_principal} to swap
-    a node's signing identity rather than mutating the table. *)
+    a node's signing identity rather than mutating the table.
+
+    A node has one CPU and one receive queue.  Everything that reaches
+    it waits in [n_parked] in arrival order; one wake event at
+    [max n_free_at now] runs the whole queue as one handler, re-arming
+    while the CPU is busy, so a node never runs two handlers at once
+    and later work never overtakes earlier work. *)
 type node = {
   n_addr : string;
   n_principal : Sendlog.Principal.t;
@@ -44,10 +55,8 @@ type node = {
           can drop every variant of one (dest, tuple) in O(1) *)
   mutable n_free_at : float;
       (** virtual time until which this node's CPU is busy *)
-  n_parked : Net.Wire.message Queue.t;
-      (** receive queue: arrivals during a busy period, drained FIFO by
-          a wake event so later arrivals can never overtake earlier
-          ones (retract/assert wire order is load-bearing) *)
+  n_parked : work_item Queue.t;
+      (** receive queue: work waiting for the CPU, in arrival order *)
   mutable n_wake_at : float;
       (** time of the armed wake event, or [-1.0] when none *)
 }
@@ -79,8 +88,9 @@ val install_program_facts : t -> unit
 val install_links : t -> unit
 
 val retract_fact : t -> at:string -> Tuple.t -> unit
-(** Retract a base fact previously installed at a node (scheduled
-    immediately): withdraws its external support and runs a DRed-style
+(** Retract a base fact previously installed at a node (it arrives
+    now and waits for the node's CPU, like {!install_fact} and every
+    message): withdraws its external support and runs a DRed-style
     incremental deletion pass — dependents whose every derivation
     flowed through the lost tuple are deleted (recursively), anything
     with a surviving alternative derivation or other external support
@@ -123,15 +133,14 @@ type run_result = {
 
 val run : ?until:float -> t -> run_result
 (** Run to distributed fixpoint (event-queue quiescence) or until the
-    virtual-time horizon.  The one event loop pops all events sharing
-    the next timestamp, groups deferred dataflow work (deliveries,
-    fact installs and retractions) per destination node, evaluates
-    each node's combined fixpoint on the domain draining its shard,
-    and commits observable effects (sequence numbers, stats, dispatch)
-    in canonical first-arrival order.  With one shard the calling
-    domain drains the whole horizon; with [Config.shards <> 1] the
-    shards drain concurrently on worker domains, through conservative
-    lookahead windows. *)
+    virtual-time horizon.  Every node's work runs as described at
+    {!node}: a handler authenticates and dedups its queued messages,
+    evaluates one combined fixpoint (retractions act as barriers), and
+    commits at once: sequence numbers, stats, and the departure of its
+    messages when its modelled duration is over.  With one shard the
+    calling domain drains the whole horizon; with
+    [Config.shards <> 1] the shards drain concurrently on worker
+    domains, through conservative lookahead windows. *)
 
 val shutdown : t -> unit
 (** Join a sharded runtime's worker domains (no-op with one shard)
@@ -153,13 +162,14 @@ val sync_prov_log : t -> unit
 
 val advance : t -> seconds:float -> unit
 (** Advance simulated time by exactly [seconds] (events scheduled
-    beyond the horizon stay queued), then evict expired soft state in
-    deterministic node order: each expired tuple's provenance is
-    retired to the offline log (when one is configured) and
-    everything derived from it is incrementally retracted, with
-    re-derivable tuples reinstated.
-    Retraction fallout addressed to other nodes is delivered by the
-    next {!run} or [advance]. *)
+    beyond the horizon stay queued).  At the horizon each shard evicts
+    its nodes' expired soft state, in deterministic node order: each
+    expired tuple's provenance is retired to the offline log (when one
+    is configured), and the node's next handler incrementally retracts
+    everything derived from it, reinstating re-derivable tuples.  That
+    handler runs at the horizon when the node is idle, and otherwise
+    when its CPU frees, in the next {!run} or [advance]; so does any
+    retraction fallout addressed to other nodes. *)
 
 (** {1 Queries} *)
 

@@ -312,14 +312,6 @@ let cardinal (db : t) (name : string) : int =
 let relation_names (db : t) : string list =
   Hashtbl.fold (fun k _ acc -> k :: acc) db.rels [] |> List.sort String.compare
 
-let total_tuples (db : t) : int =
-  Hashtbl.fold (fun _ store acc -> acc + Tuple.Table.length store.tuples) db.rels 0
-
-let meta_of (db : t) (tuple : Tuple.t) : meta option =
-  match Hashtbl.find_opt db.rels tuple.rel with
-  | None -> None
-  | Some store -> Tuple.Table.find_opt store.tuples tuple
-
 (* Remove all tuples whose soft-state lifetime has passed; returns the
    evicted tuples so the caller can move their provenance to an
    offline store (Section 4.2 of the paper). *)

@@ -29,14 +29,6 @@ type policy =
   | Set  (** plain set semantics *)
   | Replace of { key : int list; prefer : prefer }
 
-type meta = {
-  mutable inserted_at : float;
-  mutable expires_at : float option;
-  mutable asserters : Value.t list;
-      (** principals that have asserted this tuple via SeNDlog's
-          [says]; empty in plain NDlog mode *)
-}
-
 type t
 
 val create : ?indexing:bool -> unit -> t
@@ -77,7 +69,6 @@ val mem : t -> Tuple.t -> bool
     groups with no live member. *)
 val incumbent_of : t -> Tuple.t -> Tuple.t option
 val asserters_of : t -> Tuple.t -> Value.t list
-val meta_of : t -> Tuple.t -> meta option
 val iter_rel : t -> string -> (Tuple.t -> unit) -> unit
 val fold_rel : t -> string -> (Tuple.t -> 'a -> 'a) -> 'a -> 'a
 val tuples_of : t -> string -> Tuple.t list
@@ -92,7 +83,6 @@ val probe : t -> string -> cols:int list -> key:Value.t list -> Tuple.t list
 
 val cardinal : t -> string -> int
 val relation_names : t -> string list
-val total_tuples : t -> int
 
 val evict_expired : t -> now:float -> Tuple.t list
 (** Remove all tuples whose soft-state lifetime has passed; returns

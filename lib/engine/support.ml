@@ -164,20 +164,8 @@ let remove_entry (t : t) (e : entry) : unit =
       e.sp_body
   end
 
-let remove_head (t : t) (head : Tuple.t) : unit =
-  List.iter (remove_entry t) (entries_of t head)
-
-(* Iterate each distinct recorded head once (all entries in a
-   [by_head] bucket share their head tuple). *)
-let iter_heads (t : t) (f : Tuple.t -> unit) : unit =
-  Hashtbl.iter
-    (fun _ l -> match !l with e :: _ -> f e.sp_head | [] -> ())
-    t.by_head
-
 (* Iterate each distinct recorded head of one relation. *)
 let iter_heads_of_rel (t : t) (rel : string) (f : Tuple.t -> unit) : unit =
   match Hashtbl.find_opt t.by_rel rel with
   | None -> ()
   | Some tbl -> Hashtbl.iter (fun _ h -> f h) tbl
-
-let size (t : t) : int = Key_tbl.length t.keys

@@ -43,13 +43,5 @@ val mem_entry : t -> entry -> bool
 
 val remove_entry : t -> entry -> unit
 
-val remove_head : t -> Tuple.t -> unit
-(** Remove every derivation whose head is this tuple. *)
-
-val iter_heads : t -> (Tuple.t -> unit) -> unit
-(** Iterate each distinct recorded head tuple once. *)
-
 val iter_heads_of_rel : t -> string -> (Tuple.t -> unit) -> unit
 (** Iterate each distinct recorded head tuple of one relation. *)
-
-val size : t -> int

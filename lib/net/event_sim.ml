@@ -92,7 +92,6 @@ end
 type t = {
   mutable now : float;
   mutable seq : int;
-  mutable processed : int;
   queue : Pq.t;
   g_depth_max : Obs.Metrics.gauge; (* queue depth high-water mark *)
   g_capacity : Obs.Metrics.gauge; (* current heap array capacity *)
@@ -105,7 +104,6 @@ let create () =
   let t =
     { now = 0.0;
       seq = 0;
-      processed = 0;
       queue = Pq.create ();
       g_depth_max = Obs.Metrics.gauge reg "sim.queue_depth_max";
       g_capacity = Obs.Metrics.gauge reg "sim.queue_capacity";
@@ -139,51 +137,19 @@ let schedule_at (t : t) ~(time : float) (action : unit -> unit) : unit =
 let pending (t : t) : int = Pq.length t.queue
 
 (* Timestamp of the earliest queued event, without executing it.  The
-   runtime's window drain peeks to decide whether the next batch lies
-   within the window. *)
+   runtime peeks every shard to open its next window. *)
 let peek_time (t : t) : float option =
   if Pq.length t.queue = 0 then None else Some t.queue.Pq.heap.(0).ev_time
 
-(* Pop every event sharing the minimal timestamp, in scheduling-seq
-   order (the heap pops them in exactly that order), advance the clock
-   to it, and return their actions unexecuted.  This is the runtime
-   drain's unit of work: all same-timestamp events are causally
-   independent — an event can only schedule strictly later work once
-   executed — so the caller may group and reorder their *evaluation*
-   freely as long as observable effects are committed in the returned
-   (seq) order. *)
-let next_batch (t : t) : (unit -> unit) list =
-  match Pq.pop t.queue with
-  | None -> []
-  | Some first ->
-    t.now <- max t.now first.ev_time;
-    let batch = ref [ first.ev_action ] in
-    let continue = ref true in
-    while !continue do
-      if Pq.length t.queue > 0 && t.queue.Pq.heap.(0).ev_time = first.ev_time then begin
-        match Pq.pop t.queue with
-        | Some e -> batch := e.ev_action :: !batch
-        | None -> continue := false
-      end
-      else continue := false
-    done;
-    let actions = List.rev !batch in
-    let n = List.length actions in
-    t.processed <- t.processed + n;
-    Obs.Metrics.inc ~by:n t.c_processed;
-    actions
-
 let queue_capacity (t : t) : int = Pq.capacity t.queue
 
-let events_processed (t : t) : int = t.processed
-
 (* Run until the queue drains (distributed fixpoint / quiescence) or
-   [until] simulated seconds have passed.  Returns the number of
-   events processed. *)
-let run ?(until = Float.infinity) ?(max_events = max_int) (t : t) : int =
+   the clock would pass [until].  Returns the number of events
+   processed. *)
+let run ?(until = Float.infinity) (t : t) : int =
   let count = ref 0 in
   let continue = ref true in
-  while !continue && !count < max_events do
+  while !continue do
     match Pq.pop t.queue with
     | None -> continue := false
     | Some e ->
@@ -194,7 +160,6 @@ let run ?(until = Float.infinity) ?(max_events = max_int) (t : t) : int =
       end
       else begin
         t.now <- max t.now e.ev_time;
-        t.processed <- t.processed + 1;
         e.ev_action ();
         incr count
       end

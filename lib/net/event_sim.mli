@@ -1,8 +1,8 @@
 (** Discrete-event simulator.
 
     Replaces the real sockets between the paper's 100 P2 processes.
-    Events (message deliveries, retransmission timers, crash/restart
-    markers) execute in timestamp order; ties break by scheduling
+    Events (message deliveries, retransmission timers, node wake-ups)
+    execute in timestamp order; ties break by scheduling
     sequence, so a run is fully determined by the order of
     {!schedule}/{!schedule_at} calls.  The fault layer depends on this:
     reproducing a faulty run from a seed only works because the
@@ -37,24 +37,13 @@ val peek_time : t -> float option
 (** Timestamp of the earliest queued event, or [None] when the queue
     is empty.  Does not execute anything. *)
 
-val next_batch : t -> (unit -> unit) list
-(** Pop {e all} events sharing the earliest timestamp, advance the
-    clock to it, and return their actions {e unexecuted}, in
-    scheduling-sequence order.  Same-timestamp events are causally
-    independent (an event only schedules strictly later work once
-    executed), so the runtime's drain may evaluate them
-    concurrently, provided observable effects are committed in the
-    returned order.  Counts the popped events as processed. *)
-
 val queue_capacity : t -> int
 (** Current heap array capacity (the queue shrinks after bursts; the
     memory tests observe this). *)
 
-val events_processed : t -> int
-(** Total events executed since {!create}. *)
-
-val run : ?until:float -> ?max_events:int -> t -> int
+val run : ?until:float -> t -> int
 (** Execute events until the queue drains (distributed quiescence) or
     the virtual clock would pass [until]; events beyond the horizon
-    stay queued.  Returns the number of events processed by this
-    call. *)
+    stay queued, so [~until:(Float.pred limit)] drains a window that
+    excludes [limit].  Returns the number of events processed by this
+    call, which the [sim.events_processed] counter also adds up. *)

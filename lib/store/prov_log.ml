@@ -871,7 +871,6 @@ let digest_nodes t ~(time : float) (key : string) : string list =
       |> List.sort_uniq String.compare)
 
 let digest_count t : int = with_lock t (fun () -> Hashtbl.length t.digests)
-let epoch_seconds t : float = t.epoch_seconds
 let record_count t : int = with_lock t (fun () -> t.n_records)
 let segment_count t : int = with_lock t (fun () -> List.length t.segs)
 let flow_count t : int = with_lock t (fun () -> List.length t.flows_rev)

@@ -150,7 +150,6 @@ val digest_nodes : t -> time:float -> string -> string list
     traceback. *)
 
 val epoch_of : t -> float -> int
-val epoch_seconds : t -> float
 val digest_count : t -> int
 val record_count : t -> int
 val segment_count : t -> int

@@ -171,7 +171,7 @@ let test_forged_messages_dropped () =
 let test_forged_messages_dropped_batched () =
   (* the same adversary on the sharded engine: n0 sits in one AS and
      n1, n2 in another, so the two shards drain concurrently (n2's on a
-     pool domain), each node group verifying its own messages as it
+     pool domain), each handler verifying its own messages as it
      accepts them, and every forged message is still dropped and
      counted *)
   let line = Net.Topology.line ~n:3 () in
@@ -843,6 +843,43 @@ let test_cross_node_trace_links () =
     Alcotest.(check int) "flow starts match finishes" (count "s") (count "f")
   | _ -> Alcotest.fail "chrome export has no traceEvents")
 
+(* A node has one CPU: everything that reaches it (messages, fact
+   installs and retractions) waits in one receive queue and runs as one
+   handler once the CPU is free, so no two of a node's handle spans
+   overlap.  Link flaps retract and reinstall facts at nodes that are
+   often still busy, which is where work that skipped the queue would
+   start a second handler. *)
+let test_one_handler_at_a_time () =
+  let cfg = Core.Config.with_fault_seed Core.Config.sendlog 2008 in
+  let t, _ = mk_runtime ~cfg ~n:8 ~seed:2008 () in
+  let tr = Core.Runtime.enable_tracing t in
+  run_links t;
+  ignore (Core.Runtime.schedule_flaps t ~rate:1.0 ~horizon:2.0 ());
+  ignore (Core.Runtime.run t);
+  Core.Runtime.shutdown t;
+  Alcotest.(check int) "no span dropped" 0 (Obs.Trace.dropped tr);
+  let by_node = Hashtbl.create 8 in
+  List.iter
+    (fun (s : Obs.Trace.span) ->
+      match List.assoc_opt "node" s.sp_attrs with
+      | Some node when s.sp_name = "handle" ->
+        let spans = Option.value (Hashtbl.find_opt by_node node) ~default:[] in
+        Hashtbl.replace by_node node ((s.sp_start, s.sp_start +. s.sp_dur) :: spans)
+      | Some _ | None -> ())
+    (Obs.Trace.finished_spans tr);
+  Alcotest.(check int) "every node handled work" 8 (Hashtbl.length by_node);
+  Hashtbl.iter
+    (fun node spans ->
+      ignore
+        (List.fold_left
+           (fun busy_until (start, stop) ->
+             if start < busy_until -. 1e-9 then
+               Alcotest.failf "%s starts a handler at %.9f while busy until %.9f" node
+                 start busy_until;
+             Float.max busy_until stop)
+           Float.neg_infinity (List.sort compare spans)))
+    by_node
+
 let test_traced_parallel_engine () =
   (* The tracer is shared by the sharded engine's worker domains; a
      traced run with one shard per AS (N = 20 spans two) must complete,
@@ -1087,6 +1124,8 @@ let suite : unit Alcotest.test_case list =
     Alcotest.test_case "tracing leaves fixpoint identical" `Quick
       test_tracing_identical_fixpoint;
     Alcotest.test_case "cross-node trace links" `Quick test_cross_node_trace_links;
+    Alcotest.test_case "a node runs one handler at a time" `Quick
+      test_one_handler_at_a_time;
     Alcotest.test_case "traced parallel engine" `Quick test_traced_parallel_engine;
     Alcotest.test_case "per-rule profiler series" `Quick test_per_rule_profiler_series;
     Alcotest.test_case "security events emitted" `Quick test_security_events_emitted;
@@ -1390,22 +1429,49 @@ let test_disk_query_matches_offline_query () =
 
 (* One way in: provenance is captured for tuples that go live at their
    node or ship from it, never for a head its keyed relation rejects
-   (a worse bestPathCost, a bestPath witness losing the tie-break). *)
+   (a worse bestPathCost, a bestPath witness losing the tie-break),
+   nor for a body its keyed relation displaced after the derivation
+   that reads it was found.  The second runtime is that case: in one
+   fixpoint r1 makes best(n0,5) live and r2 reads it, while r0's
+   cand(n0,3) goes on to displace it with best(n0,3). *)
 let test_prov_store_holds_live_or_shipped () =
+  let check t =
+    List.iter
+      (fun (n : Core.Runtime.node) ->
+        List.iter
+          (fun (r : Store.Prov_log.record) ->
+            let tu = r.Store.Prov_log.r_tuple in
+            let located = Value.to_addr (Tuple.arg tu 0) in
+            if String.equal located n.n_addr && not (Db.mem n.n_db tu) then
+              Alcotest.failf "%s has provenance at %s but is not live there"
+                (Tuple.identity tu) n.n_addr)
+          (Core.Prov_store.live_records n.n_prov ~now:0.0))
+      (Core.Runtime.nodes t);
+    Core.Runtime.shutdown t
+  in
   let t, _ = mk_runtime ~cfg:Core.Config.sendlog_prov ~n:16 ~seed:2008 () in
   run_links t;
+  check t;
+  let src =
+    "#key best 0 min 1.\n\
+     r2 out(@D, C) :- best(@S, C), peer(@S, D).\n\
+     r1 best(@S, C) :- cand(@S, C).\n\
+     r0 cand(@S, C) :- slow(@S, C0), C := C0 - 1.\n"
+  in
+  let cfg = { Core.Config.sendlog_prov with Core.Config.rsa_bits } in
+  let t =
+    Core.Runtime.create ~rng:(Crypto.Rng.create ~seed:5) ~cfg
+      ~topo:(Net.Topology.line ~n:2 ()) ~program:(Ndlog.Parser.parse_program_exn src) ()
+  in
   List.iter
-    (fun (n : Core.Runtime.node) ->
-      List.iter
-        (fun (r : Store.Prov_log.record) ->
-          let tu = r.Store.Prov_log.r_tuple in
-          let located = Value.to_addr (Tuple.arg tu 0) in
-          if String.equal located n.n_addr && not (Db.mem n.n_db tu) then
-            Alcotest.failf "%s has provenance at %s but is not live there"
-              (Tuple.identity tu) n.n_addr)
-        (Core.Prov_store.live_records n.n_prov ~now:0.0))
-    (Core.Runtime.nodes t);
-  Core.Runtime.shutdown t
+    (Core.Runtime.install_fact t ~at:"n0")
+    [ Tuple.make "peer" [ Value.V_str "n0"; Value.V_str "n1" ];
+      Tuple.make "cand" [ Value.V_str "n0"; Value.V_int 5 ];
+      Tuple.make "slow" [ Value.V_str "n0"; Value.V_int 4 ] ];
+  ignore (Core.Runtime.run t);
+  Alcotest.(check (list string)) "best(n0,3) displaced best(n0,5)" [ "best(n0, 3)" ]
+    (List.map Tuple.identity (Core.Runtime.query t ~at:"n0" "best"));
+  check t
 
 (* Link churn on one shard and on two: runs over the same flap schedule
    must each match from-scratch tuple-for-tuple and byte-for-byte on

@@ -1,6 +1,6 @@
 (* Tests for the domain pool (lib/par), the runtime's coalescing event
    loop and the hash-consed value/tuple interners: pool semantics,
-   interning laws, timestamp coalescing on one shard, a lossy reliable
+   interning laws, coalescing on one shard, a lossy reliable
    run that gives the same fixpoint, provenance and message count on
    one shard as on two, and one signature check per accepted message
    on the sharded engine's pool. *)
@@ -203,10 +203,10 @@ let test_seq_par_lossy_reliable () =
   Alcotest.(check (list string)) "provenance" seq.fp_prov par.fp_prov;
   Alcotest.(check int) "message count" seq.fp_msgs par.fp_msgs
 
-(* The one event loop coalesces on every shard count: a one-shard run
-   pops whole timestamps and evaluates a node's same-timestamp work
-   (here, its link-fact installs at t = 0) as one group.  The registry
-   is global, so the batch count is a delta and the group-size
+(* The one event loop coalesces on every shard count: a node's work
+   that arrives together (here, its link-fact installs at t = 0) waits
+   in its receive queue and runs as one handler.  The registry is
+   global, so the handler count is a delta and the handler-size
    high-water mark is cleared first. *)
 let test_one_shard_coalesces () =
   let reg = Obs.Metrics.default in
@@ -222,9 +222,9 @@ let test_one_shard_coalesces () =
       topo.nodes
   in
   ignore (run_once ~cfg ~topo ~directory ~seed:(seed + 2));
-  Alcotest.(check bool) "timestamp batches counted" true
+  Alcotest.(check bool) "handlers counted" true
     (Obs.Metrics.value batches - before > 0);
-  Alcotest.(check bool) "a node group held several items" true
+  Alcotest.(check bool) "a handler ran several items" true
     (Obs.Metrics.gauge_value group_max > 1.0)
 
 (* Every signature is checked once, by the handler that accepts its
