@@ -632,12 +632,22 @@ let micro (o : options) =
       (base 0)
       (List.init 11 (fun i -> i + 1))
   in
-  let tuple =
-    Engine.Tuple.make "path"
-      [ Engine.Value.V_str "n1"; Engine.Value.V_str "n2";
-        Engine.Value.V_list (List.init 8 (fun i -> Engine.Value.V_str (Printf.sprintf "n%d" i)));
-        Engine.Value.V_int 42 ]
+  let path_args () =
+    [ Engine.Value.V_str "n1"; Engine.Value.V_str "n2";
+      Engine.Value.V_list (List.init 8 (fun i -> Engine.Value.V_str (Printf.sprintf "n%d" i)));
+      Engine.Value.V_int 42 ]
   in
+  let tuple = Engine.Tuple.make "path" (path_args ()) in
+  (* a table of 1,000 tuples holding [tuple], probed with a
+     structurally equal copy built from fresh values *)
+  let table = Engine.Tuple.Table.create 1024 in
+  for i = 1 to 999 do
+    Engine.Tuple.Table.replace table
+      (Engine.Tuple.make "path" [ Engine.Value.V_str "n1"; Engine.Value.V_int i ])
+      ()
+  done;
+  Engine.Tuple.Table.replace table tuple ();
+  let copy = Engine.Tuple.make "path" (path_args ()) in
   let tests =
     [ Test.make ~name:"sha256 (256B)" (Staged.stage (fun () -> Crypto.Sha256.digest msg));
       Test.make
@@ -656,7 +666,14 @@ let micro (o : options) =
       Test.make ~name:"tuple decode"
         (Staged.stage
            (let bytes = Net.Wire.encode_tuple tuple in
-            fun () -> Net.Wire.decode_tuple bytes)) ]
+            fun () -> Net.Wire.decode_tuple bytes));
+      Test.make ~name:"tuple make"
+        (Staged.stage
+           (let args = path_args () in
+            fun () -> Engine.Tuple.make "path" args));
+      Test.make ~name:"tuple hash" (Staged.stage (fun () -> Engine.Tuple.hash tuple));
+      Test.make ~name:"tuple table find"
+        (Staged.stage (fun () -> Engine.Tuple.Table.find_opt table copy)) ]
   in
   let instance = Toolkit.Instance.monotonic_clock in
   List.iter

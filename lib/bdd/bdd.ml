@@ -46,20 +46,17 @@ type manager = {
   mutable next_var : int;
 }
 
+(* Tables start small and grow on demand: most managers are the
+   scratch ones that decode a single shipped block of a few nodes. *)
 let create_manager () =
-  { unique = Triple_tbl.create 1024;
-    and_cache = Pair_tbl.create 1024;
-    or_cache = Pair_tbl.create 1024;
-    not_cache = Int_tbl.create 256;
+  { unique = Triple_tbl.create 16;
+    and_cache = Pair_tbl.create 16;
+    or_cache = Pair_tbl.create 16;
+    not_cache = Int_tbl.create 16;
     next_id = 2;
-    var_names = Hashtbl.create 64;
-    var_ids = Hashtbl.create 64;
+    var_names = Hashtbl.create 16;
+    var_ids = Hashtbl.create 16;
     next_var = 0 }
-
-let clear_caches (m : manager) =
-  Pair_tbl.reset m.and_cache;
-  Pair_tbl.reset m.or_cache;
-  Int_tbl.reset m.not_cache
 
 let bot : t = False
 let top : t = True
@@ -99,10 +96,6 @@ let name_of_var (m : manager) (v : int) : string =
 let var (m : manager) (v : int) : t = mk m ~var:v ~lo:False ~hi:True
 
 let named_var (m : manager) (name : string) : t = var m (var_of_name m name)
-
-let node_var = function
-  | Node { var; _ } -> var
-  | False | True -> max_int
 
 let rec bdd_not (m : manager) (a : t) : t =
   match a with
@@ -160,8 +153,6 @@ let band = apply_and
 let bor = apply_or
 let bnot = bdd_not
 
-let bxor m a b = bor m (band m a (bnot m b)) (band m (bnot m a) b)
-let bimp m a b = bor m (bnot m a) b
 
 let equal (a : t) (b : t) = id a = id b
 let is_true = function True -> true | False | Node _ -> false

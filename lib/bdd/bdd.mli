@@ -16,9 +16,6 @@ type manager
 
 val create_manager : unit -> manager
 
-val clear_caches : manager -> unit
-(** Drop the operation caches (the unique table is kept). *)
-
 val bot : t
 (** The constant false. *)
 
@@ -40,14 +37,9 @@ val mk : manager -> var:int -> lo:t -> hi:t -> t
 (** Hash-consing node constructor; callers must respect the variable
     order (children's variables strictly greater than [var]). *)
 
-val node_var : t -> int
-(** Root variable; [max_int] for the constants. *)
-
 val band : manager -> t -> t -> t
 val bor : manager -> t -> t -> t
 val bnot : manager -> t -> t
-val bxor : manager -> t -> t -> t
-val bimp : manager -> t -> t -> t
 
 val equal : t -> t -> bool
 (** Semantic equality (constant time thanks to hash-consing). *)

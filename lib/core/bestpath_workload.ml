@@ -183,7 +183,7 @@ type churn_point = {
 let fixpoint_snapshot (t : Runtime.t) (rel : string) : (string * string) list =
   List.sort compare
     (List.map
-       (fun (addr, tu) -> (addr, Engine.Tuple.interned_identity tu))
+       (fun (addr, tu) -> (addr, Engine.Tuple.identity tu))
        (Runtime.query_all t rel))
 
 (* Per-tuple provenance, keyed like the fixpoint snapshot.  The
@@ -198,7 +198,7 @@ let prov_snapshot (t : Runtime.t) (rel : string) : ((string * string) * string) 
   List.sort compare
     (List.map
        (fun (addr, tu) ->
-         ( (addr, Engine.Tuple.interned_identity tu),
+         ( (addr, Engine.Tuple.identity tu),
            Provenance.Prov_expr.canonical_string (Runtime.provenance_of t ~at:addr tu)
          ))
        (Runtime.query_all t rel))

@@ -102,10 +102,9 @@ let install_ring (t : Runtime.t) (ring : ring) : unit =
    at a reassigned identifier) and re-derives what the new ring
    supports. *)
 let apply_ring_change (t : Runtime.t) ~(before : ring) ~(after : ring) : unit =
-  let key (addr, tuple) = addr ^ "|" ^ Tuple.interned_identity tuple in
   let index facts =
-    let h = Hashtbl.create 256 in
-    List.iter (fun f -> Hashtbl.replace h (key f) ()) facts;
+    let h = Tuple.Addr_table.create 256 in
+    List.iter (fun f -> Tuple.Addr_table.replace h f ()) facts;
     h
   in
   let old_facts = ring_facts before in
@@ -114,11 +113,11 @@ let apply_ring_change (t : Runtime.t) ~(before : ring) ~(after : ring) : unit =
   let new_idx = index new_facts in
   List.iter
     (fun ((addr, tuple) as f) ->
-      if not (Hashtbl.mem new_idx (key f)) then Runtime.retract_fact t ~at:addr tuple)
+      if not (Tuple.Addr_table.mem new_idx f) then Runtime.retract_fact t ~at:addr tuple)
     old_facts;
   List.iter
     (fun ((addr, tuple) as f) ->
-      if not (Hashtbl.mem old_idx (key f)) then Runtime.install_fact t ~at:addr tuple)
+      if not (Tuple.Addr_table.mem old_idx f) then Runtime.install_fact t ~at:addr tuple)
     new_facts
 
 (* Issue a lookup for key [key] starting at [from]; the initial path

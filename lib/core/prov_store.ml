@@ -23,9 +23,9 @@
    a derivation with one type.
 
    Re-derivations of the same tuple combine with [Plus]; duplicate
-   derivations (the same rule over the same body tuples, which
-   semi-naive evaluation can report more than once) are deduplicated
-   by a derivation key.
+   alternatives (the same rule over the same body tuples, which
+   semi-naive evaluation can report more than once, or the same
+   expression from the same sender) are recorded once.
 
    The records are the only stored form of provenance.  An
    alternative keeps only what they cannot rebuild: a base its key, a
@@ -39,15 +39,37 @@ open Engine
 
 (* One Plus alternative of a tuple's provenance: what the records
    cannot rebuild. *)
-type alt_kind =
-  | Alt_base (* locally asserted base fact, keyed by [a_key] *)
+type alt =
+  | Alt_base of string (* locally asserted base fact, by its key *)
   | Alt_deriv of Store.Prov_log.deriv (* local rule firing *)
   | Alt_recv of string * Provenance.Prov_expr.t (* sender, expression it shipped *)
 
-type alt = {
-  a_key : string; (* dedup key; also the removal handle *)
-  a_kind : alt_kind;
-}
+(* A local derivation's identity: rule plus body tuples with the
+   asserting principal a [says] literal consumed, if any.  Origins and
+   times are excluded, so a retraction (which only knows the body
+   tuples) can name it. *)
+let same_item (b : Tuple.t) (says : string option) (i : Store.Prov_log.body_item) : bool =
+  Tuple.equal b i.b_tuple && Option.equal String.equal says i.b_says
+
+let is_deriv ~(rule : string) (body : (Tuple.t * string option) list)
+    (d : Store.Prov_log.deriv) : bool =
+  String.equal d.d_rule rule
+  && List.compare_lengths body d.d_body = 0
+  && List.for_all2 (fun (b, says) i -> same_item b says i) body d.d_body
+
+(* Whether two alternatives record the same thing (and one of them
+   adds nothing). *)
+let same_alt (a : alt) (b : alt) : bool =
+  match (a, b) with
+  | Alt_base k, Alt_base k' -> String.equal k k'
+  | Alt_deriv d, Alt_deriv d' ->
+    String.equal d.d_rule d'.d_rule
+    && List.equal
+         (fun (i : Store.Prov_log.body_item) i' -> same_item i.b_tuple i.b_says i')
+         d.d_body d'.d_body
+  | Alt_recv (f, e), Alt_recv (f', e') ->
+    String.equal f f' && Provenance.Prov_expr.equal e e'
+  | (Alt_base _ | Alt_deriv _ | Alt_recv _), _ -> false
 
 type entry = { mutable e_alts : alt list (* newest first *) }
 
@@ -84,8 +106,8 @@ let rec eval_entry (t : t) (path : entry list) (e : entry) : Provenance.Prov_exp
   List.fold_right
     (fun a acc ->
       let x =
-        match a.a_kind with
-        | Alt_base -> Provenance.Prov_expr.base a.a_key
+        match a with
+        | Alt_base key -> Provenance.Prov_expr.base key
         | Alt_recv (_, shipped) -> shipped
         | Alt_deriv d when t.local ->
           List.fold_left
@@ -106,7 +128,7 @@ let expr_of (t : t) (tuple : Tuple.t) : Provenance.Prov_expr.t = eval_tuple t []
 
 let alt_derivs (alts : alt list) : Store.Prov_log.deriv list =
   List.filter_map
-    (fun a -> match a.a_kind with Alt_deriv r -> Some r | Alt_base | Alt_recv _ -> None)
+    (fun a -> match a with Alt_deriv r -> Some r | Alt_base _ | Alt_recv _ -> None)
     alts
 
 let derivs_of (t : t) (tuple : Tuple.t) : Store.Prov_log.deriv list =
@@ -117,53 +139,32 @@ let derivs_of (t : t) (tuple : Tuple.t) : Store.Prov_log.deriv list =
 let alt_senders (alts : alt list) : string list =
   List.fold_right
     (fun a acc ->
-      match a.a_kind with
+      match a with
       | Alt_recv (f, _) when not (List.exists (String.equal f) acc) -> f :: acc
-      | Alt_recv _ | Alt_base | Alt_deriv _ -> acc)
+      | Alt_recv _ | Alt_base _ | Alt_deriv _ -> acc)
     alts []
 
 let received_from (t : t) (tuple : Tuple.t) : string list =
   match find t tuple with Some e -> alt_senders e.e_alts | None -> []
 
 let add_alt (e : entry) (a : alt) : unit =
-  if not (List.exists (fun a' -> String.equal a'.a_key a.a_key) e.e_alts) then
-    e.e_alts <- a :: e.e_alts
+  if not (List.exists (same_alt a) e.e_alts) then e.e_alts <- a :: e.e_alts
 
 (* Record a base tuple with its provenance key (principal, tuple id,
    or AS, depending on granularity). *)
 let record_base (t : t) (tuple : Tuple.t) ~(key : string) : unit =
-  add_alt (entry t tuple) { a_key = key; a_kind = Alt_base }
-
-(* Dedup/removal key of a local derivation: rule plus body identities
-   with the asserting principal a [says] literal consumed, if any.
-   Origins are excluded so a retraction (which only knows the body
-   tuples) can recompute the key. *)
-let deriv_key ~(rule : string) (body : (Tuple.t * string option) list) : string =
-  rule ^ "|"
-  ^ String.concat ";"
-      (List.map
-         (fun (b, says) ->
-           Tuple.interned_identity b
-           ^ Option.fold ~none:"" ~some:(fun s -> "/" ^ s) says)
-         body)
+  add_alt (entry t tuple) (Alt_base key)
 
 (* Record a local derivation (a duplicate of one already recorded adds
    nothing). *)
 let record_derivation (t : t) (head : Tuple.t) ~(record : Store.Prov_log.deriv) : unit =
-  let key =
-    deriv_key ~rule:record.d_rule
-      (List.map
-         (fun (b : Store.Prov_log.body_item) -> (b.b_tuple, b.b_says))
-         record.d_body)
-  in
-  add_alt (entry t head) { a_key = key; a_kind = Alt_deriv record }
+  add_alt (entry t head) (Alt_deriv record)
 
 (* Record provenance shipped with a received tuple (local mode over
    the network): one more alternative of what we already believe. *)
 let record_received (t : t) (tuple : Tuple.t) ~(from : string)
     ~(expr : Provenance.Prov_expr.t) : unit =
-  let key = "recv|" ^ from ^ "|" ^ Provenance.Prov_expr.to_string expr in
-  add_alt (entry t tuple) { a_key = key; a_kind = Alt_recv (from, expr) }
+  add_alt (entry t tuple) (Alt_recv (from, expr))
 
 let log_record (t : t) (tuple : Tuple.t) (e : entry) ~(live : bool) ~(now : float) :
     Store.Prov_log.record =
@@ -195,16 +196,16 @@ let prune (t : t) (tuple : Tuple.t) ~(now : float) ~(keep : alt -> bool) : unit 
    a body tuple died). *)
 let remove_derivation (t : t) (head : Tuple.t) ~(now : float) ~(rule : string)
     ~(body : (Tuple.t * string option) list) : unit =
-  let key = deriv_key ~rule body in
-  prune t head ~now ~keep:(fun a -> not (String.equal a.a_key key))
+  prune t head ~now ~keep:(function
+    | Alt_deriv d -> not (is_deriv ~rule body d)
+    | Alt_base _ | Alt_recv _ -> true)
 
 (* Forget everything a sender contributed to this tuple's provenance
    (the sender retracted it). *)
 let remove_received (t : t) (tuple : Tuple.t) ~(now : float) ~(from : string) : unit =
-  prune t tuple ~now ~keep:(fun a ->
-      match a.a_kind with
-      | Alt_recv (f, _) -> not (String.equal f from)
-      | Alt_base | Alt_deriv _ -> true)
+  prune t tuple ~now ~keep:(function
+    | Alt_recv (f, _) -> not (String.equal f from)
+    | Alt_base _ | Alt_deriv _ -> true)
 
 (* Snapshot the live entries as checkpoint records (checkpoint time as
    the timestamp); the runtime persists these as 'L' frames so offline

@@ -50,13 +50,14 @@ val create :
 
 val record_base : t -> Tuple.t -> key:string -> unit
 val record_derivation : t -> Tuple.t -> record:Store.Prov_log.deriv -> unit
-(** Record a local derivation; duplicates are deduplicated by rule +
-    body identities. *)
+(** Record a local derivation; a duplicate (same rule, body tuples and
+    [says] principals) adds nothing. *)
 
 val record_received :
   t -> Tuple.t -> from:string -> expr:Provenance.Prov_expr.t -> unit
 (** Record the expression a sender shipped with a received tuple as
-    one more alternative. *)
+    one more alternative (unless that sender already shipped an equal
+    expression). *)
 
 (** {1 Lookup} *)
 

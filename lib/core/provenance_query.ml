@@ -12,7 +12,7 @@
 open Engine
 
 type target =
-  | Tuple_id of string  (* interned identity, e.g. "path(a,c,2)" *)
+  | Tuple_id of string  (* tuple identity, e.g. "path(a,c,2)" *)
   | Relation of string
 
 type backend =
@@ -78,7 +78,7 @@ let run_live (t : Runtime.t) (target : target) : answer =
     List.map
       (fun (addr, tuple) ->
         { f_node = addr;
-          f_ident = Tuple.interned_identity tuple;
+          f_ident = Tuple.identity tuple;
           f_result = Traceback.query t ~at:addr tuple })
       (live_idents t target)
   in

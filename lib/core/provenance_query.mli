@@ -6,7 +6,7 @@
     answers the same {!query} record. *)
 
 type target =
-  | Tuple_id of string  (** interned identity, e.g. ["path(a,c,2)"] *)
+  | Tuple_id of string  (** tuple identity, e.g. ["path(a,c,2)"] *)
   | Relation of string  (** every recorded tuple of the relation *)
 
 type backend =

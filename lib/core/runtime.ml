@@ -30,8 +30,8 @@ type node = {
   n_recv_from : string list ref Tuple.Table.t;
       (* senders currently standing behind each received tuple;
          trimmed by K_retract and by soft-state expiry *)
-  n_sent_cache : (string, (string, unit) Hashtbl.t) Hashtbl.t;
-      (* dedup of identical sends, keyed dest+tuple identity with the
+  n_sent_cache : (string, unit) Hashtbl.t Tuple.Addr_table.t;
+      (* dedup of identical sends, keyed (dest, tuple) with the
          provenance variant one level down, so a retraction notice can
          drop every variant of one (dest, tuple) in O(1) *)
   mutable n_free_at : float; (* virtual time until which this node's CPU is busy *)
@@ -267,7 +267,7 @@ let create ?(directory : Sendlog.Principal.directory option) ~(rng : Crypto.Rng.
           n_support = Support.create ();
           n_base = Tuple.Table.create 64;
           n_recv_from = Tuple.Table.create 64;
-          n_sent_cache = Hashtbl.create 256;
+          n_sent_cache = Tuple.Addr_table.create 256;
           n_free_at = 0.0;
           n_parked = Queue.create ();
           n_wake_at = -1.0 })
@@ -389,10 +389,10 @@ let create ?(directory : Sendlog.Principal.directory option) ~(rng : Crypto.Rng.
    hash on the tuple identity implements Section 5's sampling
    optimisation without extra RNG state; the same knob thins the
    log's flow records.  [K <= 1] is tested first so unsampled runs
-   never take the interning mutex. *)
+   never render the identity. *)
 let sampled (t : t) (tuple : Tuple.t) : bool =
   t.cfg.prov_sample_k <= 1
-  || Store.Prov_log.sampled ~k:t.cfg.prov_sample_k (Tuple.interned_identity tuple)
+  || Store.Prov_log.sampled ~k:t.cfg.prov_sample_k (Tuple.identity tuple)
 
 let prov_enabled (t : t) =
   match t.cfg.prov with
@@ -487,8 +487,11 @@ let locked (mu : Mutex.t) (f : unit -> 'a) : 'a =
 let encode_prov (t : t) (e : Provenance.Prov_expr.t) : string =
   locked t.prov_mu (fun () -> Provenance.Condense.to_wire t.prov_ctx e)
 
+(* Decoding reads only the block (it rebuilds the BDD in a scratch
+   manager and never touches the shared context), so it runs outside
+   [prov_mu]. *)
 let decode_prov (t : t) (block : string) : Provenance.Prov_expr.t =
-  try locked t.prov_mu (fun () -> Provenance.Condense.of_wire t.prov_ctx block)
+  try Provenance.Condense.of_wire t.prov_ctx block
   with Bdd.Deserialize_error _ | Provenance.Condense.Wire_error _ ->
     Provenance.Prov_expr.zero
 
@@ -511,18 +514,30 @@ let next_seq (t : t) ~(src : string) ~(dst : string) : int =
 
 (* --- faulty transport ------------------------------------------------ *)
 
+(* A message's fault-verdict identity: its content tuple under a
+   per-kind prefix ("" for data, "r|" for a retraction, "ack|" for the
+   ACK of a data message), so the kinds never share verdicts. *)
+type fault_ident = {
+  fi_prefix : string;
+  fi_tuple : Tuple.t;
+}
+
 (* One transmission attempt over the (possibly faulty) network: asks
    the fault model how many copies arrive and with what extra delay.
-   Verdicts are keyed by [ident] — the message's content identity
-   (kind-prefixed tuple identity), supplied by the caller — so a
+   Verdicts are keyed by [ident], the message's content, so a
    [--fault-seed] run's fate per message is independent of the
    enqueue-order-dependent channel sequence numbers and reproduces
-   across [--shards] values. *)
+   across [--shards] values.  The identity string that seeds a verdict
+   is rendered only when the fault model can misbehave. *)
 let transmit (t : t) ~(delay : float) (receiver : node) (msg : Net.Wire.message)
-    ~(attempt : int) ~(ident : string) : unit =
+    ~(attempt : int) ~(ident : fault_ident) : unit =
+  let fault = t.cfg.Config.fault in
   let deliveries =
-    Net.Fault.decide t.cfg.Config.fault ~src:msg.Net.Wire.msg_src
-      ~dst:msg.Net.Wire.msg_dst ~ident ~attempt
+    if Net.Fault.is_ideal fault then [ 0.0 ]
+    else
+      Net.Fault.decide fault ~src:msg.Net.Wire.msg_src ~dst:msg.Net.Wire.msg_dst
+        ~ident:(ident.fi_prefix ^ Tuple.identity ident.fi_tuple)
+        ~attempt
   in
   (match deliveries with
   | [] -> Net.Stats.record_drop t.stats
@@ -539,7 +554,7 @@ let transmit (t : t) ~(delay : float) (receiver : node) (msg : Net.Wire.message)
    fail-stopped parks itself until the sender restarts (the pending
    table is the sender's stable storage). *)
 let rec reliable_send (t : t) (receiver : node) (msg : Net.Wire.message)
-    ~(delay : float) ~(latency : float) ~(attempt : int) ~(ident : string) : unit =
+    ~(delay : float) ~(latency : float) ~(attempt : int) ~(ident : fault_ident) : unit =
   transmit t ~delay receiver msg ~attempt ~ident;
   let key = (msg.Net.Wire.msg_src, msg.Net.Wire.msg_dst, msg.Net.Wire.msg_seq) in
   (* Exponential backoff, capped: without the cap a run at 20% loss
@@ -602,10 +617,11 @@ let rec reliable_send (t : t) (receiver : node) (msg : Net.Wire.message)
 let dispatch (t : t) (receiver : node) (msg : Net.Wire.message) ~(delay : float)
     ~(latency : float) : unit =
   let ident =
-    (match msg.Net.Wire.msg_kind with
-    | Net.Wire.K_retract -> "r|"
-    | Net.Wire.K_data | Net.Wire.K_ack -> "")
-    ^ Tuple.interned_identity msg.Net.Wire.msg_tuple
+    { fi_prefix =
+        (match msg.Net.Wire.msg_kind with
+        | Net.Wire.K_retract -> "r|"
+        | Net.Wire.K_data | Net.Wire.K_ack -> "");
+      fi_tuple = msg.Net.Wire.msg_tuple }
   in
   if t.cfg.Config.reliable then begin
     locked t.net_mu (fun () ->
@@ -651,14 +667,14 @@ let send (t : t) (xc : exec_ctx) (sender : node) (emit : Eval.emit) : unit =
       Some (encode_prov t shipped)
     end
   in
-  let cache_group = emit.e_dest ^ "|" ^ Tuple.interned_identity tuple in
+  let cache_group = (emit.e_dest, tuple) in
   let cache_variant = Option.value prov_block ~default:"" in
   let variants =
-    match Hashtbl.find_opt sender.n_sent_cache cache_group with
+    match Tuple.Addr_table.find_opt sender.n_sent_cache cache_group with
     | Some v -> v
     | None ->
       let v = Hashtbl.create 4 in
-      Hashtbl.add sender.n_sent_cache cache_group v;
+      Tuple.Addr_table.add sender.n_sent_cache cache_group v;
       v
   in
   (* A deduplicated re-emission is neither signed nor sent. *)
@@ -732,9 +748,9 @@ let external_support (t : t) (n : node) (tuple : Tuple.t) : Value.t option list 
    (a support record whose emit was deduped, or a head retracted twice
    with no re-send in between, has nothing to withdraw). *)
 let clear_sent (n : node) (dest : string) (tuple : Tuple.t) : bool =
-  let group = dest ^ "|" ^ Tuple.interned_identity tuple in
-  let was = Hashtbl.mem n.n_sent_cache group in
-  Hashtbl.remove n.n_sent_cache group;
+  let group = (dest, tuple) in
+  let was = Tuple.Addr_table.mem n.n_sent_cache group in
+  Tuple.Addr_table.remove n.n_sent_cache group;
   was
 
 (* Prepare a retraction notice for a previously emitted tuple.  The
@@ -1026,7 +1042,7 @@ let commit_handler (t : t) (n : node) ~(incoming_msgs : int) ~(incoming_bytes : 
          membership pre-filtering during sampled traceback. *)
       (match t.prov_log with
       | Some log when o.o_kind = Net.Wire.K_data ->
-        let ident = Tuple.interned_identity o.o_tuple in
+        let ident = Tuple.identity o.o_tuple in
         let key = n.n_addr ^ ">" ^ o.o_dest ^ "|" ^ ident in
         if Store.Prov_log.sampled ~k:t.cfg.Config.prov_sample_k key then begin
           Store.Prov_log.append_flow log ~src:n.n_addr ~dst:o.o_dest ~time:now ~ident;
@@ -1107,7 +1123,7 @@ let send_ack (t : t) (receiver : node) (data : Net.Wire.message) ~(attempt : int
        an ACK's fate never aliases a data verdict on the reverse
        channel and stays enqueue-order-independent. *)
     transmit t ~delay:latency orig ack ~attempt
-      ~ident:("ack|" ^ Tuple.interned_identity data.Net.Wire.msg_tuple)
+      ~ident:{ fi_prefix = "ack|"; fi_tuple = data.Net.Wire.msg_tuple }
 
 (* Reliable delivery: every copy is acknowledged (the first ACK may
    have been lost), but only the first is processed.  Retractions
@@ -1548,7 +1564,7 @@ let find_tuple (t : t) ~(at : string) ~(ident : string) : Tuple.t option =
     | None -> ident
   in
   List.find_opt
-    (fun tu -> String.equal (Tuple.interned_identity tu) ident)
+    (fun tu -> String.equal (Tuple.identity tu) ident)
     (Db.tuples_of (node t at).n_db rel)
 
 let provenance_of (t : t) ~(at : string) (tuple : Tuple.t) : Provenance.Prov_expr.t =

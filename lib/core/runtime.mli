@@ -49,8 +49,8 @@ type node = {
       (** locally installed base facts (external support) *)
   n_recv_from : string list ref Tuple.Table.t;
       (** senders currently standing behind each received tuple *)
-  n_sent_cache : (string, (string, unit) Hashtbl.t) Hashtbl.t;
-      (** dedup of identical sends, keyed dest+tuple identity with the
+  n_sent_cache : (string, unit) Hashtbl.t Tuple.Addr_table.t;
+      (** dedup of identical sends, keyed (dest, tuple) with the
           provenance variant one level down, so a retraction notice
           can drop every variant of one (dest, tuple) in O(1) *)
   mutable n_free_at : float;

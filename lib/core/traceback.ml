@@ -77,19 +77,23 @@ let walk ~(lookup : string -> Tuple.t -> string -> source) ~(at : string)
   let cost = { remote_queries = 0; query_bytes = 0; nodes_visited = 1 } in
   (* (node, tuple) -> [None] while on the walk's path, then the
      reference a later visit becomes *)
-  let walked : (string, Provenance.Derivation.t option) Hashtbl.t = Hashtbl.create 64 in
+  let walked : Provenance.Derivation.t option Tuple.Addr_table.t =
+    Tuple.Addr_table.create 64
+  in
   let partial = ref false in
-  let seen (addr : string) (ident : string) : Provenance.Derivation.t option =
-    match Hashtbl.find_opt walked (addr ^ "|" ^ ident) with
+  let seen (addr : string) (tuple : Tuple.t) : Provenance.Derivation.t option =
+    match Tuple.Addr_table.find_opt walked (addr, tuple) with
     | Some (Some r) -> Some r
-    | Some None -> Some (Provenance.Derivation.Shared { tuple = ident; location = addr })
+    | Some None ->
+      Some
+        (Provenance.Derivation.Shared { tuple = Tuple.identity tuple; location = addr })
     | None -> None
   in
   let rec step (addr : string) (tuple : Tuple.t) (depth : int) : Provenance.Derivation.t =
-    let ident = Tuple.interned_identity tuple in
-    match seen addr ident with
+    match seen addr tuple with
     | Some r -> r
     | None -> (
+      let ident = Tuple.identity tuple in
       match lookup addr tuple ident with
       | Cut dom ->
         Provenance.Derivation.Leaf
@@ -100,8 +104,8 @@ let walk ~(lookup : string -> Tuple.t -> string -> source) ~(at : string)
       | Found _ when depth > max_depth ->
         Provenance.Derivation.Shared { tuple = ident; location = addr }
       | Found (derivs, senders) ->
-        let key = addr ^ "|" ^ ident in
-        Hashtbl.replace walked key None;
+        let key = (addr, tuple) in
+        Tuple.Addr_table.replace walked key None;
         let local_alternatives =
           List.map
             (fun (d : Store.Prov_log.deriv) ->
@@ -139,7 +143,7 @@ let walk ~(lookup : string -> Tuple.t -> string -> source) ~(at : string)
           | alternatives ->
             Provenance.Derivation.Union { tuple = ident; location = addr; alternatives }
         in
-        Hashtbl.replace walked key
+        Tuple.Addr_table.replace walked key
           (Some
              (Provenance.Derivation.Shared
                 { tuple = ident; location = Provenance.Derivation.location_of tree }));
@@ -147,7 +151,7 @@ let walk ~(lookup : string -> Tuple.t -> string -> source) ~(at : string)
   (* One remote provenance query: ask [sender] for [tuple]'s subtree,
      unless the walk already holds it. *)
   and remote (sender : string) (tuple : Tuple.t) (depth : int) : Provenance.Derivation.t =
-    match seen sender (Tuple.interned_identity tuple) with
+    match seen sender tuple with
     | Some r -> r
     | None ->
       cost.remote_queries <- cost.remote_queries + 1;

@@ -144,5 +144,3 @@ let to_hex (d : string) : string =
   Buffer.contents buf
 
 let hex_digest (s : string) : string = to_hex (digest s)
-
-let digest_size = 32

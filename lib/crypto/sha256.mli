@@ -29,6 +29,3 @@ val hex_digest : string -> string
 
 val to_hex : string -> string
 (** Hex-encode arbitrary bytes (e.g. a digest). *)
-
-val digest_size : int
-(** 32. *)

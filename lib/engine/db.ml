@@ -26,28 +26,24 @@ type meta = {
      neighbours, and a `W says p(...)` literal enumerates them. *)
 }
 
-(* Column-subset keys: arrays of hash-consed {!Value.id}s, so key
-   equality and hashing are machine-int loops instead of structural
-   value walks.  [Value.id] interns through [Value.equal]/[Value.hash]
-   (numeric values compare across representations), so an index probe
-   still finds exactly the tuples a full-scan match would. *)
+(* Column-subset keys: the projected values, compared and hashed
+   with [Value.equal]/[Value.hash] (numeric values compare across
+   representations), so an index probe finds exactly the tuples a
+   full-scan match would. *)
 module Key = struct
-  type t = int array
+  type t = Value.t array
 
   let equal (a : t) (b : t) =
     let la = Array.length a in
     la = Array.length b
     &&
-    let rec go i = i >= la || (a.(i) = b.(i) && go (i + 1)) in
+    let rec go i = i >= la || (Value.equal a.(i) b.(i) && go (i + 1)) in
     go 0
 
-  let hash (k : t) = Array.fold_left (fun acc i -> (acc * 31) + i) 7 k
+  let hash (k : t) = Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 7 k
 end
 
 module Key_tbl = Hashtbl.Make (Key)
-
-let key_ids (vs : Value.t list) : int array =
-  Array.of_list (List.map Value.id vs)
 
 type rel_store = {
   tuples : meta Tuple.Table.t;
@@ -98,7 +94,7 @@ let index_add (idx : Tuple.t list ref Key_tbl.t) (cols : int list) (t : Tuple.t)
   match Tuple.key_opt t cols with
   | None -> () (* tuple of a different arity: unreachable via these columns *)
   | Some k -> (
-    let k = key_ids k in
+    let k = Array.of_list k in
     match Key_tbl.find_opt idx k with
     | Some bucket -> bucket := t :: !bucket
     | None -> Key_tbl.replace idx k (ref [ t ]))
@@ -108,7 +104,7 @@ let index_remove (idx : Tuple.t list ref Key_tbl.t) (cols : int list) (t : Tuple
   match Tuple.key_opt t cols with
   | None -> ()
   | Some k -> (
-    let k = key_ids k in
+    let k = Array.of_list k in
     match Key_tbl.find_opt idx k with
     | None -> ()
     | Some bucket -> (
@@ -203,7 +199,7 @@ let insert (db : t) ~(now : float) ?(asserted_by : Value.t option)
       add_new ();
       Added)
   | Replace { key; prefer } -> (
-    let k = key_ids (Tuple.key_of tuple key) in
+    let k = Array.of_list (Tuple.key_of tuple key) in
     match Key_tbl.find_opt store.by_key k with
     | None ->
       add_new ();
@@ -250,7 +246,7 @@ let incumbent_of (db : t) (tuple : Tuple.t) : Tuple.t option =
       match Tuple.key_opt tuple key with
       | None -> None
       | Some vs -> (
-        match Key_tbl.find_opt store.by_key (key_ids vs) with
+        match Key_tbl.find_opt store.by_key (Array.of_list vs) with
         | Some t when Tuple.Table.mem store.tuples t -> Some t
         | Some _ | None -> None)))
 
@@ -263,7 +259,7 @@ let remove (db : t) (tuple : Tuple.t) : unit =
     (match store.policy with
     | Set -> ()
     | Replace { key; _ } ->
-      let k = key_ids (Tuple.key_of tuple key) in
+      let k = Array.of_list (Tuple.key_of tuple key) in
       (match Key_tbl.find_opt store.by_key k with
       | Some t when Tuple.equal t tuple -> Key_tbl.remove store.by_key k
       | Some _ | None -> ()))
@@ -297,7 +293,7 @@ let probe (db : t) (name : string) ~(cols : int list) ~(key : Value.t list) :
     end
     else begin
       Obs.Metrics.inc c_probes;
-      match Key_tbl.find_opt (index_for store cols) (key_ids key) with
+      match Key_tbl.find_opt (index_for store cols) (Array.of_list key) with
       | Some bucket ->
         Obs.Metrics.inc c_hits;
         !bucket
@@ -334,7 +330,7 @@ let evict_expired (db : t) ~(now : float) : Tuple.t list =
           (match store.policy with
           | Set -> ()
           | Replace { key; _ } -> (
-            let k = key_ids (Tuple.key_of t key) in
+            let k = Array.of_list (Tuple.key_of t key) in
             match Key_tbl.find_opt store.by_key k with
             | Some cur when Tuple.equal cur t -> Key_tbl.remove store.by_key k
             | Some _ | None -> ()));

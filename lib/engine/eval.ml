@@ -42,21 +42,6 @@ type frontier_item = {
 
 exception Rule_error of string
 
-(* Per-round derivation dedup keys: flat arrays of hash-consed ids
-   (see [deriv_key] in [run_fixpoint]). *)
-module Deriv_tbl = Hashtbl.Make (struct
-  type t = int array
-
-  let equal (a : int array) (b : int array) =
-    let la = Array.length a in
-    la = Array.length b
-    &&
-    let rec go i = i >= la || (a.(i) = b.(i) && go (i + 1)) in
-    go 0
-
-  let hash (k : int array) = Array.fold_left (fun acc i -> (acc * 31) + i) 7 k
-end)
-
 (* --- body matching -------------------------------------------------- *)
 
 (* Enumerate matches of one positive predicate literal against a list
@@ -304,14 +289,14 @@ let instantiate_head (rule : rule) (bindings : Bindings.t) : Tuple.t * string op
     | H_agg ((A_count | A_sum), _) ->
       raise (Rule_error "COUNT/SUM heads are recomputed, not instantiated")
   in
-  let args = List.map arg_value head.head_args in
-  let tuple = { Tuple.rel = head.head_pred; args = Array.of_list args } in
+  let args = Array.of_list (List.map arg_value head.head_args) in
+  let tuple = Tuple.of_array head.head_pred args in
   let dest =
     match head.export_to with
     | Some t -> Some (Value.to_addr (Expr_eval.eval bindings t))
     | None -> (
       match head.head_loc with
-      | Some i -> Some (Value.to_addr (List.nth args i))
+      | Some i -> Some (Value.to_addr args.(i))
       | None -> None)
   in
   (tuple, dest)
@@ -378,11 +363,11 @@ let recompute_agg_rule (db : Db.t) ~(self : Value.t option) (rule : rule) :
             | [] -> [ agg_value ]
             | x :: rest -> x :: insert_at (i + 1) rest
         in
-        let args = insert_at 0 group_args in
-        let tuple = { Tuple.rel = rule.rule_head.head_pred; args = Array.of_list args } in
+        let args = Array.of_list (insert_at 0 group_args) in
+        let tuple = Tuple.of_array rule.rule_head.head_pred args in
         let dest =
           match rule.rule_head.head_loc with
-          | Some i -> Some (Value.to_addr (List.nth args i))
+          | Some i -> Some (Value.to_addr args.(i))
           | None -> None
         in
         (tuple, dest, body) :: acc)
@@ -509,60 +494,37 @@ let run_fixpoint (db : Db.t) ~(now : float) ~(rules : rule list)
       (List.map (fun fi -> (fi, true)) seeded
       @ List.filter_map (fun fi -> insert_local fi.f_tuple fi.f_asserter) pending)
   in
-  (* Derivations already reported this round, keyed on the full
-     (rule, head, body-with-asserters) identity.  The delta-position
-     ordering prevents most duplicates; this catches the remainder
-     (e.g. several new asserters of existing tuples in one round) so
-     [on_derive] fires exactly once per distinct derivation.  Keys are
-     arrays of hash-consed ids ([Tuple.id]/[Value.id] plus a per-run
-     rule-name id) rather than the concatenated identity strings they
-     used to be — the former hottest allocation site of the fixpoint. *)
-  let round_seen : unit Deriv_tbl.t = Deriv_tbl.create 256 in
-  let rule_ids : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  let rule_id name =
-    match Hashtbl.find_opt rule_ids name with
-    | Some i -> i
-    | None ->
-      let i = Hashtbl.length rule_ids in
-      Hashtbl.add rule_ids name i;
-      i
-  in
-  let deriv_key rule_name (tuple : Tuple.t) body =
-    (* -1 marks "no asserter"; real [Value.id]s are non-negative. *)
-    let key = Array.make (2 + (2 * List.length body)) (-1) in
-    key.(0) <- rule_id rule_name;
-    key.(1) <- Tuple.id tuple;
-    List.iteri
-      (fun i (t, asserter) ->
-        key.(2 + (2 * i)) <- Tuple.id t;
-        key.(3 + (2 * i)) <-
-          (match asserter with Some p -> Value.id p | None -> -1))
-      body;
-    key
-  in
+  (* Derivations already reported this round, keyed on the support
+     graph's derivation identity (rule, head, destination,
+     body-with-asserters).  The delta-position ordering prevents most
+     duplicates; this catches the remainder (e.g. several new
+     asserters of existing tuples in one round) so [on_derive] fires
+     exactly once per distinct derivation.  The key's hash combines
+     the tuples' stored hashes, and the same key is what [Support]
+     records. *)
+  let round_seen : unit Support.Entry_tbl.t = Support.Entry_tbl.create 256 in
   let delta_new : unit Tuple.Table.t = Tuple.Table.create 64 in
   let process_derivation rule_name (tuple, dest, body) next_frontier =
-    let key = deriv_key rule_name tuple body in
-    if Deriv_tbl.mem round_seen key then next_frontier
+    let is_local = match (dest, local) with
+      | None, _ -> true
+      | Some _, None -> true
+      | Some d, Some l -> String.equal d l
+    in
+    let key =
+      Support.entry ~rule:rule_name ~head:tuple
+        ~dest:(if is_local then None else dest)
+        ~body
+    in
+    if Support.Entry_tbl.mem round_seen key then next_frontier
     else begin
-      Deriv_tbl.add round_seen key ();
+      Support.Entry_tbl.add round_seen key ();
       incr derivations;
       Obs.Metrics.inc (rule_counter rule_name);
       let deriv = { d_rule = rule_name; d_head = tuple; d_body = body } in
-      let is_local = match (dest, local) with
-        | None, _ -> true
-        | Some _, None -> true
-        | Some d, Some l -> String.equal d l
-      in
       (* Record the support edge unconditionally — even for heads a
          replace policy rejects, so a beaten candidate can be
          reinstated if the incumbent is later retracted. *)
-      (match support with
-      | Some s ->
-        Support.record s ~rule:rule_name ~head:tuple
-          ~dest:(if is_local then None else dest)
-          ~body
-      | None -> ());
+      Option.iter (fun s -> Support.record s key) support;
       if is_local then begin
         match insert_local ~deriv tuple self_principal with
         | Some fi ->
@@ -585,7 +547,7 @@ let run_fixpoint (db : Db.t) ~(now : float) ~(rules : rule list)
     List.iter
       (fun (fi, fresh) -> if fresh then Tuple.Table.replace delta_new fi.f_tuple ())
       !frontier;
-    Deriv_tbl.reset round_seen;
+    Support.Entry_tbl.reset round_seen;
     let next = ref [] in
     (* Plain (and MIN/MAX) rules: one pass per positive body literal
        seeded from the delta. *)
@@ -683,18 +645,15 @@ let retract (db : Db.t) ~(support : Support.t) ~(now : float)
       (List.map (fun (r : rule) -> r.rule_head.head_pred) agg_rules)
   in
   let is_agg_rel rel = List.mem rel agg_rels in
-  (* Identity of a tuple's keyed group, or None for set relations. *)
-  let group_key (tup : Tuple.t) : string option =
+  (* Identity of a tuple's keyed group, or None for set relations:
+     the tuple of its relation's key columns. *)
+  let group_key (tup : Tuple.t) : Tuple.t option =
     match Db.policy db tup.Tuple.rel with
     | Db.Set -> None
-    | Db.Replace { key; _ } -> (
-      match Tuple.key_opt tup key with
-      | None -> None
-      | Some vs ->
-        Some
-          (tup.Tuple.rel ^ "|"
-          ^ String.concat ","
-              (List.map (fun v -> string_of_int (Value.id v)) vs)))
+    | Db.Replace { key; _ } ->
+      Option.map
+        (fun vs -> Tuple.make tup.Tuple.rel vs)
+        (Tuple.key_opt tup key)
   in
   (* --- phase 1: over-delete closure --------------------------------- *)
   (* [overdeleted] maps each reachable tuple to [Some asserters] if it
@@ -725,14 +684,14 @@ let retract (db : Db.t) ~(support : Support.t) ~(now : float)
      case: a better aggregate value replaced the old one) are skipped —
      a beaten candidate can never beat the live incumbent, and the
      skip keeps the per-relation head scan off the hot path. *)
-  let affected_groups : (string, unit) Hashtbl.t = Hashtbl.create 16 in
+  let affected_groups : unit Tuple.Table.t = Tuple.Table.create 16 in
   let affected_rels : (string, unit) Hashtbl.t = Hashtbl.create 4 in
   Tuple.Table.iter
     (fun tup live ->
       if live <> None && Option.is_none (Db.incumbent_of db tup) then
         match group_key tup with
         | Some g ->
-          Hashtbl.replace affected_groups g ();
+          Tuple.Table.replace affected_groups g ();
           Hashtbl.replace affected_rels tup.Tuple.rel ()
         | None -> ())
     overdeleted;
@@ -740,7 +699,7 @@ let retract (db : Db.t) ~(support : Support.t) ~(now : float)
   let candidates : Value.t list option Tuple.Table.t = Tuple.Table.create 64 in
   Tuple.Table.iter (fun tup live -> Tuple.Table.replace candidates tup live)
     overdeleted;
-  if Hashtbl.length affected_groups > 0 then
+  if Tuple.Table.length affected_groups > 0 then
     Hashtbl.iter
       (fun rel () ->
         Support.iter_heads_of_rel support rel (fun h ->
@@ -749,7 +708,7 @@ let retract (db : Db.t) ~(support : Support.t) ~(now : float)
               && not (Db.mem db h)
             then
               match group_key h with
-              | Some g when Hashtbl.mem affected_groups g ->
+              | Some g when Tuple.Table.mem affected_groups g ->
                 Tuple.Table.replace candidates h None
               | Some _ | None -> ()))
       affected_rels;
@@ -839,9 +798,10 @@ let retract (db : Db.t) ~(support : Support.t) ~(now : float)
               | Some d, Some l -> String.equal d l
             in
             let deriv = { d_rule = rule.rule_name; d_head = tuple; d_body = body } in
-            Support.record support ~rule:rule.rule_name ~head:tuple
-              ~dest:(if is_local then None else dest)
-              ~body;
+            Support.record support
+              (Support.entry ~rule:rule.rule_name ~head:tuple
+                 ~dest:(if is_local then None else dest)
+                 ~body);
             if is_local then begin
               let r =
                 insert_reporting db ~now ?asserted_by:self_principal ~on_replace
@@ -865,10 +825,10 @@ let retract (db : Db.t) ~(support : Support.t) ~(now : float)
   (* Remote copies to notify: a (head, dest) pair is dead when no
      surviving entry for that destination is valid.  Collected before
      trimming, while the invalid entries still carry their dests. *)
-  let check_remote : (int * string, Tuple.t) Hashtbl.t = Hashtbl.create 16 in
+  let check_remote : unit Tuple.Addr_table.t = Tuple.Addr_table.create 16 in
   let note_remote (e : Support.entry) =
     match e.Support.sp_dest with
-    | Some d -> Hashtbl.replace check_remote (Tuple.id e.sp_head, d) e.sp_head
+    | Some d -> Tuple.Addr_table.replace check_remote (d, e.sp_head) ()
     | None -> ()
   in
   Tuple.Table.iter
@@ -877,8 +837,8 @@ let retract (db : Db.t) ~(support : Support.t) ~(now : float)
       List.iter note_remote (Support.entries_of support tup))
     dead;
   let remote_dead =
-    Hashtbl.fold
-      (fun (_, d) tup acc ->
+    Tuple.Addr_table.fold
+      (fun (d, tup) () acc ->
         let still =
           List.exists
             (fun (e : Support.entry) -> e.Support.sp_dest = Some d && valid e)
@@ -941,8 +901,8 @@ let run_single_site ?(on_derive = fun _ -> ()) (program : program) : Db.t =
     List.map
       (fun (f : fact) ->
         { f_tuple =
-            { Tuple.rel = f.fact_pred;
-              args = Array.of_list (List.map Value.of_const f.fact_args) };
+            Tuple.of_array f.fact_pred
+              (Array.of_list (List.map Value.of_const f.fact_args));
           f_asserter = None })
       (facts program)
   in

@@ -6,8 +6,8 @@
    whose recording is gated by the provenance configuration and
    sampling — because retraction correctness must not depend on
    whether the operator asked for provenance capture.  Records are
-   cheap: hash-consed tuples are shared with the database, so an entry
-   is a few words plus one flat int-array dedup key.
+   cheap: their tuples are shared with the database, so an entry is a
+   few words plus its hash.
 
    The two indexes answer the two DRed questions:
    - [dependents_of]: which derivations consumed this tuple?
@@ -27,145 +27,126 @@ type entry = {
   sp_head : Tuple.t;
   sp_dest : string option; (* None = local head; Some d = emitted to d *)
   sp_body : (Tuple.t * Value.t option) list;
-  sp_key : int array; (* dedup key; see [entry_key] *)
+  sp_hash : int; (* combines the tuples' stored hashes; see [entry] *)
 }
 
-module Key_tbl = Hashtbl.Make (struct
-  type t = int array
+(* A derivation's identity: rule + head + destination + body tuples
+   with asserters.  The evaluator's per-round dedup and the graph's
+   record dedup both key on it, so one logical derivation is stored
+   once across all rounds and runs. *)
+let entry ~(rule : string) ~(head : Tuple.t) ~(dest : string option)
+    ~(body : (Tuple.t * Value.t option) list) : entry =
+  let h = (Hashtbl.hash rule * 31) + Tuple.hash head in
+  let h = match dest with Some d -> (h * 31) + Hashtbl.hash d | None -> h in
+  let sp_hash =
+    List.fold_left
+      (fun h (b, asserter) ->
+        let h = (h * 31) + Tuple.hash b in
+        match asserter with Some p -> (h * 31) + Value.hash p | None -> h)
+      h body
+  in
+  { sp_rule = rule; sp_head = head; sp_dest = dest; sp_body = body; sp_hash }
 
-  let equal (a : int array) (b : int array) =
-    let la = Array.length a in
-    la = Array.length b
-    &&
-    let rec go i = i >= la || (a.(i) = b.(i) && go (i + 1)) in
-    go 0
+module Entry_tbl = Hashtbl.Make (struct
+  type t = entry
 
-  let hash (k : int array) = Array.fold_left (fun acc i -> (acc * 31) + i) 7 k
+  let equal a b =
+    a == b
+    || a.sp_hash = b.sp_hash
+       && String.equal a.sp_rule b.sp_rule
+       && Tuple.equal a.sp_head b.sp_head
+       && Option.equal String.equal a.sp_dest b.sp_dest
+       && List.equal
+            (fun (x, p) (y, q) -> Tuple.equal x y && Option.equal Value.equal p q)
+            a.sp_body b.sp_body
+
+  let hash e = e.sp_hash
 end)
 
 type t = {
-  keys : entry Key_tbl.t; (* dedup: key -> the recorded entry *)
-  by_head : (int, entry list ref) Hashtbl.t; (* Tuple.id of head *)
-  by_body : (int, entry list ref) Hashtbl.t; (* Tuple.id of each body tuple *)
-  by_rel : (string, (int, Tuple.t) Hashtbl.t) Hashtbl.t;
+  keys : entry Entry_tbl.t; (* dedup: the recorded entry per identity *)
+  by_head : entry list ref Tuple.Table.t;
+  by_body : entry list ref Tuple.Table.t; (* keyed on each body tuple *)
+  by_rel : (string, Tuple.t Tuple.Table.t) Hashtbl.t;
       (* head relation -> distinct head tuples; retraction scans only
          the relations a keyed group lost a tuple from, instead of
          every head in the graph *)
-  rule_ids : (string, int) Hashtbl.t;
-  dest_ids : (string, int) Hashtbl.t;
 }
 
 let create () : t =
-  { keys = Key_tbl.create 256;
-    by_head = Hashtbl.create 256;
-    by_body = Hashtbl.create 256;
-    by_rel = Hashtbl.create 16;
-    rule_ids = Hashtbl.create 8;
-    dest_ids = Hashtbl.create 8 }
+  { keys = Entry_tbl.create 256;
+    by_head = Tuple.Table.create 256;
+    by_body = Tuple.Table.create 256;
+    by_rel = Hashtbl.create 16 }
 
-let intern (tbl : (string, int) Hashtbl.t) (s : string) : int =
-  match Hashtbl.find_opt tbl s with
-  | Some i -> i
-  | None ->
-    let i = Hashtbl.length tbl in
-    Hashtbl.add tbl s i;
-    i
-
-(* Identity of a support record: rule + head + destination + body
-   tuples with asserters.  Matches the evaluator's per-round
-   derivation-dedup identity, so one logical derivation is stored
-   once across all rounds and runs. *)
-let entry_key (t : t) ~rule ~(head : Tuple.t) ~(dest : string option) ~body :
-    int array =
-  let key = Array.make (3 + (2 * List.length body)) (-1) in
-  key.(0) <- intern t.rule_ids rule;
-  key.(1) <- Tuple.id head;
-  key.(2) <- (match dest with Some d -> intern t.dest_ids d | None -> -1);
-  List.iteri
-    (fun i (b, asserter) ->
-      key.(3 + (2 * i)) <- Tuple.id b;
-      key.(4 + (2 * i)) <- (match asserter with Some p -> Value.id p | None -> -1))
-    body;
-  key
-
-let bucket tbl id =
-  match Hashtbl.find_opt tbl id with
+let bucket tbl tuple =
+  match Tuple.Table.find_opt tbl tuple with
   | Some l -> l
   | None ->
     let l = ref [] in
-    Hashtbl.add tbl id l;
+    Tuple.Table.add tbl tuple l;
     l
 
-let record (t : t) ~(rule : string) ~(head : Tuple.t) ~(dest : string option)
-    ~(body : (Tuple.t * Value.t option) list) : unit =
-  let key = entry_key t ~rule ~head ~dest ~body in
-  if not (Key_tbl.mem t.keys key) then begin
-    let e = { sp_rule = rule; sp_head = head; sp_dest = dest; sp_body = body; sp_key = key } in
-    Key_tbl.add t.keys key e;
-    let hb = bucket t.by_head (Tuple.id head) in
+(* Each distinct body tuple of [e], once. *)
+let distinct_bodies (e : entry) : Tuple.t list =
+  List.fold_left
+    (fun seen (b, _) -> if List.exists (Tuple.equal b) seen then seen else b :: seen)
+    [] e.sp_body
+
+let record (t : t) (e : entry) : unit =
+  if not (Entry_tbl.mem t.keys e) then begin
+    Entry_tbl.add t.keys e e;
+    let hb = bucket t.by_head e.sp_head in
     hb := e :: !hb;
     let rel_heads =
-      match Hashtbl.find_opt t.by_rel head.Tuple.rel with
+      match Hashtbl.find_opt t.by_rel e.sp_head.Tuple.rel with
       | Some tbl -> tbl
       | None ->
-        let tbl = Hashtbl.create 32 in
-        Hashtbl.add t.by_rel head.Tuple.rel tbl;
+        let tbl = Tuple.Table.create 32 in
+        Hashtbl.add t.by_rel e.sp_head.Tuple.rel tbl;
         tbl
     in
-    Hashtbl.replace rel_heads (Tuple.id head) head;
-    (* Index each distinct body tuple once. *)
-    let seen = ref [] in
+    Tuple.Table.replace rel_heads e.sp_head e.sp_head;
     List.iter
-      (fun (b, _) ->
-        let id = Tuple.id b in
-        if not (List.mem id !seen) then begin
-          seen := id :: !seen;
-          let bb = bucket t.by_body id in
-          bb := e :: !bb
-        end)
-      body
+      (fun b ->
+        let bb = bucket t.by_body b in
+        bb := e :: !bb)
+      (distinct_bodies e)
   end
 
 let entries_of (t : t) (head : Tuple.t) : entry list =
-  match Hashtbl.find_opt t.by_head (Tuple.id head) with
+  match Tuple.Table.find_opt t.by_head head with
   | Some l -> !l
   | None -> []
 
 let dependents_of (t : t) (tuple : Tuple.t) : entry list =
-  match Hashtbl.find_opt t.by_body (Tuple.id tuple) with
+  match Tuple.Table.find_opt t.by_body tuple with
   | Some l -> !l
   | None -> []
 
-let mem_entry (t : t) (e : entry) : bool = Key_tbl.mem t.keys e.sp_key
+let mem_entry (t : t) (e : entry) : bool = Entry_tbl.mem t.keys e
 
-let drop_from tbl id (e : entry) =
-  match Hashtbl.find_opt tbl id with
+let drop_from tbl tuple (e : entry) =
+  match Tuple.Table.find_opt tbl tuple with
   | None -> ()
   | Some l ->
     l := List.filter (fun e' -> e' != e) !l;
-    if !l = [] then Hashtbl.remove tbl id
+    if !l = [] then Tuple.Table.remove tbl tuple
 
 let remove_entry (t : t) (e : entry) : unit =
-  if Key_tbl.mem t.keys e.sp_key then begin
-    Key_tbl.remove t.keys e.sp_key;
-    drop_from t.by_head (Tuple.id e.sp_head) e;
-    if not (Hashtbl.mem t.by_head (Tuple.id e.sp_head)) then (
+  match Entry_tbl.find_opt t.keys e with
+  | None -> ()
+  | Some e ->
+    Entry_tbl.remove t.keys e;
+    drop_from t.by_head e.sp_head e;
+    if not (Tuple.Table.mem t.by_head e.sp_head) then (
       match Hashtbl.find_opt t.by_rel e.sp_head.Tuple.rel with
-      | Some tbl -> Hashtbl.remove tbl (Tuple.id e.sp_head)
+      | Some tbl -> Tuple.Table.remove tbl e.sp_head
       | None -> ());
-    let seen = ref [] in
-    List.iter
-      (fun (b, _) ->
-        let id = Tuple.id b in
-        if not (List.mem id !seen) then begin
-          seen := id :: !seen;
-          drop_from t.by_body id e
-        end)
-      e.sp_body
-  end
+    List.iter (fun b -> drop_from t.by_body b e) (distinct_bodies e)
 
 (* Iterate each distinct recorded head of one relation. *)
 let iter_heads_of_rel (t : t) (rel : string) (f : Tuple.t -> unit) : unit =
   match Hashtbl.find_opt t.by_rel rel with
   | None -> ()
-  | Some tbl -> Hashtbl.iter (fun _ h -> f h) tbl
+  | Some tbl -> Tuple.Table.iter (fun _ h -> f h) tbl

@@ -15,22 +15,30 @@ type entry = private {
   sp_body : (Tuple.t * Value.t option) list;
       (** positive body matches with the asserter consumed by a
           [says] literal, if any *)
-  sp_key : int array;  (** internal dedup key *)
+  sp_hash : int;  (** combines the stored hashes of its tuples *)
 }
+(** One derivation, and its identity: two entries are the same
+    derivation when rule, head, destination and body-with-asserters
+    are equal. *)
+
+val entry :
+  rule:string ->
+  head:Tuple.t ->
+  dest:string option ->
+  body:(Tuple.t * Value.t option) list ->
+  entry
+
+module Entry_tbl : Hashtbl.S with type key = entry
+(** Tables keyed on a derivation's identity (the evaluator's
+    per-round dedup). *)
 
 type t
 
 val create : unit -> t
 
-val record :
-  t ->
-  rule:string ->
-  head:Tuple.t ->
-  dest:string option ->
-  body:(Tuple.t * Value.t option) list ->
-  unit
-(** Record one derivation; duplicates (same rule, head, destination
-    and body-with-asserters) are ignored. *)
+val record : t -> entry -> unit
+(** Record one derivation; a duplicate of a recorded entry is
+    ignored. *)
 
 val entries_of : t -> Tuple.t -> entry list
 (** Derivations producing this tuple as head. *)

@@ -1,11 +1,20 @@
-(* A ground tuple: relation name plus argument values. *)
+(* A ground tuple: relation name plus argument values, carrying its
+   hash.  [make] and [of_array] are the only constructors, so the hash
+   is computed once per tuple and every table lookup after that reads
+   a field. *)
 
 type t = {
   rel : string;
   args : Value.t array;
+  hash : int;
 }
 
-let make rel args = { rel; args = Array.of_list args }
+let of_array rel args =
+  { rel;
+    args;
+    hash = Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) (Hashtbl.hash rel) args }
+
+let make rel args = of_array rel (Array.of_list args)
 
 let arity t = Array.length t.args
 
@@ -32,10 +41,11 @@ let compare (a : t) (b : t) : int =
     end
   end
 
-let equal a b = compare a b = 0
+(* Equal tuples have equal hashes, so unequal hashes settle most
+   mismatches without walking the arguments. *)
+let equal a b = a == b || (a.hash = b.hash && compare a b = 0)
 
-let hash (t : t) : int =
-  Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) (Hashtbl.hash t.rel) t.args
+let hash (t : t) : int = t.hash
 
 let to_string (t : t) : string =
   Printf.sprintf "%s(%s)" t.rel
@@ -76,42 +86,9 @@ end
 
 module Table = Hashtbl.Make (Hashed)
 
-(* Hash-consing: tuples intern into dense ids, with the identity
-   string rendered once and cached alongside.  Replaces the former hot
-   path where every dedup/index/Bloom key re-ran [to_string].  Global,
-   append-only and mutex-guarded for the same reasons as [Value.id];
-   the sharded engine's worker domains intern newly derived
-   tuples under this lock while the table's existing entries stay
-   immutable ("frozen") for lock-free reads of cached records already
-   in hand. *)
-type interned = {
-  it_id : int;
-  it_identity : string;
-}
+module Addr_table = Hashtbl.Make (struct
+  type nonrec t = string * t
 
-let intern_mu = Mutex.create ()
-let intern_tbl : interned Table.t = Table.create 4096
-let intern_next = ref 0
-
-let interned (t : t) : interned =
-  Mutex.lock intern_mu;
-  let r =
-    match Table.find_opt intern_tbl t with
-    | Some r -> r
-    | None ->
-      let r = { it_id = !intern_next; it_identity = to_string t } in
-      incr intern_next;
-      Table.add intern_tbl t r;
-      r
-  in
-  Mutex.unlock intern_mu;
-  r
-
-let id (t : t) : int = (interned t).it_id
-let interned_identity (t : t) : string = (interned t).it_identity
-
-let interned_count () : int =
-  Mutex.lock intern_mu;
-  let n = !intern_next in
-  Mutex.unlock intern_mu;
-  n
+  let equal (a, x) (b, y) = String.equal a b && equal x y
+  let hash (a, x) = (Hashtbl.hash a * 31) + x.hash
+end)

@@ -1,28 +1,39 @@
 (** A ground tuple: relation name plus argument values.
 
-    The record is exposed (the evaluator and wire codec destructure
-    it), but [args] must be treated as immutable once a tuple has been
-    inserted into a {!Db.t}: database indexes, provenance stores and
-    the reliable-delivery dedup tables all key on {!identity}/{!hash},
-    and mutating an interned tuple would corrupt every one of them. *)
+    The record is private: the evaluator and wire codec read its
+    fields, but only {!make} and {!of_array} build one.  They compute
+    the tuple's {!hash} once and store it, so every table keyed on
+    tuples reads a field instead of walking the arguments.  [args]
+    must be treated as immutable: a mutated tuple would disagree with
+    its stored hash, and every database index, provenance store and
+    dedup table holding it would lose it. *)
 
-type t = {
+type t = private {
   rel : string;
   args : Value.t array;
+  hash : int;  (** {!hash}, computed at construction *)
 }
 
 val make : string -> Value.t list -> t
+
+val of_array : string -> Value.t array -> t
+(** Takes ownership of the array: the caller must not mutate it
+    afterwards. *)
+
 val arity : t -> int
 
 val arg : t -> int -> Value.t
 (** Raises [Invalid_argument] when the position is out of range. *)
 
 val compare : t -> t -> int
+
 val equal : t -> t -> bool
+(** Returns early on physical equality and on unequal hashes. *)
 
 val hash : t -> int
-(** Coherent with {!equal} (via {!Value.hash}'s cross-representation
-    numeric coherence). *)
+(** The stored hash: the relation name's hash folded with
+    {!Value.hash} of each argument.  Coherent with {!equal} (via
+    {!Value.hash}'s cross-representation numeric coherence). *)
 
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
@@ -37,8 +48,9 @@ val key_opt : t -> int list -> Value.t list option
     project. *)
 
 val identity : t -> string
-(** Canonical string identity: BDD variable name for base tuples,
-    Bloom-filter key, send-dedup key. *)
+(** Canonical string identity, rendered on each call: log frames,
+    flow and Bloom-filter keys, traceback answers and fault-verdict
+    seeds.  In-memory tables key on the tuple itself. *)
 
 val wire_size : t -> int
 (** Wire size of the tuple payload, matching [Net.Wire]. *)
@@ -46,21 +58,6 @@ val wire_size : t -> int
 module Hashed : Hashtbl.HashedType with type t = t
 module Table : Hashtbl.S with type key = t
 
-(** {1 Hash-consing}
-
-    Tuples intern into dense integer ids (with the {!identity} string
-    rendered once and cached), so dedup tables, index keys and
-    Bloom-filter keys compare machine ints instead of re-stringifying
-    the tuple.  The interner is global, append-only, and mutex-guarded:
-    worker domains of the sharded engine may intern newly
-    derived tuples concurrently. *)
-
-val id : t -> int
-(** [equal a b] iff [id a = id b]; distinct tuples get distinct ids. *)
-
-val interned_identity : t -> string
-(** Same string as {!identity}, but rendered once per distinct tuple
-    and cached in the interner. *)
-
-val interned_count : unit -> int
-(** Number of distinct tuples interned so far (diagnostics/tests). *)
+module Addr_table : Hashtbl.S with type key = string * t
+(** Tables keyed on (node address, tuple): a tuple sent to, or held
+    at, one node. *)

@@ -54,13 +54,6 @@ let of_const : Ndlog.Ast.const -> t = function
   | C_str s -> V_str s
   | C_bool b -> V_bool b
 
-let is_truthy = function
-  | V_bool b -> b
-  | V_int i -> i <> 0
-  | V_float f -> f <> 0.0
-  | V_str s -> s <> ""
-  | V_list l -> l <> []
-
 (* Address helpers: SeNDlog principals and NDlog locations are both
    string-valued. *)
 let addr (s : string) : t = V_str s
@@ -81,50 +74,13 @@ let rec wire_size = function
 (* [compare] makes numeric values equal across representations
    (V_int 2 = V_float 2.), so the hash must coincide on them too:
    integers hash through their float image.  Distinct large integers
-   beyond the float mantissa may collide, which is harmless. *)
+   beyond the float mantissa may collide, which is harmless.  A tuple
+   folds its arguments' hashes once, when it is built, and stores the
+   result (see [Tuple.of_array]); database column keys hash their
+   values through this function on each insert and probe. *)
 let rec hash = function
   | V_int i -> Hashtbl.hash (1, float_of_int i)
   | V_float f -> Hashtbl.hash (1, f)
   | V_bool b -> Hashtbl.hash (2, b)
   | V_str s -> Hashtbl.hash (3, s)
   | V_list l -> List.fold_left (fun acc v -> (acc * 31) + hash v) 17 l
-
-(* Hash-consing: values are interned into dense integer ids so hot
-   paths (database keys, semi-naive dedup) compare and hash machine
-   ints instead of walking structural values.  The table is global and
-   append-only — ids escape into long-lived index tables, so entries
-   are never dropped — and mutex-guarded so interning stays safe from
-   the worker domains of the sharded engine.  Because the table
-   hashes with [hash]/[equal], cross-representation numeric equals
-   (V_int 2 / V_float 2.) intern to the same id: whichever
-   representation arrives first wins the slot. *)
-module Id_tbl = Hashtbl.Make (struct
-  type nonrec t = t
-
-  let equal = equal
-  let hash = hash
-end)
-
-let intern_mu = Mutex.create ()
-let intern_tbl : int Id_tbl.t = Id_tbl.create 1024
-let intern_next = ref 0
-
-let id (v : t) : int =
-  Mutex.lock intern_mu;
-  let i =
-    match Id_tbl.find_opt intern_tbl v with
-    | Some i -> i
-    | None ->
-      let i = !intern_next in
-      incr intern_next;
-      Id_tbl.add intern_tbl v i;
-      i
-  in
-  Mutex.unlock intern_mu;
-  i
-
-let interned_count () : int =
-  Mutex.lock intern_mu;
-  let n = !intern_next in
-  Mutex.unlock intern_mu;
-  n

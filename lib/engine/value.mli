@@ -28,9 +28,6 @@ val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 val of_const : Ndlog.Ast.const -> t
 
-val is_truthy : t -> bool
-(** Emptiness/zero test used by rule guards. *)
-
 val addr : string -> t
 (** Address helpers: SeNDlog principals and NDlog locations are both
     string-valued. *)
@@ -41,12 +38,3 @@ val to_addr : t -> string
 val wire_size : t -> int
 (** Serialized size in bytes, matching [Net.Wire]'s encoding (1 tag
     byte plus payload); the basis of the bandwidth accounting. *)
-
-val id : t -> int
-(** Hash-consed id: equal values (including cross-representation
-    numeric equals) always intern to the same dense id, distinct
-    values to distinct ids.  The interner is global, append-only and
-    mutex-guarded (safe to call from worker domains). *)
-
-val interned_count : unit -> int
-(** Number of distinct values interned so far (diagnostics/tests). *)

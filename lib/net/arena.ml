@@ -126,12 +126,6 @@ let to_string (s : slice) : string = Bytes.sub_string s.base s.off s.len
 let with_bytes (s : slice) (f : Bytes.t -> pos:int -> len:int -> 'a) : 'a =
   f s.base ~pos:s.off ~len:s.len
 
-let slice_equal (a : slice) (b : slice) : bool =
-  a.len = b.len
-  &&
-  let rec go i = i >= a.len || (Bytes.unsafe_get a.base (a.off + i) = Bytes.unsafe_get b.base (b.off + i) && go (i + 1)) in
-  go 0
-
 (* --- cursor reader ---------------------------------------------------- *)
 
 type reader = { r : slice; mutable pos : int }

@@ -96,9 +96,6 @@ val with_bytes : slice -> (Bytes.t -> pos:int -> len:int -> 'a) -> 'a
     without copying.  The consumer must not write through the bytes or
     retain them past the call. *)
 
-val slice_equal : slice -> slice -> bool
-(** Byte equality of the viewed contents. *)
-
 (** {1 Cursor reader} *)
 
 type reader

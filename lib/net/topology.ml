@@ -148,9 +148,6 @@ let link_facts ?(with_cost = true) (t : t) : Engine.Tuple.t list =
 let find_link (t : t) ~(src : string) ~(dst : string) : link option =
   List.find_opt (fun l -> l.l_src = src && l.l_dst = dst) t.links
 
-let has_link (t : t) ~(src : string) ~(dst : string) : bool =
-  find_link t ~src ~dst <> None
-
 (* Functional topology mutation for link churn: the returned topology
    shares everything but the affected link.  [add_link] refuses a
    duplicate (via [validated]); [remove_link] of an absent link is the

@@ -61,7 +61,6 @@ val link_facts : ?with_cost:bool -> t -> Engine.Tuple.t list
 (** Links as [link(@src, dst[, cost])] base tuples for a program. *)
 
 val find_link : t -> src:string -> dst:string -> link option
-val has_link : t -> src:string -> dst:string -> bool
 
 val remove_link : t -> src:string -> dst:string -> t
 (** Functional removal of one directed link; identity when absent. *)

@@ -127,8 +127,7 @@ let read_tuple (r : Arena.reader) : Engine.Tuple.t =
   (* every value takes at least one byte: check before [Array.init]
      allocates [n] slots from an untrusted count *)
   if n > Arena.remaining r then raise (Decode_error "tuple arity exceeds its bytes");
-  let args = Array.init n (fun _ -> get_value r) in
-  { Engine.Tuple.rel; args }
+  Engine.Tuple.of_array rel (Array.init n (fun _ -> get_value r))
 
 let decode_tuple_slice (s : Arena.slice) : Engine.Tuple.t =
   decoding (fun () -> read_tuple (Arena.reader s))

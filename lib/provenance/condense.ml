@@ -162,7 +162,7 @@ and to_wire_uncached (ctx : ctx) (e : Prov_expr.t) : string =
 (* [of_wire] is manager-independent: the BDD is rebuilt in a scratch
    manager (preserving the sender's variable order), decoded to its
    minimal cubes, and mapped back to principal names via the shipped
-   table.  The slice form reads in place: the only copies are the
+   table.  It never reads [ctx], so concurrent decodes need no lock.  The slice form reads in place: the only copies are the
    name strings the result retains; the BDD tail deserializes straight
    out of the viewed buffer. *)
 let of_wire_slice (_ctx : ctx) (s : Net.Arena.slice) : Prov_expr.t =

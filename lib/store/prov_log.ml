@@ -69,10 +69,10 @@ type deriv = {
 
 let node_repr (head : Engine.Tuple.t) (d : deriv) : string =
   Printf.sprintf "%s<-%s[%s]"
-    (Engine.Tuple.interned_identity head)
+    (Engine.Tuple.identity head)
     d.d_rule
     (String.concat ";"
-       (List.map (fun b -> Engine.Tuple.interned_identity b.b_tuple) d.d_body))
+       (List.map (fun b -> Engine.Tuple.identity b.b_tuple) d.d_body))
 
 type record = {
   r_node : string;
@@ -335,8 +335,6 @@ let decode_frame (kind : char) (payload : Arena.slice) : frame =
       | 'R' | 'L' ->
         let live = kind = 'L' in
         let node, domain, _at, tuple = read_record_keys ~live r in
-        (* [identity], not [interned_identity]: a reopened log's tuples
-           must not stay in the process-wide intern table *)
         Record (entry_of ~live ~node ~domain ~ident:(Engine.Tuple.identity tuple) tuple)
       | 'F' -> Flow (read_flow r)
       | 'B' ->
@@ -716,10 +714,9 @@ let append_locked t (r : record) : unit =
   let off = t.tail_bytes in
   t.tail_bytes <-
     t.tail_bytes + write_frame t (if r.r_live then 'L' else 'R') (fun a -> write_record a r);
-  (* a runtime's tuples are interned already: the identity is a lookup *)
   index_add t (tail_seg t) off
     (entry_of ~live:r.r_live ~node:r.r_node ~domain:r.r_domain
-       ~ident:(Engine.Tuple.interned_identity r.r_tuple) r.r_tuple);
+       ~ident:(Engine.Tuple.identity r.r_tuple) r.r_tuple);
   Obs.Metrics.inc t.c_records;
   maybe_roll t
 

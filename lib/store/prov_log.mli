@@ -46,8 +46,8 @@ type deriv = {
 
 val node_repr : Engine.Tuple.t -> deriv -> string
 (** What a derivation's [d_signature] signs (Section 4.3):
-    ["head<-rule[body;...]"] over the interned identities of the head
-    and of the derivation's bodies. *)
+    ["head<-rule[body;...]"] over the identities of the head and of
+    the derivation's bodies. *)
 
 (** What the log knows of one tuple at one node when it retired (or
     was checkpointed). *)

@@ -1797,3 +1797,43 @@ let prop_distributed_reachable =
       got = expected)
 
 let suite = suite @ [ QCheck_alcotest.to_alcotest prop_distributed_reachable ]
+
+(* --- tuples live as long as a runtime holds them ---------------------------- *)
+
+(* Weak pointers to every link, path, bestPath and bestPathCost tuple a
+   finished N=6 Best-Path runtime stored, taken before its shutdown.
+   The runtime itself is unreachable once this returns.  The topology
+   seed is this test's own, so no earlier test in the process builds
+   equal tuples. *)
+let stored_tuples_weakly (cfg : Core.Config.t) : Engine.Tuple.t Weak.t =
+  let t, _ = mk_runtime ~cfg ~seed:611 ~n:6 () in
+  run_links t;
+  let tuples =
+    List.concat_map
+      (fun rel -> List.map snd (Core.Runtime.query_all t rel))
+      [ "link"; "path"; "bestPath"; "bestPathCost" ]
+  in
+  let w = Weak.create (List.length tuples) in
+  List.iteri (fun i tu -> Weak.set w i (Some tu)) tuples;
+  Core.Runtime.shutdown t;
+  w
+
+let test_tuples_freed_after_shutdown () =
+  List.iter
+    (fun (name, cfg) ->
+      let w = (Sys.opaque_identity stored_tuples_weakly) cfg in
+      Gc.full_major ();
+      let alive = ref 0 in
+      for i = 0 to Weak.length w - 1 do
+        if Weak.check w i then incr alive
+      done;
+      Alcotest.(check bool) (name ^ ": the run stored tuples") true (Weak.length w > 0);
+      Alcotest.(check int)
+        (Printf.sprintf "%s: stored tuples still reachable (of %d)" name (Weak.length w))
+        0 !alive)
+    [ ("NDLog", Core.Config.ndlog); ("SeNDLogProv", Core.Config.sendlog_prov) ]
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "tuples are freed with their runtime" `Quick
+        test_tuples_freed_after_shutdown ]

@@ -663,8 +663,8 @@ link(@b, a, 1). link(@d, b, 1). link(@c, a, 5). link(@d, c, 1).
       List.map
         (fun (f : Ndlog.Ast.fact) ->
           { Eval.f_tuple =
-              { Tuple.rel = f.fact_pred;
-                args = Array.of_list (List.map Value.of_const f.fact_args) };
+              Tuple.of_array f.fact_pred
+                (Array.of_list (List.map Value.of_const f.fact_args));
             f_asserter = None })
         (Ndlog.Ast.facts p)
     in

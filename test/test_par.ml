@@ -1,6 +1,6 @@
 (* Tests for the domain pool (lib/par), the runtime's coalescing event
-   loop and the hash-consed value/tuple interners: pool semantics,
-   interning laws, coalescing on one shard, a lossy reliable
+   loop and the value/tuple hashes: pool semantics, hash laws,
+   coalescing on one shard, a lossy reliable
    run that gives the same fixpoint, provenance and message count on
    one shard as on two, and one signature check per accepted message
    on the sharded engine's pool. *)
@@ -45,7 +45,7 @@ let test_pool_invalid () =
     (Invalid_argument "Pool.create: jobs must be >= 1") (fun () ->
       ignore (Par.Pool.create ~jobs:0))
 
-(* --- hash-consing laws ------------------------------------------------ *)
+(* --- hash laws ----------------------------------------------------------- *)
 
 let sample_values =
   [ Value.V_int 0;
@@ -57,72 +57,71 @@ let sample_values =
     Value.V_str "2";
     Value.V_str "node3";
     Value.V_list [ Value.V_str "a"; Value.V_int 1 ];
+    Value.V_list [ Value.V_str "a"; Value.V_float 1.0 ];
     Value.V_list [] ]
 
-let test_value_interning_laws () =
+let test_value_hash_laws () =
   List.iter
     (fun a ->
       List.iter
         (fun b ->
-          let same_id = Value.id a = Value.id b in
-          Alcotest.(check bool)
-            (Printf.sprintf "id agrees with equal: %s vs %s" (Value.to_string a)
-               (Value.to_string b))
-            (Value.equal a b) same_id;
-          Alcotest.(check bool) "id agrees with compare" (Value.compare a b = 0) same_id;
+          let name = Printf.sprintf "%s vs %s" (Value.to_string a) (Value.to_string b) in
+          Alcotest.(check bool) ("equal agrees with compare: " ^ name)
+            (Value.compare a b = 0) (Value.equal a b);
           if Value.equal a b then
-            Alcotest.(check int) "hash respects equality" (Value.hash a) (Value.hash b))
+            Alcotest.(check int) ("hash respects equality: " ^ name) (Value.hash a)
+              (Value.hash b))
         sample_values)
     sample_values;
-  (* interning is stable across structurally fresh copies *)
-  Alcotest.(check int) "stable id"
-    (Value.id (Value.V_list [ Value.V_str "stable"; Value.V_int 42 ]))
-    (Value.id (Value.V_list [ Value.V_str "stable"; Value.V_int 42 ]));
-  (* cross-representation numeric equality shares an id *)
-  Alcotest.(check int) "2 and 2.0 share an id" (Value.id (Value.V_int 2))
-    (Value.id (Value.V_float 2.0));
-  let before = Value.interned_count () in
-  ignore (Value.id (Value.V_str (Printf.sprintf "fresh-%d" before)));
-  Alcotest.(check int) "interner grows by one" (before + 1) (Value.interned_count ())
+  (* cross-representation numeric equality shares a hash *)
+  Alcotest.(check bool) "2 equals 2.0" true (Value.equal (Value.V_int 2) (Value.V_float 2.0));
+  Alcotest.(check int) "2 and 2.0 share a hash" (Value.hash (Value.V_int 2))
+    (Value.hash (Value.V_float 2.0))
 
 let sample_tuples =
   [ Tuple.make "link" [ Value.V_str "a"; Value.V_str "b"; Value.V_int 3 ];
     Tuple.make "link" [ Value.V_str "a"; Value.V_str "b"; Value.V_int 4 ];
     Tuple.make "link" [ Value.V_str "a"; Value.V_str "b"; Value.V_float 3.0 ];
     Tuple.make "path" [ Value.V_str "a"; Value.V_str "b"; Value.V_int 3 ];
+    Tuple.make "path"
+      [ Value.V_str "a"; Value.V_list [ Value.V_str "a"; Value.V_str "b" ]; Value.V_int 3 ];
     Tuple.make "path" [] ]
 
-let test_tuple_interning_laws () =
+let test_tuple_hash_laws () =
   List.iter
     (fun a ->
       List.iter
         (fun b ->
-          let same_id = Tuple.id a = Tuple.id b in
-          Alcotest.(check bool)
-            (Printf.sprintf "id agrees with equal: %s vs %s" (Tuple.to_string a)
-               (Tuple.to_string b))
-            (Tuple.equal a b) same_id;
-          (* equal tuples share one canonical identity rendering *)
-          if same_id then
-            Alcotest.(check string) "shared identity" (Tuple.interned_identity a)
-              (Tuple.interned_identity b))
+          let name = Printf.sprintf "%s vs %s" (Tuple.to_string a) (Tuple.to_string b) in
+          Alcotest.(check bool) ("equal agrees with compare: " ^ name)
+            (Tuple.compare a b = 0) (Tuple.equal a b);
+          if Tuple.equal a b then begin
+            Alcotest.(check int) ("hash respects equality: " ^ name) (Tuple.hash a)
+              (Tuple.hash b);
+            Alcotest.(check string) ("one identity: " ^ name) (Tuple.identity a)
+              (Tuple.identity b)
+          end)
         sample_tuples)
     sample_tuples;
-  (* a first-interned tuple's cached identity is its own rendering *)
-  let fresh = Tuple.make "internFreshRel" [ Value.V_int (Tuple.interned_count ()) ] in
-  Alcotest.(check string) "identity of representative" (Tuple.identity fresh)
-    (Tuple.interned_identity fresh);
+  (* [link(a, b, 3)] and [link(a, b, 3.0)] are one tuple *)
+  Alcotest.(check bool) "int and float arguments" true
+    (Tuple.equal (List.nth sample_tuples 0) (List.nth sample_tuples 2));
   List.iter
     (fun t ->
-      (* wire round-trip re-interns to the same id *)
+      let name = Tuple.to_string t in
+      (* the stored hash is the one a fresh build computes *)
+      Alcotest.(check int) ("make = of_array: " ^ name) (Tuple.hash t)
+        (Tuple.hash (Tuple.of_array t.Tuple.rel (Array.copy t.Tuple.args)));
+      (* a wire round trip gives an equal tuple with the same hash *)
       let t' = Net.Wire.decode_tuple (Net.Wire.encode_tuple t) in
-      Alcotest.(check int)
-        (Printf.sprintf "wire round-trip id: %s" (Tuple.to_string t))
-        (Tuple.id t) (Tuple.id t'))
-    sample_tuples;
-  let before = Tuple.interned_count () in
-  ignore (Tuple.id (Tuple.make "internFreshRel2" [ Value.V_int before ]));
-  Alcotest.(check bool) "interner grows" true (Tuple.interned_count () > before)
+      Alcotest.(check bool) ("wire round trip equal: " ^ name) true (Tuple.equal t t');
+      Alcotest.(check int) ("wire round trip hash: " ^ name) (Tuple.hash t) (Tuple.hash t');
+      (* so a structurally equal copy finds the original's table entry *)
+      let tbl = Tuple.Table.create 8 in
+      List.iter (fun u -> Tuple.Table.replace tbl u (Tuple.to_string u)) sample_tuples;
+      Alcotest.(check bool) ("table finds the copy: " ^ name) true
+        (Tuple.Table.mem tbl t'))
+    sample_tuples
 
 (* --- one shard vs two --------------------------------------------------- *)
 
@@ -264,8 +263,8 @@ let suite : unit Alcotest.test_case list =
   [ Alcotest.test_case "pool map order + chunking" `Quick test_pool_map;
     Alcotest.test_case "pool exception propagation" `Quick test_pool_exception;
     Alcotest.test_case "pool rejects jobs < 1" `Quick test_pool_invalid;
-    Alcotest.test_case "value interning laws" `Quick test_value_interning_laws;
-    Alcotest.test_case "tuple interning laws" `Quick test_tuple_interning_laws;
+    Alcotest.test_case "value hash laws" `Quick test_value_hash_laws;
+    Alcotest.test_case "tuple hash laws" `Quick test_tuple_hash_laws;
     Alcotest.test_case "seq = par: lossy + reliable" `Quick test_seq_par_lossy_reliable;
     Alcotest.test_case "one shard coalesces" `Quick test_one_shard_coalesces;
     Alcotest.test_case "verifies exactly what it accepts" `Quick
