@@ -616,6 +616,11 @@ let ablation_granularity (o : options) =
 
 (* --- Bechamel micro-benchmarks ------------------------------------------------ *)
 
+(* One Bechamel run's OLS estimate moves by up to 2x between runs of
+   one build on a small host, so each row is measured this many times
+   and printed as the median with the range. *)
+let micro_runs = 5
+
 let micro (o : options) =
   hr "Micro-benchmarks (Bechamel)";
   let open Bechamel in
@@ -676,24 +681,24 @@ let micro (o : options) =
         (Staged.stage (fun () -> Engine.Tuple.Table.find_opt table copy)) ]
   in
   let instance = Toolkit.Instance.monotonic_clock in
+  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.4) ~kde:None () in
+  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
   List.iter
     (fun test ->
-      let results =
-        Benchmark.all
-          (Benchmark.cfg ~limit:500 ~quota:(Time.second 0.4) ~kde:None ())
-          [ instance ] test
+      let estimates =
+        List.init micro_runs (fun _ ->
+            Hashtbl.fold
+              (fun _ result acc ->
+                match Analyze.OLS.estimates result with Some [ est ] -> est :: acc | _ -> acc)
+              (Analyze.all ols instance (Benchmark.all cfg [ instance ] test))
+              [])
+        |> List.concat |> List.sort Float.compare |> Array.of_list
       in
-      let results =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-          instance results
-      in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> Printf.printf "  %-24s %12.1f ns/op\n" name est
-          | _ -> Printf.printf "  %-24s (no estimate)\n" name)
-        results)
+      let n = Array.length estimates in
+      if n = 0 then Printf.printf "  %-24s (no estimate)\n" (Test.name test)
+      else
+        Printf.printf "  %-24s %12.1f ns/op  [%.1f, %.1f] over %d runs\n" (Test.name test)
+          estimates.(n / 2) estimates.(0) estimates.(n - 1) n)
     tests
 
 (* --- main ------------------------------------------------------------------------ *)

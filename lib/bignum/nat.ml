@@ -3,11 +3,10 @@
    Representation: little-endian [int array] of limbs, each limb in
    [0, base) with base = 2^26, and no trailing zero limb (the canonical
    form of zero is the empty array).  A product of two limbs is below
-   2^52, so a sum of up to 2^10 such products plus a 36-bit carry still
-   fits OCaml's native 63-bit [int] on 64-bit platforms: schoolbook
-   loops carry after every product, and the Montgomery kernel below
-   sums whole columns of up to 1024 products (hence its 512-limb
-   bound) before carrying once. *)
+   2^52, so a product plus a limb and a carry fits OCaml's native
+   63-bit [int] on 64-bit platforms: schoolbook loops carry after every
+   product.  The Montgomery kernel ([Mont], below) runs in C over
+   64-bit limbs. *)
 
 let limb_bits = 26
 let base = 1 lsl limb_bits
@@ -305,245 +304,40 @@ let gcd (a : t) (b : t) : t =
 
 (* --- Montgomery arithmetic -------------------------------------------- *)
 
-(* Modular arithmetic for an odd modulus m held in Montgomery form:
-   values are a*R mod m with R = base^k, and [mul_into] / [sqr_into]
-   compute a*b*R^-1 mod m by product scanning instead of the full Knuth
-   divmod that [mod_pow] pays on every step.
-
-   Product scanning walks the output columns of a*b + u*m in order (u
-   the Montgomery quotient) and sums each column in one native int,
-   carrying once per column rather than once per limb product.  A
-   column holds at most 2k products below 2^52 plus the previous
-   column's carry (below 2^36), so the sum stays below 2^62 while
-   k <= [max_limbs] = 512; [ctx] rejects wider moduli.
-
-   The kernel is destination-passing: it writes into [dst] and keeps u
-   in a caller-supplied k-limb scratch, so an exponentiation allocates
-   its buffers once and nothing per step.  [dst] may alias either
-   input: output column i (i >= k) is stored into limb i-k, and every
-   later column reads only limbs above i-k. *)
+(* Modular exponentiation for an odd modulus m in the Montgomery
+   domain, R = 2^(64k) for the k 64-bit limbs m fills.  The whole
+   exponentiation is one C call (mont_stubs.c): OCaml has no 64x64 ->
+   128-bit multiply, so the kernel converts to 64-bit limbs on entry
+   and back on exit.  The context holds what the kernel takes besides
+   the operands, R^2 mod m; the stub works out -m^-1 mod 2^64 itself. *)
 module Mont = struct
   type ctx = {
     modulus : t;
-    m : int array; (* the modulus, exactly k limbs *)
-    k : int;
-    n0' : int; (* -modulus^-1 mod base *)
-    r2 : int array; (* R^2 mod modulus, padded to k limbs *)
+    r2 : t; (* R^2 mod modulus *)
   }
 
+  (* Bounds the stub's stack buffers: 512 26-bit limbs fill 208
+     64-bit limbs. *)
   let max_limbs = 512
-
-  let pad (k : int) (a : t) : int array =
-    let r = Array.make k 0 in
-    Array.blit a 0 r 0 (Array.length a);
-    r
-
-  (* -m0^-1 mod base by Newton iteration: each step doubles the number
-     of correct low bits, and an odd m0 is its own inverse mod 8. *)
-  let neg_inv_limb (m0 : int) : int =
-    let x = ref m0 in
-    for _ = 1 to 4 do
-      x := (!x * (2 - (m0 * !x))) land limb_mask
-    done;
-    (base - !x) land limb_mask
 
   let ctx (modulus : t) : ctx =
     if is_zero modulus || is_even modulus || equal modulus one then
       invalid_arg "Nat.Mont.ctx: modulus must be odd and > 1";
-    let k = Array.length modulus in
-    if k > max_limbs then invalid_arg "Nat.Mont.ctx: modulus wider than 512 limbs";
-    { modulus;
-      m = Array.copy modulus;
-      k;
-      n0' = neg_inv_limb modulus.(0);
-      r2 = pad k (rem (shift_left one (2 * k * limb_bits)) modulus) }
+    if Array.length modulus > max_limbs then
+      invalid_arg "Nat.Mont.ctx: modulus wider than 512 limbs";
+    let k = (bits modulus + 63) / 64 in
+    { modulus; r2 = rem (shift_left one (128 * k)) modulus }
 
   let modulus (c : ctx) : t = c.modulus
 
-  (* [dst] := [dst] - m when the value (top * R + dst) is >= m.  Both
-     kernels leave a value below 2m, so one subtraction restores the
-     range [0, m). *)
-  let reduce_once (c : ctx) (dst : int array) (top : int) : unit =
-    let k = c.k and m = c.m in
-    let j = ref (k - 1) in
-    while !j >= 0 && dst.(!j) = m.(!j) do
-      decr j
-    done;
-    if top <> 0 || !j < 0 || dst.(!j) > m.(!j) then begin
-      let borrow = ref 0 in
-      for j = 0 to k - 1 do
-        let d = dst.(j) - m.(j) - !borrow in
-        dst.(j) <- d land limb_mask;
-        borrow := -(d asr limb_bits)
-      done
-    end
+  (* [pow m r2 b e out] writes b^e mod m into [out], which has as many
+     limbs as m; b < m.  It allocates nothing and holds no lock. *)
+  external pow : t -> t -> t -> t -> int array -> unit = "bignum_mont_pow" [@@noalloc]
 
-  (* Unchecked limb reads for the two kernels' column loops: every
-     index there lies in [0, k), and every operand is a k-limb array
-     built inside this module.  The [int array] annotation compiles the
-     read to a plain load, without the float-array tag test. *)
-  let ( .%() ) (a : int array) (i : int) : int = Array.unsafe_get a i
-
-  (* [dst] := a*b*R^-1 mod m.  Inputs are k-limb arrays holding values
-     < m; [u] is the k-limb scratch for the quotient digits.  Column i
-     < k picks u_i so that the column's low limb vanishes; column i >= k
-     is output limb i-k. *)
-  let mul_into (c : ctx) (u : int array) (dst : int array) (a : int array)
-      (b : int array) : unit =
-    let k = c.k and m = c.m and n0' = c.n0' in
-    let acc = ref 0 in
-    for i = 0 to (2 * k) - 2 do
-      let s = ref (if i < k then !acc + (a.%(i) * b.%(0)) else !acc) in
-      for j = Int.max 0 (i - k + 1) to Int.min (i - 1) (k - 1) do
-        s := !s + (a.%(j) * b.%(i - j)) + (u.%(j) * m.%(i - j))
-      done;
-      if i < k then begin
-        let ui = ((!s land limb_mask) * n0') land limb_mask in
-        u.(i) <- ui;
-        acc := (!s + (ui * m.%(0))) lsr limb_bits
-      end
-      else begin
-        dst.(i - k) <- !s land limb_mask;
-        acc := !s lsr limb_bits
-      end
-    done;
-    dst.(k - 1) <- !acc land limb_mask;
-    reduce_once c dst (!acc lsr limb_bits)
-
-  (* [dst] := a*a*R^-1 mod m: as [mul_into], but in each column of
-     a*a the cross products a_j*a_(i-j) with j < i-j are summed once
-     (into [x], alongside the first u*m products) and then doubled. *)
-  let sqr_into (c : ctx) (u : int array) (dst : int array) (a : int array) : unit =
-    let k = c.k and m = c.m and n0' = c.n0' in
-    let acc = ref 0 in
-    for i = 0 to (2 * k) - 2 do
-      let lo = Int.max 0 (i - k + 1) and half = (i - 1) asr 1 in
-      let x = ref 0 and s = ref !acc in
-      for j = lo to half do
-        x := !x + (a.%(j) * a.%(i - j));
-        s := !s + (u.%(j) * m.%(i - j))
-      done;
-      for j = half + 1 to Int.min (i - 1) (k - 1) do
-        s := !s + (u.%(j) * m.%(i - j))
-      done;
-      let s = !s + (2 * !x) + if i land 1 = 0 then a.%(i lsr 1) * a.%(i lsr 1) else 0 in
-      if i < k then begin
-        let ui = ((s land limb_mask) * n0') land limb_mask in
-        u.(i) <- ui;
-        acc := (s + (ui * m.%(0))) lsr limb_bits
-      end
-      else begin
-        dst.(i - k) <- s land limb_mask;
-        acc := s lsr limb_bits
-      end
-    done;
-    dst.(k - 1) <- !acc land limb_mask;
-    reduce_once c dst (!acc lsr limb_bits)
-
-  (* A fresh k-limb Montgomery form of [a]. *)
-  let to_mont (c : ctx) (u : int array) (a : t) : int array =
-    let r = pad c.k (rem a c.modulus) in
-    mul_into c u r r c.r2;
-    r
-
-  (* Leaves Montgomery form, consuming [a]. *)
-  let from_mont (c : ctx) (u : int array) (a : int array) : t =
-    let one_limb = Array.make c.k 0 in
-    one_limb.(0) <- 1;
-    mul_into c u a a one_limb;
-    normalize a
-
-  (* The bits of [e], least significant first, as bytes 0/1: one pass
-     over the limbs instead of a [testbit] per step. *)
-  let exponent_bits (e : t) : Bytes.t =
-    let nbits = bits e in
-    let s = Bytes.create nbits in
-    Array.iteri
-      (fun l limb ->
-        let lo = l * limb_bits in
-        for j = 0 to Int.min limb_bits (nbits - lo) - 1 do
-          Bytes.set s (lo + j) (Char.unsafe_chr ((limb lsr j) land 1))
-        done)
-      e;
-    s
-
-  let window_bits (n : int) : int =
-    if n <= 24 then 2 else if n <= 160 then 3 else if n <= 768 then 4 else 5
-
-  (* b^e mod m by sliding-window exponentiation in the Montgomery
-     domain: one squaring per exponent bit plus one multiply per (odd)
-     window, with a precomputed table of the odd powers b^1, b^3, ...,
-     b^(2^w - 1).  The steps work in place on one accumulator. *)
   let mod_pow (c : ctx) (b : t) (e : t) : t =
-    let nbits = bits e in
-    if nbits = 0 then one
-    else begin
-      let ebits = exponent_bits e in
-      let bit i = Char.code (Bytes.get ebits i) in
-      let w = window_bits nbits in
-      let u = Array.make c.k 0 in
-      let g1 = to_mont c u b in
-      let g2 = Array.make c.k 0 in
-      sqr_into c u g2 g1;
-      let table = Array.make (1 lsl (w - 1)) g1 in
-      for i = 1 to Array.length table - 1 do
-        let t = Array.make c.k 0 in
-        mul_into c u t table.(i - 1) g2;
-        table.(i) <- t
-      done;
-      let r = Array.make c.k 0 in
-      let first = ref true in
-      let i = ref (nbits - 1) in
-      while !i >= 0 do
-        if bit !i = 0 then begin
-          sqr_into c u r r;
-          decr i
-        end
-        else begin
-          (* Widest window [l, i] that ends on a set bit. *)
-          let l = ref (Int.max 0 (!i - w + 1)) in
-          while bit !l = 0 do
-            incr l
-          done;
-          let v = ref 0 in
-          for j = !i downto !l do
-            v := (!v lsl 1) lor bit j
-          done;
-          if !first then begin
-            (* The first window starts at the top bit, where the
-               accumulator is still 1: take the window's power. *)
-            Array.blit table.(!v lsr 1) 0 r 0 c.k;
-            first := false
-          end
-          else begin
-            for _ = !l to !i do
-              sqr_into c u r r
-            done;
-            mul_into c u r r table.(!v lsr 1)
-          end;
-          i := !l - 1
-        end
-      done;
-      from_mont c u r
-    end
-
-  (* Small public exponents (RSA verify: e = 65537) skip the Nat
-     exponent walk entirely: square-and-multiply over the bits of a
-     machine int. *)
-  let mod_pow_int (c : ctx) (b : t) (e : int) : t =
-    if e < 0 then invalid_arg "Nat.Mont.mod_pow_int: negative exponent";
-    if e = 0 then one
-    else begin
-      let u = Array.make c.k 0 in
-      let g = to_mont c u b in
-      let r = Array.copy g in
-      let rec top_bit n = if n <= 1 then 0 else 1 + top_bit (n lsr 1) in
-      for j = top_bit e - 1 downto 0 do
-        sqr_into c u r r;
-        if (e lsr j) land 1 = 1 then mul_into c u r r g
-      done;
-      from_mont c u r
-    end
+    let out = Array.make (Array.length c.modulus) 0 in
+    pow c.modulus c.r2 (rem b c.modulus) e out;
+    normalize out
 end
 
 let pow (b : t) (e : int) : t =

@@ -56,16 +56,16 @@ val mod_pow : t -> t -> t -> t
 val gcd : t -> t -> t
 
 (** Montgomery modular arithmetic for a fixed odd modulus: the
-    per-modulus constants ([-m^-1] mod base, [R^2] mod m) are computed
-    once, after which modular exponentiation needs no division at
-    all — the fast path under RSA sign/verify. *)
+    per-modulus constant (R^2 mod m) is computed once, after which
+    modular exponentiation needs no division at all — the fast path
+    under RSA sign/verify and Miller–Rabin. *)
 module Mont : sig
   type ctx
 
   val ctx : t -> ctx
-  (** Precompute the constants for one modulus.  The multiplication
-      kernel sums each output column in one native [int], which bounds
-      the modulus to at most 512 limbs (13312 bits).
+  (** Precompute the constant for one modulus.  The exponentiation
+      kernel (C, over 64-bit limbs) keeps its buffers on the stack,
+      which bounds the modulus to at most 512 limbs (13312 bits).
       @raise Invalid_argument unless the modulus is odd and [> 1], or
       if it is wider than 512 limbs. *)
 
@@ -73,12 +73,9 @@ module Mont : sig
 
   val mod_pow : ctx -> t -> t -> t
   (** [mod_pow c b e] is [b^e mod (modulus c)] by sliding-window
-      exponentiation in the Montgomery domain.  Any [b] is accepted
-      (it is reduced first); the steps allocate nothing. *)
-
-  val mod_pow_int : ctx -> t -> int -> t
-  (** Same with a small machine-int exponent (RSA's e = 65537), with no
-      [t]-valued exponent walk.  @raise Invalid_argument if [e < 0]. *)
+      exponentiation in the Montgomery domain, byte-identical to
+      {!Nat.mod_pow}.  Any [b] is accepted (it is reduced first); the
+      steps allocate nothing, and domains may call it concurrently. *)
 end
 
 val pow : t -> int -> t

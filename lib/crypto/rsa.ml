@@ -9,47 +9,35 @@
    all the paper's evaluation depends on.
 
    Signing is CRT signing: two half-width Montgomery exponentiations
-   mod p and q plus Garner recombination.  Verification is a
-   small-exponent Montgomery exponentiation (e = 65537 walked as a
-   machine int).  Both produce the bytes a full-width [Nat.mod_pow]
-   would, which the tests use as the oracle. *)
+   mod p and q plus Garner recombination.  Verification is one
+   Montgomery exponentiation mod n by e = 65537.  Each key carries the
+   Montgomery contexts of its moduli, built once by [generate] or
+   [public_of_string], so signing and verifying look nothing up.  Both
+   produce the bytes a full-width [Nat.mod_pow] would, which the tests
+   use as the oracle. *)
 
 open Bignum
 
-type public_key = { n : Nat.t; e : Nat.t; key_bits : int }
+type public_key = { n : Nat.t; e : Nat.t; key_bits : int; n_ctx : Nat.Mont.ctx }
 
 (* CRT private material retained by [generate]: exponents reduced mod
-   p-1 / q-1 and the Garner coefficient q^-1 mod p. *)
-type crt = { p : Nat.t; q : Nat.t; d_p : Nat.t; d_q : Nat.t; q_inv : Nat.t }
+   p-1 / q-1, the Garner coefficient q^-1 mod p, and the Montgomery
+   contexts of p and q. *)
+type crt = {
+  p : Nat.t;
+  q : Nat.t;
+  d_p : Nat.t;
+  d_q : Nat.t;
+  q_inv : Nat.t;
+  p_ctx : Nat.Mont.ctx;
+  q_ctx : Nat.Mont.ctx;
+}
 
 type private_key = { pub : public_key; d : Nat.t; crt : crt }
 
 type keypair = { public : public_key; private_ : private_key }
 
 let public_exponent = Nat.of_int 65537
-
-(* Montgomery contexts per modulus: a public key arrives many times
-   (every verified message), so the per-modulus precomputation (n',
-   R^2) is shared across calls.  Keys are [Nat.t] values (int arrays,
-   hashed structurally); the table is bounded defensively, and
-   mutex-guarded because sign/verify run concurrently on the sharded
-   engine's worker domains. *)
-let mont_mu = Mutex.create ()
-let mont_cache : (Nat.t, Nat.Mont.ctx) Hashtbl.t = Hashtbl.create 16
-
-let mont_ctx_of (m : Nat.t) : Nat.Mont.ctx =
-  Mutex.lock mont_mu;
-  let c =
-    match Hashtbl.find_opt mont_cache m with
-    | Some c -> c
-    | None ->
-      if Hashtbl.length mont_cache > 128 then Hashtbl.reset mont_cache;
-      let c = Nat.Mont.ctx m in
-      Hashtbl.replace mont_cache m c;
-      c
-  in
-  Mutex.unlock mont_mu;
-  c
 
 (* Sign/verify wall-clock histograms (crypto.*_seconds in the shared
    registry): per-operation cost is what Section 6 attributes the
@@ -88,9 +76,11 @@ let generate (rng : Rng.t) ~(bits : int) : keypair =
               q;
               d_p = Nat.rem d (Nat.sub p Nat.one);
               d_q = Nat.rem d (Nat.sub q Nat.one);
-              q_inv = Bigint.to_nat_exn q_inv }
+              q_inv = Bigint.to_nat_exn q_inv;
+              p_ctx = Nat.Mont.ctx p;
+              q_ctx = Nat.Mont.ctx q }
           in
-          let pub = { n; e = public_exponent; key_bits = bits } in
+          let pub = { n; e = public_exponent; key_bits = bits; n_ctx = Nat.Mont.ctx n } in
           { public = pub; private_ = { pub; d; crt } })
     end
   in
@@ -110,8 +100,8 @@ let encode_digest (pub : public_key) (digest : string) : Nat.t =
 (* m^d mod n by CRT: half-width exponentiations mod p and q, then
    Garner recombination s = s_q + q * (q_inv (s_p - s_q) mod p). *)
 let crt_power (c : crt) (m : Nat.t) : Nat.t =
-  let s_p = Nat.Mont.mod_pow (mont_ctx_of c.p) m c.d_p in
-  let s_q = Nat.Mont.mod_pow (mont_ctx_of c.q) m c.d_q in
+  let s_p = Nat.Mont.mod_pow c.p_ctx m c.d_p in
+  let s_q = Nat.Mont.mod_pow c.q_ctx m c.d_q in
   let s_q_mod_p = Nat.rem s_q c.p in
   let diff =
     if Nat.compare s_p s_q_mod_p >= 0 then Nat.sub s_p s_q_mod_p
@@ -141,13 +131,7 @@ let verify_digest (pub : public_key) ~(signature : string) (digest : string) : b
   && begin
        let s = Nat.of_bytes_be signature in
        Nat.compare s pub.n < 0
-       &&
-       let recovered =
-         match Nat.to_int_opt pub.e with
-         | Some e -> Nat.Mont.mod_pow_int (mont_ctx_of pub.n) s e
-         | None -> Nat.Mont.mod_pow (mont_ctx_of pub.n) s pub.e
-       in
-       Nat.equal recovered (encode_digest pub digest)
+       && Nat.equal (Nat.Mont.mod_pow pub.n_ctx s pub.e) (encode_digest pub digest)
      end
 
 let verify (pub : public_key) ~(signature : string) (message : string) : bool =
@@ -157,11 +141,17 @@ let verify (pub : public_key) ~(signature : string) (message : string) : bool =
 let public_to_string (pub : public_key) : string =
   Printf.sprintf "rsa:%d:%s:%s" pub.key_bits (Nat.to_hex pub.n) (Nat.to_hex pub.e)
 
+(* [None] for anything that is not a key: a malformed field, or a
+   modulus [Nat.Mont.ctx] rejects (even, 1, or too wide). *)
 let public_of_string (s : string) : public_key option =
   match String.split_on_char ':' s with
   | [ "rsa"; bits; n; e ] -> (
     match int_of_string_opt bits with
-    | Some key_bits -> Some { n = Nat.of_hex n; e = Nat.of_hex e; key_bits }
+    | Some key_bits -> (
+      try
+        let n = Nat.of_hex n in
+        Some { n; e = Nat.of_hex e; key_bits; n_ctx = Nat.Mont.ctx n }
+      with Invalid_argument _ -> None)
     | None -> None)
   | _ -> None
 

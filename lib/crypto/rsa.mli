@@ -10,11 +10,18 @@
     which is what the paper's evaluation depends on.
 
     Signing is CRT signing (two half-width Montgomery exponentiations
-    plus Garner recombination) and verification a small-exponent
-    Montgomery exponentiation; both give the bytes a full-width
-    [Nat.mod_pow] would, which the tests use as the oracle. *)
+    plus Garner recombination) and verification one Montgomery
+    exponentiation mod n; both give the bytes a full-width
+    [Nat.mod_pow] would, which the tests use as the oracle.  Keys carry
+    the Montgomery contexts of their moduli, built when the key is
+    generated or parsed. *)
 
-type public_key = { n : Bignum.Nat.t; e : Bignum.Nat.t; key_bits : int }
+type public_key = {
+  n : Bignum.Nat.t;
+  e : Bignum.Nat.t;
+  key_bits : int;
+  n_ctx : Bignum.Nat.Mont.ctx; (** Montgomery context of [n] *)
+}
 
 type crt = {
   p : Bignum.Nat.t;
@@ -22,6 +29,8 @@ type crt = {
   d_p : Bignum.Nat.t; (** d mod (p-1) *)
   d_q : Bignum.Nat.t; (** d mod (q-1) *)
   q_inv : Bignum.Nat.t; (** q^-1 mod p (Garner coefficient) *)
+  p_ctx : Bignum.Nat.Mont.ctx; (** Montgomery context of [p] *)
+  q_ctx : Bignum.Nat.Mont.ctx; (** Montgomery context of [q] *)
 }
 
 type private_key = { pub : public_key; d : Bignum.Nat.t; crt : crt }
@@ -55,6 +64,8 @@ val verify_digest : public_key -> signature:string -> string -> bool
 
 val public_to_string : public_key -> string
 val public_of_string : string -> public_key option
+(** [None] for a malformed string, or a modulus {!Bignum.Nat.Mont.ctx}
+    rejects. *)
 
 val fingerprint : public_key -> string
 (** 16-hex-character key fingerprint. *)

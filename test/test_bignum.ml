@@ -128,20 +128,20 @@ let test_mont_known_values () =
   check_nat "b=1" Nat.one (Nat.Mont.mod_pow c Nat.one (Nat.of_int 99));
   check_nat "int exponent"
     (Nat.mod_pow (Nat.of_int 3) (Nat.of_int 65537) p)
-    (Nat.Mont.mod_pow_int c (Nat.of_int 3) 65537)
+    (Nat.Mont.mod_pow c (Nat.of_int 3) (Nat.of_int 65537))
 
 let test_mont_limb_bound () =
-  (* 512 limbs is the widest modulus whose Montgomery columns fit a
-     native int; the all-ones modulus and a base just below it fill
-     every limb, which drives the column sums to their bound. *)
+  (* 512 limbs is the widest modulus the kernel's stack buffers hold
+     (208 64-bit limbs); the all-ones modulus and a base just below it
+     fill every limb of them. *)
   let all_ones k = Nat.sub (Nat.shift_left Nat.one (26 * k)) Nat.one in
   let m = all_ones 512 in
   let c = Nat.Mont.ctx m in
   let b = Nat.sub m Nat.two in
   check_nat "mod_pow at 512 limbs" (Nat.mod_pow b (Nat.of_int 31) m)
     (Nat.Mont.mod_pow c b (Nat.of_int 31));
-  check_nat "mod_pow_int at 512 limbs" (Nat.mod_pow b (Nat.of_int 65537) m)
-    (Nat.Mont.mod_pow_int c b 65537);
+  check_nat "e = 65537 at 512 limbs" (Nat.mod_pow b (Nat.of_int 65537) m)
+    (Nat.Mont.mod_pow c b (Nat.of_int 65537));
   List.iter
     (fun m ->
       Alcotest.check_raises "wider than 512 limbs"
@@ -150,11 +150,10 @@ let test_mont_limb_bound () =
     [ Nat.add (Nat.shift_left Nat.one (26 * 512)) Nat.one; all_ones 600 ]
 
 let test_mont_no_alloc_per_step () =
-  (* Exponents of equal width (same window and table) but 2 vs ~40
-     windows, and machine-int exponents of 2 vs 62 bits: the steps
-     allocate nothing, so each pair allocates the same.  The base is
-     just below the modulus so that every result is full width and
-     the final [normalize] copies none of them. *)
+  (* Exponents of equal width (same window) but 2 vs ~40 windows: the
+     steps allocate nothing, so both allocate the same.  The base is
+     just below the modulus so that both results are full width and
+     the final [normalize] copies neither. *)
   let m = Nat.add (Nat.shift_left Nat.one 383) (Nat.of_int 187) in
   let c = Nat.Mont.ctx m and b = Nat.sub m (Nat.of_int 123_456_789) in
   let words f =
@@ -167,10 +166,7 @@ let test_mont_no_alloc_per_step () =
   ignore (words (fun () -> Nat.Mont.mod_pow c b sparse));
   Alcotest.(check (float 0.)) "mod_pow"
     (words (fun () -> Nat.Mont.mod_pow c b sparse))
-    (words (fun () -> Nat.Mont.mod_pow c b dense));
-  Alcotest.(check (float 0.)) "mod_pow_int"
-    (words (fun () -> Nat.Mont.mod_pow_int c b 3))
-    (words (fun () -> Nat.Mont.mod_pow_int c b max_int))
+    (words (fun () -> Nat.Mont.mod_pow c b dense))
 
 (* --- Bigint ----------------------------------------------------------- *)
 
@@ -308,14 +304,6 @@ let prop_mont_matches_naive =
     (fun (b, e, m) ->
       Nat.equal (Nat.Mont.mod_pow (Nat.Mont.ctx m) b e) (Nat.mod_pow b e m))
 
-let prop_mont_int_exponent =
-  QCheck.Test.make ~name:"Montgomery int exponent = Nat exponent" ~count:150
-    QCheck.(triple big_nat_gen (int_bound 200_000) odd_modulus_gen)
-    (fun (b, e, m) ->
-      Nat.equal
-        (Nat.Mont.mod_pow_int (Nat.Mont.ctx m) b e)
-        (Nat.mod_pow b (Nat.of_int e) m))
-
 (* Moduli of 1..40 limbs, built limb by limb so the generator reaches
    the widths RSA uses (15 limbs at 384 bits) and beyond.  A quarter are
    all-ones (every limb 2^26 - 1), which drives the kernel's column
@@ -375,24 +363,51 @@ let prop_mont_wide_moduli =
          map2 (fun b e -> (b, e, m)) (base_gen m) exponent_gen))
     (fun (b, e, m) -> Nat.equal (Nat.Mont.mod_pow (Nat.Mont.ctx m) b e) (Nat.mod_pow b e m))
 
-let prop_mont_int_wide_moduli =
-  QCheck.Test.make ~name:"Montgomery int exponent = naive on 1-40 limb moduli" ~count:150
-    (QCheck.make
-       ~print:(fun (b, e, m) -> print_case (b, Nat.of_int e, m))
-       QCheck.Gen.(
-         wide_modulus_gen >>= fun m ->
-         map2
-           (fun b e -> (b, e, m))
-           (base_gen m)
-           (oneof
-              [ return 0;
-                return 1;
-                return 65537;
-                return max_int;
-                map (fun w -> (1 lsl w) - 1) (int_range 1 61);
-                int_bound 1_000_000 ])))
-    (fun (b, e, m) ->
-      Nat.equal (Nat.Mont.mod_pow_int (Nat.Mont.ctx m) b e) (Nat.mod_pow b (Nat.of_int e) m))
+(* Moduli at the kernel's 64-bit limb edges, which limb-by-limb
+   generators in base 2^26 reach only by chance: 64k - 1, 64k and
+   64k + 1 bits for k = 1..16, each all-ones (2^64k - 1 among them),
+   top and bottom bit only (2^64k + 1 among them), or random odd. *)
+let random_bits_gen (w : int) : Nat.t QCheck.Gen.t =
+ fun st -> Nat.random_bits ~rand:(fun k -> Random.State.int st (1 lsl k)) w
+
+let limb_edge_modulus_gen : Nat.t QCheck.Gen.t =
+  QCheck.Gen.(
+    pair (int_range 1 16) (int_range (-1) 1) >>= fun (k, d) ->
+    let w = (64 * k) + d in
+    let top = Nat.shift_left Nat.one (w - 1) in
+    oneof
+      [ return (Nat.sub (Nat.shift_left Nat.one w) Nat.one);
+        return (Nat.add top Nat.one);
+        map
+          (fun r -> Nat.add top (Nat.add (Nat.shift_left r 1) Nat.one))
+          (random_bits_gen (w - 2)) ])
+
+(* Bases 0, 1, m - 1, m, and random values up to 128 bits wider than
+   m; exponents 0, 1, all-ones and random, up to 600 bits. *)
+let limb_edge_case_gen : (Nat.t * Nat.t * Nat.t) QCheck.Gen.t =
+  QCheck.Gen.(
+    limb_edge_modulus_gen >>= fun m ->
+    let base =
+      oneof
+        [ return Nat.zero;
+          return Nat.one;
+          return (Nat.sub m Nat.one);
+          return m;
+          int_range 1 128 >>= fun extra -> random_bits_gen (Nat.bits m + extra) ]
+    in
+    let exponent =
+      oneof
+        [ return Nat.zero;
+          return Nat.one;
+          map (fun w -> Nat.sub (Nat.shift_left Nat.one w) Nat.one) (int_range 1 600);
+          int_range 1 600 >>= random_bits_gen ]
+    in
+    map2 (fun b e -> (b, e, m)) base exponent)
+
+let prop_mont_limb_edges =
+  QCheck.Test.make ~name:"Montgomery mod_pow = naive at 64-bit limb edges" ~count:200
+    (QCheck.make ~print:print_case limb_edge_case_gen)
+    (fun (b, e, m) -> Nat.equal (Nat.Mont.mod_pow (Nat.Mont.ctx m) b e) (Nat.mod_pow b e m))
 
 (* The quadratic byte codecs the linear ones replaced, kept as the
    oracle: shift-and-add per input byte, one [testbit] per output bit.
@@ -473,8 +488,7 @@ let suite : unit Alcotest.test_case list =
         prop_gcd_divides;
         prop_mod_pow_mul;
         prop_mont_matches_naive;
-        prop_mont_int_exponent;
         prop_mont_wide_moduli;
-        prop_mont_int_wide_moduli;
+        prop_mont_limb_edges;
         prop_bytes_match_legacy;
         prop_compare_total_order ]

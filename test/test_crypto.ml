@@ -189,6 +189,16 @@ let test_rsa_public_key_serialization () =
     Alcotest.(check string) "fingerprint stable" (Rsa.fingerprint kp.public)
       (Rsa.fingerprint pub)
 
+let test_rsa_public_of_string_rejects () =
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) s true (Option.is_none (Rsa.public_of_string s)))
+    [ "rsa:384:1000:10001" (* even modulus *);
+      "rsa:384:1:10001" (* modulus 1 *);
+      "rsa:384:xyz:10001" (* not hex *);
+      "rsa:x:10001:10001";
+      "dsa:384:10001:10001" ]
+
 let test_rsa_modulus_too_small () =
   Alcotest.check_raises "too small" (Invalid_argument "Rsa.generate: modulus too small")
     (fun () -> ignore (Rsa.generate (Rng.create ~seed:1) ~bits:32))
@@ -228,6 +238,35 @@ let test_rsa_sign_byte_identity () =
       Alcotest.(check bool) "naive signature verifies" true
         (Rsa.verify kp.public ~signature:naive msg))
     [ ""; "x"; "hello world"; String.make 1000 'z'; "\x00\x01\xff" ]
+
+(* Signatures of one message under keys from fixed seeds, pinned: the
+   Montgomery kernel also drives Miller-Rabin, so these pin which
+   primes key generation picks as well as the signing arithmetic.
+   [crt/montgomery signing = naive signing] signs with whatever key it
+   is given and cannot see a changed key. *)
+let test_rsa_golden_signatures () =
+  List.iter
+    (fun (bits, fingerprint, signature) ->
+      let kp = Rsa.generate (Rng.create ~seed:2027) ~bits in
+      let s = Rsa.sign kp.private_ "provenance-aware secure networks" in
+      Alcotest.(check string) (Printf.sprintf "%d-bit key" bits) fingerprint
+        (Rsa.fingerprint kp.public);
+      Alcotest.(check string) (Printf.sprintf "%d-bit signature" bits) signature
+        (Sha256.to_hex s))
+    [ ( 384,
+        "024b93418f2d684e",
+        "2eff0017deb362b19d3b4217b655af42a41627b6071f059fc0c760dadff96acc\
+         1941aedb080b57b8048eee8c39005787" );
+      ( 512,
+        "be480d6afb708dab",
+        "27545765d3021abb4d356c416f585484868d36bad0be65d1f50c0bcd9715b444\
+         a5a77aed6b80b19ceadd792c52c4ba6a774ea068bf4b2b2de7b6dd382dd23b11" );
+      ( 1024,
+        "c02187d1eaa40e82",
+        "57633d82ae9354b6b677838cdbbd7648b5ab79d7d2b2cb225b1e6c59671e9769\
+         99fa2fd45a9d1f6a433039fc5c1362ebccff3b25edd9e28ac69bd98bcd0a62c5\
+         c05df5a17053fb9ed711495c30db8a8fa3fac96c3b78a34efcd50f1428f9ab14\
+         967a0fcbd07b5131955228a43bf336de83a46e47c61ef7fe780115cfd578e7c0" ) ]
 
 (* --- properties --------------------------------------------------------------- *)
 
@@ -274,9 +313,11 @@ let suite : unit Alcotest.test_case list =
     Alcotest.test_case "rsa wrong key" `Quick test_rsa_wrong_key;
     Alcotest.test_case "rsa deterministic keygen" `Quick test_rsa_deterministic_keygen;
     Alcotest.test_case "rsa key serialization" `Quick test_rsa_public_key_serialization;
+    Alcotest.test_case "rsa key parsing rejects" `Quick test_rsa_public_of_string_rejects;
     Alcotest.test_case "rsa modulus too small" `Quick test_rsa_modulus_too_small;
     Alcotest.test_case "rsa crt material" `Quick test_rsa_crt_material;
-    Alcotest.test_case "rsa fastpath byte identity" `Quick test_rsa_sign_byte_identity ]
+    Alcotest.test_case "rsa fastpath byte identity" `Quick test_rsa_sign_byte_identity;
+    Alcotest.test_case "rsa golden signatures" `Quick test_rsa_golden_signatures ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_sha_distinct; prop_hmac_key_sensitivity; prop_rsa_roundtrip;
         prop_rsa_sign_matches_naive ]
