@@ -628,6 +628,7 @@ let micro (o : options) =
   let kp = Crypto.Rsa.generate rng ~bits:o.rsa_bits in
   let msg = String.make 256 'm' in
   let signature = Crypto.Rsa.sign kp.private_ msg in
+  let digest = Crypto.Sha256.digest msg in
   let ctx = Provenance.Condense.create_ctx () in
   let deep_expr =
     (* a 12-principal redundant expression *)
@@ -661,7 +662,9 @@ let micro (o : options) =
       Test.make
         ~name:(Printf.sprintf "rsa-%d verify" o.rsa_bits)
         (Staged.stage (fun () -> Crypto.Rsa.verify kp.public ~signature msg));
-      Test.make ~name:"hmac-sha256" (Staged.stage (fun () -> Crypto.Hmac.sha256 ~key:"k" msg));
+      Test.make
+        ~name:(Printf.sprintf "rsa-%d verify_digest" o.rsa_bits)
+        (Staged.stage (fun () -> Crypto.Rsa.verify_digest kp.public ~signature digest));
       Test.make ~name:"bdd condense (12 keys)"
         (Staged.stage (fun () -> Provenance.Condense.condense ctx deep_expr));
       Test.make ~name:"prov to_wire"

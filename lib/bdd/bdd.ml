@@ -209,20 +209,6 @@ let support (a : t) : int list =
   go a;
   Hashtbl.fold (fun v () acc -> v :: acc) vars [] |> List.sort Stdlib.compare
 
-(* Number of internal nodes (the paper's storage-size proxy). *)
-let size (a : t) : int =
-  let seen = Hashtbl.create 64 in
-  let rec go = function
-    | False | True -> 0
-    | Node { id; lo; hi; _ } ->
-      if Hashtbl.mem seen id then 0
-      else begin
-        Hashtbl.add seen id ();
-        1 + go lo + go hi
-      end
-  in
-  go a
-
 (* Satisfying-assignment count over [nvars] ordered variables.
    [count node level] counts assignments of variables [level..nvars-1];
    a node tested at variable [var] has [var - level] free variables

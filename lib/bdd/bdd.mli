@@ -30,12 +30,7 @@ val named_var : manager -> string -> t
     number on first use (provenance keys variables by principal or
     base-tuple name). *)
 
-val var_of_name : manager -> string -> int
 val name_of_var : manager -> int -> string
-
-val mk : manager -> var:int -> lo:t -> hi:t -> t
-(** Hash-consing node constructor; callers must respect the variable
-    order (children's variables strictly greater than [var]). *)
 
 val band : manager -> t -> t -> t
 val bor : manager -> t -> t -> t
@@ -59,17 +54,11 @@ val eval : t -> (int -> bool) -> bool
 val support : t -> int list
 (** Variables the function depends on, ascending. *)
 
-val size : t -> int
-(** Internal node count (the paper's storage-size proxy). *)
-
 val sat_count : t -> nvars:int -> float
 (** Satisfying assignments over an [nvars]-variable space. *)
 
 val any_sat : t -> (int * bool) list option
 (** One satisfying path, or [None] for the constant false. *)
-
-val all_cubes : t -> (int * bool) list list
-(** Every path to true, as (variable, polarity) literals. *)
 
 val positive_cubes : t -> int list list
 (** Minimal positive sum-of-products cover; exact for the monotone
@@ -97,7 +86,3 @@ val deserialize_sub : manager -> string -> pos:int -> len:int -> t
     receive buffer over directly instead of copying the BDD tail out
     first.  @raise Deserialize_error on malformed input or a range
     outside the buffer. *)
-
-val id : t -> int
-(** Stable node identifier within the owning manager (0 and 1 are the
-    constants); exposed for external memo tables. *)

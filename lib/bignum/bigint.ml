@@ -29,11 +29,6 @@ let of_int i =
     { sign = Neg; mag = Nat.add (Nat.of_int (-(i + 1))) Nat.one }
   else { sign = Neg; mag = Nat.of_int (-i) }
 
-let to_int_opt t =
-  match Nat.to_int_opt t.mag with
-  | None -> None
-  | Some m -> ( match t.sign with Pos -> Some m | Neg -> Some (-m))
-
 let is_zero t = Nat.is_zero t.mag
 let is_negative t = t.sign = Neg && not (is_zero t)
 let sign_int t = if is_zero t then 0 else match t.sign with Pos -> 1 | Neg -> -1
@@ -73,7 +68,6 @@ let divmod a b =
   let qs = if a.sign = b.sign then Pos else Neg in
   (mk qs q, mk a.sign r)
 
-let div a b = fst (divmod a b)
 let rem a b = snd (divmod a b)
 
 (* Euclidean remainder in [0, |b|), used by modular arithmetic. *)
@@ -91,8 +85,6 @@ let rec egcd a b =
     (g, y, sub x (mul q y))
   end
 
-let gcd a b = Nat.gcd a.mag b.mag |> of_nat
-
 (* Modular inverse: [mod_inverse a m] is the unique [x] in [1, m) with
    [a*x = 1 (mod m)], or [None] when [gcd a m <> 1]. *)
 let mod_inverse a m =
@@ -101,10 +93,5 @@ let mod_inverse a m =
   if not (equal g one) then None else Some (erem x m)
 
 let to_string t = (if is_negative t then "-" else "") ^ Nat.to_string t.mag
-
-let of_string s =
-  if String.length s = 0 then invalid_arg "Bigint.of_string: empty";
-  if s.[0] = '-' then mk Neg (Nat.of_string (String.sub s 1 (String.length s - 1)))
-  else Nat.of_string s |> of_nat
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)

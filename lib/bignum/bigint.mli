@@ -6,27 +6,18 @@
 type t
 
 val zero : t
-val one : t
-val minus_one : t
 
 val of_nat : Nat.t -> t
-val to_nat_opt : t -> Nat.t option
 
 val to_nat_exn : t -> Nat.t
 (** @raise Invalid_argument on negative values. *)
 
 val of_int : int -> t
-val to_int_opt : t -> int option
-
-val is_zero : t -> bool
-val is_negative : t -> bool
 
 val sign_int : t -> int
 (** [-1], [0] or [1]. *)
 
 val neg : t -> t
-val abs : t -> t
-val compare : t -> t -> int
 val equal : t -> t -> bool
 val add : t -> t -> t
 val sub : t -> t -> t
@@ -36,21 +27,11 @@ val divmod : t -> t -> t * t
 (** Truncated division (round toward zero); remainder carries the sign
     of the dividend.  @raise Division_by_zero. *)
 
-val div : t -> t -> t
-val rem : t -> t -> t
-
-val erem : t -> t -> t
-(** Euclidean remainder in [0, |b|). *)
-
 val egcd : t -> t -> t * t * t
 (** [egcd a b = (g, x, y)] with [a*x + b*y = g = gcd a b >= 0]. *)
-
-val gcd : t -> t -> t
 
 val mod_inverse : t -> t -> t option
 (** [mod_inverse a m] is [Some x] with [a*x = 1 (mod m)], [x] in
     [0, m), or [None] when [a] and [m] are not coprime. *)
 
-val to_string : t -> string
-val of_string : string -> t
 val pp : Format.formatter -> t -> unit

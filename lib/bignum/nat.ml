@@ -59,11 +59,6 @@ let to_int_opt (a : t) : int option =
   in
   go 0 0 0
 
-let to_int_exn (a : t) : int =
-  match to_int_opt a with
-  | Some i -> i
-  | None -> invalid_arg "Nat.to_int_exn: does not fit in int"
-
 let compare (a : t) (b : t) : int =
   let la = Array.length a and lb = Array.length b in
   if la <> lb then Stdlib.compare la lb

@@ -23,9 +23,6 @@ val of_int : int -> t
 val to_int_opt : t -> int option
 (** [to_int_opt a] is [Some i] when [a] fits in a native [int]. *)
 
-val to_int_exn : t -> int
-(** @raise Invalid_argument when the value does not fit in an [int]. *)
-
 val compare : t -> t -> int
 val equal : t -> t -> bool
 
@@ -36,9 +33,6 @@ val sub : t -> t -> t
     @raise Invalid_argument if [a < b]. *)
 
 val mul : t -> t -> t
-
-val mul_int : t -> int -> t
-(** [mul_int a m] multiplies by a non-negative machine integer. *)
 
 val divmod : t -> t -> t * t
 (** [divmod u v] is [(q, r)] with [u = q*v + r] and [0 <= r < v]

@@ -40,7 +40,7 @@ let record (l : ledger) ~(time : float) (msg : Net.Wire.message) : unit =
         fr_relation = msg.msg_tuple.Tuple.rel; fr_bytes = bytes; fr_time = time;
         fr_authenticated = false }
       :: l.records
-  | Net.Wire.A_hmac { principal; _ } | Net.Wire.A_signature { principal; _ } ->
+  | Net.Wire.A_signature { principal; _ } ->
     l.records <-
       { fr_principal = principal; fr_src = msg.msg_src; fr_dst = msg.msg_dst;
         fr_relation = msg.msg_tuple.Tuple.rel; fr_bytes = bytes; fr_time = time;

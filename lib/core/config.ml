@@ -119,8 +119,6 @@ let with_rsa_bits (c : t) (rsa_bits : int) : t =
   if rsa_bits < 128 then invalid_arg "Config.with_rsa_bits: need >= 128 bits";
   { c with rsa_bits }
 
-let with_fault (c : t) (fault : Net.Fault.model) : t = { c with fault }
-
 let with_fault_seed (c : t) (seed : int) : t =
   { c with fault = Net.Fault.with_seed c.fault seed }
 

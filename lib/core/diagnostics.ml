@@ -52,30 +52,3 @@ let alarms (t : Runtime.t) : alarm list =
         Some { al_node = node; al_destination = dest; al_changes = n }
       | _ -> None)
     (Runtime.query_all t "alarm")
-
-(* The full reaction pipeline the paper sketches: on alarm, trace the
-   provenance of the offending route and return the origin principals
-   so a trust policy (or an operator) can act. *)
-type incident = {
-  inc_alarm : alarm;
-  inc_origins : string list;
-  inc_traceback_cost : Traceback.cost;
-}
-
-let investigate (t : Runtime.t) ~(route_rel : string) (al : alarm) : incident option =
-  let candidates =
-    List.filter
-      (fun tuple ->
-        Tuple.arity tuple >= 2
-        && Value.equal (Tuple.arg tuple 0) (Value.V_str al.al_node)
-        && Value.equal (Tuple.arg tuple 1) (Value.V_str al.al_destination))
-      (Runtime.query t ~at:al.al_node route_rel)
-  in
-  match candidates with
-  | [] -> None
-  | tuple :: _ ->
-    let r = Traceback.query t ~at:al.al_node tuple in
-    Some
-      { inc_alarm = al;
-        inc_origins = Provenance.Prov_expr.bases r.expr;
-        inc_traceback_cost = r.cost }

@@ -14,6 +14,20 @@
 
 open Engine
 
+(* A node's reliable-delivery state.  Every entry is touched only on
+   the node's own shard: the sender numbers its messages and records
+   them as pending when it commits a handler, its retransmit timers
+   run on its shard, ACKs are delivered to it, and the receiver alone
+   deduplicates.  So the tables need no lock. *)
+type reliable = {
+  r_next_seq : (string, int) Hashtbl.t;
+      (* next sequence number on the channel to each destination *)
+  r_pending : (string * int, unit) Hashtbl.t;
+      (* sends awaiting an ACK, keyed (dst, seq) *)
+  r_seen : (string * int, int) Hashtbl.t;
+      (* receiver-side dedup: processed-delivery count per (src, seq) *)
+}
+
 type node = {
   n_addr : string;
   n_principal : Sendlog.Principal.t;
@@ -43,6 +57,7 @@ type node = {
          wire order is load-bearing) *)
   mutable n_wake_at : float;
       (* time of the armed wake event, or -1.0 when none is pending *)
+  n_reliable : reliable;
 }
 
 (* One unit of node work: a delivered data or retract message, a
@@ -111,11 +126,6 @@ type t = {
          delivery latency (including the overlay path), so an event
          executed inside a window can only schedule cross-shard work
          at or beyond the window's end *)
-  net_mu : Mutex.t;
-      (* guards the cross-shard network tables ([chan_seq], [pending],
-         [seen]) and [tuples_retracted]: each key is written by a
-         single shard, but the tables themselves resize under
-         concurrent writers *)
   topo : Net.Topology.t;
   stats : Net.Stats.t;
   directory : Sendlog.Principal.directory;
@@ -141,13 +151,7 @@ type t = {
   c_flows : Obs.Metrics.counter; (* 1/K-sampled flows written to the log *)
   g_handler_items_max : Obs.Metrics.gauge; (* most work items one handler ran *)
   g_crashed : Obs.Metrics.gauge; (* nodes failed-stop when [drive] returns *)
-  chan_seq : (string * string, int) Hashtbl.t;
-      (* next data sequence number per (src,dst) channel *)
-  pending : (string * string * int, unit) Hashtbl.t;
-      (* reliable layer: data sends awaiting an ACK, keyed (src,dst,seq) *)
-  seen : (string * string * int, int) Hashtbl.t;
-      (* receiver-side dedup: processed-delivery count per (src,dst,seq) *)
-  mutable tuples_retracted : int;
+  tuples_retracted : int Atomic.t;
       (* monotone count of tuples deleted by retraction passes, across
          all nodes *)
   mutable on_message : (float -> Net.Wire.message -> unit) option;
@@ -270,7 +274,11 @@ let create ?(directory : Sendlog.Principal.directory option) ~(rng : Crypto.Rng.
           n_sent_cache = Tuple.Addr_table.create 256;
           n_free_at = 0.0;
           n_parked = Queue.create ();
-          n_wake_at = -1.0 })
+          n_wake_at = -1.0;
+          n_reliable =
+            { r_next_seq = Hashtbl.create 8;
+              r_pending = Hashtbl.create 16;
+              r_seen = Hashtbl.create 16 } })
     topo.Net.Topology.nodes;
   let reg = Obs.Metrics.default in
   (* Pre-register the run's standard series so a metrics snapshot
@@ -354,7 +362,6 @@ let create ?(directory : Sendlog.Principal.directory option) ~(rng : Crypto.Rng.
       shards;
       shard_ids;
       lookahead;
-      net_mu = Mutex.create ();
       topo;
       stats = Net.Stats.create ();
       directory;
@@ -373,10 +380,7 @@ let create ?(directory : Sendlog.Principal.directory option) ~(rng : Crypto.Rng.
       c_flows = Obs.Metrics.counter reg "forensics.flows_recorded";
       g_handler_items_max = Obs.Metrics.gauge reg "par.group_items_max";
       g_crashed = Obs.Metrics.gauge reg "sim.crashed_nodes";
-      chan_seq = Hashtbl.create 64;
-      pending = Hashtbl.create 256;
-      seen = Hashtbl.create 256;
-      tuples_retracted = 0;
+      tuples_retracted = Atomic.make 0;
       on_message = None }
   in
   Obs.Metrics.set t.g_crashed 0.0;
@@ -500,17 +504,14 @@ let decode_prov (t : t) (block : string) : Provenance.Prov_expr.t =
 let deliver : (t -> node -> Net.Wire.message -> unit) ref =
   ref (fun _ _ _ -> assert false)
 
-(* Per-(src,dst) channel sequence numbers: the reliable layer keys its
-   pending table and the receiver's dedup table by (src, dst, seq), so
-   sequence numbers must be unique per channel, not globally.  Each
-   channel is driven from the sender's shard, but the table itself
-   resizes under concurrent writers, hence [net_mu]. *)
-let next_seq (t : t) ~(src : string) ~(dst : string) : int =
-  locked t.net_mu (fun () ->
-      let key = (src, dst) in
-      let s = Option.value (Hashtbl.find_opt t.chan_seq key) ~default:0 in
-      Hashtbl.replace t.chan_seq key (s + 1);
-      s)
+(* Per-channel sequence numbers: the sender's pending table is keyed
+   (dst, seq) and the receiver's dedup table (src, seq), so numbers
+   must be unique per channel, not globally. *)
+let next_seq (sender : node) ~(dst : string) : int =
+  let seqs = sender.n_reliable.r_next_seq in
+  let s = Option.value (Hashtbl.find_opt seqs dst) ~default:0 in
+  Hashtbl.replace seqs dst (s + 1);
+  s
 
 (* --- faulty transport ------------------------------------------------ *)
 
@@ -553,10 +554,11 @@ let transmit (t : t) ~(delay : float) (receiver : node) (msg : Net.Wire.message)
    the pending entry; a timer that fires while its sender is
    fail-stopped parks itself until the sender restarts (the pending
    table is the sender's stable storage). *)
-let rec reliable_send (t : t) (receiver : node) (msg : Net.Wire.message)
+let rec reliable_send (t : t) (sender : node) (receiver : node) (msg : Net.Wire.message)
     ~(delay : float) ~(latency : float) ~(attempt : int) ~(ident : fault_ident) : unit =
   transmit t ~delay receiver msg ~attempt ~ident;
-  let key = (msg.Net.Wire.msg_src, msg.Net.Wire.msg_dst, msg.Net.Wire.msg_seq) in
+  let pending = sender.n_reliable.r_pending in
+  let key = (msg.Net.Wire.msg_dst, msg.Net.Wire.msg_seq) in
   (* Exponential backoff, capped: without the cap a run at 20% loss
      spends most of its simulated time inside minute-long retransmit
      gaps (the core test "backoff cap bounds completion under faults"
@@ -580,7 +582,7 @@ let rec reliable_send (t : t) (receiver : node) (msg : Net.Wire.message)
                ("reason", reason) ] })
   in
   let rec on_timer () =
-    if locked t.net_mu (fun () -> Hashtbl.mem t.pending key) then begin
+    if Hashtbl.mem pending key then begin
       let now = now t in
       let fault = t.cfg.Config.fault in
       if Net.Fault.is_down fault ~now msg.Net.Wire.msg_src then
@@ -588,11 +590,11 @@ let rec reliable_send (t : t) (receiver : node) (msg : Net.Wire.message)
         | Some at -> sched_at_to t msg.Net.Wire.msg_src ~time:at on_timer
         | None ->
           (* The sender never comes back; nobody will retransmit. *)
-          locked t.net_mu (fun () -> Hashtbl.remove t.pending key);
+          Hashtbl.remove pending key;
           Net.Stats.record_retry_exhausted t.stats;
           emit_retry_exhausted ~at:now ~reason:"sender_failed"
       else if attempt >= t.cfg.Config.retry_limit then begin
-        locked t.net_mu (fun () -> Hashtbl.remove t.pending key);
+        Hashtbl.remove pending key;
         Net.Stats.record_retry_exhausted t.stats;
         emit_retry_exhausted ~at:now ~reason:"retry_limit"
       end
@@ -600,8 +602,8 @@ let rec reliable_send (t : t) (receiver : node) (msg : Net.Wire.message)
         Net.Stats.record_retransmit t.stats;
         (* The retransmitted copy costs real bandwidth. *)
         Net.Stats.record_message t.stats msg;
-        reliable_send t receiver msg ~delay:latency ~latency ~attempt:(attempt + 1)
-          ~ident
+        reliable_send t sender receiver msg ~delay:latency ~latency
+          ~attempt:(attempt + 1) ~ident
       end
     end
   in
@@ -614,8 +616,8 @@ let rec reliable_send (t : t) (receiver : node) (msg : Net.Wire.message)
    The fault-verdict identity is the message's content, prefixed per
    kind so a retraction of a tuple never shares its assertion's
    verdicts. *)
-let dispatch (t : t) (receiver : node) (msg : Net.Wire.message) ~(delay : float)
-    ~(latency : float) : unit =
+let dispatch (t : t) (sender : node) (receiver : node) (msg : Net.Wire.message)
+    ~(delay : float) ~(latency : float) : unit =
   let ident =
     { fi_prefix =
         (match msg.Net.Wire.msg_kind with
@@ -624,11 +626,10 @@ let dispatch (t : t) (receiver : node) (msg : Net.Wire.message) ~(delay : float)
       fi_tuple = msg.Net.Wire.msg_tuple }
   in
   if t.cfg.Config.reliable then begin
-    locked t.net_mu (fun () ->
-        Hashtbl.replace t.pending
-          (msg.Net.Wire.msg_src, msg.Net.Wire.msg_dst, msg.Net.Wire.msg_seq)
-          ());
-    reliable_send t receiver msg ~delay ~latency ~attempt:0 ~ident
+    Hashtbl.replace sender.n_reliable.r_pending
+      (msg.Net.Wire.msg_dst, msg.Net.Wire.msg_seq)
+      ();
+    reliable_send t sender receiver msg ~delay ~latency ~attempt:0 ~ident
   end
   else transmit t ~delay receiver msg ~attempt:0 ~ident
 
@@ -681,15 +682,15 @@ let send (t : t) (xc : exec_ctx) (sender : node) (emit : Eval.emit) : unit =
   if not (Hashtbl.mem variants cache_variant) then begin
     Hashtbl.add variants cache_variant ();
     (* The signed bytes live in the domain's scratch arena only long
-       enough to be digested (or MACed) by [make_auth_slice]; no
-       string is ever materialized on this path. *)
+       enough to be digested by [make_auth_slice]; no string is ever
+       materialized on this path. *)
     let bytes =
       Net.Wire.signed_slice (Net.Arena.scratch ()) ~src:sender.n_addr
         ~dst:emit.e_dest tuple
     in
     let auth = Sendlog.Auth.make_auth_slice t.cfg.auth sender.n_principal bytes in
     (match t.cfg.auth with
-    | Sendlog.Auth.Auth_rsa | Sendlog.Auth.Auth_hmac -> Net.Stats.record_signature t.stats
+    | Sendlog.Auth.Auth_rsa -> Net.Stats.record_signature t.stats
     | Sendlog.Auth.Auth_none | Sendlog.Auth.Auth_cleartext -> ());
     let latency = Net.Topology.delivery_latency t.topo ~src:sender.n_addr ~dst:emit.e_dest in
     let receiver = Hashtbl.find_opt t.nodes emit.e_dest in
@@ -765,7 +766,7 @@ let send_retract (t : t) (xc : exec_ctx) (sender : node) ~(dest : string)
   in
   let auth = Sendlog.Auth.make_auth_slice t.cfg.auth sender.n_principal bytes in
   (match t.cfg.auth with
-  | Sendlog.Auth.Auth_rsa | Sendlog.Auth.Auth_hmac -> Net.Stats.record_signature t.stats
+  | Sendlog.Auth.Auth_rsa -> Net.Stats.record_signature t.stats
   | Sendlog.Auth.Auth_none | Sendlog.Auth.Auth_cleartext -> ());
   let latency = Net.Topology.delivery_latency t.topo ~src:sender.n_addr ~dst:dest in
   xc.xc_out <-
@@ -855,8 +856,7 @@ let rec retract_pass (t : t) (xc : exec_ctx) (n : node) ~(lost : Tuple.t list)
              (fun (b, asserter) -> (b, Option.map Value.to_addr asserter))
              d.Eval.d_body))
     res.Eval.rr_invalidated;
-  locked t.net_mu (fun () ->
-      t.tuples_retracted <- t.tuples_retracted + List.length res.Eval.rr_deleted);
+  ignore (Atomic.fetch_and_add t.tuples_retracted (List.length res.Eval.rr_deleted));
   if res.Eval.rr_deleted <> [] then
     Obs.Events.emit t.obs_events ~at:now
       (Obs.Events.E_custom
@@ -927,9 +927,9 @@ let process (t : t) (xc : exec_ctx) (n : node) (pending : Eval.frontier_item lis
 
 (* Check an incoming message's authentication over its signed bytes,
    in the handler that accepts the message (so the node is charged for
-   the check), and account for the verdict: a checked signature or MAC
-   counts as verified; a forged one counts as a failed verification
-   and a dropped message, and leaves an [E_forged_dropped] event. *)
+   the check), and account for the verdict: a checked signature counts
+   as verified; a forged one counts as a failed verification and a
+   dropped message, and leaves an [E_forged_dropped] event. *)
 let verify_and_account (t : t) (receiver : node) (msg : Net.Wire.message)
     (bytes : Net.Arena.slice) : Sendlog.Auth.verdict =
   let verdict =
@@ -938,8 +938,7 @@ let verify_and_account (t : t) (receiver : node) (msg : Net.Wire.message)
   (match verdict with
   | Sendlog.Auth.Verified _ -> (
     match t.cfg.auth with
-    | Sendlog.Auth.Auth_rsa | Sendlog.Auth.Auth_hmac ->
-      Net.Stats.record_verification t.stats ~ok:true
+    | Sendlog.Auth.Auth_rsa -> Net.Stats.record_verification t.stats ~ok:true
     | Sendlog.Auth.Auth_none | Sendlog.Auth.Auth_cleartext -> ())
   | Sendlog.Auth.Unsigned -> ()
   | Sendlog.Auth.Forged _ ->
@@ -1028,7 +1027,7 @@ let commit_handler (t : t) (n : node) ~(incoming_msgs : int) ~(incoming_bytes : 
         { Net.Wire.msg_kind = o.o_kind;
           msg_src = n.n_addr;
           msg_dst = o.o_dest;
-          msg_seq = next_seq t ~src:n.n_addr ~dst:o.o_dest;
+          msg_seq = next_seq n ~dst:o.o_dest;
           msg_tuple = o.o_tuple;
           msg_auth = o.o_auth;
           msg_provenance = o.o_prov;
@@ -1055,7 +1054,7 @@ let commit_handler (t : t) (n : node) ~(incoming_msgs : int) ~(incoming_bytes : 
       | None -> ());
       match o.o_receiver with
       | None -> () (* destination outside the simulation: counted, dropped *)
-      | Some r -> dispatch t r msg ~delay:(depart +. o.o_latency) ~latency:o.o_latency)
+      | Some r -> dispatch t n r msg ~delay:(depart +. o.o_latency) ~latency:o.o_latency)
     outgoing
 
 (* Authenticate an incoming data message and record its shipped
@@ -1132,13 +1131,10 @@ let send_ack (t : t) (receiver : node) (data : Net.Wire.message) ~(attempt : int
 let fresh_delivery (t : t) (receiver : node) (msg : Net.Wire.message) : bool =
   (not t.cfg.Config.reliable)
   || begin
-       let key = (msg.Net.Wire.msg_src, msg.Net.Wire.msg_dst, msg.Net.Wire.msg_seq) in
-       let count =
-         locked t.net_mu (fun () ->
-             let c = Option.value (Hashtbl.find_opt t.seen key) ~default:0 in
-             Hashtbl.replace t.seen key (c + 1);
-             c)
-       in
+       let seen = receiver.n_reliable.r_seen in
+       let key = (msg.Net.Wire.msg_src, msg.Net.Wire.msg_seq) in
+       let count = Option.value (Hashtbl.find_opt seen key) ~default:0 in
+       Hashtbl.replace seen key (count + 1);
        send_ack t receiver msg ~attempt:count;
        count = 0
      end
@@ -1245,9 +1241,8 @@ let handle_message (t : t) (receiver : node) (msg : Net.Wire.message) : unit =
   else
     match msg.Net.Wire.msg_kind with
     | Net.Wire.K_ack ->
-      locked t.net_mu (fun () ->
-          Hashtbl.remove t.pending
-            (msg.Net.Wire.msg_dst, msg.Net.Wire.msg_src, msg.Net.Wire.msg_seq))
+      Hashtbl.remove receiver.n_reliable.r_pending
+        (msg.Net.Wire.msg_src, msg.Net.Wire.msg_seq)
     | Net.Wire.K_data | Net.Wire.K_retract -> enqueue t receiver (W_msg msg)
 
 let () = deliver := handle_message
@@ -1575,7 +1570,7 @@ let condensed_annotation (t : t) ~(at : string) (tuple : Tuple.t) : string =
 
 let stats (t : t) : Net.Stats.t = t.stats
 
-let tuples_retracted (t : t) : int = t.tuples_retracted
+let tuples_retracted (t : t) : int = Atomic.get t.tuples_retracted
 
 let dropped_forged (t : t) : int = t.stats.Net.Stats.dropped_forged
 

@@ -11,10 +11,10 @@
     and continue the distributed fixpoint; quiescence of the event
     queue is the paper's "query completion time".
 
-    The runtime state is abstract: the per-channel sequence counters,
-    the reliable layer's pending/dedup tables, and the out-buffer of
-    the currently executing handler are all invariants of the
-    message path, and mutating them from outside would break
+    The runtime state is abstract, and so is each node's
+    reliable-delivery state ({!reliable}: its per-channel sequence
+    counters and its pending and dedup tables): they are invariants
+    of the message path, and mutating them from outside would break
     at-most-once processing.  Fault injection is configured through
     [Config.t] (see [Net.Fault]); with [reliable = true] every data
     message is ACKed and retransmitted with exponential backoff until
@@ -27,6 +27,12 @@ type work_item
 (** One unit of node work waiting for the node's CPU: a delivered
     data or retraction message, a fact installation or retraction, or
     soft state that expired at an {!advance} horizon. *)
+
+type reliable
+(** A node's reliable-delivery state: the next sequence number on its
+    channel to each peer, its sends awaiting an ACK, and its dedup
+    count of received messages.  Only the node's own shard touches
+    it, so it needs no lock. *)
 
 (** One simulated node.  The record is exposed read-only (traceback
     walks [n_prov]/[n_db] directly); use {!replace_principal} to swap
@@ -59,6 +65,7 @@ type node = {
       (** receive queue: work waiting for the CPU, in arrival order *)
   mutable n_wake_at : float;
       (** time of the armed wake event, or [-1.0] when none *)
+  n_reliable : reliable;
 }
 
 type t

@@ -76,9 +76,6 @@ val critical_path : result -> Provenance.Derivation.t list
 
 (** {1 Diagnostics (Section 3)} *)
 
-val origins : Runtime.t -> at:string -> Tuple.t -> string list
-(** The source principals/nodes a tuple ultimately depends on. *)
-
 val purge_suspect : Runtime.t -> at:string -> suspect:string -> Tuple.t list
 (** Delete all tuples at [at] whose provenance involves [suspect];
     returns the deleted tuples. *)

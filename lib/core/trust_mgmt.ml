@@ -24,15 +24,13 @@ type gate = {
   g_ctx : Provenance.Condense.ctx;
   mutable g_accepted : int;
   mutable g_rejected : int;
-  mutable g_log : decision list;
 }
 
 let create_gate (policy : Provenance.Trust.policy) : gate =
   { g_policy = policy;
     g_ctx = Provenance.Condense.create_ctx ();
     g_accepted = 0;
-    g_rejected = 0;
-    g_log = [] }
+    g_rejected = 0 }
 
 let levels_of_policy = function
   | Provenance.Trust.Min_security_level { levels; _ } -> Some levels
@@ -71,7 +69,6 @@ let offer (g : gate) (tuple : Tuple.t) (expr : Provenance.Prov_expr.t) : decisio
       de_votes = votes }
   in
   if accepted then g.g_accepted <- g.g_accepted + 1 else g.g_rejected <- g.g_rejected + 1;
-  g.g_log <- d :: g.g_log;
   d
 
 (* Filter a node's relation through the gate using the provenance the
@@ -86,4 +83,3 @@ let audit_relation (g : gate) (t : Runtime.t) ~(at : string) (rel : string) :
 
 let accepted (g : gate) : int = g.g_accepted
 let rejected (g : gate) : int = g.g_rejected
-let log (g : gate) : decision list = List.rev g.g_log

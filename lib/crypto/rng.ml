@@ -9,8 +9,6 @@ type t = { mutable state : int64 }
 
 let create ~seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 let golden = 0x9E3779B97F4A7C15L
 
 (* One SplitMix64 step: advance the state and scramble the output. *)
@@ -45,10 +43,6 @@ let int_in_range (t : t) ~lo ~hi =
 let float (t : t) (bound : float) : float =
   let v = Int64.to_float (Int64.shift_right_logical (next64 t) 11) in
   bound *. (v /. 9007199254740992.0 (* 2^53 *))
-
-let bool (t : t) : bool = bits t 1 = 1
-
-let bytes (t : t) (n : int) : string = String.init n (fun _ -> Char.chr (bits t 8))
 
 (* Fisher-Yates shuffle (in place). *)
 let shuffle (t : t) (a : 'a array) : unit =

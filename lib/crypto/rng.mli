@@ -9,16 +9,8 @@ type t
 
 val create : seed:int -> t
 
-val copy : t -> t
-(** Independent copy at the current state. *)
-
 val split : t -> t
 (** Derive an independent child generator (advances the parent). *)
-
-val next64 : t -> int64
-
-val bits : t -> int -> int
-(** [bits t k] is uniform in [0, 2^k), for [0 <= k <= 62]. *)
 
 val int : t -> int -> int
 (** [int t n] is uniform in [0, n).  @raise Invalid_argument if
@@ -29,10 +21,6 @@ val int_in_range : t -> lo:int -> hi:int -> int
 
 val float : t -> float -> float
 (** Uniform in [0, bound). *)
-
-val bool : t -> bool
-
-val bytes : t -> int -> string
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates. *)

@@ -37,9 +37,6 @@ type private_key = { pub : public_key; d : Bignum.Nat.t; crt : crt }
 
 type keypair = { public : public_key; private_ : private_key }
 
-val public_exponent : Bignum.Nat.t
-(** 65537. *)
-
 val generate : Rng.t -> bits:int -> keypair
 (** Deterministic given the generator state.  The private key retains
     the CRT material (p, q, d_p, d_q, q_inv).  The modulus must leave

@@ -23,12 +23,5 @@ let bind (v : string) (x : Value.t) (b : t) : t option =
   | None -> Some (M.add v x b)
   | Some y -> if Value.equal x y then Some b else None
 
-let to_list (b : t) : (string * Value.t) list = M.bindings b
-
 let of_list (l : (string * Value.t) list) : t =
   List.fold_left (fun acc (v, x) -> M.add v x acc) M.empty l
-
-let to_string (b : t) : string =
-  to_list b
-  |> List.map (fun (v, x) -> Printf.sprintf "%s=%s" v (Value.to_string x))
-  |> String.concat ", "

@@ -46,8 +46,6 @@ val set_ttl : t -> string -> float -> unit
     lifetime to [now + ttl], P2's refresh semantics: a tuple stays
     alive as long as it keeps being derived. *)
 
-val ttl : t -> string -> float option
-
 type insert_result =
   | Added
   | Refreshed  (** already present; soft-state lifetime extended *)
@@ -70,7 +68,6 @@ val mem : t -> Tuple.t -> bool
 val incumbent_of : t -> Tuple.t -> Tuple.t option
 val asserters_of : t -> Tuple.t -> Value.t list
 val iter_rel : t -> string -> (Tuple.t -> unit) -> unit
-val fold_rel : t -> string -> (Tuple.t -> 'a -> 'a) -> 'a -> 'a
 val tuples_of : t -> string -> Tuple.t list
 
 val probe : t -> string -> cols:int list -> key:Value.t list -> Tuple.t list

@@ -51,8 +51,6 @@ let to_string (t : t) : string =
   Printf.sprintf "%s(%s)" t.rel
     (String.concat ", " (Array.to_list (Array.map Value.to_string t.args)))
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-
 (* Projection of the key columns, used by keyed (replace-semantics)
    relations. *)
 let key_of (t : t) (positions : int list) : Value.t list =

@@ -36,7 +36,6 @@ val hash : t -> int
     {!Value.hash}'s cross-representation numeric coherence). *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 
 val key_of : t -> int list -> Value.t list
 (** Projection of the key columns, used by keyed (replace-semantics)

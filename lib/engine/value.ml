@@ -46,18 +46,13 @@ let rec to_string = function
   | V_str s -> s
   | V_list l -> "[" ^ String.concat "," (List.map to_string l) ^ "]"
 
-let pp fmt v = Format.pp_print_string fmt (to_string v)
-
 let of_const : Ndlog.Ast.const -> t = function
   | C_int i -> V_int i
   | C_float f -> V_float f
   | C_str s -> V_str s
   | C_bool b -> V_bool b
 
-(* Address helpers: SeNDlog principals and NDlog locations are both
-   string-valued. *)
-let addr (s : string) : t = V_str s
-
+(* SeNDlog principals and NDlog locations are both string-valued. *)
 let to_addr = function
   | V_str s -> s
   | v -> invalid_arg (Printf.sprintf "Value.to_addr: %s is not an address" (to_string v))

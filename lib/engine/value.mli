@@ -25,12 +25,7 @@ val hash : t -> int
     tuple tables and secondary indexes. *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 val of_const : Ndlog.Ast.const -> t
-
-val addr : string -> t
-(** Address helpers: SeNDlog principals and NDlog locations are both
-    string-valued. *)
 
 val to_addr : t -> string
 (** Raises [Invalid_argument] on a non-string value. *)

@@ -23,8 +23,6 @@ type error = {
 
 let show_error e = Printf.sprintf "rule %s: %s" e.err_rule e.err_msg
 
-exception Analysis_error of error list
-
 let errors_to_string errs = String.concat "\n" (List.map show_error errs)
 
 (* --- per-rule checks ------------------------------------------------ *)
@@ -198,11 +196,6 @@ let check_program ?(sendlog = false) (p : program) : error list =
       (rules p)
   in
   per_rule @ check_stratification p
-
-let check_program_exn ?sendlog (p : program) : unit =
-  match check_program ?sendlog p with
-  | [] -> ()
-  | errs -> raise (Analysis_error errs)
 
 (* All predicate names a program defines (heads and facts) or reads. *)
 let predicates (p : program) : string list =

@@ -93,8 +93,6 @@ let reachable () = parse reachable_src
 let sendlog_reachable () = parse sendlog_reachable_src
 let best_path () = parse best_path_src
 let sendlog_best_path () = parse sendlog_best_path_src
-let distance_vector () = parse distance_vector_src
-let diagnostics () = parse diagnostics_src
 
 
 (* Chord lookup routing (the paper's future work: "secure Chord
@@ -149,8 +147,6 @@ b4 bestRouteLen(@S, D, a_MIN<L>) :- route(@S, D, P), L := f_size(P).
 b5 bestRoute(@S, D, P) :- bestRouteLen(@S, D, L), route(@S, D, P),
    f_size(P) == L.
 |}
-
-let path_vector_policy () = parse path_vector_policy_src
 
 let all : (string * string) list =
   [ ("reachable", reachable_src);

@@ -22,8 +22,6 @@ let create ?(capacity = 256) () : t =
 
 let length (a : t) : int = a.len
 
-let capacity (a : t) : int = Bytes.length a.buf
-
 let reset (a : t) : unit = a.len <- 0
 
 let ensure (a : t) (extra : int) : unit =

@@ -29,9 +29,6 @@ val create : ?capacity:int -> unit -> t
 val length : t -> int
 (** Bytes written since the last {!reset}. *)
 
-val capacity : t -> int
-(** Current backing-buffer size (monotone under reuse). *)
-
 val reset : t -> unit
 (** Rewind the cursor; keeps the backing buffer. *)
 
@@ -47,10 +44,6 @@ val add_u64 : t -> int64 -> unit
 (** Big-endian. *)
 
 val add_string : t -> string -> unit
-
-val add_substring : t -> string -> int -> int -> unit
-(** [add_substring a s pos len] appends [len] bytes of [s] from
-    [pos]. *)
 
 val reserve_u32 : t -> int
 (** Write a 4-byte placeholder and return its offset, for length
@@ -92,7 +85,7 @@ val to_string : slice -> string
 (** Materialize the viewed bytes (the one copying operation). *)
 
 val with_bytes : slice -> (Bytes.t -> pos:int -> len:int -> 'a) -> 'a
-(** Hand the backing range to a read-only consumer (a digest or MAC)
+(** Hand the backing range to a read-only consumer (a digest)
     without copying.  The consumer must not write through the bytes or
     retain them past the call. *)
 

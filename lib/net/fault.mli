@@ -19,8 +19,6 @@ type spec = {
   jitter : float;  (** max extra delay in seconds, drawn uniformly *)
 }
 
-val no_faults : spec
-
 val uniform :
   ?drop:float ->
   ?duplicate:float ->
@@ -63,7 +61,6 @@ val make :
 
 val with_seed : model -> int -> model
 val is_ideal : model -> bool
-val spec_for : model -> src:string -> dst:string -> spec
 
 val decide :
   model -> src:string -> dst:string -> ident:string -> attempt:int -> float list

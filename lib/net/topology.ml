@@ -149,15 +149,11 @@ let find_link (t : t) ~(src : string) ~(dst : string) : link option =
   List.find_opt (fun l -> l.l_src = src && l.l_dst = dst) t.links
 
 (* Functional topology mutation for link churn: the returned topology
-   shares everything but the affected link.  [add_link] refuses a
-   duplicate (via [validated]); [remove_link] of an absent link is the
-   identity. *)
+   shares everything but the removed link; removing an absent link is
+   the identity. *)
 let remove_link (t : t) ~(src : string) ~(dst : string) : t =
   { t with
     links = List.filter (fun l -> not (l.l_src = src && l.l_dst = dst)) t.links }
-
-let add_link (t : t) (l : link) : t =
-  validated ~nodes:t.nodes ~links:(t.links @ [ l ]) ~as_of:t.as_of
 
 (* Latency of a *directed physical link*; raises on a missing one so
    callers can't silently confuse overlay reachability with adjacency. *)

@@ -65,10 +65,6 @@ val find_link : t -> src:string -> dst:string -> link option
 val remove_link : t -> src:string -> dst:string -> t
 (** Functional removal of one directed link; identity when absent. *)
 
-val add_link : t -> link -> t
-(** Functional addition of one directed link.  Raises
-    [Invalid_argument] on a duplicate (src, dst) pair. *)
-
 val latency_between : t -> src:string -> dst:string -> float
 (** Latency of a *directed physical link*.  Raises [Invalid_argument]
     with a descriptive message on a missing link, so callers can't

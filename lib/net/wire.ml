@@ -3,7 +3,7 @@
    The bandwidth numbers of Figure 4 are computed from the encoded
    size of every message a run ships: a fixed header, the tuple
    payload, and - depending on the configuration - an authentication
-   block (cleartext principal, HMAC tag, or RSA signature) and a
+   block (a cleartext principal or an RSA signature) and a
    condensed-provenance block.  RSA signatures are computed over the
    canonical encoding produced here.
 
@@ -17,7 +17,6 @@
 type auth =
   | A_none
   | A_principal of string (* benign world: cleartext principal header *)
-  | A_hmac of { principal : string; tag : string }
   | A_signature of { principal : string; signature : string }
 
 (* Data messages carry tuples; retractions withdraw a previously sent
@@ -191,10 +190,6 @@ let write_message (a : Arena.t) (m : message) : unit =
   | A_principal p ->
     Arena.add_char a '\001';
     put_string a p
-  | A_hmac { principal; tag } ->
-    Arena.add_char a '\002';
-    put_string a principal;
-    put_string a tag
   | A_signature { principal; signature } ->
     Arena.add_char a '\003';
     put_string a principal;
@@ -232,13 +227,11 @@ let decode_message_slice (s : Arena.slice) : message =
   let tuple_len = Arena.u32 r in
   let msg_tuple = read_tuple (Arena.reader (Arena.take r tuple_len)) in
   let msg_auth =
+    (* Auth tag 2 is unassigned: it decodes as an error, and the other
+       tags keep their values so every message keeps its bytes. *)
     match Arena.u8 r with
     | 0 -> A_none
     | 1 -> A_principal (get_string r)
-    | 2 ->
-      let principal = get_string r in
-      let tag = get_string r in
-      A_hmac { principal; tag }
     | 3 ->
       let principal = get_string r in
       let signature = get_string r in
@@ -293,7 +286,6 @@ let size_breakdown (m : message) : size_breakdown =
     match m.msg_auth with
     | A_none -> 1
     | A_principal p -> 1 + 4 + String.length p
-    | A_hmac { principal; tag } -> 1 + 4 + String.length principal + 4 + String.length tag
     | A_signature { principal; signature } ->
       1 + 4 + String.length principal + 4 + String.length signature
   in

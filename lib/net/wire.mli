@@ -3,7 +3,7 @@
     The bandwidth numbers of Figure 4 are computed from the encoded
     size of every message a run ships: a fixed header, the tuple
     payload, and — depending on the configuration — an authentication
-    block (cleartext principal, HMAC tag, or RSA signature) and a
+    block (a cleartext principal or an RSA signature) and a
     condensed-provenance block.  RSA signatures are computed over the
     canonical {!signed_bytes} encoding.
 
@@ -14,7 +14,6 @@ type auth =
   | A_none
   | A_principal of string
       (** benign world: cleartext principal header *)
-  | A_hmac of { principal : string; tag : string }
   | A_signature of { principal : string; signature : string }
 
 (** Data messages carry tuples; retractions withdraw a previously sent
@@ -85,10 +84,6 @@ val retract_signed_bytes : src:string -> dst:string -> Engine.Tuple.t -> string
     retraction of the same tuple (or vice versa). *)
 
 val encode_message : message -> string
-
-val write_message : Arena.t -> message -> unit
-(** Append a message's encoding to an arena (same bytes as
-    {!encode_message}). *)
 
 val decode_message : string -> message
 (** Inverse of {!encode_message}.  Raises {!Decode_error} on

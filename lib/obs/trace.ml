@@ -32,7 +32,7 @@ type span = {
 }
 
 type t = {
-  mutable clock : unit -> float;
+  clock : unit -> float;
   tr_id : int; (* trace identity, carried in wire trace contexts *)
   mutable next_id : int;
   stacks : (int, int list) Hashtbl.t;
@@ -61,8 +61,6 @@ let create ?(limit = 200_000) ?(clock = Unix.gettimeofday) () : t =
     mu = Mutex.create () }
 
 let id (t : t) : int = t.tr_id
-
-let set_clock (t : t) (clock : unit -> float) : unit = t.clock <- clock
 
 let locked (t : t) (f : unit -> 'a) : 'a =
   Mutex.lock t.mu;

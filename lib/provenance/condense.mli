@@ -12,17 +12,8 @@ type ctx
     hits/misses/evictions are recorded as [prov.condense_*] counters
     in the default metrics registry. *)
 
-val default_wire_cache_limit : int
-
 val create_ctx : ?wire_cache_limit:int -> unit -> ctx
 (** @raise Invalid_argument when [wire_cache_limit < 1]. *)
-
-val encode : ctx -> Prov_expr.t -> Bdd.t
-(** Zero/One map to the BDD constants, base keys to named variables. *)
-
-val decode : ctx -> Bdd.t -> Prov_expr.t
-(** Back to a minimal sum-of-products expression (monotone functions
-    only, which provenance BDDs always are). *)
 
 val condense : ctx -> Prov_expr.t -> Prov_expr.t * Bdd.t
 (** The condensation pipeline: expression -> BDD -> minimal
@@ -37,9 +28,6 @@ val accepts : ctx -> Bdd.t -> trusted:(string -> bool) -> bool
     (Section 4.4: "evaluated locally for trust management"). *)
 
 (** {1 Size accounting} *)
-
-val condensed_wire_size : Bdd.t -> int
-val raw_wire_size : Prov_expr.t -> int
 
 val compression_ratio : ctx -> Prov_expr.t -> float
 (** raw/condensed — the quantity behind Figure 4's bandwidth claim. *)

@@ -62,12 +62,6 @@ let rec depth = function
   | Union { alternatives; _ } ->
     List.fold_left (fun acc c -> max acc (depth c)) 0 alternatives
 
-let rec node_count = function
-  | Leaf _ | Unreachable _ | Shared _ -> 1
-  | Rule { children; _ } -> 1 + List.fold_left (fun acc c -> acc + node_count c) 0 children
-  | Union { alternatives; _ } ->
-    1 + List.fold_left (fun acc c -> acc + node_count c) 0 alternatives
-
 let rec unreachable_leaves = function
   | Leaf _ | Shared _ -> []
   | Rule { children; _ } -> List.concat_map unreachable_leaves children

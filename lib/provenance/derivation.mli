@@ -38,10 +38,8 @@ type t =
           one shown in full earlier in the same tree, or an enclosing
           subtree not yet finished (a cycle in the records) *)
 
-val tuple_of : t -> string
-
 val location_of : t -> string
-(** Where the subtree's root is held; with {!tuple_of}, the key a
+(** Where the subtree's root is held; with the root's tuple, the key a
     [Shared] reference names. *)
 
 val leaves : t -> string list
@@ -50,7 +48,6 @@ val leaves : t -> string list
     (its subtree lists them where it appears in full). *)
 
 val depth : t -> int
-val node_count : t -> int
 
 val unreachable_leaves : t -> string list
 (** Locations of the [Unreachable] stubs. *)

@@ -65,12 +65,6 @@ let bases (e : t) : string list =
   go e;
   Hashtbl.fold (fun k () acc -> k :: acc) tbl [] |> List.sort String.compare
 
-(* Structural size (number of operators and leaves): the paper's
-   "uncondensed provenance" cost measure. *)
-let rec size = function
-  | Zero | One | Base _ -> 1
-  | Plus (x, y) | Times (x, y) -> 1 + size x + size y
-
 (* Syntax matching the paper's annotations: + for union, * for join,
    e.g. <a+a*b>. *)
 let to_string (e : t) : string =

@@ -39,10 +39,6 @@ val eval : (module Semiring.S with type t = 'a) -> assign:(string -> 'a) -> t ->
 val bases : t -> string list
 (** The distinct base keys appearing in the expression, sorted. *)
 
-val size : t -> int
-(** Structural size (operators plus leaves): the paper's uncondensed
-    provenance cost measure. *)
-
 val derivable_from : trusted:(string -> bool) -> t -> bool
 (** Boolean-semiring evaluation: is the tuple derivable using only
     trusted bases? *)
@@ -57,10 +53,6 @@ val security_level : level:(string -> int) -> t -> int
 val minimal_why : t -> Semiring.String_set_set.t
 (** Why-provenance with absorption applied — the set analogue of the
     BDD condensation of Section 4.4. *)
-
-val asserted_solely_by : t -> principal_of:(string -> string option) -> string -> bool
-(** Is the tuple derivable trusting only keys attributed (via
-    [principal_of]) to the given principal? *)
 
 val vote_count : t -> principal_of:(string -> string option) -> principals:string list -> int
 (** How many of [principals] assert the tuple on their own (Section

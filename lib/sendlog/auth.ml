@@ -4,23 +4,21 @@
    more benign world, says may simply append a cleartext principal
    header to a message - and this will of course be cheaper."
 
-   Four modes:
+   Three modes:
    - [Auth_none]      plain NDlog, no says (the NDLog baseline);
-   - [Auth_cleartext] principal name in the clear, no crypto;
-   - [Auth_hmac]      shared-key MAC (cheap authenticated mode);
-   - [Auth_rsa]       per-tuple RSA signature (the paper's SeNDlog
-                      configuration). *)
+   - [Auth_cleartext] principal name in the clear, no crypto (the
+                      benign world);
+   - [Auth_rsa]       per-tuple RSA signature (the hostile world: the
+                      paper's SeNDlog configuration). *)
 
 type mode =
   | Auth_none
   | Auth_cleartext
-  | Auth_hmac
   | Auth_rsa
 
 let mode_to_string = function
   | Auth_none -> "none"
   | Auth_cleartext -> "cleartext"
-  | Auth_hmac -> "hmac"
   | Auth_rsa -> "rsa"
 
 (* Sender-side signature cache counters.  [Net.Wire.signed_bytes]
@@ -73,18 +71,13 @@ let rsa_sign_cached_slice (sender : Principal.t) (bytes : Net.Arena.slice) : str
     s
 
 (* Sign (or just attribute) the slice on behalf of [principal].  The
-   slice is only read during the call (digested or MACed), never
-   retained, so callers may pass views into a scratch arena. *)
+   slice is only read during the call (digested), never retained, so
+   callers may pass views into a scratch arena. *)
 let make_auth_slice (mode : mode) (sender : Principal.t) (bytes : Net.Arena.slice) :
     Net.Wire.auth =
   match mode with
   | Auth_none -> Net.Wire.A_none
   | Auth_cleartext -> Net.Wire.A_principal sender.name
-  | Auth_hmac ->
-    Net.Wire.A_hmac
-      { principal = sender.name;
-        tag =
-          Net.Arena.with_bytes bytes (Crypto.Hmac.sha256_bytes ~key:sender.hmac_key) }
   | Auth_rsa ->
     Net.Wire.A_signature
       { principal = sender.name;
@@ -100,25 +93,14 @@ type verdict =
 
 (* Verify an incoming message's authentication against the directory.
    Cleartext headers are accepted at face value (that is the point of
-   the benign mode); HMAC and RSA are cryptographically checked,
-   straight out of the slice (the receive buffer) with no intermediate
-   string. *)
+   the benign mode); RSA signatures are checked straight out of the
+   slice (the receive buffer) with no intermediate string. *)
 let verify_slice (mode : mode) (directory : Principal.directory) (auth : Net.Wire.auth)
     (bytes : Net.Arena.slice) : verdict =
   match (mode, auth) with
   | Auth_none, _ -> Unsigned
   | Auth_cleartext, Net.Wire.A_principal p -> Verified p
   | Auth_cleartext, _ -> Forged "missing principal header"
-  | Auth_hmac, Net.Wire.A_hmac { principal; tag } -> (
-    match Principal.find directory principal with
-    | None -> Forged (Printf.sprintf "unknown principal %s" principal)
-    | Some sender ->
-      if
-        Net.Arena.with_bytes bytes
-          (Crypto.Hmac.verify_bytes ~key:sender.hmac_key ~tag)
-      then Verified principal
-      else Forged (Printf.sprintf "bad MAC from %s" principal))
-  | Auth_hmac, _ -> Forged "missing MAC"
   | Auth_rsa, Net.Wire.A_signature { principal; signature } -> (
     match Principal.find directory principal with
     | None -> Forged (Printf.sprintf "unknown principal %s" principal)
@@ -159,7 +141,6 @@ let sign_provenance_node (mode : mode) (sender : Principal.t) ~(node_repr : stri
     string option =
   match mode with
   | Auth_none | Auth_cleartext -> None
-  | Auth_hmac -> Some (Crypto.Hmac.sha256 ~key:sender.hmac_key node_repr)
   | Auth_rsa -> Some (Crypto.Rsa.sign sender.keypair.private_ node_repr)
 
 let verify_provenance_node (mode : mode) (directory : Principal.directory)
@@ -169,5 +150,4 @@ let verify_provenance_node (mode : mode) (directory : Principal.directory)
   | Some sender -> (
     match mode with
     | Auth_none | Auth_cleartext -> false
-    | Auth_hmac -> Crypto.Hmac.verify ~key:sender.hmac_key ~tag:signature node_repr
     | Auth_rsa -> Crypto.Rsa.verify (Principal.public_key sender) ~signature node_repr)

@@ -1,16 +1,14 @@
 (* Security principals (Binder contexts).
 
    In SeNDlog every node is a principal; a principal owns an RSA
-   keypair, an HMAC key (for the cheaper authenticated mode) and a
-   security level (Section 2.2: "supporting multiple says operators
-   with different security levels").  The [directory] plays the role
-   of a PKI: a mapping from principal names to public keys that every
-   node is assumed to know. *)
+   keypair and a security level (Section 2.2: "supporting multiple
+   says operators with different security levels").  The [directory]
+   plays the role of a PKI: a mapping from principal names to public
+   keys that every node is assumed to know. *)
 
 type t = {
   name : string;
   keypair : Crypto.Rsa.keypair;
-  hmac_key : string;
   level : int;
   sig_cache : (string, string) Hashtbl.t;
       (* payload digest -> RSA signature: the sender-side cache
@@ -22,8 +20,7 @@ type t = {
    configuration knob because it dominates the SeNDlog overhead. *)
 let create (rng : Crypto.Rng.t) ~(name : string) ?(level = 1) ~(rsa_bits : int) () : t =
   let keypair = Crypto.Rsa.generate rng ~bits:rsa_bits in
-  let hmac_key = Crypto.Rng.bytes rng 32 in
-  { name; keypair; hmac_key; level; sig_cache = Hashtbl.create 64 }
+  { name; keypair; level; sig_cache = Hashtbl.create 64 }
 
 let public_key (p : t) : Crypto.Rsa.public_key = p.keypair.public
 

@@ -1,5 +1,5 @@
 (* Tests for the crypto substrate: PRNG, SHA-256 (FIPS vectors),
-   HMAC (RFC 4231), Miller-Rabin, RSA. *)
+   Miller-Rabin, RSA. *)
 
 open Crypto
 
@@ -95,34 +95,6 @@ let test_sha256_padding_boundaries () =
   let digests = List.init 70 (fun n -> Sha256.hex_digest (String.make n 'x')) in
   Alcotest.(check int) "all distinct" 70
     (List.length (List.sort_uniq compare digests))
-
-(* --- HMAC ---------------------------------------------------------------- *)
-
-let test_hmac_rfc4231 () =
-  (* RFC 4231 test case 1 *)
-  Alcotest.(check string) "case 1"
-    "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-    (Hmac.hex ~key:(String.make 20 '\x0b') "Hi There");
-  (* test case 2 *)
-  Alcotest.(check string) "case 2"
-    "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-    (Hmac.hex ~key:"Jefe" "what do ya want for nothing?");
-  (* test case 3: 20-byte 0xaa key, 50-byte 0xdd data *)
-  Alcotest.(check string) "case 3"
-    "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
-    (Hmac.hex ~key:(String.make 20 '\xaa') (String.make 50 '\xdd'))
-
-let test_hmac_long_key () =
-  (* keys longer than the block size are hashed first (RFC 4231 case 6) *)
-  Alcotest.(check string) "long key"
-    "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
-    (Hmac.hex ~key:(String.make 131 '\xaa') "Test Using Larger Than Block-Size Key - Hash Key First")
-
-let test_hmac_verify () =
-  let tag = Hmac.sha256 ~key:"k" "message" in
-  Alcotest.(check bool) "verify ok" true (Hmac.verify ~key:"k" ~tag "message");
-  Alcotest.(check bool) "wrong msg" false (Hmac.verify ~key:"k" ~tag "messagf");
-  Alcotest.(check bool) "wrong key" false (Hmac.verify ~key:"K" ~tag "message")
 
 (* --- primes ---------------------------------------------------------------- *)
 
@@ -275,11 +247,6 @@ let prop_sha_distinct =
     QCheck.(pair small_string small_string)
     (fun (a, b) -> a = b || Sha256.digest a <> Sha256.digest b)
 
-let prop_hmac_key_sensitivity =
-  QCheck.Test.make ~name:"hmac distinguishes keys" ~count:100
-    QCheck.(triple small_string small_string small_string)
-    (fun (k1, k2, msg) -> k1 = k2 || Hmac.sha256 ~key:k1 msg <> Hmac.sha256 ~key:k2 msg)
-
 let shared_kp = lazy (Rsa.generate (Rng.create ~seed:77) ~bits:384)
 
 let prop_rsa_roundtrip =
@@ -304,9 +271,6 @@ let suite : unit Alcotest.test_case list =
     Alcotest.test_case "sha256 million a" `Slow test_sha256_million_a;
     Alcotest.test_case "sha256 incremental" `Quick test_sha256_incremental;
     Alcotest.test_case "sha256 padding edges" `Quick test_sha256_padding_boundaries;
-    Alcotest.test_case "hmac RFC 4231" `Quick test_hmac_rfc4231;
-    Alcotest.test_case "hmac long key" `Quick test_hmac_long_key;
-    Alcotest.test_case "hmac verify" `Quick test_hmac_verify;
     Alcotest.test_case "prime classification" `Quick test_small_primes_classified;
     Alcotest.test_case "prime width" `Quick test_generate_prime_width;
     Alcotest.test_case "rsa sign/verify" `Quick test_rsa_sign_verify;
@@ -319,5 +283,4 @@ let suite : unit Alcotest.test_case list =
     Alcotest.test_case "rsa fastpath byte identity" `Quick test_rsa_sign_byte_identity;
     Alcotest.test_case "rsa golden signatures" `Quick test_rsa_golden_signatures ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ prop_sha_distinct; prop_hmac_key_sensitivity; prop_rsa_roundtrip;
-        prop_rsa_sign_matches_naive ]
+      [ prop_sha_distinct; prop_rsa_roundtrip; prop_rsa_sign_matches_naive ]

@@ -184,10 +184,6 @@ let reference_encode_message (m : Net.Wire.message) : string =
   | A_principal p ->
     Buffer.add_char b '\001';
     ref_string b p
-  | A_hmac { principal; tag } ->
-    Buffer.add_char b '\002';
-    ref_string b principal;
-    ref_string b tag
   | A_signature { principal; signature } ->
     Buffer.add_char b '\003';
     ref_string b principal;
@@ -219,9 +215,6 @@ let message_gen : Net.Wire.message QCheck.arbitrary =
     oneof
       [ return Net.Wire.A_none;
         map (fun p -> Net.Wire.A_principal p) short;
-        map
-          (fun (p, t) -> Net.Wire.A_hmac { principal = p; tag = t })
-          (pair short short);
         map
           (fun (p, s) -> Net.Wire.A_signature { principal = p; signature = s })
           (pair short short) ]
@@ -370,7 +363,6 @@ let test_message_roundtrip_sizes () =
       Alcotest.(check int) "breakdown sums" (Net.Wire.size m) (Net.Wire.total sb))
     [ mk Net.Wire.A_none None;
       mk (Net.Wire.A_principal "a") None;
-      mk (Net.Wire.A_hmac { principal = "a"; tag = String.make 32 't' }) None;
       mk (Net.Wire.A_signature { principal = "a"; signature = String.make 48 's' })
         (Some (String.make 20 'p')) ]
 
@@ -406,7 +398,7 @@ let test_trace_context_excluded_from_size () =
 
 let test_auth_ordering_sizes () =
   (* the configurations must cost what the paper says: none <
-     cleartext < hmac < rsa signature *)
+     cleartext < rsa signature *)
   let tuple = Tuple.make "p" [ Value.V_int 1 ] in
   let size auth =
     Net.Wire.size
@@ -415,9 +407,32 @@ let test_auth_ordering_sizes () =
   in
   let none = size Net.Wire.A_none in
   let clear = size (Net.Wire.A_principal "alice") in
-  let hmac = size (Net.Wire.A_hmac { principal = "alice"; tag = String.make 32 't' }) in
   let rsa = size (Net.Wire.A_signature { principal = "alice"; signature = String.make 48 's' }) in
-  Alcotest.(check bool) "ordering" true (none < clear && clear < hmac && hmac < rsa)
+  Alcotest.(check bool) "ordering" true (none < clear && clear < rsa)
+
+let test_auth_tag_2_rejected () =
+  (* Auth tags are 0 (none), 1 (cleartext principal) and 3 (RSA
+     signature); 2 is unassigned, so a message carrying it is
+     malformed.  The tag byte follows the length-prefixed tuple: it is
+     where an A_none encoding's last three bytes (auth, provenance and
+     trace tags) begin. *)
+  let tuple = Tuple.make "p" [ Value.V_int 1 ] in
+  let m =
+    { Net.Wire.msg_kind = Net.Wire.K_data; msg_src = "a"; msg_dst = "b"; msg_seq = 5;
+      msg_tuple = tuple;
+      msg_auth = Net.Wire.A_signature { principal = "a"; signature = String.make 48 's' };
+      msg_provenance = None; msg_trace = None }
+  in
+  let at =
+    String.length (Net.Wire.encode_message { m with msg_auth = Net.Wire.A_none }) - 3
+  in
+  let bytes = Bytes.of_string (Net.Wire.encode_message m) in
+  Alcotest.(check char) "signature tag" '\003' (Bytes.get bytes at);
+  Bytes.set bytes at '\002';
+  Alcotest.(check bool) "tag 2 is a decode error" true
+    (match Net.Wire.decode_message (Bytes.to_string bytes) with
+    | exception Net.Wire.Decode_error _ -> true
+    | _ -> false)
 
 let test_signed_bytes_binds_endpoints () =
   let tuple = Tuple.make "p" [ Value.V_int 1 ] in
@@ -714,6 +729,7 @@ let suite : unit Alcotest.test_case list =
     Alcotest.test_case "trace context excluded from size" `Quick
       test_trace_context_excluded_from_size;
     Alcotest.test_case "auth size ordering" `Quick test_auth_ordering_sizes;
+    Alcotest.test_case "auth tag 2 rejected" `Quick test_auth_tag_2_rejected;
     Alcotest.test_case "signed bytes bind endpoints" `Quick test_signed_bytes_binds_endpoints;
     Alcotest.test_case "decode garbage" `Quick test_decode_garbage;
     Alcotest.test_case "decode huge arity" `Quick test_decode_huge_arity;
