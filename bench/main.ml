@@ -3,9 +3,8 @@
 
      dune exec bench/main.exe                 full reproduction
      dune exec bench/main.exe -- --quick      small sweep (N <= 40), no N=1000 point
-     dune exec bench/main.exe -- --figures    skip ablations A, C, D and the micro-benchmarks
+     dune exec bench/main.exe -- --figures    skip ablations A, C and D
      dune exec bench/main.exe -- --micro      Bechamel micro-benchmarks only
-     dune exec bench/main.exe -- --no-micro   skip the micro-benchmarks
      dune exec bench/main.exe -- --ns 10,20   custom sweep sizes
      dune exec bench/main.exe -- --runs 3     runs averaged per size
      dune exec bench/main.exe -- --rsa-bits 512
@@ -25,7 +24,9 @@
      Ablation A  local (proactive) vs distributed (reactive) provenance
      Ablation C  sampling and Bloom digests
      Ablation D  provenance granularity (node vs AS)
-     Micro       Bechamel micro-benchmarks of the substrates *)
+     Micro       Bechamel micro-benchmarks of the substrates, with --micro
+                 only: run in a fresh process, so the figure runs' heap
+                 and domains do not inflate them *)
 
 let default_ns = [ 10; 20; 30; 40; 50; 60; 80; 100 ]
 
@@ -35,7 +36,6 @@ type options = {
   mutable rsa_bits : int;
   mutable figures_only : bool;
   mutable micro_only : bool;
-  mutable skip_micro : bool;
   mutable n1000 : bool; (* beyond-paper N=1000 point; --quick turns it off *)
 }
 
@@ -45,7 +45,7 @@ let parse_args () =
        (the paper averages 10 experimental runs; 3 keeps the full sweep
        affordable while still bounding the noise). *)
     { ns = default_ns; runs = 3; rsa_bits = Core.Config.default.rsa_bits;
-      figures_only = false; micro_only = false; skip_micro = false; n1000 = true }
+      figures_only = false; micro_only = false; n1000 = true }
   in
   let fail fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 2) fmt in
   let int_arg flag v =
@@ -64,9 +64,6 @@ let parse_args () =
       go rest
     | "--micro" :: rest ->
       o.micro_only <- true;
-      go rest
-    | "--no-micro" :: rest ->
-      o.skip_micro <- true;
       go rest
     | "--ns" :: v :: rest ->
       o.ns <- List.map (int_arg "--ns") (String.split_on_char ',' v);
@@ -722,8 +719,7 @@ let () =
       ablation_sampling o;
       phase_metrics "ablation C";
       ablation_granularity o;
-      phase_metrics "ablation D";
-      if not o.skip_micro then micro o
+      phase_metrics "ablation D"
     end
   end;
   print_newline ();

@@ -149,7 +149,6 @@ let with_crash (c : t) (crash : Net.Fault.crash) : t =
   let m = c.fault in
   let fault =
     Net.Fault.make ~seed:m.Net.Fault.seed ~default_spec:m.Net.Fault.default_spec
-      ~link_specs:m.Net.Fault.link_specs
       ~crashes:(m.Net.Fault.crashes @ [ crash ])
       ()
   in

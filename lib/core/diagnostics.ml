@@ -15,18 +15,11 @@
 
 open Engine
 
-(* The monitoring program, parameterised by window and threshold. *)
+(* The monitoring program ([Ndlog.Programs.diagnostics_src]), for a
+   window of whole seconds and a threshold. *)
 let monitor_program ~(window_seconds : float) ~(threshold : int) : Ndlog.Ast.program =
-  let src =
-    Printf.sprintf
-      {|
-#ttl routeEvent %d.
-m1 changeCount(@S, D, a_COUNT<T>) :- routeEvent(@S, D, T).
-m2 alarm(@S, D, N) :- changeCount(@S, D, N), N >= %d.
-|}
-      (int_of_float window_seconds) threshold
-  in
-  Ndlog.Parser.parse_program_exn src
+  Ndlog.Programs.parse
+    (Ndlog.Programs.diagnostics_src ~window_seconds:(int_of_float window_seconds) ~threshold)
 
 type alarm = {
   al_node : string;

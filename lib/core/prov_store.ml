@@ -4,7 +4,7 @@
    available at the node, evaluated from its derivation records when
    asked.
    *Distributed/online*: each live tuple maps to derivation records -
-   (rule, body tuples, where each body tuple lives) - i.e. only
+   (rule, body tuples) - and to the senders that shipped it, i.e. only
    pointers to the previous hop, reconstructed on demand by
    [Traceback].
    *Offline*: when a tuple expires, is replaced or is retracted, its
@@ -33,7 +33,12 @@
    derivation its record.  [expr_of] evaluates the Plus of a tuple's
    alternatives each time it is asked, so incremental deletion only
    removes the alternatives a retraction invalidated, and no copy of
-   a body's expression can go stale in its dependents. *)
+   a body's expression can go stale in its dependents.
+
+   The received alternatives are also the node's only record of who
+   stands behind a received tuple: the runtime adds and removes them
+   in every provenance mode (with a zero expression when provenance
+   is off), and retraction reads them as external support. *)
 
 open Engine
 
@@ -76,16 +81,22 @@ type entry = { mutable e_alts : alt list (* newest first *) }
 type t = {
   node : string; (* address of the node holding the store *)
   domain : string; (* its AS-domain base key, the log's secondary index *)
-  local : bool; (* [Config.Prov_local]: derivations evaluate to expressions *)
+  prov : Config.prov_mode;
   log : Store.Prov_log.t option; (* write-through target of every retirement *)
   entries : entry Tuple.Table.t;
 }
 
+(* With provenance off the store holds senders only: they reach
+   neither the log, its checkpoints, nor the storage accounting. *)
 let create ~(node : string) ~(domain : string) ~(prov : Config.prov_mode)
     ~(log : Store.Prov_log.t option) : t =
-  { node; domain; local = prov = Config.Prov_local; log; entries = Tuple.Table.create 256 }
+  { node; domain; prov;
+    log = (if prov = Config.Prov_off then None else log);
+    entries = Tuple.Table.create 256 }
 
 let find (t : t) (tuple : Tuple.t) : entry option = Tuple.Table.find_opt t.entries tuple
+
+let mem (t : t) (tuple : Tuple.t) : bool = Tuple.Table.mem t.entries tuple
 
 let entry (t : t) (tuple : Tuple.t) : entry =
   match Tuple.Table.find_opt t.entries tuple with
@@ -109,7 +120,7 @@ let rec eval_entry (t : t) (path : entry list) (e : entry) : Provenance.Prov_exp
         match a with
         | Alt_base key -> Provenance.Prov_expr.base key
         | Alt_recv (_, shipped) -> shipped
-        | Alt_deriv d when t.local ->
+        | Alt_deriv d when t.prov = Config.Prov_local ->
           List.fold_left
             (fun acc (b : Store.Prov_log.body_item) ->
               Provenance.Prov_expr.times acc (eval_tuple t path b.b_tuple))
@@ -211,9 +222,11 @@ let remove_received (t : t) (tuple : Tuple.t) ~(now : float) ~(from : string) : 
    the timestamp); the runtime persists these as 'L' frames so offline
    traceback covers still-live tuples across a restart. *)
 let live_records (t : t) ~(now : float) : Store.Prov_log.record list =
-  Tuple.Table.fold
-    (fun tuple e acc -> log_record t tuple e ~live:true ~now :: acc)
-    t.entries []
+  if t.prov = Config.Prov_off then []
+  else
+    Tuple.Table.fold
+      (fun tuple e acc -> log_record t tuple e ~live:true ~now :: acc)
+      t.entries []
 
 (* Storage accounting for the ablations: bytes of online expressions
    and derivation pointers. *)
@@ -224,29 +237,22 @@ type storage = {
 }
 
 let storage (t : t) : storage =
-  let entries = Tuple.Table.length t.entries in
-  let expr_bytes, ptr_bytes =
-    Tuple.Table.fold
-      (fun tuple e (eb, pb) ->
-        let eb = eb + Provenance.Prov_expr.wire_size (expr_of t tuple) in
-        let pb =
-          pb
-          + List.fold_left
-              (fun acc r ->
-                acc
-                + List.fold_left
-                    (fun acc (b : Store.Prov_log.body_item) ->
-                      let where =
-                        match b.b_origin with
-                        | Store.Prov_log.Local -> 1
-                        | Store.Prov_log.Remote a -> 1 + String.length a
-                      in
-                      acc + Tuple.wire_size b.b_tuple + where)
-                    0 r.Store.Prov_log.d_body)
-              0 (alt_derivs e.e_alts)
-        in
-        (eb, pb))
-      t.entries (0, 0)
+  let count tuple e (entries, eb, pb) =
+    let eb = eb + Provenance.Prov_expr.wire_size (expr_of t tuple) in
+    let pb =
+      List.fold_left
+        (fun acc (r : Store.Prov_log.deriv) ->
+          List.fold_left
+            (fun acc (b : Store.Prov_log.body_item) ->
+              acc + Net.Wire.tuple_wire_size b.b_tuple)
+            acc r.d_body)
+        pb (alt_derivs e.e_alts)
+    in
+    (entries + 1, eb, pb)
+  in
+  let entries, expr_bytes, ptr_bytes =
+    if t.prov = Config.Prov_off then (0, 0, 0)
+    else Tuple.Table.fold count t.entries (0, 0, 0)
   in
   { st_online_entries = entries;
     st_online_expr_bytes = expr_bytes;

@@ -3,7 +3,7 @@
     {e Local/online}: each live tuple's provenance expression is
     available at the node, evaluated from its records by {!expr_of}.
     {e Distributed/online}: each live tuple maps to derivation records
-    — (rule, body tuples, where each body tuple lives) —
+    — (rule, body tuples) — and to the senders that shipped it,
     reconstructed on demand by {!Traceback}.  {e Offline}: when a
     tuple expires, is replaced or is retracted its provenance leaves
     the live table and, when the store was created with a log, is
@@ -44,7 +44,9 @@ val create :
     [Prov_distributed] a derivation is a pointer only and {!expr_of}
     gives it no expression.  Every {!retire} appends to [log], when
     given, from whichever domain retires the tuple (the log is
-    thread-safe). *)
+    thread-safe).  Under [Prov_off] the store records senders only
+    ({!record_received} with a zero expression): it ignores [log], and
+    {!live_records} and {!storage} read empty. *)
 
 (** {1 Recording} *)
 
@@ -57,9 +59,13 @@ val record_received :
   t -> Tuple.t -> from:string -> expr:Provenance.Prov_expr.t -> unit
 (** Record the expression a sender shipped with a received tuple as
     one more alternative (unless that sender already shipped an equal
-    expression). *)
+    expression).  These alternatives are the node's one record of a
+    received tuple's senders, kept in every provenance mode. *)
 
 (** {1 Lookup} *)
+
+val mem : t -> Tuple.t -> bool
+(** Whether the tuple has an entry: some alternative is recorded. *)
 
 val expr_of : t -> Tuple.t -> Provenance.Prov_expr.t
 (** The tuple's expression, evaluated from its records: the Plus of
@@ -75,7 +81,8 @@ val derivs_of : t -> Tuple.t -> Store.Prov_log.deriv list
 
 val received_from : t -> Tuple.t -> string list
 (** Senders currently standing behind the tuple: the senders of its
-    shipped-provenance alternatives, newest first by first arrival. *)
+    shipped-provenance alternatives, newest first by first arrival.
+    Retraction reads them as the tuple's external support. *)
 
 (** {1 Incremental deletion} *)
 
@@ -112,5 +119,5 @@ type storage = {
 
 val storage : t -> storage
 (** [st_online_expr_bytes] sums the uncondensed wire size of every
-    entry's {!expr_of}; [st_online_pointer_bytes] the body tuples and
-    locations of its derivation records. *)
+    entry's {!expr_of}; [st_online_pointer_bytes] the wire size of the
+    body tuples of its derivation records. *)

@@ -33,6 +33,9 @@ type node = {
   n_principal : Sendlog.Principal.t;
   n_db : Db.t;
   n_prov : Prov_store.t;
+      (* provenance, and in every mode the one record of the senders
+         standing behind each received tuple, which retraction reads
+         as external support *)
   n_support : Support.t;
       (* support graph for incremental deletion; maintained
          unconditionally (unlike the provenance store, whose capture is
@@ -41,9 +44,6 @@ type node = {
   n_base : unit Tuple.Table.t;
       (* locally installed base facts: tuples with external support
          that survives the loss of every recorded derivation *)
-  n_recv_from : string list ref Tuple.Table.t;
-      (* senders currently standing behind each received tuple;
-         trimmed by K_retract and by soft-state expiry *)
   n_sent_cache : (string, unit) Hashtbl.t Tuple.Addr_table.t;
       (* dedup of identical sends, keyed (dest, tuple) with the
          provenance variant one level down, so a retraction notice can
@@ -270,7 +270,6 @@ let create ?(directory : Sendlog.Principal.directory option) ~(rng : Crypto.Rng.
               ~log:prov_log;
           n_support = Support.create ();
           n_base = Tuple.Table.create 64;
-          n_recv_from = Tuple.Table.create 64;
           n_sent_cache = Tuple.Addr_table.create 256;
           n_free_at = 0.0;
           n_parked = Queue.create ();
@@ -410,24 +409,17 @@ let base_key (t : t) (n : node) : string =
   | Config.Node_level -> n.n_addr
   | Config.As_level -> Printf.sprintf "as%d" (Net.Topology.as_of t.topo n.n_addr)
 
-(* Expression of a body tuple as seen at [n]; a live base tuple (no
-   entry yet) is registered on first use.  A body that is no longer
+(* Expression of a body tuple as seen at [n].  A live tuple without
+   an entry is a base fact whose installation was not sampled, and is
+   registered on first use.  A tuple with an entry has the expression
+   its records give, zero included: a copy whose sender shipped no
+   provenance is not a base of this node.  A body that is no longer
    live (a keyed relation displaced it after the derivation was found)
    contributes zero and gets no entry: its provenance has retired. *)
 let body_expr (t : t) (n : node) (tuple : Tuple.t) : Provenance.Prov_expr.t =
-  let e = Prov_store.expr_of n.n_prov tuple in
-  if (not (Provenance.Prov_expr.equal e Provenance.Prov_expr.zero))
-     || not (Db.mem n.n_db tuple)
-  then e
-  else begin
+  if Db.mem n.n_db tuple && not (Prov_store.mem n.n_prov tuple) then
     Prov_store.record_base n.n_prov tuple ~key:(base_key t n);
-    Prov_store.expr_of n.n_prov tuple
-  end
-
-let origin_of (n : node) (tuple : Tuple.t) : Store.Prov_log.origin =
-  match Prov_store.received_from n.n_prov tuple with
-  | sender :: _ -> Store.Prov_log.Remote sender
-  | [] -> Store.Prov_log.Local
+  Prov_store.expr_of n.n_prov tuple
 
 (* Record one derivation in [n]'s provenance store and return its
    combined expression, which a send ships: the product of its bodies'
@@ -449,13 +441,10 @@ let capture_derivation (t : t) (n : node) (deriv : Eval.derivation) :
         d_body =
           List.map
             (fun (b, asserter) ->
-              { Store.Prov_log.b_tuple = b;
-                b_origin = origin_of n b;
-                b_says = Option.map Value.to_addr asserter })
+              { Store.Prov_log.b_tuple = b; b_says = Option.map Value.to_addr asserter })
             deriv.d_body;
         d_at = now t;
-        d_signature = None;
-        d_signer = None }
+        d_signature = None }
     in
     let record =
       if t.cfg.sign_provenance then begin
@@ -463,8 +452,7 @@ let capture_derivation (t : t) (n : node) (deriv : Eval.derivation) :
         { record with
           d_signature =
             Sendlog.Auth.sign_provenance_node t.cfg.auth n.n_principal
-              ~node_repr:(Store.Prov_log.node_repr deriv.d_head record);
-          d_signer = Some n.n_addr }
+              ~node_repr:(Store.Prov_log.node_repr deriv.d_head record) }
       end
       else record
     in
@@ -727,19 +715,17 @@ let on_replace_for (t : t) (n : node) : Tuple.t -> unit =
 (* External (non-derived) support for a tuple at [n], as asserter
    options for re-insertion: a locally installed base fact supports
    itself with no asserter; every sender still standing behind a
-   received copy supports it under that sender's principal (or no
-   asserter when the run does not authenticate, matching what
-   [accept_message] would have recorded). *)
+   received copy (its provenance store's senders) supports it under
+   that sender's principal (or no asserter when the run does not
+   authenticate, matching what [accept_message] would have
+   recorded). *)
 let external_support (t : t) (n : node) (tuple : Tuple.t) : Value.t option list =
   let base = if Tuple.Table.mem n.n_base tuple then [ None ] else [] in
   let senders =
-    match Tuple.Table.find_opt n.n_recv_from tuple with
-    | None -> []
-    | Some srcs ->
-      let sorted = List.sort String.compare !srcs in
-      if t.cfg.auth = Sendlog.Auth.Auth_none then
-        if sorted = [] then [] else [ None ]
-      else List.map (fun src -> Some (Value.V_str src)) sorted
+    match List.sort String.compare (Prov_store.received_from n.n_prov tuple) with
+    | [] -> []
+    | _ when t.cfg.auth = Sendlog.Auth.Auth_none -> [ None ]
+    | sorted -> List.map (fun src -> Some (Value.V_str src)) sorted
   in
   base @ senders
 
@@ -843,11 +829,7 @@ let rec retract_pass (t : t) (xc : exec_ctx) (n : node) ~(lost : Tuple.t list)
   in
   (* Retire dead tuples first: pruning an alternative from an entry
      that is about to be retired whole would lose offline records. *)
-  List.iter
-    (fun tuple ->
-      Tuple.Table.remove n.n_recv_from tuple;
-      Prov_store.retire n.n_prov tuple ~now)
-    res.Eval.rr_deleted;
+  List.iter (fun tuple -> Prov_store.retire n.n_prov tuple ~now) res.Eval.rr_deleted;
   List.iter
     (fun (d : Eval.derivation) ->
       Prov_store.remove_derivation n.n_prov d.Eval.d_head ~now ~rule:d.Eval.d_rule
@@ -965,13 +947,7 @@ let handle_retract (t : t) (xc : exec_ctx) (receiver : node)
   match verify_and_account t receiver msg bytes with
   | Sendlog.Auth.Forged _ -> ()
   | Sendlog.Auth.Verified _ | Sendlog.Auth.Unsigned ->
-    (match Tuple.Table.find_opt receiver.n_recv_from tuple with
-    | Some srcs ->
-      srcs := List.filter (fun s -> not (String.equal s src)) !srcs;
-      if !srcs = [] then Tuple.Table.remove receiver.n_recv_from tuple
-    | None -> ());
-    if prov_enabled t then
-      Prov_store.remove_received receiver.n_prov tuple ~now:(now t) ~from:src;
+    Prov_store.remove_received receiver.n_prov tuple ~now:(now t) ~from:src;
     if Db.mem receiver.n_db tuple then retract_local t xc receiver ~lost:[ tuple ]
 
 (* Commit a finished handler: from its measured compute time and
@@ -1078,24 +1054,15 @@ let accept_message (t : t) (receiver : node) (msg : Net.Wire.message) :
   in
   (* The sender now stands behind this tuple: external support that
      keeps it alive through retraction passes until the sender
-     retracts it (or soft-state expiry withdraws it). *)
-  (match Tuple.Table.find_opt receiver.n_recv_from tuple with
-  | Some srcs ->
-    if not (List.mem msg.Net.Wire.msg_src !srcs) then
-      srcs := msg.Net.Wire.msg_src :: !srcs
-  | None ->
-    Tuple.Table.replace receiver.n_recv_from tuple (ref [ msg.Net.Wire.msg_src ]));
-  (* Record shipped provenance (and the sender pointer for distributed
-     traceback) before evaluation so downstream derivations can fold
-     it in. *)
-  if prov_enabled t then begin
-    let expr =
-      match msg.Net.Wire.msg_provenance with
-      | Some block -> decode_prov t block
-      | None -> Provenance.Prov_expr.zero
-    in
-    Prov_store.record_received receiver.n_prov tuple ~from:msg.Net.Wire.msg_src ~expr
-  end;
+     retracts it (or soft-state expiry withdraws it), and the pointer
+     traceback follows.  Its shipped provenance is recorded before
+     evaluation so downstream derivations can fold it in. *)
+  let expr =
+    match msg.Net.Wire.msg_provenance with
+    | Some block when prov_enabled t -> decode_prov t block
+    | Some _ | None -> Provenance.Prov_expr.zero
+  in
+  Prov_store.record_received receiver.n_prov tuple ~from:msg.Net.Wire.msg_src ~expr;
   { Eval.f_tuple = tuple; f_asserter = asserter }
 
 (* Acknowledge a data message back to its sender.  ACKs ride the same
@@ -1512,7 +1479,6 @@ let expire (t : t) (n : node) : unit =
     List.iter
       (fun tuple ->
         Tuple.Table.remove n.n_base tuple;
-        Tuple.Table.remove n.n_recv_from tuple;
         Prov_store.retire n.n_prov tuple ~now)
       evicted;
     enqueue t n (W_expire evicted)

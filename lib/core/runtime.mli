@@ -48,13 +48,13 @@ type node = {
   n_principal : Sendlog.Principal.t;
   n_db : Db.t;
   n_prov : Prov_store.t;
+      (** provenance, and in every mode the one record of the senders
+          standing behind each received tuple *)
   n_support : Support.t;
       (** support graph for incremental deletion; maintained
           unconditionally, unlike provenance capture *)
   n_base : unit Tuple.Table.t;
       (** locally installed base facts (external support) *)
-  n_recv_from : string list ref Tuple.Table.t;
-      (** senders currently standing behind each received tuple *)
   n_sent_cache : (string, unit) Hashtbl.t Tuple.Addr_table.t;
       (** dedup of identical sends, keyed (dest, tuple) with the
           provenance variant one level down, so a retraction notice

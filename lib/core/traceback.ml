@@ -40,7 +40,7 @@ let c_partial = Obs.Metrics.counter Obs.Metrics.default "traceback.partial_resul
 (* Approximate wire cost of one remote provenance query: a request
    naming the tuple plus a response carrying the remote subtree
    (sized as its expression encoding). *)
-let request_bytes (tuple : Tuple.t) : int = 16 + Tuple.wire_size tuple
+let request_bytes (tuple : Tuple.t) : int = 16 + Net.Wire.tuple_wire_size tuple
 
 let response_bytes (e : Provenance.Prov_expr.t) : int = 16 + Provenance.Prov_expr.wire_size e
 
@@ -66,11 +66,14 @@ let finish (cost : cost) (partial : bool) (tree : Provenance.Derivation.t) : res
 
 (* Reconstruct the derivation tree of [root] as held at [at],
    following remote pointers across nodes.  [lookup addr tuple ident]
-   is the record source: the live stores or the persisted log.  Each
-   (node, tuple) subtree is walked once: a later visit becomes a
-   [Shared] reference to it, which costs no remote query, and a visit
-   to one still on the walk's own path (a cycle in the records), or
-   past [max_depth], becomes a reference that contributes zero.
+   is the record source: the live stores or the persisted log.  A
+   derivation's body is looked up at the node that used it, so a body
+   that arrived over the network expands into every sender and every
+   local derivation standing behind it there.  Each (node, tuple)
+   subtree is walked once: a later visit becomes a [Shared] reference
+   to it, which costs no remote query, and a visit to one still on
+   the walk's own path (a cycle in the records), or past [max_depth]
+   derivation steps, becomes a reference that contributes zero.
    Neither makes the tree partial. *)
 let walk ~(lookup : string -> Tuple.t -> string -> source) ~(at : string)
     (root : Tuple.t) : result =
@@ -111,18 +114,14 @@ let walk ~(lookup : string -> Tuple.t -> string -> source) ~(at : string)
             (fun (d : Store.Prov_log.deriv) ->
               let children =
                 List.map
-                  (fun (b : Store.Prov_log.body_item) ->
-                    match b.b_origin with
-                    | Store.Prov_log.Local -> step addr b.b_tuple (depth + 1)
-                    | Store.Prov_log.Remote sender -> remote sender b.b_tuple depth)
+                  (fun (b : Store.Prov_log.body_item) -> step addr b.b_tuple (depth + 1))
                   d.d_body
               in
               Provenance.Derivation.Rule
                 { rule = d.d_rule;
                   tuple = ident;
                   ann =
-                    Provenance.Derivation.annot ~created:d.d_at
-                      ~says:(Option.value d.d_signer ~default:addr)
+                    Provenance.Derivation.annot ~created:d.d_at ~says:addr
                       ?signature:d.d_signature addr;
                   children })
             derivs
@@ -149,7 +148,8 @@ let walk ~(lookup : string -> Tuple.t -> string -> source) ~(at : string)
                 { tuple = ident; location = Provenance.Derivation.location_of tree }));
         tree)
   (* One remote provenance query: ask [sender] for [tuple]'s subtree,
-     unless the walk already holds it. *)
+     unless the walk already holds it.  The hop is not a derivation
+     step, so it leaves [depth] as it is. *)
   and remote (sender : string) (tuple : Tuple.t) (depth : int) : Provenance.Derivation.t =
     match seen sender tuple with
     | Some r -> r
@@ -157,7 +157,7 @@ let walk ~(lookup : string -> Tuple.t -> string -> source) ~(at : string)
       cost.remote_queries <- cost.remote_queries + 1;
       cost.nodes_visited <- cost.nodes_visited + 1;
       cost.query_bytes <- cost.query_bytes + request_bytes tuple;
-      let sub = step sender tuple (depth + 1) in
+      let sub = step sender tuple depth in
       cost.query_bytes <-
         cost.query_bytes + response_bytes (Provenance.Derivation.to_expr_by_tuple sub);
       sub

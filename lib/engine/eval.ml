@@ -620,8 +620,12 @@ type retract_result = {
       candidates of any keyed group that lost a tuple) are reinstated
       when they still have external support ([external_support]: base
       facts, remote senders) or a recorded derivation whose body
-      tuples are all live again.  The check iterates to a fixpoint so
-      chains of dependents are restored without re-running any rule.
+      tuples are all live again, each one a [says] literal consumed
+      still asserted by the principal it consumed.  A tuple is
+      reinstated under the asserters that still stand behind it, so a
+      retracted sender's assertion does not come back.  The check
+      iterates to a fixpoint so chains of dependents are restored
+      without re-running any rule.
    3. COUNT/SUM heads are recomputed from scratch (their recorded
       supports describe historical witness sets, not current groups).
    4. Everything reinstated or recomputed seeds a normal semi-naive
@@ -656,28 +660,22 @@ let retract (db : Db.t) ~(support : Support.t) ~(now : float)
         (Tuple.key_opt tup key)
   in
   (* --- phase 1: over-delete closure --------------------------------- *)
-  (* [overdeleted] maps each reachable tuple to [Some asserters] if it
-     was live when visited (captured for faithful reinstatement), or
-     [None] for heads that were never in the local store (emitted or
-     policy-rejected heads). *)
-  let overdeleted : Value.t list option Tuple.Table.t = Tuple.Table.create 64 in
+  (* [overdeleted] maps each reachable tuple to whether it was live
+     when visited; heads that were never in the local store (emitted
+     or policy-rejected heads) map to false. *)
+  let overdeleted : bool Tuple.Table.t = Tuple.Table.create 64 in
   let queue = Queue.create () in
   List.iter (fun t -> Queue.add t queue) lost;
   while not (Queue.is_empty queue) do
     let tup = Queue.pop queue in
     if not (Tuple.Table.mem overdeleted tup) then begin
-      let asserters =
-        if Db.mem db tup then Some (Db.asserters_of db tup) else None
-      in
-      Tuple.Table.replace overdeleted tup asserters;
+      Tuple.Table.replace overdeleted tup (Db.mem db tup);
       List.iter
         (fun (e : Support.entry) -> Queue.add e.sp_head queue)
         (Support.dependents_of support tup)
     end
   done;
-  Tuple.Table.iter
-    (fun tup live -> if live <> None then Db.remove db tup)
-    overdeleted;
+  Tuple.Table.iter (fun tup live -> if live then Db.remove db tup) overdeleted;
   (* Keyed groups left with no live winner: previously rejected
      candidates of these groups become reinstatement candidates below.
      Groups whose winner survives (the common forward-displacement
@@ -688,7 +686,7 @@ let retract (db : Db.t) ~(support : Support.t) ~(now : float)
   let affected_rels : (string, unit) Hashtbl.t = Hashtbl.create 4 in
   Tuple.Table.iter
     (fun tup live ->
-      if live <> None && Option.is_none (Db.incumbent_of db tup) then
+      if live && Option.is_none (Db.incumbent_of db tup) then
         match group_key tup with
         | Some g ->
           Tuple.Table.replace affected_groups g ();
@@ -696,7 +694,7 @@ let retract (db : Db.t) ~(support : Support.t) ~(now : float)
         | None -> ())
     overdeleted;
   (* --- phase 2: reinstatement fixpoint ------------------------------ *)
-  let candidates : Value.t list option Tuple.Table.t = Tuple.Table.create 64 in
+  let candidates : bool Tuple.Table.t = Tuple.Table.create 64 in
   Tuple.Table.iter (fun tup live -> Tuple.Table.replace candidates tup live)
     overdeleted;
   if Tuple.Table.length affected_groups > 0 then
@@ -709,11 +707,19 @@ let retract (db : Db.t) ~(support : Support.t) ~(now : float)
             then
               match group_key h with
               | Some g when Tuple.Table.mem affected_groups g ->
-                Tuple.Table.replace candidates h None
+                Tuple.Table.replace candidates h false
               | Some _ | None -> ()))
       affected_rels;
+  (* A recorded derivation stands while each body tuple is live and,
+     where a [says] literal consumed it, still asserted by the
+     principal it consumed. *)
   let valid (e : Support.entry) =
-    List.for_all (fun (b, _) -> Db.mem db b) e.Support.sp_body
+    List.for_all
+      (fun (b, asserter) ->
+        match asserter with
+        | None -> Db.mem db b
+        | Some p -> List.exists (Value.equal p) (Db.asserters_of db b))
+      e.Support.sp_body
   in
   let tried : unit Tuple.Table.t = Tuple.Table.create 32 in
   let seeded = ref [] in
@@ -752,14 +758,17 @@ let retract (db : Db.t) ~(support : Support.t) ~(now : float)
           if ext <> [] || local_valid <> [] then begin
             Tuple.Table.replace tried tup ();
             changed := true;
-            match was_live with
-            | Some saved ->
-              (* Restore the tuple as it was; a fresh TTL window is the
-                 refresh-on-rederive semantics a from-scratch run would
-                 apply.  Dependents revive through their own recorded
-                 entries, so no frontier seeding is needed. *)
-              ignore (reinsert tup (List.map Option.some saved))
-            | None ->
+            if was_live then
+              (* Restore the tuple under the asserters that still
+                 stand behind it: its external supporters, and this
+                 node's principal when a local derivation is valid.  A
+                 fresh TTL window is the refresh-on-rederive semantics
+                 a from-scratch run would apply.  Dependents revive
+                 through their own recorded entries, so no frontier
+                 seeding is needed. *)
+              ignore
+                (reinsert tup (if local_valid = [] then ext else ext @ [ self_principal ]))
+            else begin
               (* Never live here before (beaten candidate): replay its
                  surviving derivations so provenance and downstream
                  consequences are built exactly as a forward run
@@ -781,6 +790,7 @@ let retract (db : Db.t) ~(support : Support.t) ~(now : float)
                 else live
               in
               if live then push_seed tup self_principal
+            end
           end
         end)
       candidates
@@ -872,10 +882,7 @@ let retract (db : Db.t) ~(support : Support.t) ~(now : float)
     dead;
   let deleted =
     Tuple.Table.fold
-      (fun tup was_live acc ->
-        match was_live with
-        | Some _ when not (Db.mem db tup) -> tup :: acc
-        | Some _ | None -> acc)
+      (fun tup was_live acc -> if was_live && not (Db.mem db tup) then tup :: acc else acc)
       candidates []
     |> List.sort (fun a b -> String.compare (Tuple.identity a) (Tuple.identity b))
   in

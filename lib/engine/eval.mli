@@ -107,7 +107,9 @@ val retract :
     the dependents of [lost] through the recorded support graph, then
     reinstate every tuple that still has external support (base fact,
     remote sender — [external_support] returns its asserters, [[]]
-    meaning none) or a recorded derivation whose body is live again,
+    meaning none) or a recorded derivation whose body is live again
+    (each body a [says] literal consumed still asserted by the
+    principal it consumed), under the asserters that still stand,
     recompute COUNT/SUM heads, and run a semi-naive fixpoint over
     whatever changed.  [on_derive] and [on_replace] fire as in
     {!run_fixpoint}; a reinstated beaten candidate reports each of

@@ -69,12 +69,6 @@ let key_opt (t : t) (positions : int list) : Value.t list option =
    tuples and as Bloom-filter key. *)
 let identity (t : t) : string = to_string t
 
-(* Wire size of the tuple payload (relation name + args), matching
-   [Net.Wire]. *)
-let wire_size (t : t) : int =
-  4 + String.length t.rel
-  + Array.fold_left (fun acc v -> acc + Value.wire_size v) 4 t.args
-
 module Hashed = struct
   type nonrec t = t
 

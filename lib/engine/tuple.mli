@@ -51,9 +51,6 @@ val identity : t -> string
     flow and Bloom-filter keys, traceback answers and fault-verdict
     seeds.  In-memory tables key on the tuple itself. *)
 
-val wire_size : t -> int
-(** Wire size of the tuple payload, matching [Net.Wire]. *)
-
 module Hashed : Hashtbl.HashedType with type t = t
 module Table : Hashtbl.S with type key = t
 

@@ -57,15 +57,6 @@ let to_addr = function
   | V_str s -> s
   | v -> invalid_arg (Printf.sprintf "Value.to_addr: %s is not an address" (to_string v))
 
-(* Serialized size in bytes, matching [Net.Wire]'s encoding: 1 tag byte
-   plus the payload.  Used for bandwidth accounting. *)
-let rec wire_size = function
-  | V_int _ -> 1 + 8
-  | V_float _ -> 1 + 8
-  | V_bool _ -> 1 + 1
-  | V_str s -> 1 + 4 + String.length s
-  | V_list l -> 1 + 4 + List.fold_left (fun acc v -> acc + wire_size v) 0 l
-
 (* [compare] makes numeric values equal across representations
    (V_int 2 = V_float 2.), so the hash must coincide on them too:
    integers hash through their float image.  Distinct large integers

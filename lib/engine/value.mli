@@ -30,6 +30,3 @@ val of_const : Ndlog.Ast.const -> t
 val to_addr : t -> string
 (** Raises [Invalid_argument] on a non-string value. *)
 
-val wire_size : t -> int
-(** Serialized size in bytes, matching [Net.Wire]'s encoding (1 tag
-    byte plus payload); the basis of the bandwidth accounting. *)

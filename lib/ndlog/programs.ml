@@ -79,13 +79,17 @@ d3 shortestCost(@S, D, a_MIN<C>) :- cost(@S, D, C).
 |}
 
 (* Real-time diagnostics (Section 3): count route changes per entry
-   over a sliding window and raise an alarm above a threshold. *)
-let diagnostics_src =
-  {|
-#ttl routeEvent 10.
+   over a sliding window of [window_seconds] (the soft-state lifetime
+   of [routeEvent]) and raise an alarm at [threshold] changes.
+   [Core.Diagnostics.monitor_program] runs it. *)
+let diagnostics_src ~(window_seconds : int) ~(threshold : int) =
+  Printf.sprintf
+    {|
+#ttl routeEvent %d.
 m1 changeCount(@S, D, a_COUNT<T>) :- routeEvent(@S, D, T).
-m2 alarm(@S, D, N) :- changeCount(@S, D, N), N >= 3.
+m2 alarm(@S, D, N) :- changeCount(@S, D, N), N >= %d.
 |}
+    window_seconds threshold
 
 let parse src = Parser.parse_program_exn src
 
@@ -154,6 +158,6 @@ let all : (string * string) list =
     ("best-path", best_path_src);
     ("sendlog-best-path", sendlog_best_path_src);
     ("distance-vector", distance_vector_src);
-    ("diagnostics", diagnostics_src);
+    ("diagnostics", diagnostics_src ~window_seconds:10 ~threshold:3);
     ("chord", chord_src);
     ("path-vector-policy", path_vector_policy_src) ]

@@ -52,16 +52,14 @@ type crash = {
 
 type model = {
   seed : int; (* mixed into every per-message hash *)
-  default_spec : spec;
-  link_specs : ((string * string) * spec) list; (* (src,dst) overrides *)
+  default_spec : spec; (* every link's behaviour *)
   crashes : crash list;
 }
 
 let ideal : model =
-  { seed = 0; default_spec = no_faults; link_specs = []; crashes = [] }
+  { seed = 0; default_spec = no_faults; crashes = [] }
 
-let make ?(seed = 0) ?(default_spec = no_faults) ?(link_specs = []) ?(crashes = [])
-    () : model =
+let make ?(seed = 0) ?(default_spec = no_faults) ?(crashes = []) () : model =
   List.iter
     (fun c ->
       if c.cr_at < 0.0 then invalid_arg "Fault.make: crash time must be >= 0";
@@ -70,7 +68,7 @@ let make ?(seed = 0) ?(default_spec = no_faults) ?(link_specs = []) ?(crashes = 
         invalid_arg "Fault.make: crash restart must come after the crash"
       | _ -> ())
     crashes;
-  { seed; default_spec; link_specs; crashes }
+  { seed; default_spec; crashes }
 
 let with_seed (m : model) (seed : int) : model = { m with seed }
 
@@ -79,15 +77,7 @@ let with_seed (m : model) (seed : int) : model = { m with seed }
 let spec_is_harmless (s : spec) : bool =
   s.drop = 0.0 && s.duplicate = 0.0 && s.reorder = 0.0
 
-let is_ideal (m : model) : bool =
-  spec_is_harmless m.default_spec
-  && List.for_all (fun (_, s) -> spec_is_harmless s) m.link_specs
-  && m.crashes = []
-
-let spec_for (m : model) ~(src : string) ~(dst : string) : spec =
-  match List.assoc_opt (src, dst) m.link_specs with
-  | Some s -> s
-  | None -> m.default_spec
+let is_ideal (m : model) : bool = spec_is_harmless m.default_spec && m.crashes = []
 
 (* --- per-message verdicts -------------------------------------------- *)
 
@@ -107,7 +97,7 @@ let rng_for (m : model) ~(src : string) ~(dst : string) ~(ident : string)
    so verdicts never depend on which branch is taken. *)
 let decide (m : model) ~(src : string) ~(dst : string) ~(ident : string)
     ~(attempt : int) : float list =
-  let spec = spec_for m ~src ~dst in
+  let spec = m.default_spec in
   if spec_is_harmless spec then [ 0.0 ]
   else begin
     let rng = rng_for m ~src ~dst ~ident ~attempt in

@@ -41,8 +41,7 @@ type crash = {
 
 type model = {
   seed : int;
-  default_spec : spec;
-  link_specs : ((string * string) * spec) list;  (** (src,dst) overrides *)
+  default_spec : spec;  (** every link's behaviour *)
   crashes : crash list;
 }
 
@@ -52,7 +51,6 @@ val ideal : model
 val make :
   ?seed:int ->
   ?default_spec:spec ->
-  ?link_specs:((string * string) * spec) list ->
   ?crashes:crash list ->
   unit ->
   model

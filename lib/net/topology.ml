@@ -24,8 +24,8 @@ let node_name i = Printf.sprintf "n%d" i
 let nodes_of_count n = List.init n node_name
 
 (* All constructors funnel through here so no topology can carry two
-   links with the same (src, dst): the fault layer keys per-link specs
-   and the reliable-delivery layer keys channels by that pair, and a
+   links with the same (src, dst): the fault layer seeds verdicts and
+   the reliable-delivery layer keys channels by that pair, and a
    duplicate would make [latency_between] ambiguous. *)
 let validated ~(nodes : string list) ~(links : link list)
     ~(as_of : (string, int) Hashtbl.t) : t =

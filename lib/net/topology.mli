@@ -9,8 +9,8 @@
     The records are exposed read-only by convention (tests and the
     workloads iterate [links]/[nodes] directly), but every constructor
     validates that no two links share the same (src, dst) pair: the
-    fault layer keys per-link specs and the reliable-delivery layer
-    keys channels on that pair, so a duplicate directed link would make
+    fault layer seeds verdicts and the reliable-delivery layer keys
+    channels on that pair, so a duplicate directed link would make
     {!latency_between} ambiguous.  Building a [t] literal by hand
     bypasses that check — use the constructors. *)
 

@@ -50,6 +50,11 @@ val write_tuple : Arena.t -> Engine.Tuple.t -> unit
 (** Append a tuple's encoding to an arena (same bytes as
     {!encode_tuple}). *)
 
+val tuple_wire_size : Engine.Tuple.t -> int
+(** [String.length (encode_tuple t)], computed without encoding: the
+    one tuple size behind bandwidth, traceback and storage
+    accounting. *)
+
 exception Decode_error of string
 
 val decode_tuple : string -> Engine.Tuple.t

@@ -26,8 +26,9 @@
    read with an Arena reader.  Tuples use Net.Wire's tuple encoding.
    A record carries the tuple, its senders and its derivations, from
    which offline traceback computes the expression; no expression is
-   stored.  Frames written before that change still carry an
-   expression block, which the reader skips.
+   stored.  Older frames also carry an expression block, derivation
+   signers and body origins, which the reader skips (see
+   [write_record]).
 
    The frames are the only copy of what the log knows.  Opening scans
    every listed segment, checks each frame's checksum, and rebuilds
@@ -49,20 +50,14 @@
    The whole public API is mutex-guarded: retire write-through runs
    on the runtime's worker domains. *)
 
-type origin =
-  | Local
-  | Remote of string
-
 type body_item = {
   b_tuple : Engine.Tuple.t;
-  b_origin : origin;
   b_says : string option;
 }
 
 type deriv = {
   d_rule : string;
   d_at : float;
-  d_signer : string option;
   d_signature : string option;
   d_body : body_item list;
 }
@@ -158,21 +153,24 @@ let decoding (payload : Arena.slice) (read : Arena.reader -> 'a) : 'a =
 (* Record payload:
      u8 live | str16 node | str16 domain | f64 at
      str32 tuple (Net.Wire tuple encoding)
-     u8 expr-repr: 2 (no expression block).  Frames written before
-       records dropped their expression carry 0 (condensed) or 1
-       (raw) and a str32 expression block, which the reader skips.
+     u8 expr-repr: 3
      u16 n, str16 received-from addresses (order-preserving)
      u16 n derivations, each:
-       str16 rule | f64 at | opt signer | opt signature
-       u16 n body items, each:
-         str32 tuple | u8 origin (0 local / 1 remote + str16 addr) | opt says *)
+       str16 rule | f64 at | opt signature
+       u16 n body items, each: str32 tuple | opt says
+   Older frames carry repr 0 (condensed) or 1 (raw) and a str32
+   expression block, or repr 2 and no block; in all three each
+   derivation also carries an opt signer after its time, and each body
+   item a u8 origin (0 local / 1 remote + str16 addr) after its tuple.
+   The reader skips those bytes: a body is looked up at the node that
+   used it, and a derivation's signer is the node holding the record. *)
 let write_record a (r : record) : unit =
   Arena.add_char a (if r.r_live then '\001' else '\000');
   add_str16 a r.r_node;
   add_str16 a r.r_domain;
   add_f64 a r.r_at;
   add_block32 a (fun a -> Net.Wire.write_tuple a r.r_tuple);
-  Arena.add_char a '\002';
+  Arena.add_char a '\003';
   add_count16 a r.r_received_from;
   List.iter (add_str16 a) r.r_received_from;
   add_count16 a r.r_derivs;
@@ -180,17 +178,11 @@ let write_record a (r : record) : unit =
     (fun d ->
       add_str16 a d.d_rule;
       add_f64 a d.d_at;
-      add_opt16 a d.d_signer;
       add_opt16 a d.d_signature;
       add_count16 a d.d_body;
       List.iter
         (fun b ->
           add_block32 a (fun a -> Net.Wire.write_tuple a b.b_tuple);
-          (match b.b_origin with
-          | Local -> Arena.add_char a '\000'
-          | Remote addr ->
-            Arena.add_char a '\001';
-            add_str16 a addr);
           add_opt16 a b.b_says)
         d.d_body)
     r.r_derivs
@@ -199,12 +191,24 @@ let tuple_block r : Engine.Tuple.t =
   try Net.Wire.decode_tuple_slice (block32 r) with
   | Net.Wire.Decode_error m -> raise (Corrupt ("bad tuple block: " ^ m))
 
-(* Skip an older frame's expression block, undecoded. *)
-let skip_expr_block r : unit =
+(* Read the expression-repr byte, skipping an older frame's
+   expression block undecoded; true for the frames before repr 3,
+   whose derivations carry a signer and body origins. *)
+let read_expr_repr r : bool =
   match Arena.u8 r with
-  | 0 | 1 -> ignore (block32 r)
-  | 2 -> ()
+  | 0 | 1 ->
+    ignore (block32 r);
+    true
+  | 2 -> true
+  | 3 -> false
   | n -> raise (Corrupt (Printf.sprintf "bad expr repr tag %d" n))
+
+(* An older body item's origin, skipped. *)
+let skip_origin r : unit =
+  match Arena.u8 r with
+  | 0 -> ()
+  | 1 -> ignore (str16 r)
+  | n -> raise (Corrupt (Printf.sprintf "bad origin tag %d" n))
 
 (* The index keys lead the payload, so indexing a frame reads only
    these fields. *)
@@ -219,27 +223,22 @@ let read_record_keys ~(live : bool) r : string * string * float * Engine.Tuple.t
 
 let read_record ~(live : bool) r : record =
   let node, domain, at, tuple = read_record_keys ~live r in
-  skip_expr_block r;
+  let legacy = read_expr_repr r in
   let received = List.init (Arena.u16 r) (fun _ -> str16 r) in
   let derivs =
     List.init (Arena.u16 r) (fun _ ->
         let rule = str16 r in
         let dat = f64 r in
-        let signer = opt16 r in
+        if legacy then ignore (opt16 r);
         let signature = opt16 r in
         let body =
           List.init (Arena.u16 r) (fun _ ->
               let t = tuple_block r in
-              let origin =
-                match Arena.u8 r with
-                | 0 -> Local
-                | 1 -> Remote (str16 r)
-                | n -> raise (Corrupt (Printf.sprintf "bad origin tag %d" n))
-              in
+              if legacy then skip_origin r;
               let says = opt16 r in
-              { b_tuple = t; b_origin = origin; b_says = says })
+              { b_tuple = t; b_says = says })
         in
-        { d_rule = rule; d_at = dat; d_signer = signer; d_signature = signature; d_body = body })
+        { d_rule = rule; d_at = dat; d_signature = signature; d_body = body })
   in
   { r_node = node; r_domain = domain; r_live = live; r_at = at; r_tuple = tuple;
     r_received_from = received; r_derivs = derivs }

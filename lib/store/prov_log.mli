@@ -6,8 +6,9 @@
     so forensic traceback works after tuples expire and across
     process restarts.  A record carries the tuple, its senders and its
     derivations; offline traceback computes the expression from them,
-    and the log stores none (frames of older logs carry an expression
-    block, which the reader skips).  The log is also the only store of
+    and the log stores none.  Frames of older logs carry an expression
+    block, derivation signers and body origins, which the reader
+    skips.  The log is also the only store of
     1/K-sampled flows and per-(node, epoch) Bloom digests.
 
     A log is a directory: a [MANIFEST] naming the ordered live
@@ -23,23 +24,22 @@
     All operations are mutex-guarded; the retire write-through runs
     on the runtime's worker domains. *)
 
-type origin =
-  | Local
-  | Remote of string  (** received from / derived through this address *)
-
+(** A body tuple of a derivation, with the principal its [says]
+    literal consumed.  Where the body came from is not copied here:
+    traceback looks it up at the node that used it, among that node's
+    senders and derivations of it. *)
 type body_item = {
   b_tuple : Engine.Tuple.t;
-  b_origin : origin;
   b_says : string option;
 }
 
 (** One derivation alternative.  [Core.Prov_store] holds live
     derivations as this same record, so one traceback walk reads the
-    live stores and the log alike. *)
+    live stores and the log alike.  Its [d_signature], when present,
+    is by the node that holds the record. *)
 type deriv = {
   d_rule : string;
   d_at : float;
-  d_signer : string option;
   d_signature : string option;
   d_body : body_item list;
 }

@@ -275,8 +275,8 @@ let test_traceback_matches_local_provenance () =
   Alcotest.(check bool) "traceback crossed nodes" true (r.cost.remote_queries > 0)
 
 (* Section 4.3: under [sign_provenance] every local derivation carries
-   its deriving node's signature over [Store.Prov_log.node_repr] of
-   the head and the derivation record traceback reads. *)
+   the signature of the node holding it over [Store.Prov_log.node_repr]
+   of the head and the derivation record traceback reads. *)
 let test_signed_provenance_verifies () =
   let t = paper_topology_runtime { Core.Config.sendlog_prov with sign_provenance = true } in
   let directory = Core.Runtime.directory t in
@@ -294,7 +294,6 @@ let test_signed_provenance_verifies () =
               let node_repr = Store.Prov_log.node_repr r.r_tuple d in
               let what = node_repr ^ " at " ^ n.n_addr in
               reprs := node_repr :: !reprs;
-              Alcotest.(check (option string)) (what ^ ": signer") (Some n.n_addr) d.d_signer;
               match d.d_signature with
               | None -> Alcotest.failf "%s: unsigned" what
               | Some signature ->
@@ -1837,3 +1836,177 @@ let suite =
   suite
   @ [ Alcotest.test_case "tuples are freed with their runtime" `Quick
         test_tuples_freed_after_shutdown ]
+
+(* --- one record of senders ----------------------------------------------- *)
+
+(* A runtime over [links] (unit cost, 10 ms latency) running [program],
+   with every link fact installed at its source unless [keep] rejects
+   that source, run to quiescence. *)
+let links_runtime ?(keep = fun (_ : string) -> true) ~cfg ~program
+    (links : (string * string) list) =
+  let nodes =
+    List.sort_uniq String.compare (List.concat_map (fun (a, b) -> [ a; b ]) links)
+  in
+  let topo =
+    Net.Topology.validated ~nodes
+      ~links:
+        (List.map
+           (fun (a, b) -> { Net.Topology.l_src = a; l_dst = b; l_cost = 1; l_latency = 0.01 })
+           links)
+      ~as_of:(Hashtbl.create 1)
+  in
+  let t =
+    Core.Runtime.create ~rng:(Crypto.Rng.create ~seed:3)
+      ~cfg:{ cfg with Core.Config.rsa_bits } ~topo ~program ()
+  in
+  List.iter
+    (fun (a, b) ->
+      if keep a then
+        Core.Runtime.install_fact t ~at:a (Tuple.make "link" [ Value.V_str a; Value.V_str b ]))
+    links;
+  ignore (Core.Runtime.run t);
+  t
+
+let reach a b = Tuple.make "reachable" [ Value.V_str a; Value.V_str b ]
+
+(* reachable(a,d) arrives at a from two senders, b and c; the
+   derivation of reachable(e,d) at a reads it.  Traceback looks that
+   body up at a, where both senders stand behind it, so the tree holds
+   each sender's subtree: it stays derivable with either sender left
+   out.  Live and offline walks alike. *)
+let test_traceback_reads_every_sender () =
+  let links = [ ("e", "a"); ("a", "b"); ("a", "c"); ("b", "d"); ("c", "d") ] in
+  Test_store.with_temp_dir (fun dir ->
+      let cfg = { Core.Config.sendlog_prov with prov_log = Some dir } in
+      let t = links_runtime ~cfg ~program:(Ndlog.Programs.reachable ()) links in
+      Alcotest.(check (list string)) "reachable(a,d) at a has both senders" [ "b"; "c" ]
+        (List.sort compare
+           (Core.Prov_store.received_from (Core.Runtime.node t "a").n_prov (reach "a" "d")));
+      let check what (r : Core.Traceback.result) =
+        Alcotest.(check bool) (what ^ ": complete") false r.partial;
+        List.iter
+          (fun without ->
+            let trusted p = not (String.equal p without) in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: derivable without %s" what without)
+              true
+              (Provenance.Prov_expr.derivable_from r.expr ~trusted))
+          [ "b"; "c" ]
+      in
+      check "live" (Core.Traceback.query t ~at:"e" (reach "e" "d"));
+      Core.Runtime.sync_prov_log t;
+      Core.Runtime.shutdown t;
+      let log = Store.Prov_log.open_log ~dir () in
+      check "offline"
+        (Core.Traceback.offline_query log ~at:"e" ~ident:(Tuple.identity (reach "e" "d")) ());
+      Store.Prov_log.close log)
+
+(* DRed reinstates a tuple under the asserters that still stand
+   behind it.  ping(n0) reaches n0 from n1 and from n2, and r2 makes
+   one got(n0, W) per asserter.  Once n1 retracts its fact, n0 holds
+   ping(n0) from n2 alone and got(n0, n1) is gone. *)
+let test_retraction_drops_the_retracted_asserter () =
+  let src = "At S:\nr1 ping(D)@D :- src(S, D).\nr2 got(S, W) :- W says ping(S).\n" in
+  let src_fact s = Tuple.make "src" [ Value.V_str s; Value.V_str "n0" ] in
+  List.iter
+    (fun (name, cfg) ->
+      let t =
+        Core.Runtime.create ~rng:(Crypto.Rng.create ~seed:9)
+          ~cfg:{ cfg with Core.Config.rsa_bits } ~topo:(Net.Topology.line ~n:3 ())
+          ~program:(Ndlog.Parser.parse_program_exn src) ()
+      in
+      List.iter (fun s -> Core.Runtime.install_fact t ~at:s (src_fact s)) [ "n1"; "n2" ];
+      ignore (Core.Runtime.run t);
+      let got () =
+        List.sort compare (List.map Tuple.to_string (Core.Runtime.query t ~at:"n0" "got"))
+      in
+      Alcotest.(check (list string)) (name ^ ": got before") [ "got(n0, n1)"; "got(n0, n2)" ]
+        (got ());
+      Core.Runtime.retract_fact t ~at:"n1" (src_fact "n1");
+      ignore (Core.Runtime.run t);
+      Alcotest.(check (list string)) (name ^ ": got after") [ "got(n0, n2)" ] (got ());
+      let ping = Tuple.make "ping" [ Value.V_str "n0" ] in
+      Alcotest.(check (list string)) (name ^ ": ping(n0) asserters") [ "n2" ]
+        (List.map Value.to_addr (Db.asserters_of (Core.Runtime.node t "n0").n_db ping));
+      if cfg.Core.Config.prov <> Core.Config.Prov_off then
+        Alcotest.(check (list string)) (name ^ ": ping(n0) provenance bases") [ "n2" ]
+          (Provenance.Prov_expr.bases (Core.Runtime.provenance_of t ~at:"n0" ping));
+      Core.Runtime.shutdown t)
+    [ ("SeNDLog", Core.Config.sendlog); ("SeNDLogProv", Core.Config.sendlog_prov) ]
+
+(* Traceback never over-approximates: on the paper's reachable program
+   over a random topology, whatever its expression calls derivable
+   from a node subset A, a from-scratch NDLog run with link facts at
+   the nodes of A only does derive. *)
+let prop_traceback_never_overclaims =
+  QCheck.Test.make ~name:"reachable traceback never overclaims a node subset" ~count:12
+    QCheck.(pair (int_range 3 8) (int_range 1 100_000))
+    (fun (n, seed) ->
+      let topo = Net.Topology.random (Crypto.Rng.create ~seed) ~n () in
+      let links =
+        List.map (fun (l : Net.Topology.link) -> (l.l_src, l.l_dst)) topo.Net.Topology.links
+      in
+      let program = Ndlog.Programs.reachable () in
+      let cfg = { Core.Config.sendlog_prov with auth = Sendlog.Auth.Auth_cleartext } in
+      let t = links_runtime ~cfg ~program links in
+      let rng = Crypto.Rng.create ~seed:(seed + 1) in
+      let ok =
+        List.for_all
+          (fun _ ->
+            let subset =
+              List.filter (fun _ -> Crypto.Rng.float rng 1.0 < 0.75) topo.Net.Topology.nodes
+            in
+            let trusted p = List.mem p subset in
+            let scratch =
+              links_runtime ~keep:trusted ~cfg:Core.Config.ndlog ~program links
+            in
+            let derived = Core.Runtime.query_all scratch "reachable" in
+            Core.Runtime.shutdown scratch;
+            List.for_all
+              (fun (at, tu) ->
+                let r = Core.Traceback.query t ~at tu in
+                (not (Provenance.Prov_expr.derivable_from r.Core.Traceback.expr ~trusted))
+                || List.exists (fun (at', tu') -> at = at' && Tuple.equal tu tu') derived)
+              (Core.Runtime.query_all t "reachable"))
+          [ 1; 2; 3 ]
+      in
+      Core.Runtime.shutdown t;
+      ok)
+
+(* Only base facts are logged as bases.  Under churn a sender can ship
+   a copy whose expression is zero (a body of its derivation was
+   displaced meanwhile); the copy's record names that sender, and a
+   derivation reading the copy does not register it as a base of the
+   receiving node.  So every record of a derived relation names a
+   sender or a derivation, and the offline walk can follow it. *)
+let test_derived_records_name_their_support () =
+  Test_store.with_temp_dir (fun dir ->
+      let cfg = Core.Config.with_prov_log Core.Config.sendlog_prov (Some dir) in
+      let t, _ = mk_runtime ~cfg ~seed:2 ~n:20 () in
+      run_links t;
+      ignore (Core.Runtime.schedule_flaps t ~rate:1.0 ~horizon:4.0 ());
+      ignore (Core.Runtime.run t);
+      Core.Runtime.sync_prov_log t;
+      let log = Option.get (Core.Runtime.prov_log t) in
+      List.iter
+        (fun rel ->
+          List.iter
+            (fun ident ->
+              List.iter
+                (fun (r : Store.Prov_log.record) ->
+                  if r.r_received_from = [] && r.r_derivs = [] then
+                    Alcotest.failf "%s at %s (t=%g) is logged as a base" ident r.r_node r.r_at)
+                (Store.Prov_log.lookup log ~ident))
+            (Store.Prov_log.idents_of_relation log rel))
+        [ "path"; "bestPathCost"; "bestPath" ];
+      Core.Runtime.shutdown t)
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "traceback reads every sender of a body" `Quick
+        test_traceback_reads_every_sender;
+      Alcotest.test_case "derived records name their support" `Quick
+        test_derived_records_name_their_support;
+      Alcotest.test_case "retraction drops the retracted asserter" `Quick
+        test_retraction_drops_the_retracted_asserter;
+      QCheck_alcotest.to_alcotest prop_traceback_never_overclaims ]

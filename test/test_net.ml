@@ -124,6 +124,10 @@ let prop_tuple_codec_roundtrip =
   QCheck.Test.make ~name:"tuple encode/decode roundtrip" ~count:300 tuple_gen (fun t ->
       Tuple.equal t (Net.Wire.decode_tuple (Net.Wire.encode_tuple t)))
 
+let prop_tuple_wire_size =
+  QCheck.Test.make ~name:"tuple_wire_size = encoded length" ~count:300 tuple_gen (fun t ->
+      Net.Wire.tuple_wire_size t = String.length (Net.Wire.encode_tuple t))
+
 (* --- arena codec vs the legacy Buffer codec ------------------------------
 
    The arena writers replaced a per-field [Buffer] implementation; the
@@ -756,6 +760,7 @@ let suite : unit Alcotest.test_case list =
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_sim_heap_order;
         prop_tuple_codec_roundtrip;
+        prop_tuple_wire_size;
         prop_message_codec_byte_identical;
         prop_signed_bytes_byte_identical;
         prop_message_roundtrip;

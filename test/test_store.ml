@@ -412,6 +412,31 @@ let test_write_through_identity () =
       Alcotest.(check (list (pair (pair string string) string)))
         "same bestPathCost provenance" prov logged_prov)
 
+(* With provenance off, every node still records who sent it each
+   tuple, and retraction reads that record; none of it reaches the log,
+   which holds flows and digests only, through churn and a checkpoint
+   alike. *)
+let test_prov_off_logs_no_records () =
+  with_temp_dir (fun dir ->
+      let topo = Net.Topology.random (Crypto.Rng.create ~seed:7) ~n:8 () in
+      let cfg = Core.Config.with_prov_log { Core.Config.sendlog with rsa_bits } (Some dir) in
+      let t =
+        Core.Runtime.create ~rng:(Crypto.Rng.create ~seed:8) ~cfg ~topo
+          ~program:(Ndlog.Programs.best_path ()) ()
+      in
+      Core.Runtime.install_links t;
+      ignore (Core.Runtime.run t);
+      let l = List.hd topo.Net.Topology.links in
+      Core.Runtime.link_down t ~src:l.Net.Topology.l_src ~dst:l.Net.Topology.l_dst;
+      ignore (Core.Runtime.run t);
+      Alcotest.(check bool) "the link's retraction deleted tuples" true
+        (Core.Runtime.tuples_retracted t > 0);
+      Core.Runtime.sync_prov_log t;
+      let log = Option.get (Core.Runtime.prov_log t) in
+      Alcotest.(check int) "records" 0 (Store.Prov_log.record_count log);
+      Alcotest.(check bool) "flows" true (Store.Prov_log.flow_count log > 0);
+      Core.Runtime.shutdown t)
+
 (* --- persisted Bloom digests --------------------------------------- *)
 
 let test_digest_fp_rate () =
@@ -464,7 +489,7 @@ let write_file path contents =
   let oc = open_out_bin path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)
 
-(* A record with a derivation, a remote body item and a signer. *)
+(* A record with a sender, a signed derivation and a [says] body. *)
 let rich_record =
   let s x = Value.V_str x in
   {
@@ -475,13 +500,13 @@ let rich_record =
     r_tuple = Tuple.make "path" [ s "n1"; s "n3"; Value.V_int 7 ];
     r_received_from = [ "n2" ];
     r_derivs =
-      [ { Store.Prov_log.d_rule = "p2"; d_at = 12.0; d_signer = Some "n1";
+      [ { Store.Prov_log.d_rule = "p2"; d_at = 12.0;
           d_signature = Some "\x01\x02sig";
           d_body =
             [ { Store.Prov_log.b_tuple = Tuple.make "link" [ s "n1"; s "n2"; Value.V_int 3 ];
-                b_origin = Store.Prov_log.Local; b_says = None };
+                b_says = None };
               { Store.Prov_log.b_tuple = Tuple.make "path" [ s "n2"; s "n3"; Value.V_int 4 ];
-                b_origin = Store.Prov_log.Remote "n2"; b_says = Some "n2" } ] } ];
+                b_says = Some "n2" } ] } ];
   }
 
 let rich_flow =
@@ -491,19 +516,27 @@ let digest_key = "path(n1, n3, 7)"
 
 (* [rich_record], [rich_flow] and a digest of [digest_key] (4-key
    filter at 10%), as the log wrote them while records still carried
-   a condensed expression block (expression repr byte 0): logs written
-   then must still open. *)
+   a condensed expression block (expression repr byte 0), a signer
+   ("n1") on the derivation, and an origin on each body item (local,
+   then remote "n2"): logs written then must still open. *)
 let golden_frames =
   List.map of_hex
     [ "000000ed520000026e31000361733040290000000000000000002300000004706174680000000304000000026e3104000000026e3301000000000000000700000000320002000000026e32000100026e31000000030000000100000000000000010000000400000000000000000000000300000004000100026e3200010002703240280000000000000100026e310100050102736967000200000023000000046c696e6b0000000304000000026e3104000000026e3201000000000000000300000000002300000004706174680000000304000000026e3204000000026e330100000000000000040100026e320100026e32b82444c1";
       "000000214600026e3200026e314028800000000000000f70617468286e322c206e332c203429e76d5b1b";
       "000000194200026e31000000000000000d0000001400030000000100920068483d12" ]
 
-(* [rich_record] as the log writes it now: expression repr byte 2 and
-   no expression block: the first frame above less its 54-byte block. *)
-let golden_record_frame =
+(* The same record as the log wrote it once records dropped their
+   expression (repr byte 2, no block), still with the signer and the
+   body origins: the first frame above less its 54-byte block. *)
+let repr2_record_frame =
   of_hex
     "000000b7520000026e31000361733040290000000000000000002300000004706174680000000304000000026e3104000000026e3301000000000000000702000100026e3200010002703240280000000000000100026e310100050102736967000200000023000000046c696e6b0000000304000000026e3104000000026e3201000000000000000300000000002300000004706174680000000304000000026e3204000000026e330100000000000000040100026e320100026e329875f338"
+
+(* [rich_record] as the log writes it now: repr byte 3, and neither
+   signer nor origins (the repr-2 frame less 11 bytes). *)
+let golden_record_frame =
+  of_hex
+    "000000ac520000026e31000361733040290000000000000000002300000004706174680000000304000000026e3104000000026e3301000000000000000703000100026e3200010002703240280000000000000100050102736967000200000023000000046c696e6b0000000304000000026e3104000000026e32010000000000000003000000002300000004706174680000000304000000026e3204000000026e330100000000000000040100026e32a4f5441f"
 
 let write_rich log =
   Store.Prov_log.append log rich_record;
@@ -524,8 +557,9 @@ let test_golden_frames () =
       Alcotest.(check string) "encoded frames"
         (Crypto.Sha256.to_hex ("PSNLOG1\n" ^ String.concat "" (golden_record_frame :: others)))
         (Crypto.Sha256.to_hex (read_file (seg1 dir))));
-  (* Compaction copies frames verbatim, so one segment may hold both
-     record shapes: each decodes to the same record. *)
+  (* Compaction copies frames verbatim, so one segment may hold every
+     record shape: each decodes to the same record, the older ones
+     less their expression, signer and origins. *)
   List.iter
     (fun (what, records) ->
       with_temp_dir (fun dir ->
@@ -542,7 +576,9 @@ let test_golden_frames () =
           Alcotest.(check (list string)) (what ^ ": decoded digest") [ "n1" ]
             (Store.Prov_log.digest_nodes log ~time:12.5 digest_key);
           Store.Prov_log.close log))
-    [ ("old frame", [ old_record ]); ("both shapes", [ old_record; golden_record_frame ]) ]
+    [ ("repr-0 frame", [ old_record ]);
+      ("repr-2 frame", [ repr2_record_frame ]);
+      ("every shape", [ old_record; repr2_record_frame; golden_record_frame ]) ]
 
 (* Every lookup of a reopened log is answered from the checksummed
    frames: an edit anywhere else in the directory changes no answer. *)
@@ -712,6 +748,8 @@ let suite =
       test_sampled_runtime_flow_counts;
     Alcotest.test_case "prov-log write-through leaves the fixpoint" `Quick
       test_write_through_identity;
+    Alcotest.test_case "provenance off logs no records" `Quick
+      test_prov_off_logs_no_records;
     Alcotest.test_case "persisted bloom digest FP rate" `Quick
       test_digest_fp_rate;
     Alcotest.test_case "frames byte-identical to the golden encoding" `Quick
